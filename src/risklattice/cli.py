@@ -229,16 +229,14 @@ def _cmd_pipeline(args) -> int:
     records = pl.pairwise_day_tests(losses, config, threads=args.threads)
 
     series = []
-    for spec in config.measures:
-        series.append(pl.daily_violation_rate(records, spec.label))
-        if spec.kind == "var":
-            series.append(pl.daily_violation_rate(records, spec.label, test=pl.SUBADDITIVITY))
     corr_rows = []
     for spec in config.measures:
+        sub = pl.daily_violation_rate(records, spec.label)
+        series.append(sub)
         if spec.kind != "var":
             continue
-        sub = pl.daily_violation_rate(records, spec.label)
         add = pl.daily_violation_rate(records, spec.label, test=pl.SUBADDITIVITY)
+        series.append(add)
         try:
             corr_rows.append((sub.label, add.label, pl.correlations(sub.series(), add.series())))
         except RiskLatticeError:

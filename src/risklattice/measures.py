@@ -18,9 +18,14 @@ and is evaluated exactly on the empirical distribution:
   distortion and an increasing convex deviation weight.
 
 Scalar functions wrap batched kernels (module-private ``_*_batch``) that
-evaluate many samples at once; the sweep and pipeline layers call the batched
-kernels directly.  All kernels sort their input, so law invariance under
-permutation of the atoms is exact, not just within tolerance.
+evaluate many samples at once.  Kernels take ascending-sorted rows and sort
+nothing: the scalar functions sort their sample and
+``RiskMeasureSpec.evaluate_batch`` sorts its batch once, so law invariance
+under permutation of the atoms is exact, not just within tolerance.  VaR, ES,
+adjusted ES, distortion and the distortion term of ``mmd_rho`` are one
+order-statistic kernel, ``max_r (x_sorted . w_r - c_r)`` over a few weight
+rows (one-hot, ``1/k`` on the top ``k``, one ES row per AES level, Choquet
+weights).
 """
 
 from __future__ import annotations
@@ -68,44 +73,51 @@ def _check_level(p: float) -> float:
     return p
 
 
-def _sort_desc(X: np.ndarray) -> np.ndarray:
-    return -np.sort(-X, axis=1)
-
-
 # ---------------------------------------------------------------------------
-# order-statistic functionals (batched kernels + scalar wrappers)
+# order-statistic functionals: one kernel over weight rows + scalar wrappers
 
 
-def _var_batch(X: np.ndarray, p: float) -> np.ndarray:
-    k = _top_k(X.shape[1], p)
-    return _sort_desc(X)[:, k - 1]
+def _order_stat_batch(Xs: np.ndarray, W, penalties=None) -> np.ndarray:
+    """``max_r (Xs . W[r] - penalties[r])`` over ascending-sorted rows ``Xs``.
+
+    ``einsum`` reduces a row the same way wherever it sits in the batch (BLAS
+    ``@`` does not), so equal rows get bit-equal values; dominated-pair gaps
+    are therefore exactly 0.
+    """
+    vals = np.einsum("ij,rj->ri", Xs, np.atleast_2d(W))
+    if penalties is not None:
+        vals -= np.reshape(penalties, (-1, 1))
+    return vals.max(axis=0)
 
 
-def _es_batch(X: np.ndarray, p: float) -> np.ndarray:
-    k = _top_k(X.shape[1], p)
-    return _sort_desc(X)[:, :k].mean(axis=1)
+def _var_weights(n: int, p: float) -> np.ndarray:
+    w = np.zeros(n)
+    w[n - _top_k(n, p)] = 1.0
+    return w
 
 
-def _es_from_sorted(Xd: np.ndarray, p: float) -> np.ndarray:
+def _es_weights(n: int, p: float) -> np.ndarray:
     # accepts levels in [0, 1): level 0 averages the whole sample
-    n = Xd.shape[1]
     k = n if p == 0.0 else _top_k(n, p)
-    return Xd[:, :k].mean(axis=1)
+    w = np.zeros(n)
+    w[n - k :] = 1.0 / k
+    return w
 
 
-def _aes_batch(X: np.ndarray, grid: AdjustmentGrid) -> np.ndarray:
-    Xd = _sort_desc(X)
-    best = np.full(X.shape[0], -np.inf)
-    for level, penalty in zip(grid.levels, grid.penalties):
-        np.maximum(best, _es_from_sorted(Xd, level) - penalty, out=best)
-    return best
+def _aes_weights(n: int, grid: AdjustmentGrid) -> tuple[np.ndarray, tuple[float, ...]]:
+    return np.stack([_es_weights(n, p) for p in grid.levels]), grid.penalties
 
 
-def _distortion_batch(X: np.ndarray, phi: DistortionFunction) -> np.ndarray:
-    n = X.shape[1]
+def _distortion_weights(n: int, phi: DistortionFunction) -> np.ndarray:
+    # Choquet weights phi(i/n) - phi((i-1)/n) on descending order statistics,
+    # reversed to line up with ascending rows
     t = np.arange(n + 1, dtype=np.float64) / n
-    w = np.diff(phi.fn(t))
-    return _sort_desc(X) @ w
+    return np.diff(phi.fn(t))[::-1]
+
+
+def _sorted_row(sample) -> np.ndarray:
+    """One validated sample as an ascending ``(1, n)`` batch."""
+    return np.sort(as_sample(sample))[None, :]
 
 
 def var_historical(sample, p: float) -> float:
@@ -114,8 +126,8 @@ def var_historical(sample, p: float) -> float:
     Cash-invariant and positively homogeneous by construction (it is an order
     statistic).  Conservative in finite samples when ``n (1-p)`` is an integer.
     """
-    x = as_sample(sample)
-    return float(_var_batch(x[None, :], _check_level(p))[0])
+    xs = _sorted_row(sample)
+    return float(_order_stat_batch(xs, _var_weights(xs.shape[1], _check_level(p)))[0])
 
 
 def es_historical(sample, p: float) -> float:
@@ -123,8 +135,8 @@ def es_historical(sample, p: float) -> float:
 
     Dominates ``var_historical`` at the same level.
     """
-    x = as_sample(sample)
-    return float(_es_batch(x[None, :], _check_level(p))[0])
+    xs = _sorted_row(sample)
+    return float(_order_stat_batch(xs, _es_weights(xs.shape[1], _check_level(p)))[0])
 
 
 def aes(sample, grid: AdjustmentGrid) -> float:
@@ -134,10 +146,10 @@ def aes(sample, grid: AdjustmentGrid) -> float:
     stands in for a supremum over all levels; resolution is the caller's
     responsibility.  Level ``0`` is admitted and evaluates to the sample mean.
     """
-    x = as_sample(sample)
+    xs = _sorted_row(sample)
     if not isinstance(grid, AdjustmentGrid):
         grid = AdjustmentGrid(*grid)
-    return float(_aes_batch(x[None, :], grid)[0])
+    return float(_order_stat_batch(xs, *_aes_weights(xs.shape[1], grid))[0])
 
 
 def distortion_rho(sample, phi: DistortionFunction) -> float:
@@ -147,28 +159,26 @@ def distortion_rho(sample, phi: DistortionFunction) -> float:
     ``sum_i L_(i) (phi(i/n) - phi((i-1)/n))``.  Comonotonic-additive on samples
     sorted by a common permutation; coherent exactly when ``phi`` is concave.
     """
-    x = as_sample(sample)
-    return float(_distortion_batch(x[None, :], phi)[0])
+    xs = _sorted_row(sample)
+    return float(_order_stat_batch(xs, _distortion_weights(xs.shape[1], phi))[0])
 
 
 # ---------------------------------------------------------------------------
 # expected loss and certainty equivalent
 
 
-def _expected_loss_batch(X: np.ndarray, ell: LossFunction) -> np.ndarray:
-    return ell.fn(np.sort(X, axis=1)).mean(axis=1)
+def _expected_loss_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
+    return ell.fn(Xs).mean(axis=1)
 
 
 def expected_loss(sample, ell: LossFunction) -> float:
     """``mean(l(x_i))``; exactly modular (both submodular and supermodular)."""
-    x = as_sample(sample)
-    return float(_expected_loss_batch(x[None, :], ell)[0])
+    return float(_expected_loss_batch(_sorted_row(sample), ell)[0])
 
 
-def _ce_batch(X: np.ndarray, ell: LossFunction) -> np.ndarray:
+def _ce_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
     if not ell.strictly_increasing:
         raise DomainError("certainty equivalent requires a strictly increasing loss")
-    Xs = np.sort(X, axis=1)
     target = ell.fn(Xs).mean(axis=1)
     lo = Xs[:, 0].copy()
     hi = Xs[:, -1].copy()
@@ -205,22 +215,20 @@ def certainty_equivalent(sample, ell: LossFunction) -> float:
     containing the sample range.  ``certainty_equivalent([c, ..., c]) == c``;
     the functional is submodular exactly when ``l`` is convex.
     """
-    x = as_sample(sample)
-    return float(_ce_batch(x[None, :], ell)[0])
+    return float(_ce_batch(_sorted_row(sample), ell)[0])
 
 
 # ---------------------------------------------------------------------------
 # shortfall risk (implicit root)
 
 
-def _shortfall_batch(X: np.ndarray, ell: LossFunction) -> np.ndarray:
+def _shortfall_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
     if not (ell.strictly_increasing and ell.convex):
         raise DomainError(
             "shortfall risk requires a strictly increasing convex loss "
             f"(got flags strictly_increasing={ell.strictly_increasing}, convex={ell.convex})"
         )
-    Xs = np.sort(X, axis=1)
-    n = X.shape[1]
+    n = Xs.shape[1]
     # silent normalization: subtracting l(0) leaves the root unchanged
     ell0 = float(ell.fn(np.array(0.0)))
 
@@ -269,18 +277,16 @@ def shortfall_rho(sample, ell: LossFunction) -> float:
     (expanded if needed) converges unconditionally.  Cash-invariant:
     ``shortfall_rho(x + c) = shortfall_rho(x) + c`` within root tolerance.
     """
-    x = as_sample(sample)
-    return float(_shortfall_batch(x[None, :], ell)[0])
+    return float(_shortfall_batch(_sorted_row(sample), ell)[0])
 
 
 # ---------------------------------------------------------------------------
 # optimized certainty equivalent (1-D convex minimization)
 
 
-def _oce_batch(X: np.ndarray, ell: LossFunction) -> np.ndarray:
+def _oce_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
     if not (ell.increasing and ell.convex):
         raise DomainError("optimized certainty equivalent requires an increasing convex loss")
-    Xs = np.sort(X, axis=1)
 
     def f(m: np.ndarray) -> np.ndarray:
         return m + ell.fn(Xs - m[:, None]).mean(axis=1)
@@ -328,20 +334,24 @@ def oce(sample, ell: LossFunction) -> float:
     value, not the minimizer, is the contract.  Always submodular for
     increasing convex ``l``.
     """
-    x = as_sample(sample)
-    return float(_oce_batch(x[None, :], ell)[0])
+    return float(_oce_batch(_sorted_row(sample), ell)[0])
 
 
 # ---------------------------------------------------------------------------
 # monotone mean-deviation measure
 
 
-def _mmd_batch(X: np.ndarray, weight: DeviationWeight, phi: DistortionFunction) -> np.ndarray:
+def _mmd_batch(Xs: np.ndarray, weight: DeviationWeight, phi: DistortionFunction) -> np.ndarray:
     if not phi.concave:
         raise DomainError("mean-deviation measure requires a concave distortion")
-    mean = X.mean(axis=1)
-    dev = _distortion_batch(X, phi) - mean
-    if float(np.min(dev)) < -1e-12:
+    n = Xs.shape[1]
+    mean = Xs.mean(axis=1)
+    dev = _order_stat_batch(Xs, _distortion_weights(n, phi)) - mean
+    # dev is a difference of two weighted sums whose weights add to 1; rounding
+    # moves each by a few n ulps of the row's largest magnitude, so only a
+    # larger negative dev means a non-concave weight grid.
+    tol = 8.0 * n * np.finfo(np.float64).eps * np.maximum(-Xs[:, 0], Xs[:, -1])
+    if np.any(dev < -tol):
         raise NumericError(
             "negative deviation encountered; the supplied distortion "
             "is not concave on the sample's weight grid"
@@ -353,9 +363,8 @@ def mmd_rho(sample, g: DeviationWeight, phi: DistortionFunction) -> float:
     """Monotone mean-deviation measure: ``g(distortion - mean) + mean``.
 
     Requires a concave distortion, which guarantees the deviation
-    ``distortion_rho(x, phi) - mean(x)`` is nonnegative (asserted within
-    1e-12).  Cash-invariant; reduces to ``distortion_rho`` for ``g(t) = t``
+    ``distortion_rho(x, phi) - mean(x)`` is nonnegative (asserted within a
+    rounding tolerance scaled to ``n max|x|``).  Cash-invariant; reduces to ``distortion_rho`` for ``g(t) = t``
     and to the mean for the identity distortion.
     """
-    x = as_sample(sample)
-    return float(_mmd_batch(x[None, :], g, phi)[0])
+    return float(_mmd_batch(_sorted_row(sample), g, phi)[0])

@@ -81,6 +81,11 @@ class LossPanel:
     tickers: tuple[str, ...]
     losses: np.ndarray
 
+    def __post_init__(self):
+        # the single validation gate for every rolling window cut from it
+        if not np.all(np.isfinite(self.losses)):
+            raise DataError("loss panel entries must be finite (no NaN or infinity)")
+
     def column(self, ticker: str) -> np.ndarray:
         try:
             return self.losses[:, self.tickers.index(ticker)]
@@ -263,32 +268,31 @@ def _pair_records(
     pair = (losses.tickers[i], losses.tickers[j])
     x = losses.losses[:, i]
     y = losses.losses[:, j]
-    X = sliding_window_view(x, w)
-    Y = sliding_window_view(y, w)
-    M = sliding_window_view(np.minimum(x, y), w)
-    J = sliding_window_view(np.maximum(x, y), w)
-    S = sliding_window_view(x + y, w)
-    if debug and not (np.array_equal(M + J, X + Y) and np.array_equal(S, X + Y)):
+    blocks = [sliding_window_view(v, w) for v in (x, y, np.minimum(x, y), np.maximum(x, y))]
+    X, Y, M, J = blocks
+    if debug and not np.array_equal(M + J, X + Y):
         raise AssertionError("meet/join accounting failed: meet + join != x + y")
+    if any(spec.kind == "var" for spec in config.measures):
+        blocks.append(sliding_window_view(x + y, w))
     dates = losses.dates[w - 1 :]
     d = len(dates)
+    # The windows were validated at ingest; sort them once here for every
+    # measure and both tests.  Only VaR reads the summed-loss block: a solver
+    # stops on the widest bracket in its batch, so it gets the x, y, meet and
+    # join blocks alone.
+    batch = np.concatenate(blocks)
+    batch.sort(axis=1)
     out: list[ViolationRecord] = []
     for spec in config.measures:
-        vals = spec.evaluate_batch(np.concatenate([X, Y, M, J]))
-        gaps = (vals[:d] + vals[d : 2 * d]) - (vals[2 * d : 3 * d] + vals[3 * d :])
-        out.extend(
-            ViolationRecord(
-                date=day, pair=pair, measure=spec.label, test=SUBMODULARITY,
-                gap=float(g), violated=bool(g < -eps),
-            )
-            for day, g in zip(dates, gaps)
-        )
+        vals = spec._evaluate_sorted(batch if spec.kind == "var" else batch[: 4 * d])
+        pair_sum = vals[:d] + vals[d : 2 * d]
+        tests = [(SUBMODULARITY, pair_sum - (vals[2 * d : 3 * d] + vals[3 * d : 4 * d]))]
         if spec.kind == "var":
-            vals = spec.evaluate_batch(np.concatenate([X, Y, S]))
-            gaps = (vals[:d] + vals[d : 2 * d]) - vals[2 * d :]
+            tests.append((SUBADDITIVITY, pair_sum - vals[4 * d :]))
+        for test, gaps in tests:
             out.extend(
                 ViolationRecord(
-                    date=day, pair=pair, measure=spec.label, test=SUBADDITIVITY,
+                    date=day, pair=pair, measure=spec.label, test=test,
                     gap=float(g), violated=bool(g < -eps),
                 )
                 for day, g in zip(dates, gaps)

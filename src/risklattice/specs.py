@@ -29,17 +29,19 @@ from .sample import as_batch, as_sample
 
 __all__ = ["RiskMeasureSpec", "parse_measure_spec"]
 
-_KINDS = (
-    "var",
-    "es",
-    "aes",
-    "distortion",
-    "expected_loss",
-    "ce",
-    "shortfall",
-    "oce",
-    "mmd",
-)
+# kind -> its kernel on validated, ascending-sorted rows
+_SORTED_KERNELS = {
+    "var": lambda s, Xs: _m._order_stat_batch(Xs, _m._var_weights(Xs.shape[1], s.level)),
+    "es": lambda s, Xs: _m._order_stat_batch(Xs, _m._es_weights(Xs.shape[1], s.level)),
+    "aes": lambda s, Xs: _m._order_stat_batch(Xs, *_m._aes_weights(Xs.shape[1], s.grid)),
+    "distortion": lambda s, Xs: _m._order_stat_batch(
+        Xs, _m._distortion_weights(Xs.shape[1], s.phi)),
+    "expected_loss": lambda s, Xs: _m._expected_loss_batch(Xs, s.ell),
+    "ce": lambda s, Xs: _m._ce_batch(Xs, s.ell),
+    "shortfall": lambda s, Xs: _m._shortfall_batch(Xs, s.ell),
+    "oce": lambda s, Xs: _m._oce_batch(Xs, s.ell),
+    "mmd": lambda s, Xs: _m._mmd_batch(Xs, s.weight, s.phi),
+}
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ class RiskMeasureSpec:
     weight: DeviationWeight | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _SORTED_KERNELS:
             raise DomainError(f"unknown risk measure kind {self.kind!r}")
 
     # -- constructors -------------------------------------------------------
@@ -104,25 +106,16 @@ class RiskMeasureSpec:
         return float(self.evaluate_batch(as_sample(sample)[None, :])[0])
 
     def evaluate_batch(self, X) -> np.ndarray:
-        """Evaluate on a batch of samples (one per row); returns a 1-D array."""
-        X = as_batch(X)
-        if self.kind == "var":
-            return _m._var_batch(X, self.level)
-        if self.kind == "es":
-            return _m._es_batch(X, self.level)
-        if self.kind == "aes":
-            return _m._aes_batch(X, self.grid)
-        if self.kind == "distortion":
-            return _m._distortion_batch(X, self.phi)
-        if self.kind == "expected_loss":
-            return _m._expected_loss_batch(X, self.ell)
-        if self.kind == "ce":
-            return _m._ce_batch(X, self.ell)
-        if self.kind == "shortfall":
-            return _m._shortfall_batch(X, self.ell)
-        if self.kind == "oce":
-            return _m._oce_batch(X, self.ell)
-        return _m._mmd_batch(X, self.weight, self.phi)
+        """Evaluate on a batch of samples (one per row); returns a 1-D array.
+
+        The batch is validated and sorted once; every kernel reads the sorted
+        rows, so the values are exactly invariant under permuting atoms.
+        """
+        return self._evaluate_sorted(np.sort(as_batch(X), axis=1))
+
+    def _evaluate_sorted(self, Xs: np.ndarray) -> np.ndarray:
+        """Evaluate on rows already validated and sorted ascending."""
+        return _SORTED_KERNELS[self.kind](self, Xs)
 
     @property
     def promises_zero_violations(self) -> bool:
@@ -156,9 +149,9 @@ def parse_measure_spec(text: str) -> RiskMeasureSpec:
     head, _, rest = text.strip().partition(":")
     try:
         if head == "var":
-            return RiskMeasureSpec.var(_level(rest))
+            return RiskMeasureSpec.var(_m._check_level(rest))
         if head == "es":
-            return RiskMeasureSpec.es(_level(rest))
+            return RiskMeasureSpec.es(_m._check_level(rest))
         if head == "aes":
             pairs = [item.split(":") for item in rest.split(",")]
             levels = tuple(float(a) for a, _ in pairs)
@@ -188,10 +181,3 @@ def parse_measure_spec(text: str) -> RiskMeasureSpec:
     raise DomainError(
         f"unknown measure spec {text!r}; expected one of var|es|aes|dist|eloss|ce|shortfall|oce|mmd"
     )
-
-
-def _level(text: str) -> float:
-    p = float(text)
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"confidence level must lie in (0, 1), got {p}")
-    return p

@@ -21,6 +21,7 @@ from risklattice import (
     mmd_rho,
     oce,
     pointwise_meet_join,
+    power_distortion,
     shortfall_rho,
     square_weight,
     var_distortion,
@@ -252,6 +253,19 @@ def test_mmd_square_weight_example():
 def test_mmd_identity_distortion_is_mean():
     assert mmd_rho(SAMPLE, square_weight(), identity_distortion()) == pytest.approx(
         np.mean(SAMPLE), abs=1e-15
+    )
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e6, 1e9])
+@pytest.mark.parametrize("phi", [identity_distortion(), es_distortion(0.5), power_distortion(0.5)])
+def test_mmd_deviation_guard_scales_with_data(phi, scale):
+    # rounding in distortion - mean grows with the sample's magnitude; a
+    # concave distortion must not trip the negative-deviation guard
+    x = scale * np.random.default_rng(0).standard_normal(50)
+    for g in (identity_weight(), square_weight()):
+        assert math.isfinite(mmd_rho(x, g, phi))
+    assert mmd_rho(x, identity_weight(), phi) == pytest.approx(
+        distortion_rho(x, phi), rel=1e-12, abs=1e-12 * scale
     )
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import risklattice.pipeline as pl
-from risklattice import DataError, DomainError, RiskMeasureSpec
+from risklattice import AdjustmentGrid, DataError, DomainError, RiskMeasureSpec, power_distortion
 
 
 def write_csv(path, rows):
@@ -172,6 +172,32 @@ def test_es_records_never_violate():
     es_records = [r for r in records if r.measure == "ES(0.9)"]
     assert es_records
     assert not any(r.violated for r in es_records)
+
+
+def test_dominated_pair_gaps_exactly_zero():
+    # A = B + 0.01 everywhere, so meet = B and join = A on every window: each
+    # pair's sorted rows repeat exactly and every gap must be exactly 0.  An odd
+    # date count puts the four blocks at different row parities in the batch.
+    b = np.random.default_rng(8).standard_normal(40) * 0.02
+    panel = make_loss_panel({"AAA": b + 0.01, "BBB": b})
+    measures = (
+        RiskMeasureSpec.var(0.9),
+        RiskMeasureSpec.es(0.9),
+        RiskMeasureSpec.aes(AdjustmentGrid((0.6, 0.9), (0.0, 0.01))),
+        RiskMeasureSpec.distortion(power_distortion(0.5)),
+    )
+    config = pl.RollingConfig(window=18, measures=measures)
+    records = pl.pairwise_day_tests(panel, config, debug=True)
+    sub = [r for r in records if r.test == pl.SUBMODULARITY]
+    assert len({r.date for r in sub}) % 2 == 1
+    assert len(sub) == 23 * len(measures)
+    assert all(r.gap == 0.0 for r in sub)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_loss_panel_rejects_non_finite(bad):
+    with pytest.raises(DataError, match="finite"):
+        make_loss_panel({"AAA": [0.01, bad, 0.02]})
 
 
 def test_pairwise_thread_invariance():

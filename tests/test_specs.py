@@ -14,6 +14,7 @@ from risklattice import (
     mmd_rho,
     oce,
     parse_measure_spec,
+    power_distortion,
     shortfall_rho,
     square_weight,
     var_historical,
@@ -89,3 +90,20 @@ def test_promises_zero_violations_classification():
     assert not parse_measure_spec("shortfall:expectile:1").promises_zero_violations
     assert not parse_measure_spec("mmd:square:es:0.9").promises_zero_violations
     assert parse_measure_spec("mmd:identity:es:0.9").promises_zero_violations
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        RiskMeasureSpec.distortion(power_distortion(0.5)),
+        RiskMeasureSpec.mmd(square_weight(), power_distortion(0.5)),
+    ],
+    ids=lambda spec: spec.label,
+)
+def test_equal_rows_get_bit_equal_values_anywhere_in_batch(spec):
+    # a row's value must not depend on where it sits in the batch, or gaps of
+    # dominated pairs stop being exactly 0
+    X = np.random.default_rng(1).standard_normal((5, 50))
+    X[4] = X[0]
+    vals = spec.evaluate_batch(X)
+    assert vals[4] == vals[0]
