@@ -9,11 +9,10 @@ and is evaluated exactly on the empirical distribution:
 * ``distortion_rho``   -- Choquet integral ``sum L_(i) [phi(i/n) - phi((i-1)/n)]``
   on descending order statistics, the exact Choquet value of the empirical law.
 * ``expected_loss``    -- ``mean(l(x_i))``.
-* ``certainty_equivalent`` -- ``l^{-1}(mean(l(x_i)))`` by monotone bisection.
+* ``certainty_equivalent`` -- ``l^{-1}(mean(l(x_i)))``.
 * ``shortfall_rho``    -- the unique root ``m`` of ``sum l(x_i - m) = 0`` for a
-  normalized, strictly increasing convex ``l`` (bisection; the residual is
-  strictly decreasing in ``m``).
-* ``oce``              -- ``min_m { m + mean(l(x_i - m)) }`` by ternary section.
+  strictly increasing convex ``l``.
+* ``oce``              -- ``min_m { m + mean(l(x_i - m)) }``.
 * ``mmd_rho``          -- ``g(distortion - mean) + mean`` for a concave
   distortion and an increasing convex deviation weight.
 
@@ -25,7 +24,10 @@ under permutation of the atoms is exact, not just within tolerance.  VaR, ES,
 adjusted ES, distortion and the distortion term of ``mmd_rho`` are one
 order-statistic kernel, ``max_r (x_sorted . w_r - c_r)`` over a few weight
 rows (one-hot, ``1/k`` on the top ``k``, one ES row per AES level, Choquet
-weights).
+weights).  The certainty equivalent, shortfall and OCE share one bracketed
+bisection that stops each row at a few ulps of that row's own scale, so a
+value does not depend on the rest of its batch and keeps its relative
+precision at any sample scale.
 """
 
 from __future__ import annotations
@@ -50,12 +52,11 @@ __all__ = [
     "mmd_rho",
 ]
 
-# Root-finding / optimization knobs: bisection is unconditionally safe on the
-# monotone residuals used here, so plain bisection with a tight absolute
-# tolerance is preferred over faster but conditional schemes.
-_M_TOL = 1e-12
-_MAX_BISECT = 200
-_MAX_TERNARY = 260
+# Bracketed-solver caps.  Bisection is unconditionally safe on the monotone
+# residuals and convex objectives used here.  _MAX_BISECT steps shrink any
+# bracket below the smallest subnormal, so every row meets its stopping rule;
+# a sample of scale 1 stops after about 55.
+_MAX_BISECT = 2300
 _MAX_EXPAND = 60
 
 
@@ -164,7 +165,74 @@ def distortion_rho(sample, phi: DistortionFunction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# expected loss and certainty equivalent
+# one bracketed solver for the certainty equivalent, shortfall and OCE
+
+
+def _bisect(fn, Xs, what: str, pad: float = 0.0, spread: float = 0.0) -> np.ndarray:
+    """Per-row root of a nondecreasing residual, or minimizer of a convex objective.
+
+    ``fn(m, rows)`` evaluates rows ``rows`` of the ascending batch ``Xs`` at
+    ``m``, from the bracket ``[min x - pad, max x + pad]``.  Each step tests
+    the sign of ``g(m) = fn(m)`` (``spread == 0``: a residual) or of
+    ``g(m) = fn(m + d) - fn(m - d)`` with ``d = spread (hi - lo)`` (a convex
+    objective; ``g`` is then nondecreasing too), and keeps ``[lo, mid + d]``
+    if ``g(mid) > 0``, else ``[mid - d, hi]``.  That is exact for a convex
+    objective; where rounding hides the sign of ``g`` it loses at most about
+    ``1/(4 spread)`` ulps of the value.  Brackets are first doubled outward
+    until ``g(lo + d) <= 0 <= g(hi - d)``.  A row stops when ``hi - lo`` is a
+    few ulps of ``max(|lo|, |hi|, max |x|)`` (``pad * eps`` for a row of
+    zeros) and leaves the active set, so its result depends on that row
+    alone, at any scale.  An overflowed ``+-inf``
+    still has the right sign; a NaN raises ``NumericError`` naming the row.
+    """
+    lo, hi = Xs[:, 0] - pad, Xs[:, -1] + pad
+    scale = np.maximum(-Xs[:, 0], Xs[:, -1])
+    # a row of zeros has no scale of its own: stop it at a few ulps of pad * eps
+    scale = np.where(scale > 0.0, scale, pad * np.finfo(np.float64).eps)
+
+    def g(m, d, rows):
+        sel = rows if rows.size < lo.size else slice(None)  # no gather of a full batch
+        v = fn(m + d, sel) - fn(m - d, sel) if spread else fn(m, sel)
+        nan = np.isnan(v)
+        if nan.any():
+            raise NumericError(f"{what}: overflow at batch row {rows[nan.argmax()]}")
+        return v
+
+    # A bracketed row's g values no longer change, so the rows that need
+    # doubling double at the same steps as they would alone.
+    act = np.arange(lo.size)
+    step = np.maximum(hi - lo, 1.0)
+    for _ in range(_MAX_EXPAND):
+        d = spread * (hi - lo)
+        low = g(lo + d, d, act) > 0.0
+        high = g(hi - d, d, act) < 0.0
+        if not (low.any() or high.any()):
+            break
+        lo -= np.where(low, step, 0.0)
+        hi += np.where(high, step, 0.0)
+        step *= 2.0
+    else:
+        raise (DomainError if spread else NumericError)(
+            f"{what}: no bracket after {_MAX_EXPAND} doublings at batch row "
+            f"{(low | high).argmax()} (objective unbounded below, or no sign change)"
+        )
+    for _ in range(_MAX_BISECT):
+        a, b = lo[act], hi[act]
+        # max(-a, b) is max(|a|, |b|) because a <= b
+        wide = b - a > 4.0 * np.spacing(np.maximum(np.maximum(-a, b), scale[act]))
+        act, a, b = act[wide], a[wide], b[wide]
+        if not act.size:
+            break
+        mid = 0.5 * (a + b)
+        d = spread * (b - a)
+        left = g(mid, d, act) > 0.0
+        lo[act] = np.where(left, a, mid - d)
+        hi[act] = np.where(left, mid + d, b)
+    return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# expected loss, certainty equivalent, shortfall risk and OCE
 
 
 def _expected_loss_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
@@ -176,52 +244,26 @@ def expected_loss(sample, ell: LossFunction) -> float:
     return float(_expected_loss_batch(_sorted_row(sample), ell)[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _ce_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
     if not ell.strictly_increasing:
         raise DomainError("certainty equivalent requires a strictly increasing loss")
-    target = ell.fn(Xs).mean(axis=1)
-    lo = Xs[:, 0].copy()
-    hi = Xs[:, -1].copy()
-    # The inverse lives inside the sample range; expand only to absorb
-    # boundary round-off, failing after a capped number of doublings.
-    width = np.maximum(hi - lo, 1.0)
-    for _ in range(_MAX_EXPAND):
-        bad_lo = ell.fn(lo) > target
-        bad_hi = ell.fn(hi) < target
-        if not (bad_lo.any() or bad_hi.any()):
-            break
-        lo = np.where(bad_lo, lo - width, lo)
-        hi = np.where(bad_hi, hi + width, hi)
-        width = width * 2.0
-    else:
-        raise NumericError(
-            "certainty equivalent: mean loss value not bracketed by the loss range "
-            "after expansion cap"
-        )
-    for _ in range(_MAX_BISECT):
-        if float(np.max(hi - lo)) <= _M_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        below = ell.fn(mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    target = ell.fn(Xs).mean(axis=1)  # in [l(min x), l(max x)]
+    return _bisect(lambda m, rows: ell.fn(m) - target[rows], Xs, "certainty equivalent")
 
 
 def certainty_equivalent(sample, ell: LossFunction) -> float:
     """``l^{-1}(mean(l(x_i)))`` for a strictly increasing loss ``l``.
 
-    The generalized inverse is evaluated by monotone bisection on a bracket
-    containing the sample range.  ``certainty_equivalent([c, ..., c]) == c``;
-    the functional is submodular exactly when ``l`` is convex.
+    Bisection on the sample range, to a few ulps of the sample's scale; an
+    overflowing mean loss raises ``NumericError``.
+    ``certainty_equivalent([c, ..., c]) == c``; the functional is submodular
+    exactly when ``l`` is convex.
     """
     return float(_ce_batch(_sorted_row(sample), ell)[0])
 
 
-# ---------------------------------------------------------------------------
-# shortfall risk (implicit root)
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def _shortfall_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
     if not (ell.strictly_increasing and ell.convex):
         raise DomainError(
@@ -232,40 +274,26 @@ def _shortfall_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
     # silent normalization: subtracting l(0) leaves the root unchanged
     ell0 = float(ell.fn(np.array(0.0)))
 
-    def resid(m: np.ndarray) -> np.ndarray:
-        return ell.fn(Xs - m[:, None]).sum(axis=1) - n * ell0
+    def resid(m, rows=slice(None)):
+        return n * ell0 - ell.fn(Xs[rows] - m[:, None]).sum(axis=1)
 
-    lo = Xs[:, 0] - 1.0
-    hi = Xs[:, -1] + 1.0
-    width = hi - lo
-    for _ in range(_MAX_EXPAND):
-        bad_lo = resid(lo) <= 0.0
-        bad_hi = resid(hi) >= 0.0
-        if not (bad_lo.any() or bad_hi.any()):
-            break
-        lo = np.where(bad_lo, lo - width, lo)
-        hi = np.where(bad_hi, hi + width, hi)
-        width = width * 2.0
-    else:
-        raise NumericError("shortfall: residual not sign-changing after bracket expansion cap")
-    for _ in range(_MAX_BISECT):
-        if float(np.max(hi - lo)) <= _M_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        above = resid(mid) > 0.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    m_hat = 0.5 * (lo + hi)
-    # Residual guard.  The absolute part is n * 1e-10; the slope-proportional
-    # part keeps steep losses (large l' over the sample span) from tripping
-    # the guard when m itself is converged to 1e-12.
-    r = resid(m_hat)
-    d = 1e-6
-    slope = np.abs(resid(m_hat - d) - resid(m_hat + d)) / (2.0 * d)
-    tol = n * 1e-10 + slope * 1e-11
-    if np.any(np.abs(r) > tol):
-        raise NumericError("shortfall: residual check failed after bisection")
-    return m_hat
+    m = _bisect(resid, Xs, "shortfall")
+    # Residual guard.  A continuous residual ends within its rounding plus its
+    # slope times a few ulps of the root, which 2**-24 of its change over
+    # m -/+ d (d = 2**-20 of the row's scale) bounds with a wide margin.  A
+    # loss with a jump (declared convex, but not) leaves the jump's size.
+    # Subnormal residuals have no relative precision, hence the ``tiny`` floor.
+    d = 2.0**-20 * np.maximum(np.abs(m), np.maximum(-Xs[:, 0], Xs[:, -1]))
+    tol = 2.0**-24 * np.abs(resid(m + d) - resid(m - d)) + np.finfo(np.float64).tiny
+    terms = ell.fn(Xs - m[:, None])
+    r = n * ell0 - terms.sum(axis=1)
+    tol += n * np.finfo(np.float64).eps * (np.abs(terms).sum(axis=1) + n * abs(ell0))
+    bad = ~(np.abs(r) <= tol)
+    if bad.any():
+        i = int(bad.argmax())
+        raise NumericError(f"shortfall: residual {r[i]:.3g} exceeds its tolerance "
+                           f"{tol[i]:.3g} at batch row {i}; is the loss continuous?")
+    return m
 
 
 def shortfall_rho(sample, ell: LossFunction) -> float:
@@ -273,65 +301,37 @@ def shortfall_rho(sample, ell: LossFunction) -> float:
 
     ``l`` must be strictly increasing and convex; ``l(0)`` is subtracted
     internally so normalization is not required of the caller.  The residual
-    is strictly decreasing in ``m``, so bisection on ``[min(x)-1, max(x)+1]``
-    (expanded if needed) converges unconditionally.  Cash-invariant:
-    ``shortfall_rho(x + c) = shortfall_rho(x) + c`` within root tolerance.
+    is strictly decreasing in ``m`` and changes sign on the sample range, so
+    bisection there converges unconditionally, to a few ulps of the sample's
+    scale.  Cash-invariant, and positively homogeneous at any scale when
+    ``l`` is.  A residual left far from 0 (a loss with a jump) raises
+    ``NumericError``.
     """
     return float(_shortfall_batch(_sorted_row(sample), ell)[0])
 
 
-# ---------------------------------------------------------------------------
-# optimized certainty equivalent (1-D convex minimization)
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def _oce_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
     if not (ell.increasing and ell.convex):
         raise DomainError("optimized certainty equivalent requires an increasing convex loss")
 
-    def f(m: np.ndarray) -> np.ndarray:
-        return m + ell.fn(Xs - m[:, None]).mean(axis=1)
+    def f(m, rows=slice(None)):
+        return m + ell.fn(Xs[rows] - m[:, None]).mean(axis=1)
 
-    lo = Xs[:, 0] - 1.0
-    hi = Xs[:, -1] + 1.0
-    # Expand until the convex objective increases outward at both ends, so the
-    # minimizer is interior.  A side that keeps decreasing past the cap means
-    # the objective is unbounded below (loss slope < 1 everywhere, or > 1
-    # everywhere), which is a domain error, not a convergence failure.
-    width = hi - lo
-    for _ in range(_MAX_EXPAND):
-        delta = 1e-6 * width
-        dec_left = f(lo) < f(lo + delta)
-        dec_right = f(hi) < f(hi - delta)
-        if not (dec_left.any() or dec_right.any()):
-            break
-        lo = np.where(dec_left, lo - width, lo)
-        hi = np.where(dec_right, hi + width, hi)
-        width = hi - lo
-    else:
-        raise DomainError(
-            "optimized certainty equivalent objective is unbounded below "
-            "(non-finite infimum; check the loss slopes against 1)"
-        )
-    for _ in range(_MAX_TERNARY):
-        if float(np.max(hi - lo)) <= _M_TOL:
-            break
-        third = (hi - lo) / 3.0
-        m1 = lo + third
-        m2 = hi - third
-        left = f(m1) <= f(m2)
-        hi = np.where(left, m2, hi)
-        lo = np.where(left, lo, m1)
-    return f(0.5 * (lo + hi))
+    # the minimizer also depends on the loss's own unit: start one unit out
+    m = _bisect(f, Xs, "optimized certainty equivalent", pad=1.0, spread=2.0**-6)
+    return f(m)
 
 
 def oce(sample, ell: LossFunction) -> float:
     """Optimized certainty equivalent: ``min_m { m + mean(l(x_i - m)) }``.
 
-    The objective is convex in ``m``; the minimizer is bracketed by expanding
-    ``[min(x)-1, max(x)+1]`` until the objective increases at both ends, then
-    located by ternary section to width 1e-12.  Ties in flat regions are
-    resolved by returning the value at the bracket midpoint -- the objective
-    value, not the minimizer, is the contract.  Always submodular for
+    The objective is convex in ``m``.  ``[min(x)-1, max(x)+1]`` is doubled
+    outward until the objective rises at both ends (``DomainError`` if it
+    never does: unbounded below), then bisected on the sign of
+    ``f(mid + d) - f(mid - d)`` to a few ulps of the sample's scale.  The
+    objective value, not the minimizer, is the contract, so flat regions do
+    not matter.  Overflow raises ``NumericError``.  Always submodular for
     increasing convex ``l``.
     """
     return float(_oce_batch(_sorted_row(sample), ell)[0])

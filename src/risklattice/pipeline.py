@@ -277,9 +277,8 @@ def _pair_records(
     dates = losses.dates[w - 1 :]
     d = len(dates)
     # The windows were validated at ingest; sort them once here for every
-    # measure and both tests.  Only VaR reads the summed-loss block: a solver
-    # stops on the widest bracket in its batch, so it gets the x, y, meet and
-    # join blocks alone.
+    # measure and both tests.  Only VaR's subadditivity test reads the
+    # summed-loss block; the other measures evaluate the first four alone.
     batch = np.concatenate(blocks)
     batch.sort(axis=1)
     out: list[ViolationRecord] = []

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from risklattice import (
     AdjustmentGrid,
     DomainError,
     LossFunction,
+    NumericError,
     aes,
     certainty_equivalent,
     cvar_loss,
     distortion_rho,
     es_distortion,
     es_historical,
+    expectile_loss,
     expected_loss,
     exponential_loss,
     identity_distortion,
@@ -20,6 +23,7 @@ from risklattice import (
     linear_loss,
     mmd_rho,
     oce,
+    parse_measure_spec,
     pointwise_meet_join,
     power_distortion,
     shortfall_rho,
@@ -231,6 +235,74 @@ def test_oce_detects_unbounded_objective():
                          convex=True, normalized=True, name="doubleslope")
     with pytest.raises(DomainError, match="unbounded"):
         oce(SAMPLE, steep)
+
+
+# ---------------------------------------------------------------------------
+# the shared bracketed solver: scale, oracles, overflow, batch independence
+
+X50 = np.random.default_rng(0).standard_normal(50)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+def test_shortfall_linear_is_mean_at_any_scale(scale):
+    assert shortfall_rho(scale * X50, linear_loss()) == pytest.approx(
+        scale * np.mean(X50), rel=1e-13, abs=0.0
+    )
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e9])
+def test_shortfall_expectile_positively_homogeneous(scale):
+    ell = expectile_loss(1.0)
+    assert shortfall_rho(scale * X50, ell) == pytest.approx(
+        scale * shortfall_rho(X50, ell), rel=1e-13, abs=0.0
+    )
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+def test_oce_cvar_is_es(scale):
+    # Rockafellar-Uryasev: OCE(cvar_p) = ES_p; 48 atoms make n (1-p) an integer
+    x = scale * X50[:48]
+    assert oce(x, cvar_loss(0.75)) == pytest.approx(es_historical(x, 0.75), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("solver", [certainty_equivalent, shortfall_rho, oce])
+def test_exponential_solvers_are_log_mean_exp(solver):
+    expected = math.log(np.mean(np.exp(X50)))
+    assert solver(X50, exponential_loss(1.0)) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("solver", [certainty_equivalent, oce])
+def test_overflow_raises_numeric_error_only(solver):
+    # exp(800 x) overflows: no clamped log(DBL_MAX) or inf, and no numpy warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="overflow at batch row 0"):
+            solver(800 * X50, exponential_loss(1.0))
+
+
+def test_shortfall_root_survives_overflow_elsewhere_in_its_bracket():
+    # the residual overflows near min(x) with the right sign, and is finite at the root
+    y = 800 * X50
+    expected = y.max() + math.log(np.mean(np.exp(y - y.max())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = shortfall_rho(y, exponential_loss(1.0))
+    assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_shortfall_guard_rejects_a_jump():
+    # declared convex but not: the residual jumps across 0 at the root 0.5
+    jump = LossFunction(fn=lambda x: x + (x > 0), convex=True, normalized=True, name="jump")
+    with pytest.raises(NumericError, match="residual"):
+        shortfall_rho([0.0, 0.5], jump)
+
+
+@pytest.mark.parametrize("text", ["ce:expectile:1", "shortfall:expectile:1", "oce:cvar:0.75"])
+def test_solver_row_does_not_depend_on_its_batch(text):
+    spec = parse_measure_spec(text)
+    big = 1e3 * np.random.default_rng(1).standard_normal(50)
+    alone = spec.evaluate_batch(X50[None, :])[0]
+    assert spec.evaluate_batch(np.stack([big, X50]))[1] == alone
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Property-based invariant checks across the measure families."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,17 @@ from hypothesis.extra.numpy import arrays
 
 from risklattice import (
     AdjustmentGrid,
+    NumericError,
     RiskMeasureSpec,
+    cvar_loss,
     es_distortion,
+    expectile_loss,
     exponential_loss,
     identity_weight,
+    linear_loss,
     pointwise_meet_join,
+    poly2exp_loss,
+    quadlin_loss,
     square_weight,
     submodularity_gap,
 )
@@ -142,3 +150,54 @@ def test_exponential_shortfall_equals_ce(x):
     short = RiskMeasureSpec.shortfall(exponential_loss(1.0)).evaluate(x)
     ce = RiskMeasureSpec.certainty_equivalent(exponential_loss(1.0)).evaluate(x)
     assert short == pytest.approx(ce, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the bracketed solvers across sample scales 1e-9 .. 1e9
+
+scales = st.floats(min_value=-9.0, max_value=9.0).map(lambda e: 10.0**e)
+
+# positively homogeneous losses: the values scale with the sample
+HOMOGENEOUS_SOLVERS = [
+    RiskMeasureSpec.shortfall(linear_loss()),
+    RiskMeasureSpec.shortfall(expectile_loss(1.0)),
+    RiskMeasureSpec.oce(cvar_loss(0.75)),
+]
+
+SOLVERS = HOMOGENEOUS_SOLVERS + [
+    RiskMeasureSpec.certainty_equivalent(exponential_loss(1.0)),
+    RiskMeasureSpec.shortfall(exponential_loss(1.0)),
+    RiskMeasureSpec.shortfall(poly2exp_loss()),
+    RiskMeasureSpec.oce(exponential_loss(1.0)),
+    RiskMeasureSpec.oce(quadlin_loss()),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=samples(), s=scales, c=st.floats(min_value=-10, max_value=10, allow_nan=False))
+def test_solver_cash_invariance_across_scales(x, s, c):
+    # |x|, |c| <= 20 before scaling; the tolerance is relative to that range
+    for spec in HOMOGENEOUS_SOLVERS + [RiskMeasureSpec.shortfall(exponential_loss(1.0))]:
+        assert spec.evaluate(s * x + s * c) == pytest.approx(
+            spec.evaluate(s * x) + s * c, rel=0.0, abs=1e-12 * 30 * s
+        ), spec.label
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=samples(), s=scales)
+def test_solver_positive_homogeneity_across_scales(x, s):
+    for spec in HOMOGENEOUS_SOLVERS:
+        assert spec.evaluate(s * x) == pytest.approx(
+            s * spec.evaluate(x), rel=1e-12, abs=1e-12 * 20 * s
+        ), spec.label
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=samples(), s=scales)
+def test_solver_value_finite_or_numeric_error(x, s):
+    for spec in SOLVERS:
+        try:
+            value = spec.evaluate(s * x)
+        except NumericError:
+            continue
+        assert math.isfinite(value), spec.label
