@@ -29,26 +29,25 @@ config = pl.RollingConfig(
     epsilon=1e-8,
 )
 
-records = pl.pairwise_day_tests(losses, config, debug=True)
-print(f"{len(records)} (date, pair, measure) cells tested")
+table = pl.pairwise_day_tests(losses, config, debug=True)
+print(f"{len(table)} (date, pair, measure) cells tested: gaps[check, pair, date] "
+      f"of shape {table.gaps.shape}, {int(table.violated.sum())} violations")
 
 series = []
+var_pairs = []  # (submodularity, subadditivity) series of each VaR measure
 for spec in config.measures:
-    s = pl.daily_violation_rate(records, spec.label)
+    s = pl.daily_violation_rate(table, spec.label)
     series.append(s)
     line = f"  {s.label:<34} mean rate {s.rate.mean():.4f}  max {s.rate.max():.4f}"
     if spec.kind == "var":
-        sub = pl.daily_violation_rate(records, spec.label, test=pl.SUBADDITIVITY)
-        series.append(sub)
-        line += f"   | subadditivity mean {sub.rate.mean():.4f}"
+        add = pl.daily_violation_rate(table, spec.label, test=pl.SUBADDITIVITY)
+        series.append(add)
+        var_pairs.append((spec, s, add))
+        line += f"   | subadditivity mean {add.rate.mean():.4f}"
     print(line)
 
 corr_rows = []
-for spec in config.measures:
-    if spec.kind != "var":
-        continue
-    sub = pl.daily_violation_rate(records, spec.label)
-    add = pl.daily_violation_rate(records, spec.label, test=pl.SUBADDITIVITY)
+for spec, sub, add in var_pairs:
     c = pl.correlations(sub.series(), add.series())
     corr_rows.append((sub.label, add.label, c))
     print(f"  {spec.label}: submodularity vs subadditivity rates: "
@@ -56,6 +55,6 @@ for spec in config.measures:
           + ("  [degenerate]" if c.degenerate else ""))
 
 out = Path(__file__).parent / "output"
-paths = pl.export_report(records, series, corr_rows, out, config=config)
+paths = pl.export_report(table, series, corr_rows, out, config=config)
 for key, path in paths.items():
     print(f"wrote {path}")

@@ -39,7 +39,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="risklattice",
         description="Risk functionals on finite samples and their lattice submodularity.",
     )
-    parser.add_argument("--threads", type=int, default=1, help="cap worker threads (default 1)")
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="cap sweep worker threads (default 1); the pipeline runs serially",
+    )
     parser.add_argument(
         "--format", choices=("text", "csv", "json"), default="text", help="machine output format"
     )
@@ -226,28 +229,28 @@ def _cmd_pipeline(args) -> int:
     config = pl.config_to_rolling(cfg)
     panel = pl.load_prices_csv(args.prices)
     losses = pl.build_loss_panel(panel, cfg.get("tickers") or None)
-    records = pl.pairwise_day_tests(losses, config, threads=args.threads)
+    table = pl.pairwise_day_tests(losses, config)
 
     series = []
     corr_rows = []
     for spec in config.measures:
-        sub = pl.daily_violation_rate(records, spec.label)
+        sub = pl.daily_violation_rate(table, spec.label)
         series.append(sub)
         if spec.kind != "var":
             continue
-        add = pl.daily_violation_rate(records, spec.label, test=pl.SUBADDITIVITY)
+        add = pl.daily_violation_rate(table, spec.label, test=pl.SUBADDITIVITY)
         series.append(add)
         try:
             corr_rows.append((sub.label, add.label, pl.correlations(sub.series(), add.series())))
         except RiskLatticeError:
             pass  # too few common dates; skip the diagnostic row
     paths = pl.export_report(
-        records, series, corr_rows, args.out, config=config,
+        table, series, corr_rows, args.out, config=config,
         extra_summary={"tickers": list(losses.tickers), "seed": cfg.get("seed", 0),
                        "prices": str(args.prices)},
     )
-    n_viol = sum(1 for r in records if r.violated)
-    print(f"tested {len(records)} (date, pair, measure) cells; {n_viol} violations")
+    n_viol = int(np.count_nonzero(table.violated))
+    print(f"tested {len(table)} (date, pair, measure) cells; {n_viol} violations")
     for s in series:
         overall = float(s.violations.sum() / s.tests.sum())
         print(f"  {s.label}: mean daily rate {float(s.rate.mean()):.4f}  overall {overall:.4f}")

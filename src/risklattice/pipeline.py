@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,7 @@ __all__ = [
     "LossPanel",
     "RollingConfig",
     "ViolationRecord",
+    "ViolationTable",
     "DatedSeries",
     "DailyViolationSeries",
     "CorrelationResult",
@@ -119,6 +122,104 @@ class ViolationRecord:
     test: str
     gap: float
     violated: bool
+
+
+def _record_key(r: ViolationRecord):
+    return (r.date, r.pair, r.measure, r.test)
+
+
+@dataclass(frozen=True, eq=False)
+class ViolationTable(Sequence):
+    """Every lattice-test gap of a pipeline run, in one array.
+
+    ``gaps[k, p, d]`` is the gap of check ``checks[k]`` (a (measure label,
+    test) pair) for ticker pair ``pairs[p]`` on the window ending at
+    ``dates[d]``; ``violated`` flags the same cells.  ``epsilon`` is the
+    threshold the flags were computed with (None for a table built from
+    records, whose flags come with them).  NaN marks a cell with no test, which
+    only tables built from sparse record lists have.
+
+    The table is also a read-only sequence of ``ViolationRecord``s in (date,
+    pair, measure, test) order, with ``len``, indexing, iteration and ``==``
+    (equal when the records are).
+    """
+
+    dates: tuple[dt.date, ...]
+    pairs: tuple[tuple[str, str], ...]
+    checks: tuple[tuple[str, str], ...]
+    gaps: np.ndarray
+    violated: np.ndarray
+    epsilon: float | None = None
+
+    __hash__ = None
+
+    @classmethod
+    def from_records(cls, records) -> ViolationTable:
+        """Columns of a plain record list.
+
+        A (measure, test) that repeats within one (date, pair) cell gets one
+        check column per repeat, in list order, as the pipeline gives a label
+        configured twice.  Cells the list has no record for are NaN.
+        """
+        records = sorted(records, key=_record_key)
+        slots: list[int] = []  # repeat number of each record within its key
+        width: dict[tuple[str, str], int] = {}
+        for n, r in enumerate(records):
+            if np.isnan(r.gap):
+                raise DataError(f"record {r} has a NaN gap")
+            same = n > 0 and _record_key(records[n - 1]) == _record_key(r)
+            slots.append(slots[-1] + 1 if same else 0)
+            width[(r.measure, r.test)] = max(width.get((r.measure, r.test), 0), slots[-1] + 1)
+        checks = tuple(c for c in sorted(width) for _ in range(width[c]))
+        first = {c: checks.index(c) for c in width}
+        dates = tuple(sorted({r.date for r in records}))
+        pairs = tuple(sorted({r.pair for r in records}))
+        d_index = {d: i for i, d in enumerate(dates)}
+        p_index = {p: i for i, p in enumerate(pairs)}
+        gaps = np.full((len(checks), len(pairs), len(dates)), np.nan)
+        violated = np.zeros(gaps.shape, dtype=bool)
+        for r, s in zip(records, slots):
+            cell = (first[(r.measure, r.test)] + s, p_index[r.pair], d_index[r.date])
+            gaps[cell] = r.gap
+            violated[cell] = r.violated
+        return cls(dates=dates, pairs=pairs, checks=checks, gaps=gaps, violated=violated)
+
+    def _record(self, k: int, p: int, d: int) -> ViolationRecord:
+        measure, test = self.checks[k]
+        return ViolationRecord(
+            date=self.dates[d], pair=self.pairs[p], measure=measure, test=test,
+            gap=float(self.gaps[k, p, d]), violated=bool(self.violated[k, p, d]),
+        )
+
+    def _present(self) -> np.ndarray:
+        """Cells holding a test, as a [date, pair, check] mask."""
+        return ~np.isnan(self.gaps.transpose(2, 1, 0))
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._present()))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        present = self._present()
+        d, p, k = np.unravel_index(np.flatnonzero(present)[i], present.shape)
+        return self._record(k, p, d)
+
+    def __iter__(self):
+        for d, p, k in zip(*np.nonzero(self._present())):
+            yield self._record(k, p, d)
+
+    def __eq__(self, other):
+        if isinstance(other, ViolationTable) and (
+            (self.dates, self.pairs, self.checks) == (other.dates, other.pairs, other.checks)
+        ):
+            return bool(
+                np.array_equal(self.gaps, other.gaps, equal_nan=True)
+                and np.array_equal(self.violated, other.violated)
+            )
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -260,12 +361,11 @@ def rolling_eval(
     return DatedSeries(dates=losses.dates[w - 1 :], values=values, label=f"{spec.label}@{ticker}")
 
 
-def _pair_records(
+def _pair_gaps(
     losses: LossPanel, config: RollingConfig, i: int, j: int, debug: bool
-) -> list[ViolationRecord]:
+) -> list[np.ndarray]:
+    """One gap row per (measure, test) check, in config order, for pair (i, j)."""
     w = config.window
-    eps = config.epsilon
-    pair = (losses.tickers[i], losses.tickers[j])
     x = losses.losses[:, i]
     y = losses.losses[:, j]
     blocks = [sliding_window_view(v, w) for v in (x, y, np.minimum(x, y), np.maximum(x, y))]
@@ -274,42 +374,49 @@ def _pair_records(
         raise AssertionError("meet/join accounting failed: meet + join != x + y")
     if any(spec.kind == "var" for spec in config.measures):
         blocks.append(sliding_window_view(x + y, w))
-    dates = losses.dates[w - 1 :]
-    d = len(dates)
+    d = X.shape[0]
     # The windows were validated at ingest; sort them once here for every
     # measure and both tests.  Only VaR's subadditivity test reads the
     # summed-loss block; the other measures evaluate the first four alone.
     batch = np.concatenate(blocks)
     batch.sort(axis=1)
-    out: list[ViolationRecord] = []
+    rows = []
     for spec in config.measures:
         vals = spec._evaluate_sorted(batch if spec.kind == "var" else batch[: 4 * d])
         pair_sum = vals[:d] + vals[d : 2 * d]
-        tests = [(SUBMODULARITY, pair_sum - (vals[2 * d : 3 * d] + vals[3 * d : 4 * d]))]
+        rows.append(pair_sum - (vals[2 * d : 3 * d] + vals[3 * d : 4 * d]))
         if spec.kind == "var":
-            tests.append((SUBADDITIVITY, pair_sum - vals[4 * d :]))
-        for test, gaps in tests:
-            out.extend(
-                ViolationRecord(
-                    date=day, pair=pair, measure=spec.label, test=test,
-                    gap=float(g), violated=bool(g < -eps),
-                )
-                for day, g in zip(dates, gaps)
-            )
+            rows.append(pair_sum - vals[4 * d :])
+    return rows
+
+
+def _checks(config: RollingConfig) -> list[tuple[str, str]]:
+    """The (measure label, test) checks in config order, as ``_pair_gaps`` rows."""
+    out = []
+    for spec in config.measures:
+        out.append((spec.label, SUBMODULARITY))
+        if spec.kind == "var":
+            out.append((spec.label, SUBADDITIVITY))
     return out
 
 
 def pairwise_day_tests(
     losses: LossPanel, config: RollingConfig, debug: bool = False, threads: int = 1
-) -> list[ViolationRecord]:
+) -> ViolationTable:
     """Lattice-test every unordered ticker pair on every full-window date.
 
     For each pair and date the configured measures are evaluated on the two
     ticker windows and on their pointwise meet and join; VaR measures are
-    additionally tested for subadditivity on the summed-loss window.  Records
-    come back sorted by (date, pair, measure, test), so runs are reproducible
-    byte for byte.  ``debug`` asserts the exact meet/join accounting
-    ``meet + join == x + y`` on every window.
+    additionally tested for subadditivity on the summed-loss window.  Each
+    pair's gap rows go straight into one ``ViolationTable`` array
+    ``gaps[check, pair, date]``: checks in (measure label, test) order, config
+    order breaking label ties; pairs in sorted-ticker order; dates the window
+    end dates.  Read as a sequence, the table gives the records in (date,
+    pair, measure, test) order, so runs are reproducible byte for byte.
+    ``debug`` asserts the exact meet/join accounting ``meet + join == x + y``
+    on every window.  Pairs run serially: ``threads`` is accepted for
+    compatibility and ignored, because a thread pool over pairs gave no
+    speedup on 2 cores.
     """
     if len(losses.tickers) < 2:
         raise DomainError("pairwise tests need at least 2 tickers")
@@ -319,18 +426,25 @@ def pairwise_day_tests(
         )
     order = sorted(range(len(losses.tickers)), key=lambda k: losses.tickers[k])
     pairs = [(i, j) for a, i in enumerate(order) for j in order[a + 1 :]]
+    checks = _checks(config)
+    rank = sorted(range(len(checks)), key=checks.__getitem__)  # stable: config order on ties
+    slot = np.argsort(rank)  # config-order row -> check index
+    dates = losses.dates[config.window - 1 :]
+    gaps = np.empty((len(checks), len(pairs), len(dates)))
+    for p, (i, j) in enumerate(pairs):
+        gaps[slot, p] = _pair_gaps(losses, config, i, j, debug)
+    return ViolationTable(
+        dates=dates,
+        pairs=tuple((losses.tickers[i], losses.tickers[j]) for i, j in pairs),
+        checks=tuple(checks[c] for c in rank),
+        gaps=gaps,
+        violated=gaps < -config.epsilon,
+        epsilon=config.epsilon,
+    )
 
-    def run(ij):
-        return _pair_records(losses, config, ij[0], ij[1], debug)
 
-    if threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            chunks = list(pool.map(run, pairs))
-    else:
-        chunks = [run(ij) for ij in pairs]
-    records = [rec for chunk in chunks for rec in chunk]
-    records.sort(key=lambda r: (r.date, r.pair, r.measure, r.test))
-    return records
+def _as_table(records) -> ViolationTable:
+    return records if isinstance(records, ViolationTable) else ViolationTable.from_records(records)
 
 
 def daily_violation_rate(
@@ -338,26 +452,25 @@ def daily_violation_rate(
 ) -> DailyViolationSeries:
     """Per-date violation proportion for one measure label (and test kind).
 
-    Dates with zero tests are omitted.  An unknown label (no matching
-    records) is a domain error.
+    ``records`` is a ``ViolationTable`` or a list of ``ViolationRecord``s
+    (converted to a table first).  Counts are summed over the pair axis of
+    every check column with this label and test, so a label configured twice
+    counts twice.  Dates with zero tests are omitted.  An unknown label (no
+    matching records) is a domain error.
     """
-    chosen = [r for r in records if r.measure == label and r.test == test]
-    if not chosen:
+    table = _as_table(records)
+    ks = [k for k, check in enumerate(table.checks) if check == (label, test)]
+    if not ks:
         raise DomainError(f"no records for measure {label!r} with test {test!r}")
-    by_date: dict[dt.date, list[ViolationRecord]] = {}
-    for r in chosen:
-        by_date.setdefault(r.date, []).append(r)
-    dates = tuple(sorted(by_date))
-    tests = np.array([len(by_date[d]) for d in dates], dtype=np.int64)
-    violations = np.array(
-        [sum(1 for r in by_date[d] if r.violated) for d in dates], dtype=np.int64
-    )
+    tests = np.count_nonzero(~np.isnan(table.gaps[ks]), axis=(0, 1)).astype(np.int64)
+    violations = np.count_nonzero(table.violated[ks], axis=(0, 1)).astype(np.int64)
+    keep = tests > 0
     return DailyViolationSeries(
-        dates=dates,
-        rate=violations / tests,
+        dates=tuple(d for d, k in zip(table.dates, keep) if k),
+        rate=violations[keep] / tests[keep],
         label=f"{label}/{test}",
-        violations=violations,
-        tests=tests,
+        violations=violations[keep],
+        tests=tests[keep],
     )
 
 
@@ -449,6 +562,30 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_fields(*fields: str) -> str:
+    """``fields`` encoded as part of a CSV row (quoted where needed), no newline."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()[:-1]
+
+
+def _write_violations(fh, table: ViolationTable) -> None:
+    # Each label is CSV-encoded once, into one %-template line per (pair,
+    # check) cell (a literal '%' in a label is doubled).  Rows are formatted
+    # one date at a time, so the file is never held in memory as strings.
+    lines = ["%s," + f"{_csv_fields('-'.join(pair))},{_csv_fields(*check)}".replace("%", "%%")
+             + ",%.17g,%s\n" for pair in table.pairs for check in table.checks]
+    full = "".join(lines)
+    for d, day in enumerate(table.dates):
+        gaps = table.gaps[:, :, d].T.ravel()
+        keep = ~np.isnan(gaps)
+        template = full if keep.all() else "".join(compress(lines, keep))
+        args = [day.isoformat()] * (3 * int(np.count_nonzero(keep)))
+        args[1::3] = gaps[keep].tolist()
+        args[2::3] = np.where(table.violated[:, :, d].T.ravel()[keep], "true", "false").tolist()
+        fh.write(template % tuple(args))
+
+
 def export_report(
     records,
     series,
@@ -460,11 +597,13 @@ def export_report(
     """Write ``violations.csv``, ``daily_rates.csv``, ``correlations.csv`` and
     ``summary.json`` into ``outdir``; column orders are fixed.
 
+    ``records`` is a ``ViolationTable`` or a list of ``ViolationRecord``s
+    (converted to a table first); ``violations.csv`` is written from the
+    table's arrays one date at a time, in (date, pair, measure, test) order.
     ``correlation_rows`` is an iterable of ``(label_a, label_b,
-    CorrelationResult)``.  Output is byte-stable for a fixed input: records
-    are re-sorted on (date, pair, measure, test), floats are written with
-    17 significant digits, and the JSON summary has sorted keys and no
-    timestamps.
+    CorrelationResult)``.  Output is byte-stable for a fixed input: floats
+    are written with 17 significant digits, and the JSON summary has sorted
+    keys and no timestamps.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -474,15 +613,10 @@ def export_report(
         "correlations": outdir / "correlations.csv",
         "summary": outdir / "summary.json",
     }
-    records = sorted(records, key=lambda r: (r.date, r.pair, r.measure, r.test))
+    table = _as_table(records)
     with paths["violations"].open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["date", "pair", "measure", "params", "gap", "violated"])
-        for r in records:
-            w.writerow(
-                [r.date.isoformat(), "-".join(r.pair), r.measure, r.test,
-                 _fmt(r.gap), "true" if r.violated else "false"]
-            )
+        fh.write("date,pair,measure,params,gap,violated\n")
+        _write_violations(fh, table)
     with paths["daily_rates"].open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["date", "measure", "rate", "tests"])
@@ -495,9 +629,9 @@ def export_report(
         for la, lb, c in correlation_rows:
             w.writerow([la, lb, _fmt(c.pearson), _fmt(c.spearman), _fmt(c.dcor)])
     summary = {
-        "n_records": len(records),
-        "n_violations": sum(1 for r in records if r.violated),
-        "measures": sorted({r.measure for r in records}),
+        "n_records": len(table),
+        "n_violations": int(np.count_nonzero(table.violated)),
+        "measures": sorted({measure for measure, _ in table.checks}),
     }
     if config is not None:
         summary["window"] = config.window

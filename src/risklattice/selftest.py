@@ -305,16 +305,16 @@ def _small_run(outdir):
     config = pl.RollingConfig(
         window=15, measures=(RiskMeasureSpec.var(0.9), RiskMeasureSpec.es(0.9)), epsilon=1e-8
     )
-    records = pl.pairwise_day_tests(losses, config, debug=True)
+    table = pl.pairwise_day_tests(losses, config, debug=True)
     series = [
-        pl.daily_violation_rate(records, "VaR(0.9)"),
-        pl.daily_violation_rate(records, "ES(0.9)"),
-        pl.daily_violation_rate(records, "VaR(0.9)", test=pl.SUBADDITIVITY),
+        pl.daily_violation_rate(table, "VaR(0.9)"),
+        pl.daily_violation_rate(table, "ES(0.9)"),
+        pl.daily_violation_rate(table, "VaR(0.9)", test=pl.SUBADDITIVITY),
     ]
     rows = [
         (series[0].label, series[2].label, pl.correlations(series[0].series(), series[2].series()))
     ]
-    return pl.export_report(records, series, rows, outdir, config=config), records
+    return pl.export_report(table, series, rows, outdir, config=config), table
 
 
 def check_pipeline_determinism() -> str:
@@ -333,10 +333,10 @@ def check_pipeline_es_clean() -> str:
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        _, records = _small_run(tmp)
-    es_records = [r for r in records if r.measure == "ES(0.9)"]
-    assert es_records and not any(r.violated for r in es_records)
-    return f"{len(es_records)} ES records on a jumpy synthetic panel, zero violations"
+        _, table = _small_run(tmp)
+    es = [k for k, (measure, _) in enumerate(table.checks) if measure == "ES(0.9)"]
+    assert es and not table.violated[es].any()
+    return f"{table.gaps[es].size} ES records on a jumpy synthetic panel, zero violations"
 
 
 def check_correlation_bounds() -> str:

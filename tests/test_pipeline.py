@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import math
 
@@ -187,11 +188,14 @@ def test_dominated_pair_gaps_exactly_zero():
         RiskMeasureSpec.distortion(power_distortion(0.5)),
     )
     config = pl.RollingConfig(window=18, measures=measures)
-    records = pl.pairwise_day_tests(panel, config, debug=True)
-    sub = [r for r in records if r.test == pl.SUBMODULARITY]
+    table = pl.pairwise_day_tests(panel, config, debug=True)
+    sub = [r for r in table if r.test == pl.SUBMODULARITY]
     assert len({r.date for r in sub}) % 2 == 1
     assert len(sub) == 23 * len(measures)
     assert all(r.gap == 0.0 for r in sub)
+    ks = [k for k, (_, test) in enumerate(table.checks) if test == pl.SUBMODULARITY]
+    assert table.gaps[ks].shape == (len(measures), 1, 23)
+    assert np.all(table.gaps[ks] == 0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -433,3 +437,165 @@ def test_daily_rate_sector_scale_arithmetic():
     assert series.tests.tolist() == [1485]
     assert series.rate[0] == pytest.approx(66 / 1485, abs=1e-15)
     assert round(100 * series.rate[0], 2) == 4.44
+
+
+# ---------------------------------------------------------------------------
+# golden report bytes
+
+
+# Tickers listed out of sorted order, VaR/ES/AES (the AES label holds commas,
+# so it is quoted in the CSV), and a repeated level whose duplicate labels
+# lock the tie order.
+GOLDEN_PANEL = dict(seed=17, n_days=36, n_assets=4, vol=0.02, jump_prob=0.15)
+GOLDEN_TICKERS = ("A02", "A00", "A03", "A01")
+
+
+def golden_inputs(tmp_path):
+    panel = pl.synth_prices(**GOLDEN_PANEL)
+    rows = [f"{d.isoformat()},{t},{float(panel.closes[i, j])!r}"
+            for i, d in enumerate(panel.dates) for j, t in enumerate(panel.tickers)]
+    write_csv(tmp_path / "prices.csv", rows)
+    (tmp_path / "run.cfg").write_text(
+        "window = 12\nlevels = 0.9, 0.9\naes_levels = 0.6, 0.9\naes_penalties = 0.0, 0.01\n"
+        f"tickers = {', '.join(GOLDEN_TICKERS)}\nseed = 5\n"
+    )
+
+
+# Reports of the record-list pipeline that preceded ViolationTable; the table
+# must reproduce them byte for byte.
+GOLDEN_SHA256 = {
+    "violations.csv":
+        "dfcbec6b3f86ba460437cb9fc5a9b7eb6b8717e9294d634df9715ae71853c5a8",
+    "daily_rates.csv":
+        "adb3b59375256e593896136c09ae8485cb8e4f7abc4294c14da3e92ebee4c5ec",
+    "correlations.csv":
+        "95924594ee65800513bc3d057862ed6760d9dd8247526a63714d7fcf40efcfd5",
+    "summary.json":
+        "b1d1231ff926480a51456d5e83260826d526fe7b476fcc84747ed8a4943c159e",
+    "stdout":
+        "a6413d18c69524dec4331c4a5ba70284c1814768777af805c719f7d523d080b5",
+}
+
+
+def test_pipeline_reports_golden_bytes(tmp_path, monkeypatch, capsys):
+    import hashlib
+
+    from risklattice.cli import main
+
+    golden_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["pipeline", "--prices", "prices.csv", "--config", "run.cfg", "--out", "out"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in GOLDEN_SHA256 if name != "stdout"}
+    digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == GOLDEN_SHA256
+
+
+def golden_table():
+    panel = pl.build_loss_panel(pl.synth_prices(**GOLDEN_PANEL), GOLDEN_TICKERS)
+    config = pl.config_to_rolling({"window": 12, "levels": (0.9, 0.9),
+                                   "aes_levels": (0.6, 0.9), "aes_penalties": (0.0, 0.01)})
+    return panel, config, pl.pairwise_day_tests(panel, config, debug=True)
+
+
+def test_export_record_list_matches_table_bytes(tmp_path):
+    _, config, table = golden_table()
+    series = [pl.daily_violation_rate(table, "VaR(0.9)")]
+    a = pl.export_report(table, series, [], tmp_path / "a", config=config)
+    b = pl.export_report(list(table), series, [], tmp_path / "b", config=config)
+    for key in a:
+        assert a[key].read_bytes() == b[key].read_bytes(), key
+
+
+# ---------------------------------------------------------------------------
+# the columnar result
+
+
+def reference_records(panel, config):
+    """Per-pair, per-measure record loop: each window evaluated on its own."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    w = config.window
+    out = []
+    tickers = sorted(panel.tickers)
+    for a, ta in enumerate(tickers):
+        for tb in tickers[a + 1:]:
+            x, y = panel.column(ta), panel.column(tb)
+            X, Y, M, J, S = (sliding_window_view(v, w) for v in
+                             (x, y, np.minimum(x, y), np.maximum(x, y), x + y))
+            for spec in config.measures:
+                tests = [(pl.SUBMODULARITY, spec.evaluate_batch(M) + spec.evaluate_batch(J))]
+                if spec.kind == "var":
+                    tests.append((pl.SUBADDITIVITY, spec.evaluate_batch(S)))
+                pair_sum = spec.evaluate_batch(X) + spec.evaluate_batch(Y)
+                for test, other in tests:
+                    out.extend(
+                        pl.ViolationRecord(date=day, pair=(ta, tb), measure=spec.label,
+                                           test=test, gap=float(g),
+                                           violated=bool(g < -config.epsilon))
+                        for day, g in zip(panel.dates[w - 1:], pair_sum - other)
+                    )
+    return sorted(out, key=lambda r: (r.date, r.pair, r.measure, r.test))
+
+
+def test_table_reads_as_sorted_records():
+    panel, config, table = golden_table()
+    records = list(table)
+    assert records == sorted(records, key=lambda r: (r.date, r.pair, r.measure, r.test))
+    assert records == reference_records(panel, config)
+    assert table.pairs == tuple(sorted(table.pairs))
+    assert len(table) == len(records) == table.gaps.size == 24 * 6 * 7
+    assert table[0] == records[0] and table[-1] == records[-1] and table[5] == records[5]
+    assert table[2:4] == records[2:4]
+    with pytest.raises(IndexError):
+        table[len(records)]
+    assert table == records and records == table
+    assert table == pl.pairwise_day_tests(panel, config)
+    changed = records[:-1] + [dataclasses.replace(records[-1], gap=records[-1].gap + 1.0)]
+    assert table != changed
+    assert table != records[:-1]
+
+
+def test_table_counts_match_record_counts():
+    _, config, table = golden_table()
+    records = list(table)
+    for spec in config.measures:
+        for test in (pl.SUBMODULARITY, pl.SUBADDITIVITY):
+            chosen = [r for r in records if r.measure == spec.label and r.test == test]
+            if not chosen:
+                with pytest.raises(DomainError):
+                    pl.daily_violation_rate(table, spec.label, test)
+                continue
+            series = pl.daily_violation_rate(table, spec.label, test)
+            assert series.dates == tuple(sorted({r.date for r in chosen}))
+            for day, n, v in zip(series.dates, series.tests, series.violations):
+                on_day = [r for r in chosen if r.date == day]
+                assert n == len(on_day)  # a label configured twice counts twice
+                assert v == sum(r.violated for r in on_day)
+    assert int(table.violated.sum()) == sum(r.violated for r in records) > 0
+
+
+def test_table_from_sparse_records():
+    day1, day2 = dt.date(2024, 1, 2), dt.date(2024, 1, 3)
+
+    def rec(day, pair, gap, measure="VaR(0.9)", test=pl.SUBMODULARITY):
+        return pl.ViolationRecord(date=day, pair=pair, measure=measure, test=test,
+                                  gap=gap, violated=gap < 0)
+
+    records = [
+        rec(day2, ("B", "C"), -1.0),
+        rec(day1, ("A", "B"), 0.5),
+        rec(day1, ("A", "B"), 0.25),  # a repeated key keeps its list order
+        rec(day2, ("A", "B"), 2.0, measure="ES(0.9)"),
+    ]
+    table = pl.ViolationTable.from_records(records)
+    assert table.checks == (("ES(0.9)", pl.SUBMODULARITY),) + (("VaR(0.9)", pl.SUBMODULARITY),) * 2
+    assert table.gaps.shape == (3, 2, 2)
+    assert len(table) == 4
+    assert list(table) == sorted(records, key=lambda r: (r.date, r.pair, r.measure, r.test))
+    series = pl.daily_violation_rate(records, "VaR(0.9)")
+    assert series.dates == (day1, day2)
+    assert series.tests.tolist() == [2, 1] and series.violations.tolist() == [0, 1]
+    assert pl.daily_violation_rate(records, "ES(0.9)").dates == (day2,)
+    with pytest.raises(DataError, match="NaN"):
+        pl.ViolationTable.from_records([rec(day1, ("A", "B"), float("nan"))])
