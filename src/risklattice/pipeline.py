@@ -27,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.stats import rankdata
 
 from .errors import DataError, DomainError
 from .functions import AdjustmentGrid
@@ -484,8 +483,12 @@ def correlations(a: DatedSeries, b: DatedSeries) -> CorrelationResult:
     Series are aligned on common dates (at least 3 required).  Spearman uses
     average ranks for ties; the distance correlation is the exact O(n^2)
     double-centered form, in [0, 1].  Constant inputs return zeros with the
-    ``degenerate`` flag instead of raising.
+    ``degenerate`` flag instead of raising; a NaN or infinite value in either
+    series is a domain error naming its label.
     """
+    for s in (a, b):
+        if not np.all(np.isfinite(s.values)):
+            raise DomainError(f"series {s.label!r} has non-finite values")
     index = {d: i for i, d in enumerate(a.dates)}
     common = [(index[d], j) for j, d in enumerate(b.dates) if d in index]
     if len(common) < 3:
@@ -496,8 +499,24 @@ def correlations(a: DatedSeries, b: DatedSeries) -> CorrelationResult:
     if np.ptp(va) == 0.0 or np.ptp(vb) == 0.0:
         return CorrelationResult(pearson=0.0, spearman=0.0, dcor=0.0, degenerate=True)
     pearson = _pearson(va, vb)
-    spearman = _pearson(rankdata(va), rankdata(vb))
+    spearman = _pearson(_average_ranks(va), _average_ranks(vb))
     return CorrelationResult(pearson=pearson, spearman=spearman, dcor=_dcor(va, vb))
+
+
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks of finite ``v``; tied values share the mean of their ranks.
+
+    Every rank is an exact half-integer, so this equals
+    ``scipy.stats.rankdata(v)`` bit for bit.
+    """
+    order = np.argsort(v, kind="stable")
+    s = v[order]
+    new_group = np.r_[True, s[1:] != s[:-1]]
+    start = np.r_[np.flatnonzero(new_group), v.size]  # first sorted index of each group
+    g = np.cumsum(new_group) - 1
+    ranks = np.empty(v.size)
+    ranks[order] = 0.5 * (start[g] + start[g + 1] + 1)
+    return ranks
 
 
 def _pearson(u: np.ndarray, v: np.ndarray) -> float:
@@ -646,22 +665,32 @@ def export_report(
 
 
 def read_violations_csv(path) -> list[ViolationRecord]:
-    """Round-trip loader for ``violations.csv``."""
+    """Round-trip loader for ``violations.csv``; a malformed row raises
+    ``DataError`` with its line number."""
     out = []
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["date", "pair", "measure", "params", "gap", "violated"]:
             raise DataError(f"{path}: unexpected violations header {header}")
-        for row in reader:
-            a, b = row[1].split("-", maxsplit=1)
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 6:
+                raise DataError(f"{path}:{lineno}: expected 6 columns, got {len(row)}")
+            a, dash, b = row[1].partition("-")
+            if not dash:
+                raise DataError(f"{path}:{lineno}: pair {row[1]!r} is not 'TICKER-TICKER'")
+            try:
+                day = dt.date.fromisoformat(row[0])
+                gap = float(row[4])
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
             out.append(
                 ViolationRecord(
-                    date=dt.date.fromisoformat(row[0]),
+                    date=day,
                     pair=(a, b),
                     measure=row[2],
                     test=row[3],
-                    gap=float(row[4]),
+                    gap=gap,
                     violated=row[5] == "true",
                 )
             )
@@ -675,7 +704,11 @@ _CONFIG_KEYS = ("window", "epsilon", "levels", "aes_levels", "aes_penalties", "t
 
 
 def load_config(path) -> dict:
-    """Parse a flat ``key = value`` config file (``#`` comments allowed)."""
+    """Parse a flat ``key = value`` config file (``#`` comments allowed).
+
+    An unknown key or a value that does not parse raises ``DataError`` with
+    its line number.
+    """
     cfg: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -688,14 +721,17 @@ def load_config(path) -> dict:
         value = value.strip()
         if key not in _CONFIG_KEYS:
             raise DataError(f"{path}:{lineno}: unknown key {key!r}; known keys: {_CONFIG_KEYS}")
-        if key in ("window", "seed"):
-            cfg[key] = int(value)
-        elif key == "epsilon":
-            cfg[key] = float(value)
-        elif key == "tickers":
-            cfg[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-        else:
-            cfg[key] = tuple(float(v) for v in value.split(",") if v.strip())
+        try:
+            if key in ("window", "seed"):
+                cfg[key] = int(value)
+            elif key == "epsilon":
+                cfg[key] = float(value)
+            elif key == "tickers":
+                cfg[key] = tuple(v.strip() for v in value.split(",") if v.strip())
+            else:
+                cfg[key] = tuple(float(v) for v in value.split(",") if v.strip())
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return cfg
 
 

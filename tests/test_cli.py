@@ -107,3 +107,12 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     assert (out_dir / "violations.csv").exists()
     assert (out_dir / "summary.json").exists()
     assert "ES(0.9)/submodularity: mean daily rate 0.0000" in out
+
+
+def test_pipeline_bad_config_value_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("levels = 0.9\nwindow = abc\n")
+    code, out, err = run(capsys, "pipeline", "--prices", str(tmp_path / "p.csv"), "--config",
+                         str(cfg), "--out", str(tmp_path / "report"))
+    assert code == 2
+    assert err.startswith("error: ") and "run.cfg:2: bad value for 'window'" in err

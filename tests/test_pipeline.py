@@ -1,6 +1,10 @@
 import dataclasses
 import datetime as dt
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +308,46 @@ def test_correlations_align_on_common_dates():
     assert c.spearman == pytest.approx(1.0, abs=1e-12)
 
 
+def test_average_ranks_hand_computed():
+    assert pl._average_ranks(np.array([3.0, 1.0, 2.0, 2.0])).tolist() == [4.0, 1.0, 2.5, 2.5]
+
+
+def test_spearman_with_ties_hand_computed():
+    # ranks [1, 2.5, 2.5, 4] and [1, 3, 2, 4]: centered dot 4.5, squared norms 4.5 and 5
+    c = pl.correlations(dated([1.0, 2.0, 2.0, 3.0]), dated([1.0, 3.0, 2.0, 4.0]))
+    assert c.spearman == pytest.approx(math.sqrt(0.9), rel=1e-15)
+
+
+def test_average_ranks_match_scipy_rankdata():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        n = int(rng.integers(1, 60))
+        v = rng.integers(0, int(rng.integers(1, 2 * n + 1)), size=n) * rng.choice([0.25, 1e-3, 7.0])
+        expected = stats.rankdata(v)
+        got = pl._average_ranks(v)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_correlations_reject_non_finite(bad):
+    good = dated([1.0, 2.0, 3.0, 4.0], label="good")
+    broken = dated([1.0, bad, 3.0, 4.0], label="rates")
+    for a, b in ((broken, good), (good, broken)):
+        with pytest.raises(DomainError, match="'rates'"):
+            pl.correlations(a, b)
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(pl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, risklattice.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # synthetic prices
 
@@ -394,6 +438,28 @@ def test_config_unknown_key(tmp_path):
     cfg_file.write_text("windw = 250\n")
     with pytest.raises(DataError, match="unknown key"):
         pl.load_config(cfg_file)
+
+
+@pytest.mark.parametrize("line", ["window = abc", "levels = 0.9,x", "seed = 1.5", "epsilon = tiny"])
+def test_config_bad_value_reports_line(tmp_path, line):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"# run\n{line}\n")
+    with pytest.raises(DataError, match=f"run.cfg:2: bad value for '{line.split()[0]}'"):
+        pl.load_config(cfg_file)
+
+
+@pytest.mark.parametrize("row", [
+    "2024-01-02,AAABBB,VaR(0.9),submodularity,0.5,false",
+    "2024-01-02,AAA-BBB,VaR(0.9),submodularity,abc,false",
+    "01/02/2024,AAA-BBB,VaR(0.9),submodularity,0.5,false",
+    "2024-01-02,AAA-BBB,VaR(0.9),submodularity,0.5",
+])
+def test_read_violations_bad_row_reports_line(tmp_path, row):
+    p = tmp_path / "violations.csv"
+    p.write_text("date,pair,measure,params,gap,violated\n"
+                 "2024-01-01,AAA-BBB,VaR(0.9),submodularity,0.5,false\n" + row + "\n")
+    with pytest.raises(DataError, match="violations.csv:3: "):
+        pl.read_violations_csv(p)
 
 
 def test_verdict_serializes_into_summary(tmp_path):
