@@ -69,6 +69,17 @@ class LossFunction:
         convex: declared convexity.
         normalized: ``fn(0) == 0``.
         name: short identifier used in labels and reports.
+        entropic: ``g`` when ``fn`` is ``exp(g x) - 1``; the certainty
+            equivalent, shortfall and OCE then have closed forms.
+        slopes: ``(s_minus, s_plus)`` when ``fn`` is piecewise linear with
+            slope ``s_minus`` below 0 and ``s_plus`` above; the certainty
+            equivalent, shortfall and OCE then have exact O(n) forms.
+
+    ``entropic`` and ``slopes`` describe ``fn`` and are trusted by the
+    solvers; only the named constructors set them, and ``validate`` checks
+    them against ``fn`` on the check grid.  Both survive
+    ``dataclasses.replace(ell, fn=...)``, so the replacement must compute the
+    same function.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -79,6 +90,8 @@ class LossFunction:
     convex: bool = True
     normalized: bool = False
     name: str = "custom"
+    entropic: float | None = None
+    slopes: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.strictly_increasing and not self.increasing:
@@ -88,8 +101,10 @@ class LossFunction:
         return self.fn(np.asarray(x, dtype=np.float64))
 
     def validate(self, grid: np.ndarray = _CHECK_GRID) -> "LossFunction":
-        """Spot-check the declared flags on a grid; raise DomainError on violation."""
-        v = self.fn(np.asarray(grid, dtype=np.float64))
+        """Spot-check the declared flags and structure on a grid; raise
+        DomainError on violation."""
+        grid = np.asarray(grid, dtype=np.float64)
+        v = self.fn(grid)
         if self.strictly_increasing and not np.all(np.diff(v) > 0):
             raise DomainError(f"loss '{self.name}' is not strictly increasing on the check grid")
         if self.increasing and not np.all(np.diff(v) >= 0):
@@ -100,6 +115,16 @@ class LossFunction:
                 raise DomainError(f"loss '{self.name}' fails midpoint convexity on the check grid")
         if self.normalized and abs(float(self.fn(np.array(0.0)))) > 1e-12:
             raise DomainError(f"loss '{self.name}' declared normalized but fn(0) != 0")
+        g = self.entropic
+        if g is not None and not np.allclose(v, np.expm1(g * grid), rtol=1e-12, atol=1e-12):
+            raise DomainError(f"loss '{self.name}' declares entropic={g:g} but is not "
+                              f"exp({g:g} x) - 1 on the check grid")
+        if self.slopes is not None:
+            sm, sp = self.slopes
+            if not np.allclose(v, np.where(grid <= 0.0, sm * grid, sp * grid),
+                               rtol=1e-12, atol=1e-12):
+                raise DomainError(f"loss '{self.name}' declares slopes={sm:g},{sp:g} but is "
+                                  "not piecewise linear with them on the check grid")
         return self
 
 
@@ -213,6 +238,7 @@ def exponential_loss(gamma: float = 1.0) -> LossFunction:
         convex=True,
         normalized=True,
         name=f"exp:{g:g}",
+        entropic=g,
     )
 
 
@@ -239,6 +265,7 @@ def linear_loss() -> LossFunction:
         convex=True,
         normalized=True,
         name="linear",
+        slopes=(1.0, 1.0),
     )
 
 
@@ -257,6 +284,7 @@ def expectile_loss(a: float) -> LossFunction:
         convex=True,
         normalized=True,
         name=f"expectile:{aa:g}",
+        slopes=(1.0, 1.0 + aa),
     )
 
 
@@ -274,6 +302,7 @@ def piecewise_linear_loss(s_minus: float, s_plus: float) -> LossFunction:
         convex=True,
         normalized=True,
         name=f"piecewise:{sm:g},{sp:g}",
+        slopes=(sm, sp),
     )
 
 
@@ -293,6 +322,7 @@ def cvar_loss(p: float) -> LossFunction:
         convex=True,
         normalized=True,
         name=f"cvar:{p:g}",
+        slopes=(0.0, scale),
     )
 
 

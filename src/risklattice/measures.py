@@ -12,7 +12,8 @@ and is evaluated exactly on the empirical distribution:
 * ``certainty_equivalent`` -- ``l^{-1}(mean(l(x_i)))``.
 * ``shortfall_rho``    -- the unique root ``m`` of ``sum l(x_i - m) = 0`` for a
   strictly increasing convex ``l``.
-* ``oce``              -- ``min_m { m + mean(l(x_i - m)) }``.
+* ``oce``              -- ``min_m { m + mean(l(x_i - m)) }``; for ``exp:g`` the
+  entropic measure plus ``(1 + ln g - g) / g``.
 * ``mmd_rho``          -- ``g(distortion - mean) + mean`` for a concave
   distortion and an increasing convex deviation weight.
 
@@ -24,10 +25,21 @@ under permutation of the atoms is exact, not just within tolerance.  VaR, ES,
 adjusted ES, distortion and the distortion term of ``mmd_rho`` are one
 order-statistic kernel, ``max_r (x_sorted . w_r - c_r)`` over a few weight
 rows (one-hot, ``1/k`` on the top ``k``, one ES row per AES level, Choquet
-weights).  The certainty equivalent, shortfall and OCE share one bracketed
-bisection that stops each row at a few ulps of that row's own scale, so a
-value does not depend on the rest of its batch and keeps its relative
-precision at any sample scale.
+weights).
+
+The certainty equivalent, shortfall and OCE have closed forms for the losses
+whose ``LossFunction`` declares its structure.  For ``exp:g``
+(``entropic=g``) CE and shortfall are the entropic measure
+``log(mean exp(g x)) / g`` (Follmer and Schied), computed shifted by the row's
+max with ``expm1``/``log1p``.  For the piecewise-linear losses ``linear``,
+``expectile:a``, ``piecewise:sm,sp`` and ``cvar:p`` (``slopes``, one kink at
+0) the shortfall residual and the OCE objective are linear between order
+statistics, so suffix sums over the sorted row give the exact root or
+minimum in O(n); ``OCE(cvar:p)`` is ES (Rockafellar and Uryasev).  Every
+other loss (``poly2exp``, ``quadlin``, ``arctan-bend``, custom losses) goes
+to one bracketed bisection that stops each row at a few ulps of that row's
+own scale.  Either way a value does not depend on the rest of its batch and
+keeps its relative precision at any sample scale.
 """
 
 from __future__ import annotations
@@ -52,10 +64,11 @@ __all__ = [
     "mmd_rho",
 ]
 
-# Bracketed-solver caps.  Bisection is unconditionally safe on the monotone
-# residuals and convex objectives used here.  _MAX_BISECT steps shrink any
-# bracket below the smallest subnormal, so every row meets its stopping rule;
-# a sample of scale 1 stops after about 55.
+# Bracketed-solver caps, for the losses without a closed form (poly2exp,
+# quadlin, arctan-bend and custom losses).  Bisection is unconditionally safe
+# on the monotone residuals and convex objectives used here.  _MAX_BISECT
+# steps shrink any bracket below the smallest subnormal, so every row meets
+# its stopping rule; a sample of scale 1 stops after about 55.
 _MAX_BISECT = 2300
 _MAX_EXPAND = 60
 
@@ -165,7 +178,8 @@ def distortion_rho(sample, phi: DistortionFunction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# one bracketed solver for the certainty equivalent, shortfall and OCE
+# one bracketed solver for the certainty equivalent, shortfall and OCE of a
+# loss without a closed form
 
 
 def _bisect(fn, Xs, what: str, pad: float = 0.0, spread: float = 0.0) -> np.ndarray:
@@ -244,10 +258,65 @@ def expected_loss(sample, ell: LossFunction) -> float:
     return float(_expected_loss_batch(_sorted_row(sample), ell)[0])
 
 
+def _log_mean_exp(Xs: np.ndarray, g: float) -> np.ndarray:
+    """``log(mean exp(g x)) / g`` per row, as
+    ``top + log1p(mean(expm1(g (x - top)))) / g`` with ``top = max x``.
+
+    Every exponent is at most 0, so nothing overflows, and ``expm1``/``log1p``
+    keep the relative precision of a row spread over a tiny range.
+    """
+    top = Xs[:, -1]
+    w = np.subtract(Xs, top[:, None])
+    w *= g
+    np.expm1(w, out=w)
+    return top + np.log1p(w.mean(axis=1)) / g
+
+
+def _kinked_sums(Xs: np.ndarray, s_minus: float, s_plus: float):
+    """Mean loss at each order statistic for a loss kinked at 0.
+
+    With ``y = x - top`` (``top = max x``) on ascending rows and ``l`` of slope
+    ``s_minus`` below 0 and ``s_plus`` above, returns ``top``, ``y``, ``B`` and
+    ``slope`` with ``mean_i l(y_i - y_j) = B[:, j] - slope[j] y[:, j]``.
+    ``slope[j] = s_minus + (s_plus - s_minus) (n - 1 - j) / n`` is the mean
+    slope of ``l`` there (the ``n - 1 - j`` atoms above ``y_j`` at
+    ``s_plus``), and ``B`` is made of suffix sums of ``y``.  ``y`` and ``B``
+    are the only batch-sized work arrays; callers update ``y`` in place.
+    """
+    n = Xs.shape[1]
+    top = Xs[:, -1]
+    y = np.subtract(Xs, top[:, None])
+    B = np.empty_like(y)
+    B[:, -1] = 0.0
+    np.cumsum(y[:, :0:-1], axis=1, out=B[:, -2::-1])  # B[:, j] = sum_{i > j} y_i
+    total = B[:, 0] + y[:, 0]
+    B *= (s_plus - s_minus) / n
+    B += (s_minus / n) * total[:, None]
+    slope = s_minus + (s_plus - s_minus) / n * np.arange(n - 1, -1, -1.0)
+    return top, y, B, slope
+
+
+def _shift_rows(Xs: np.ndarray, m: np.ndarray, rows, work: np.ndarray) -> np.ndarray:
+    """``Xs[rows] - m[:, None]``, written into the leading rows of ``work``,
+    the one work array a bisection solve reuses at every step."""
+    w = work[: m.size]
+    if isinstance(rows, slice):
+        return np.subtract(Xs, m[:, None], out=w)
+    np.take(Xs, rows, axis=0, out=w)
+    w -= m[:, None]
+    return w
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _ce_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
     if not ell.strictly_increasing:
         raise DomainError("certainty equivalent requires a strictly increasing loss")
+    if ell.entropic is not None:
+        return _log_mean_exp(Xs, ell.entropic)
+    if ell.slopes is not None:
+        sm, sp = ell.slopes
+        t = (sm * Xs.sum(axis=1) + (sp - sm) * np.maximum(Xs, 0.0).sum(axis=1)) / Xs.shape[1]
+        return np.where(t > 0.0, t / sp, t / sm)
     target = ell.fn(Xs).mean(axis=1)  # in [l(min x), l(max x)]
     return _bisect(lambda m, rows: ell.fn(m) - target[rows], Xs, "certainty equivalent")
 
@@ -255,8 +324,12 @@ def _ce_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
 def certainty_equivalent(sample, ell: LossFunction) -> float:
     """``l^{-1}(mean(l(x_i)))`` for a strictly increasing loss ``l``.
 
-    Bisection on the sample range, to a few ulps of the sample's scale; an
-    overflowing mean loss raises ``NumericError``.
+    For ``exp:g`` this is the entropic risk measure
+    ``log(mean exp(g x_i)) / g``, computed shifted by ``max x`` so that it
+    never overflows; for a piecewise-linear loss it is ``mean l(x_i)``
+    divided by the slope on its side of 0.  Other losses are bisected on the
+    sample range, to a few ulps of the sample's scale, and an overflowing
+    mean loss raises ``NumericError``.
     ``certainty_equivalent([c, ..., c]) == c``; the functional is submodular
     exactly when ``l`` is convex.
     """
@@ -270,22 +343,36 @@ def _shortfall_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
             "shortfall risk requires a strictly increasing convex loss "
             f"(got flags strictly_increasing={ell.strictly_increasing}, convex={ell.convex})"
         )
+    if ell.entropic is not None:
+        return _log_mean_exp(Xs, ell.entropic)
     n = Xs.shape[1]
+    if ell.slopes is not None:
+        # The residual mean l(y - m) is linear between order statistics and
+        # decreasing in m: count the order statistics where it is negative
+        # (the top c), then solve the piece with those c atoms above the root.
+        top, y, B, slope = _kinked_sums(Xs, *ell.slopes)
+        y *= slope
+        np.subtract(B, y, out=y)
+        j = np.maximum(n - 1 - np.count_nonzero(y < 0.0, axis=1), 0)
+        return top + B[np.arange(j.size), j] / slope[j]
     # silent normalization: subtracting l(0) leaves the root unchanged
     ell0 = float(ell.fn(np.array(0.0)))
+    work = np.empty_like(Xs)  # one work array for the whole solve
 
     def resid(m, rows=slice(None)):
-        return n * ell0 - ell.fn(Xs[rows] - m[:, None]).sum(axis=1)
+        return n * ell0 - ell.fn(_shift_rows(Xs, m, rows, work)).sum(axis=1)
 
     m = _bisect(resid, Xs, "shortfall")
-    # Residual guard.  A continuous residual ends within its rounding plus its
-    # slope times a few ulps of the root, which 2**-24 of its change over
-    # m -/+ d (d = 2**-20 of the row's scale) bounds with a wide margin.  A
-    # loss with a jump (declared convex, but not) leaves the jump's size.
-    # Subnormal residuals have no relative precision, hence the ``tiny`` floor.
+    # Residual guard, on the bisection path only (losses without a closed
+    # form: poly2exp, quadlin, arctan-bend and custom losses).  A continuous
+    # residual ends within its rounding plus its slope times a few ulps of the
+    # root, which 2**-24 of its change over m -/+ d (d = 2**-20 of the row's
+    # scale) bounds with a wide margin.  A loss with a jump (declared convex,
+    # but not) leaves the jump's size.  Subnormal residuals have no relative
+    # precision, hence the ``tiny`` floor.
     d = 2.0**-20 * np.maximum(np.abs(m), np.maximum(-Xs[:, 0], Xs[:, -1]))
     tol = 2.0**-24 * np.abs(resid(m + d) - resid(m - d)) + np.finfo(np.float64).tiny
-    terms = ell.fn(Xs - m[:, None])
+    terms = ell.fn(_shift_rows(Xs, m, slice(None), work))
     r = n * ell0 - terms.sum(axis=1)
     tol += n * np.finfo(np.float64).eps * (np.abs(terms).sum(axis=1) + n * abs(ell0))
     bad = ~(np.abs(r) <= tol)
@@ -300,12 +387,15 @@ def shortfall_rho(sample, ell: LossFunction) -> float:
     """Shortfall risk: the unique ``m`` with ``sum l(x_i - m) = 0``.
 
     ``l`` must be strictly increasing and convex; ``l(0)`` is subtracted
-    internally so normalization is not required of the caller.  The residual
-    is strictly decreasing in ``m`` and changes sign on the sample range, so
-    bisection there converges unconditionally, to a few ulps of the sample's
-    scale.  Cash-invariant, and positively homogeneous at any scale when
-    ``l`` is.  A residual left far from 0 (a loss with a jump) raises
-    ``NumericError``.
+    internally so normalization is not required of the caller.  For
+    ``exp:g`` the root is the entropic risk measure
+    ``log(mean exp(g x_i)) / g``.  For a piecewise-linear loss the residual
+    is linear between order statistics, so the root is solved exactly on the
+    piece where it changes sign.  Other losses are bisected on the sample
+    range, where the strictly decreasing residual changes sign, to a few
+    ulps of the sample's scale; a residual left far from 0 there (a loss
+    with a jump) raises ``NumericError``.  Cash-invariant, and positively
+    homogeneous at any scale when ``l`` is.
     """
     return float(_shortfall_batch(_sorted_row(sample), ell)[0])
 
@@ -314,9 +404,26 @@ def shortfall_rho(sample, ell: LossFunction) -> float:
 def _oce_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
     if not (ell.increasing and ell.convex):
         raise DomainError("optimized certainty equivalent requires an increasing convex loss")
+    if ell.entropic is not None:
+        g = ell.entropic
+        return _log_mean_exp(Xs, g) + (1.0 + math.log(g) - g) / g
+    if ell.slopes is not None:
+        sm, sp = ell.slopes
+        if not sm <= 1.0 <= sp:
+            raise DomainError(
+                f"optimized certainty equivalent: objective unbounded below "
+                f"(loss slopes {sm:g} and {sp:g} do not straddle 1)"
+            )
+        # the objective is convex and piecewise linear with kinks at the
+        # order statistics: its minimum is the least value there
+        top, y, B, slope = _kinked_sums(Xs, sm, sp)
+        y *= 1.0 - slope
+        y += B
+        return top + y.min(axis=1)
+    work = np.empty_like(Xs)  # one work array for the whole solve
 
     def f(m, rows=slice(None)):
-        return m + ell.fn(Xs[rows] - m[:, None]).mean(axis=1)
+        return m + ell.fn(_shift_rows(Xs, m, rows, work)).mean(axis=1)
 
     # the minimizer also depends on the loss's own unit: start one unit out
     m = _bisect(f, Xs, "optimized certainty equivalent", pad=1.0, spread=2.0**-6)
@@ -326,13 +433,21 @@ def _oce_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
 def oce(sample, ell: LossFunction) -> float:
     """Optimized certainty equivalent: ``min_m { m + mean(l(x_i - m)) }``.
 
-    The objective is convex in ``m``.  ``[min(x)-1, max(x)+1]`` is doubled
-    outward until the objective rises at both ends (``DomainError`` if it
-    never does: unbounded below), then bisected on the sign of
+    For ``exp:g`` the minimum is ``m* = (log g + log mean exp(g x_i)) / g``,
+    and the value is the entropic risk measure plus a constant:
+    ``log(mean exp(g x_i)) / g + (1 + log g - g) / g`` (the constant is 0
+    only at ``g = 1``).  For a piecewise-linear loss with slopes
+    ``s_minus <= 1 <= s_plus`` the convex objective is piecewise linear with
+    kinks at the order statistics, so the minimum is the least of its ``n``
+    values there; with other slopes it is unbounded below and raises
+    ``DomainError``.  ``OCE(cvar:p)`` is ES at level ``p`` (Rockafellar and
+    Uryasev).  Other losses are bisected: ``[min(x)-1, max(x)+1]`` is
+    doubled outward until the objective rises at both ends (``DomainError``
+    if it never does: unbounded below), then bisected on the sign of
     ``f(mid + d) - f(mid - d)`` to a few ulps of the sample's scale.  The
     objective value, not the minimizer, is the contract, so flat regions do
-    not matter.  Overflow raises ``NumericError``.  Always submodular for
-    increasing convex ``l``.
+    not matter.  Overflow there raises ``NumericError``.  Always submodular
+    for increasing convex ``l``.
     """
     return float(_oce_batch(_sorted_row(sample), ell)[0])
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,15 @@ def test_validate_catches_wrong_flags():
                              convex=True, name="sin")
     with pytest.raises(DomainError, match="convexity"):
         nonconvex.validate()
+
+
+def test_validate_checks_declared_structure():
+    fake_entropic = dataclasses.replace(poly2exp_loss(), entropic=1.0)
+    with pytest.raises(DomainError, match="entropic"):
+        fake_entropic.validate()
+    fake_slopes = dataclasses.replace(quadlin_loss(), slopes=(0.5, 1.0))
+    with pytest.raises(DomainError, match="slopes"):
+        fake_slopes.validate()
 
 
 def test_normalized_losses():

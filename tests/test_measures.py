@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -9,6 +10,7 @@ from risklattice import (
     DomainError,
     LossFunction,
     NumericError,
+    RiskMeasureSpec,
     aes,
     certainty_equivalent,
     cvar_loss,
@@ -23,11 +25,14 @@ from risklattice import (
     linear_loss,
     mmd_rho,
     oce,
+    parse_loss_spec,
     parse_measure_spec,
     pointwise_meet_join,
+    poly2exp_loss,
     power_distortion,
     shortfall_rho,
     square_weight,
+    submodularity_gap,
     var_distortion,
     var_historical,
 )
@@ -273,11 +278,24 @@ def test_exponential_solvers_are_log_mean_exp(solver):
 
 @pytest.mark.parametrize("solver", [certainty_equivalent, oce])
 def test_overflow_raises_numeric_error_only(solver):
-    # exp(800 x) overflows: no clamped log(DBL_MAX) or inf, and no numpy warning first
+    # poly2exp has no closed form: exp(1600 x) overflows in the bisection, which
+    # raises with no clamped log(DBL_MAX) or inf, and no numpy warning first
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="overflow at batch row 0"):
-            solver(800 * X50, exponential_loss(1.0))
+            solver(800 * X50, poly2exp_loss())
+
+
+@pytest.mark.parametrize("solver", [certainty_equivalent, oce])
+def test_entropic_closed_form_survives_overflow_scale(solver):
+    # exp(800 x) overflows, but the entropic form shifts by max x first
+    y = 800 * X50
+    expected = y.max() + math.log(np.mean(np.exp(y - y.max())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solver(y, exponential_loss(1.0))
+    assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+    assert got == pytest.approx(1564.2946, abs=1e-4)
 
 
 def test_shortfall_root_survives_overflow_elsewhere_in_its_bracket():
@@ -297,12 +315,104 @@ def test_shortfall_guard_rejects_a_jump():
         shortfall_rho([0.0, 0.5], jump)
 
 
-@pytest.mark.parametrize("text", ["ce:expectile:1", "shortfall:expectile:1", "oce:cvar:0.75"])
+@pytest.mark.parametrize("text", ["ce:expectile:1", "shortfall:expectile:1", "oce:cvar:0.75",
+                                  "ce:exp:1", "shortfall:exp:1", "oce:exp:1", "oce:exp:0.5",
+                                  "shortfall:poly2exp", "oce:quadlin"])
 def test_solver_row_does_not_depend_on_its_batch(text):
     spec = parse_measure_spec(text)
     big = 1e3 * np.random.default_rng(1).standard_normal(50)
     alone = spec.evaluate_batch(X50[None, :])[0]
     assert spec.evaluate_batch(np.stack([big, X50]))[1] == alone
+
+
+# ---------------------------------------------------------------------------
+# closed forms for the entropic and piecewise-linear losses, against bisection
+
+STRUCTURED = ["exp:0.5", "exp:1", "exp:2", "linear", "expectile:0.5", "expectile:1",
+              "piecewise:0.5,2", "cvar:0.75"]
+SOLVERS = {"ce": certainty_equivalent, "shortfall": shortfall_rho, "oce": oce}
+# mixed signs, so every kink is crossed, and values well away from 0, so a
+# relative tolerance means something
+ORACLE_SAMPLE = X50 + 1.0
+
+
+def _unstructured(ell):
+    """The same loss and flags without ``entropic``/``slopes``: bisection."""
+    return LossFunction(fn=ell.fn, strictly_increasing=ell.strictly_increasing,
+                        increasing=ell.increasing, convex=ell.convex,
+                        normalized=ell.normalized, name=ell.name)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+@pytest.mark.parametrize("kind", sorted(SOLVERS))
+@pytest.mark.parametrize("text", STRUCTURED)
+def test_closed_form_matches_bisection(text, kind, scale):
+    ell, solver = parse_loss_spec(text), SOLVERS[kind]
+    x = scale * ORACLE_SAMPLE
+    try:
+        expected = solver(x, _unstructured(ell))
+    except DomainError:  # the flags rule this kind out: the closed form must agree
+        with pytest.raises(DomainError):
+            solver(x, ell)
+        return
+    except NumericError:  # exp(g x) overflows in the bisection only
+        assert scale == 1e9 and ell.entropic is not None
+        assert math.isfinite(solver(x, ell))
+        return
+    if kind == "oce" and ell.slopes is not None and ell.slopes[0] == 1.0:
+        # Slope 1 below 0 makes the objective flat (equal to the mean) for
+        # m >= max x.  Bisection's minimizer wanders there and m + mean(l(x - m))
+        # keeps only eps |m| absolute, far from 1e-13 relative at scale 1e-9.
+        expected = math.fsum(x) / x.size
+    assert solver(x, ell) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("text", ["piecewise:2,3", "piecewise:0.5,0.8"])
+def test_oce_unbounded_piecewise_raises_like_bisection(text):
+    # both slopes on one side of 1: the objective is unbounded below
+    ell = parse_loss_spec(text)
+    for loss in (ell, _unstructured(ell)):
+        with pytest.raises(DomainError, match="unbounded"):
+            oce(X50, loss)
+
+
+@pytest.mark.parametrize("n", [20, 40, 100])
+@pytest.mark.parametrize("p", [0.5, 0.75, 0.9, 0.95])
+def test_oce_cvar_is_es_to_a_few_ulps(p, n):
+    # n (1 - p) is an integer for every pair here.  Both sides round their
+    # sums, and 1 / (1 - p) is itself rounded (19.999999999999982 at 0.95),
+    # which tilts the objective by an ulp or so per unit of the sample's range.
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-9, 9)
+        ulp = np.spacing(np.abs(x).max())
+        assert abs(oce(x, cvar_loss(p)) - es_historical(x, p)) <= 8 * ulp
+
+
+@pytest.mark.parametrize("text", ["ce:exp:1", "shortfall:exp:0.5", "oce:exp:2", "ce:linear",
+                                  "shortfall:expectile:1", "oce:piecewise:0.5,2",
+                                  "oce:cvar:0.75"])
+def test_dominated_pair_gap_is_exactly_zero(text):
+    y = X50 + np.abs(np.random.default_rng(2).standard_normal(50))
+    assert submodularity_gap(parse_measure_spec(text), X50, y).gap == 0.0
+
+
+def test_structure_survives_replacing_fn():
+    # a wrapped fn (as a call counter) keeps the closed form, and its values
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        return ell.fn(x)
+
+    batch = np.stack([X50, 2.0 * X50])
+    for text in ("exp:1", "expectile:1", "cvar:0.75"):
+        ell = parse_loss_spec(text)
+        wrapped = dataclasses.replace(ell, fn=counted)
+        assert (wrapped.entropic, wrapped.slopes) == (ell.entropic, ell.slopes)
+        spec, traced = RiskMeasureSpec.oce(ell), RiskMeasureSpec.oce(wrapped)
+        assert np.array_equal(traced.evaluate_batch(batch), spec.evaluate_batch(batch))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
