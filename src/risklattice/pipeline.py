@@ -361,32 +361,46 @@ def rolling_eval(
 
 
 def _pair_gaps(
-    losses: LossPanel, config: RollingConfig, i: int, j: int, debug: bool
+    config: RollingConfig, kernels: list, series, values: list, i, j, batch, debug: bool
 ) -> list[np.ndarray]:
-    """One gap row per (measure, test) check, in config order, for pair (i, j)."""
+    """Gap rows ``[pair, date]``, one per (measure, test) check in config
+    order, for the pairs ``(i[p], j[p])``.
+
+    ``series`` holds one loss series per ticker, ``values[k][t]`` measure
+    ``k``'s values on ticker ``t``'s windows, ``kernels`` the measures'
+    kernels for the window width, and ``batch`` is a work array with room for
+    3 windows per pair and date.
+    """
     w = config.window
-    x = losses.losses[:, i]
-    y = losses.losses[:, j]
-    blocks = [sliding_window_view(v, w) for v in (x, y, np.minimum(x, y), np.maximum(x, y))]
-    X, Y, M, J = blocks
-    if debug and not np.array_equal(M + J, X + Y):
+    m, d = i.size, series.shape[1] - w + 1
+    # Only VaR's subadditivity test reads the summed-loss block; the other
+    # measures evaluate meet and join alone.
+    has_var = any(spec.kind == "var" for spec in config.measures)
+    x, y = series[i], series[j]
+    lanes = np.empty((3 if has_var else 2, m, series.shape[1]))  # meet, join[, x + y]
+    np.minimum(x, y, out=lanes[0])
+    np.maximum(x, y, out=lanes[1])
+    if debug and not np.array_equal(lanes[0] + lanes[1], x + y):
         raise AssertionError("meet/join accounting failed: meet + join != x + y")
-    if any(spec.kind == "var" for spec in config.measures):
-        blocks.append(sliding_window_view(x + y, w))
-    d = X.shape[0]
-    # The windows were validated at ingest; sort them once here for every
-    # measure and both tests.  Only VaR's subadditivity test reads the
-    # summed-loss block; the other measures evaluate the first four alone.
-    batch = np.concatenate(blocks)
+    if has_var:
+        np.add(x, y, out=lanes[2])
+    batch = batch[: len(lanes) * m * d]
+    batch.reshape(len(lanes), m, d, w)[...] = sliding_window_view(lanes, w, axis=2)
     batch.sort(axis=1)
     rows = []
-    for spec in config.measures:
-        vals = spec._evaluate_sorted(batch if spec.kind == "var" else batch[: 4 * d])
-        pair_sum = vals[:d] + vals[d : 2 * d]
-        rows.append(pair_sum - (vals[2 * d : 3 * d] + vals[3 * d : 4 * d]))
+    for spec, kernel, v in zip(config.measures, kernels, values):
+        vals = kernel(batch if spec.kind == "var" else batch[: 2 * m * d]).reshape(-1, m, d)
+        pair_sum = v[i] + v[j]
+        rows.append(pair_sum - (vals[0] + vals[1]))
         if spec.kind == "var":
-            rows.append(pair_sum - vals[4 * d :])
+            rows.append(pair_sum - vals[2])
     return rows
+
+
+# Ticker pairs are tested in chunks whose work array holds about this many
+# window cells (2 MB), or one pair when a pair needs more.  Many short
+# windows then share one sort call and one call per kernel.
+_PAIR_CHUNK_CELLS = 1 << 18
 
 
 def _checks(config: RollingConfig) -> list[tuple[str, str]]:
@@ -406,16 +420,27 @@ def pairwise_day_tests(
 
     For each pair and date the configured measures are evaluated on the two
     ticker windows and on their pointwise meet and join; VaR measures are
-    additionally tested for subadditivity on the summed-loss window.  Each
-    pair's gap rows go straight into one ``ViolationTable`` array
+    additionally tested for subadditivity on the summed-loss window.
+
+    Work is shared across pairs.  Each measure's kernel (its weight rows,
+    reduced over their tail band; see ``measures._order_stat_batch``) is
+    built once for the window width.  Each ticker's windows are sorted and
+    evaluated once.  Pairs then go in chunks of about ``_PAIR_CHUNK_CELLS``
+    window cells, with one sort and one call per kernel each, and a pair adds
+    only its meet and join windows, plus its summed-loss windows when a VaR
+    measure is configured.  A gap is ``(v(x) + v(y)) - (v(meet) +
+    v(join))``, and a kernel gives a row the same value wherever the row
+    sits, so dominated-pair gaps are exactly 0 and every gap is bit-equal to
+    evaluating each pair's windows on their own.  The gap rows go straight
+    into one ``ViolationTable`` array
     ``gaps[check, pair, date]``: checks in (measure label, test) order, config
     order breaking label ties; pairs in sorted-ticker order; dates the window
     end dates.  Read as a sequence, the table gives the records in (date,
     pair, measure, test) order, so runs are reproducible byte for byte.
     ``debug`` asserts the exact meet/join accounting ``meet + join == x + y``
-    on every window.  Pairs run serially: ``threads`` is accepted for
-    compatibility and ignored, because a thread pool over pairs gave no
-    speedup on 2 cores.
+    on every loss, hence on every window.  Pairs run serially: ``threads`` is
+    accepted for compatibility and ignored, because a thread pool over pairs
+    gave no speedup on 2 cores.
     """
     if len(losses.tickers) < 2:
         raise DomainError("pairwise tests need at least 2 tickers")
@@ -429,9 +454,26 @@ def pairwise_day_tests(
     rank = sorted(range(len(checks)), key=checks.__getitem__)  # stable: config order on ties
     slot = np.argsort(rank)  # config-order row -> check index
     dates = losses.dates[config.window - 1 :]
-    gaps = np.empty((len(checks), len(pairs), len(dates)))
-    for p, (i, j) in enumerate(pairs):
-        gaps[slot, p] = _pair_gaps(losses, config, i, j, debug)
+    w, d = config.window, len(dates)
+    kernels = [spec.kernel(w) for spec in config.measures]
+    series = np.ascontiguousarray(losses.losses.T)  # one row per ticker
+    # One work array serves every sort: a fresh one per chunk would fault in
+    # its pages again each time.
+    chunk = max(1, _PAIR_CHUNK_CELLS // (3 * d * w))
+    batch = np.empty((3 * chunk * d, w))
+    values = [np.empty((len(series), d)) for _ in kernels]
+    for t, x in enumerate(series):
+        Xs = batch[:d]
+        Xs[...] = sliding_window_view(x, w)
+        Xs.sort(axis=1)
+        for v, kernel in zip(values, kernels):
+            v[t] = kernel(Xs)
+    first, second = np.array(pairs, dtype=np.intp).T
+    gaps = np.empty((len(checks), len(pairs), d))
+    for start in range(0, len(pairs), chunk):
+        at = slice(start, start + chunk)
+        gaps[slot, at] = _pair_gaps(config, kernels, series, values, first[at], second[at],
+                                    batch, debug)
     return ViolationTable(
         dates=dates,
         pairs=tuple((losses.tickers[i], losses.tickers[j]) for i, j in pairs),
@@ -588,21 +630,36 @@ def _csv_fields(*fields: str) -> str:
     return buf.getvalue()[:-1]
 
 
+# violations.csv is formatted in blocks of dates holding about this many
+# cells.  A block keeps the strings of its distinct gaps (about 75 bytes
+# each), so this bounds them at about 1 MB.
+_EXPORT_BLOCK_CELLS = 1 << 14
+
+
 def _write_violations(fh, table: ViolationTable) -> None:
     # Each label is CSV-encoded once, into one %-template line per (pair,
-    # check) cell (a literal '%' in a label is doubled).  Rows are formatted
-    # one date at a time, so the file is never held in memory as strings.
+    # check) cell (a literal '%' in a label is doubled).  Rows are formatted a
+    # block of dates at a time, so the file is never held in memory as
+    # strings.  A gap often repeats from one date to the next, so each
+    # distinct gap of a block is formatted once, keyed by its bits so that
+    # -0.0 and 0.0 keep their own text.
     lines = ["%s," + f"{_csv_fields('-'.join(pair))},{_csv_fields(*check)}".replace("%", "%%")
-             + ",%.17g,%s\n" for pair in table.pairs for check in table.checks]
+             + ",%s,%s\n" for pair in table.pairs for check in table.checks]
     full = "".join(lines)
-    for d, day in enumerate(table.dates):
-        gaps = table.gaps[:, :, d].T.ravel()
-        keep = ~np.isnan(gaps)
-        template = full if keep.all() else "".join(compress(lines, keep))
-        args = [day.isoformat()] * (3 * int(np.count_nonzero(keep)))
-        args[1::3] = gaps[keep].tolist()
-        args[2::3] = np.where(table.violated[:, :, d].T.ravel()[keep], "true", "false").tolist()
-        fh.write(template % tuple(args))
+    step = max(1, _EXPORT_BLOCK_CELLS // max(len(lines), 1))
+    for start in range(0, len(table.dates), step):
+        block = np.asarray(table.gaps[:, :, start : start + step], dtype=np.float64)
+        distinct, index = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+        texts = np.array(["%.17g" % g for g in distinct.view(np.float64).tolist()], dtype=object)
+        index = index.reshape(block.shape)
+        for d, day in enumerate(table.dates[start : start + step]):
+            keep = ~np.isnan(block[:, :, d].T.ravel())
+            template = full if keep.all() else "".join(compress(lines, keep))
+            args = [day.isoformat()] * (3 * int(np.count_nonzero(keep)))
+            args[1::3] = texts[index[:, :, d].T.ravel()[keep]].tolist()
+            violated = table.violated[:, :, start + d].T.ravel()[keep]
+            args[2::3] = np.where(violated, "true", "false").tolist()
+            fh.write(template % tuple(args))
 
 
 def export_report(

@@ -29,18 +29,18 @@ from .sample import as_batch, as_sample
 
 __all__ = ["RiskMeasureSpec", "parse_measure_spec"]
 
-# kind -> its kernel on validated, ascending-sorted rows
-_SORTED_KERNELS = {
-    "var": lambda s, Xs: _m._order_stat_batch(Xs, _m._var_weights(Xs.shape[1], s.level)),
-    "es": lambda s, Xs: _m._order_stat_batch(Xs, _m._es_weights(Xs.shape[1], s.level)),
-    "aes": lambda s, Xs: _m._order_stat_batch(Xs, *_m._aes_weights(Xs.shape[1], s.grid)),
-    "distortion": lambda s, Xs: _m._order_stat_batch(
-        Xs, _m._distortion_weights(Xs.shape[1], s.phi)),
-    "expected_loss": lambda s, Xs: _m._expected_loss_batch(Xs, s.ell),
-    "ce": lambda s, Xs: _m._ce_batch(Xs, s.ell),
-    "shortfall": lambda s, Xs: _m._shortfall_batch(Xs, s.ell),
-    "oce": lambda s, Xs: _m._oce_batch(Xs, s.ell),
-    "mmd": lambda s, Xs: _m._mmd_batch(Xs, s.weight, s.phi),
+# kind -> its kernel for rows of width n: a function of validated,
+# ascending-sorted (m, n) batches, with any weights built once
+_KERNELS = {
+    "var": lambda s, n: _m._order_stat_kernel(_m._var_weights(n, s.level)),
+    "es": lambda s, n: _m._order_stat_kernel(_m._es_weights(n, s.level)),
+    "aes": lambda s, n: _m._order_stat_kernel(*_m._aes_weights(n, s.grid)),
+    "distortion": lambda s, n: _m._order_stat_kernel(_m._distortion_weights(n, s.phi)),
+    "expected_loss": lambda s, n: lambda Xs: _m._expected_loss_batch(Xs, s.ell),
+    "ce": lambda s, n: lambda Xs: _m._ce_batch(Xs, s.ell),
+    "shortfall": lambda s, n: lambda Xs: _m._shortfall_batch(Xs, s.ell),
+    "oce": lambda s, n: lambda Xs: _m._oce_batch(Xs, s.ell),
+    "mmd": lambda s, n: lambda Xs: _m._mmd_batch(Xs, s.weight, s.phi),
 }
 
 
@@ -57,7 +57,7 @@ class RiskMeasureSpec:
     weight: DeviationWeight | None = None
 
     def __post_init__(self):
-        if self.kind not in _SORTED_KERNELS:
+        if self.kind not in _KERNELS:
             raise DomainError(f"unknown risk measure kind {self.kind!r}")
 
     # -- constructors -------------------------------------------------------
@@ -111,11 +111,18 @@ class RiskMeasureSpec:
         The batch is validated and sorted once; every kernel reads the sorted
         rows, so the values are exactly invariant under permuting atoms.
         """
-        return self._evaluate_sorted(np.sort(as_batch(X), axis=1))
+        Xs = np.sort(as_batch(X), axis=1)
+        return self.kernel(Xs.shape[1])(Xs)
 
-    def _evaluate_sorted(self, Xs: np.ndarray) -> np.ndarray:
-        """Evaluate on rows already validated and sorted ascending."""
-        return _SORTED_KERNELS[self.kind](self, Xs)
+    def kernel(self, n: int):
+        """This measure as a function of validated, ascending-sorted batches
+        of width ``n``.
+
+        Weight rows and penalties are built here, once, so a caller that
+        evaluates many batches of one width (the pipeline, one per ticker and
+        pair) builds them once per run.
+        """
+        return _KERNELS[self.kind](self, n)
 
     @property
     def promises_zero_violations(self) -> bool:

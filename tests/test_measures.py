@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import risklattice.measures as rm
 from risklattice import (
     AdjustmentGrid,
     DomainError,
@@ -43,6 +44,37 @@ LN15 = 0.4054651081081644  # log(1.5), the exponential certainty equivalent of [
 
 # ---------------------------------------------------------------------------
 # order-statistic measures
+
+
+BAND_WIDTHS = [3, 7, 12, 31, 32, 33, 60, 64, 65, 250, 500, 1000]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("n", BAND_WIDTHS)
+def test_band_kernel_is_bit_equal_to_full_rows(n):
+    # The kernel reduces only the tail band where its weights are nonzero; the
+    # zero-weight columns it skips must not move a single bit of any row,
+    # wherever the row sits in its batch.
+    rng = np.random.default_rng(n)
+    Xs = np.sort(rng.standard_normal((41, n)) * rng.lognormal(size=(41, 1)), axis=1)
+    pad = np.sort(rng.standard_normal((8, n)), axis=1)
+    batch = np.concatenate([pad[:3], Xs, pad[3:]])  # Xs from odd row offset 3
+    cases = [(rm._var_weights(n, p), None) for p in (0.5, 0.95, 0.99)]
+    cases += [(rm._es_weights(n, p), None) for p in (0.0, 0.5, 0.95, 0.99)]
+    cases += [rm._aes_weights(n, AdjustmentGrid(levels, penalties)) for levels, penalties in (
+        ((0.6, 0.9), (0.0, 0.01)), ((0.0, 0.5, 0.975), (0.0, 0.01, 0.02)))]
+    for W, penalties in cases:
+        full = np.einsum("ij,rj->ri", Xs, np.atleast_2d(W))
+        if penalties is not None:
+            full -= np.reshape(penalties, (-1, 1))
+        full = full.max(axis=0)
+        kernel = rm._order_stat_kernel(W, penalties)
+        assert np.array_equal(_bits(kernel(Xs)), _bits(full))
+        assert np.array_equal(_bits(kernel(batch)[3:44]), _bits(full))
+        assert np.array_equal(_bits(kernel(batch[1:46])[2:43]), _bits(full))
 
 
 def test_var_top_order_statistics():
@@ -323,6 +355,29 @@ def test_solver_row_does_not_depend_on_its_batch(text):
     big = 1e3 * np.random.default_rng(1).standard_normal(50)
     alone = spec.evaluate_batch(X50[None, :])[0]
     assert spec.evaluate_batch(np.stack([big, X50]))[1] == alone
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: the shortfall residual guard misjudges a loss whose fn "
+    "cancels internally; poly2exp at scale 1e-6 raises NumericError"))
+def test_shortfall_poly2exp_at_small_scale():
+    x = 1e-6 * X50
+    # poly2exp's residual is a quadratic in u = exp(-m); with u = 1 + v it is
+    # c + B v + (1 + a) v^2 with small c, solved without cancellation
+    a, b = np.expm1(2.0 * x).mean(), np.expm1(x).mean()
+    c, B = a + b, 3.0 + 2.0 * a + b
+    root = -math.log1p(-2.0 * c / (B + math.sqrt(B * B - 4.0 * (1.0 + a) * c)))
+    assert shortfall_rho(x, poly2exp_loss()) == pytest.approx(root, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: OCE bisection on an objective with a flat side keeps only "
+    "eps |m| absolute precision; 1.7e-8 relative off the mean at scale 1e-9"))
+def test_oce_flat_side_custom_loss_at_small_scale():
+    # slope 1 below 0 and 2 above: the objective is flat (the mean) for m >= max x
+    x = 1e-9 * (X50 + 1.0)
+    ell = LossFunction(fn=lambda v: v + np.maximum(v, 0.0), name="slopes-1-2")
+    assert oce(x, ell) == pytest.approx(math.fsum(x) / x.size, rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -665,3 +665,80 @@ def test_table_from_sparse_records():
     assert pl.daily_violation_rate(records, "ES(0.9)").dates == (day2,)
     with pytest.raises(DataError, match="NaN"):
         pl.ViolationTable.from_records([rec(day1, ("A", "B"), float("nan"))])
+
+
+def flat_stretch_panel():
+    # every price flat for 45 days (losses of -0.0 filling whole windows) and
+    # one ticker flat for 6 more
+    panel = pl.synth_prices(seed=11, n_days=120, n_assets=3, vol=0.02, jump_prob=0.1)
+    closes = panel.closes.copy()
+    closes[30:76] = closes[30]
+    closes[90:97, 1] = closes[90, 1]
+    return pl.build_loss_panel(dataclasses.replace(panel, closes=closes))
+
+
+@pytest.mark.parametrize("measures", [
+    (RiskMeasureSpec.var(0.8), RiskMeasureSpec.es(0.9),
+     RiskMeasureSpec.aes(AdjustmentGrid((0.6, 0.9), (0.0, 0.01))), RiskMeasureSpec.var(0.99)),
+    (RiskMeasureSpec.es(0.9), RiskMeasureSpec.aes(AdjustmentGrid((0.6, 0.9), (0.0, 0.01))),
+     RiskMeasureSpec.distortion(power_distortion(0.5))),
+], ids=["with-var", "without-var"])
+@pytest.mark.parametrize("pairs_per_chunk", [1, 2, 3])
+def test_pairwise_gaps_bit_equal_to_per_pair_loop(measures, pairs_per_chunk, monkeypatch):
+    # Per-ticker values, meet/join batches over chunks of pairs and banded
+    # kernels (window 40 puts VaR's and ES's band at column 32) give every gap
+    # bit for bit as evaluating each pair's windows on their own, signed
+    # zeros included.
+    monkeypatch.setattr(pl, "_PAIR_CHUNK_CELLS", pairs_per_chunk * 3 * 80 * 40)
+    panel = flat_stretch_panel()
+    assert np.any((panel.losses == 0.0) & np.signbit(panel.losses))
+    config = pl.RollingConfig(window=40, measures=measures)
+    table = pl.pairwise_day_tests(panel, config, debug=True)
+    assert table.gaps.shape[1:] == (3, 80)
+    reference = pl.ViolationTable.from_records(reference_records(panel, config))
+    assert (table.dates, table.pairs, table.checks) == (
+        reference.dates, reference.pairs, reference.checks)
+    assert np.array_equal(table.gaps.view(np.int64), reference.gaps.view(np.int64))
+    assert np.array_equal(table.violated, reference.violated)
+    has_var = any(spec.kind == "var" for spec in measures)
+    assert any(test == pl.SUBADDITIVITY for _, test in table.checks) == has_var
+
+
+def plain_violations_csv(table) -> bytes:
+    """``violations.csv`` written one ``csv.writer`` row per record."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["date", "pair", "measure", "params", "gap", "violated"])
+    for r in table:
+        w.writerow([r.date.isoformat(), "-".join(r.pair), r.measure, r.test, "%.17g" % r.gap,
+                    "true" if r.violated else "false"])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("block_cells", [1, 36, 1 << 14])
+def test_export_bytes_match_plain_writer(tmp_path, monkeypatch, block_cells):
+    # a sparse table (NaN cells) whose gaps repeat, with -0.0 and 0.0 apart,
+    # written in blocks of 1 date, 3 dates, and all of them
+    monkeypatch.setattr(pl, "_EXPORT_BLOCK_CELLS", block_cells)
+    days = [dt.date(2024, 1, 1) + dt.timedelta(days=k) for k in range(7)]
+    pairs = [("A", "B"), ("A", "C"), ("B", "C")]
+    checks = [("VaR(0.9)", pl.SUBMODULARITY), ("VaR(0.9)", pl.SUBADDITIVITY),
+              ("AES(0.6:0,0.9:0.01)", pl.SUBMODULARITY), ("odd 50% label", pl.SUBMODULARITY)]
+    values = [-0.0, 0.0, 1.0 / 3.0, -1e-300, 5e-324, 0.1 + 0.2, -2.5]
+    records = []
+    for d, day in enumerate(days):
+        for p, pair in enumerate(pairs):
+            for k, (measure, test) in enumerate(checks):
+                if d > 0 and (d + p + k) % 4 == 0:
+                    continue  # no test in this cell: NaN in the table
+                gap = values[(d // 2 + p + k) % len(values)]
+                records.append(pl.ViolationRecord(date=day, pair=pair, measure=measure,
+                                                  test=test, gap=gap, violated=gap < 0))
+    table = pl.ViolationTable.from_records(records)
+    assert np.isnan(table.gaps).any() and not np.isnan(table.gaps[:, :, 0]).any()
+    assert {"-0", "0"} <= {"%.17g" % r.gap for r in table}
+    path = pl.export_report(table, [], [], tmp_path)["violations"]
+    assert path.read_bytes() == plain_violations_csv(table)
