@@ -16,7 +16,12 @@ and, with probability 1/4, nudges the second vector toward comonotonicity
 with the first (sorting part of it into the first vector's order), probing
 the comonotone boundary where submodularity interacts with comonotonic
 additivity.  RNG streams are split per trial index from the seed, so chunked,
-threaded, and serial runs agree bit for bit.
+threaded, and serial runs agree bit for bit: trial ``t`` draws from
+``PCG64(SeedSequence((seed, t)))``.  A chunk builds the seed's entropy words
+once and rewrites only the trial's word per trial, draws each pair straight
+into the evaluation batch, and applies the nudge to all its nudged trials at
+once after the draws, since the nudge's steps after its two RNG calls use no
+randomness.
 """
 
 from __future__ import annotations
@@ -117,27 +122,76 @@ def subadditivity_gap(
 # randomized sweeps
 
 
-def _draw(rng: np.random.Generator, generator: str, n: int) -> np.ndarray:
-    if generator == "gaussian":
-        return rng.standard_normal(n)
+def _words(v: int) -> list[int]:
+    """Little-endian 32-bit words of ``v >= 0`` (``[0]`` for 0), the words
+    ``SeedSequence`` pools for an integer entropy item."""
+    words = [v & 0xFFFFFFFF]
+    while v > 0xFFFFFFFF:
+        v >>= 32
+        words.append(v & 0xFFFFFFFF)
+    return words
+
+
+def _trial_words(seed: int, lo: int, hi: int):
+    """Yield, for each trial ``t`` in ``[lo, hi)``, a ``uint32`` array equal to
+    the pooled entropy of ``SeedSequence((seed, t))``.
+
+    The seed's words are built once; below 2**32 every trial is one word, so
+    one array is reused with its last slot overwritten.  ``SeedSequence``
+    mixes the words into its pool when it is built, which fixes the stream,
+    but keeps the array as its ``entropy``: a generator seeded from an item
+    must not outlive its trial.
+    """
+    head = _words(int(seed))
+    words = np.array(head + [0], dtype=np.uint32)
+    for t in range(lo, hi):
+        if t <= 0xFFFFFFFF:
+            words[-1] = t
+            yield words
+        else:
+            yield np.array(head + _words(t), dtype=np.uint32)
+
+
+def _draw(rng: np.random.Generator, generator: str, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Fill the row ``out`` with one draw; ``scratch`` is a work row of the same size."""
+    if generator == "two_point":
+        # indicator-like vectors with entries in {0, 1}
+        out[...] = rng.integers(0, 2, size=out.size)
+        return
+    rng.standard_normal(out=out)
     if generator == "heavy_tail":
         # normal over sqrt(uniform); the uniform is taken on (0, 1] so the
         # ratio stays finite
-        return rng.standard_normal(n) / np.sqrt(1.0 - rng.random(n))
-    # two_point: indicator-like vectors with entries in {0, 1}
-    return rng.integers(0, 2, size=n).astype(np.float64)
+        rng.random(out=scratch)
+        np.subtract(1.0, scratch, out=scratch)
+        out /= np.sqrt(scratch, out=scratch)
 
 
-def _draw_pair(rng: np.random.Generator, generator: str, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x = _draw(rng, generator, n)
-    y = _draw(rng, generator, n)
+def _draw_pair(
+    rng: np.random.Generator, generator: str, x: np.ndarray, y: np.ndarray, scratch: np.ndarray
+) -> np.ndarray | None:
+    """Draw one trial's pair into the rows ``x`` and ``y``.
+
+    Returns the atoms of the comonotone nudge (a random half, drawn with
+    probability 1/4), or None; ``_nudge`` applies them.
+    """
+    _draw(rng, generator, x, scratch)
+    _draw(rng, generator, y, scratch)
     if rng.random() < 0.25:
-        # nudge toward comonotonicity: rearrange y on a random half of the
-        # atoms so that it follows x's ordering there
-        idx = np.sort(rng.choice(n, size=max(1, n // 2), replace=False))
-        order = np.argsort(x[idx], kind="stable")
-        y[idx[order]] = np.sort(y[idx])
-    return x, y
+        return rng.choice(x.size, size=x.size // 2, replace=False)
+    return None
+
+
+def _nudge(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray, picks: np.ndarray) -> None:
+    """Nudge each ``ys[r]`` toward comonotonicity with ``xs[r]``, in place:
+    on the atoms ``picks[k]`` of row ``r = rows[k]``, rearrange y so that it
+    follows x's ordering there."""
+    idx = np.sort(picks, axis=1)
+    order = np.argsort(np.take_along_axis(xs[rows], idx, axis=1), axis=1, kind="stable")
+    y = ys[rows]
+    sorted_y = np.sort(np.take_along_axis(y, idx, axis=1), axis=1)
+    np.put_along_axis(y, np.take_along_axis(idx, order, axis=1), sorted_y, axis=1)
+    ys[rows] = y
 
 
 def _sweep_chunk(
@@ -149,14 +203,32 @@ def _sweep_chunk(
     generator: str,
     epsilon: float,
 ):
-    xs = np.empty((hi - lo, n_atoms))
-    ys = np.empty((hi - lo, n_atoms))
-    for i, trial in enumerate(range(lo, hi)):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, trial)))
-        xs[i], ys[i] = _draw_pair(rng, generator, n_atoms)
-    batch = np.concatenate([xs, ys, np.minimum(xs, ys), np.maximum(xs, ys)])
-    vals = spec.evaluate_batch(batch)
+    """Gap counts and the worst trial over trials ``[lo, hi)``.
+
+    Each trial seeds its own ``Generator(PCG64(SeedSequence((seed, t))))``
+    from reused seed words (``_trial_words``), draws x and y straight into
+    its rows of the batch, and makes the nudge's two RNG calls.  The nudge
+    itself runs once for the chunk (``_nudge``): its remaining steps use no
+    randomness and touch only their own trial's y, so deferring them leaves
+    every row as a per-trial nudge would.
+    """
     m = hi - lo
+    # x, y, meet and join rows, stacked as evaluate_batch reads them
+    batch = np.empty((4, m, n_atoms))
+    xs, ys, meets, joins = batch
+    scratch = np.empty(n_atoms)
+    rows, picks = [], []
+    for i, words in enumerate(_trial_words(seed, lo, hi)):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+        pick = _draw_pair(rng, generator, xs[i], ys[i], scratch)
+        if pick is not None:
+            rows.append(i)
+            picks.append(pick)
+    if rows:
+        _nudge(xs, ys, np.array(rows), np.array(picks))
+    np.minimum(xs, ys, out=meets)
+    np.maximum(xs, ys, out=joins)
+    vals = spec.evaluate_batch(batch.reshape(4 * m, n_atoms))
     gaps = (vals[:m] + vals[m : 2 * m]) - (vals[2 * m : 3 * m] + vals[3 * m :])
     i_min = int(np.argmin(gaps))
     return (
@@ -181,6 +253,8 @@ def random_pair_sweep(
     Deterministic given ``seed`` (per-trial RNG streams); ``threads > 1``
     chunks the trial range across a thread pool without changing any result.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError("seed must be a nonnegative integer")
     if n_atoms < 3:
         raise DomainError("sweeps need n_atoms >= 3")
     if trials < 1:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -49,6 +50,40 @@ def test_sweep_var_violations_allowed(capsys):
     code, out, _ = run(capsys, "sweep", "--measure", "var:0.5", "--atoms", "6",
                        "--trials", "2000", "--seed", "5")
     assert code == 0  # VaR promises nothing, so violations are findings, not failures
+
+
+# sha256 of `sweep --format text` stdout, 11 atoms, 500 trials, seed 0; a
+# change to any draw, nudge or the worst-pair choice changes these
+SWEEP_GOLDEN = {
+    ("es:0.95", "gaussian"): "91265a0ac042759cfe07109e78f258161eb92a9740c1ec32c2309232d412c9be",
+    ("es:0.95", "heavy_tail"): "4c5276201d897550d3691d489b58be1679b510330fab4810a9621459c3cad39d",
+    ("es:0.95", "two_point"): "cc692b2c0263d0f614246cbf8cff5043519563469494c558f0834a83b0a7715c",
+    ("var:0.5", "gaussian"): "bcbad1be94de14ab4f5bbbd5035f4a5c41c434c2e8b927e11522cea1b93ebd6c",
+    ("var:0.5", "heavy_tail"): "d0466b4722a9138ad518b9ecb10f36b53d9ed4ea88ad090d5b0ac306543d592a",
+    ("var:0.5", "two_point"): "e2c3fac0c390ec84b269ad1f239827fe7983489f96862c77fae20d8b49dfbe13",
+    ("shortfall:expectile:1", "gaussian"):
+        "f4c563f0581f71c8e02faf1e73991b903f423b2c866e3fb14f9396229aec0136",
+    ("shortfall:expectile:1", "heavy_tail"):
+        "f6ada22fea55a3234f1ab6cac3b00bae9913770654a20bf3232526d9887cc5f7",
+    ("shortfall:expectile:1", "two_point"):
+        "5637eb0af962e64829f313fde6103701fd40cf60926bf12dfbf42339d80f0e29",
+}
+
+
+@pytest.mark.parametrize("measure, generator", sorted(SWEEP_GOLDEN))
+def test_sweep_text_output_golden(capsys, measure, generator):
+    code, out, _ = run(capsys, "--format", "text", "sweep", "--measure", measure, "--atoms",
+                       "11", "--trials", "500", "--seed", "0", "--generator", generator)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_GOLDEN[measure, generator]
+
+
+def test_sweep_negative_seed_exits_2(capsys):
+    code, out, err = run(capsys, "sweep", "--measure", "es:0.95", "--atoms", "10", "--trials",
+                         "10", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be a nonnegative integer\n"
 
 
 def test_counterexample_shortfall_jump(capsys):

@@ -15,6 +15,7 @@ from risklattice import (
     submodularity_gap,
     violation_rate,
 )
+from risklattice.lattice import GENERATORS, _sweep_chunk, _trial_words
 
 
 def test_expected_loss_gap_exactly_zero():
@@ -92,15 +93,89 @@ def test_zero_vector_partner_gap_zero():
 # sweeps
 
 
+# The per-trial generator as it was before the chunk loop reused seed words,
+# drew into the batch and batched the nudge: the oracle those must match.
+def _oracle_draw(rng, generator, n):
+    if generator == "gaussian":
+        return rng.standard_normal(n)
+    if generator == "heavy_tail":
+        return rng.standard_normal(n) / np.sqrt(1.0 - rng.random(n))
+    return rng.integers(0, 2, size=n).astype(np.float64)
+
+
+def _oracle_draw_pair(rng, generator, n):
+    x = _oracle_draw(rng, generator, n)
+    y = _oracle_draw(rng, generator, n)
+    nudged = rng.random() < 0.25
+    if nudged:
+        idx = np.sort(rng.choice(n, size=max(1, n // 2), replace=False))
+        order = np.argsort(x[idx], kind="stable")
+        y[idx[order]] = np.sort(y[idx])
+    return x, y, nudged
+
+
+def _oracle_pairs(seed, lo, hi, generator, n):
+    xs, ys, nudged = [], [], []
+    for trial in range(lo, hi):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, trial)))
+        x, y, nudge = _oracle_draw_pair(rng, generator, n)
+        xs.append(x)
+        ys.append(y)
+        nudged.append(nudge)
+    return np.array(xs), np.array(ys), np.array(nudged)
+
+
+class _CaptureSpec:
+    """Stands in for a spec in ``_sweep_chunk`` and keeps the batch it is given."""
+
+    def evaluate_batch(self, X):
+        self.batch = np.array(X)
+        return np.zeros(len(X))
+
+
+def _assert_chunk_matches_oracle(seed, lo, hi, generator, n):
+    spec = _CaptureSpec()
+    _sweep_chunk(spec, n, lo, hi, seed, generator, 1e-8)
+    xs, ys, nudged = _oracle_pairs(seed, lo, hi, generator, n)
+    expected = np.concatenate([xs, ys, np.minimum(xs, ys), np.maximum(xs, ys)])
+    assert spec.batch.shape == expected.shape
+    assert spec.batch.tobytes() == expected.tobytes()  # bit for bit, -0.0 included
+    return nudged
+
+
+@pytest.mark.parametrize("generator", GENERATORS)
+@pytest.mark.parametrize("n", [3, 4, 11, 50])
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32 + 5, 2**64 + 3])
+def test_chunk_draws_bit_equal_to_per_trial_loop(seed, n, generator):
+    nudged = _assert_chunk_matches_oracle(seed, 37, 137, generator, n)
+    assert nudged.any() and not nudged.all()
+
+
+def test_chunk_draws_past_32_bit_trial_index():
+    _assert_chunk_matches_oracle(2**32 + 5, 2**32 - 2, 2**32 + 2, "gaussian", 11)
+    for seed in (0, 2**32 + 5):
+        lo = 2**32 - 1
+        for trial, words in zip(range(lo, lo + 3), _trial_words(seed, lo, lo + 3)):
+            assert words.dtype == np.uint32
+            got = np.random.SeedSequence(words).generate_state(8)
+            want = np.random.SeedSequence(entropy=(seed, trial)).generate_state(8)
+            np.testing.assert_array_equal(got, want)
+
+
 def test_sweep_deterministic_and_thread_invariant():
     spec = RiskMeasureSpec.var(0.8)
-    a = random_pair_sweep(spec, 10, 400, seed=9, generator="heavy_tail")
-    b = random_pair_sweep(spec, 10, 400, seed=9, generator="heavy_tail")
-    c = random_pair_sweep(spec, 10, 400, seed=9, generator="heavy_tail", threads=3)
-    assert a.worst_gap == b.worst_gap == c.worst_gap
-    assert a.violations == b.violations == c.violations
-    np.testing.assert_array_equal(a.worst_pair[0], c.worst_pair[0])
-    np.testing.assert_array_equal(a.worst_pair[1], c.worst_pair[1])
+    # threads=3 splits the 400 trials into chunks at 134 and 268; with seed 38
+    # the gaussian trials 133 and 134, either side of a border, are nudged
+    _, _, nudged = _oracle_pairs(38, 133, 135, "gaussian", 10)
+    assert nudged.all()
+    for generator, seed in (("heavy_tail", 9), ("gaussian", 38)):
+        a = random_pair_sweep(spec, 10, 400, seed=seed, generator=generator)
+        b = random_pair_sweep(spec, 10, 400, seed=seed, generator=generator)
+        c = random_pair_sweep(spec, 10, 400, seed=seed, generator=generator, threads=3)
+        assert a.worst_gap == b.worst_gap == c.worst_gap
+        assert a.violations == b.violations == c.violations
+        np.testing.assert_array_equal(a.worst_pair[0], c.worst_pair[0])
+        np.testing.assert_array_equal(a.worst_pair[1], c.worst_pair[1])
 
 
 def test_sweep_seed_changes_results():
@@ -146,6 +221,11 @@ def test_sweep_argument_validation():
         random_pair_sweep(spec, 5, 0, seed=0)
     with pytest.raises(DomainError):
         random_pair_sweep(spec, 5, 10, seed=0, generator="cauchy")
+
+
+def test_sweep_rejects_negative_seed():
+    with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
+        random_pair_sweep(RiskMeasureSpec.es(0.9), 5, 10, seed=-1)
 
 
 # ---------------------------------------------------------------------------
