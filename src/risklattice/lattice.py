@@ -17,10 +17,12 @@ with the first (sorting part of it into the first vector's order), probing
 the comonotone boundary where submodularity interacts with comonotonic
 additivity.  RNG streams are split per trial index from the seed, so chunked,
 threaded, and serial runs agree bit for bit: trial ``t`` draws from
-``PCG64(SeedSequence((seed, t)))``.  A chunk builds the seed's entropy words
-once and rewrites only the trial's word per trial, draws each pair straight
-into the evaluation batch, and applies the nudge to all its nudged trials at
-once after the draws, since the nudge's steps after its two RNG calls use no
+``PCG64(SeedSequence((seed, t)))``.  ``SeedSequence``'s hash is a fixed
+function of the entropy words, so a chunk hashes all its trials' seeds in one
+pass of ``uint32`` numpy arithmetic (``_seed_states``) and hands each trial's
+``PCG64`` its precomputed words.  It draws each pair straight into the
+evaluation batch, and applies the nudge to all its nudged trials at once
+after the draws, since the nudge's steps after its two RNG calls use no
 randomness.
 """
 
@@ -83,6 +85,14 @@ class SweepReport:
         return self.violations > 0
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """Raise ``DomainError`` unless ``0 <= epsilon < inf``: a negative
+    threshold counts gaps of exactly 0 as violations, and NaN or infinity
+    counts none."""
+    if not 0 <= epsilon < np.inf:
+        raise DomainError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
+
+
 def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
     xa, ya = as_sample(x), as_sample(y)
     if xa.shape != ya.shape:
@@ -94,8 +104,7 @@ def submodularity_gap(
     spec: RiskMeasureSpec, x, y, epsilon: float = DEFAULT_EPSILON
 ) -> GapResult:
     """Gap ``rho(x) + rho(y) - rho(meet) - rho(join)`` for the configured measure."""
-    if epsilon < 0:
-        raise DomainError("epsilon must be nonnegative")
+    _check_epsilon(epsilon)
     xa, ya = _paired(x, y)
     batch = np.stack([xa, ya, np.minimum(xa, ya), np.maximum(xa, ya)])
     vx, vy, vmeet, vjoin = spec.evaluate_batch(batch)
@@ -109,8 +118,7 @@ def subadditivity_gap(
     spec: RiskMeasureSpec, x, y, epsilon: float = DEFAULT_EPSILON
 ) -> GapResult:
     """Gap ``rho(x) + rho(y) - rho(x + y)``; negative values penalize diversification."""
-    if epsilon < 0:
-        raise DomainError("epsilon must be nonnegative")
+    _check_epsilon(epsilon)
     xa, ya = _paired(x, y)
     batch = np.stack([xa, ya, xa + ya])
     vx, vy, vsum = spec.evaluate_batch(batch)
@@ -132,24 +140,122 @@ def _words(v: int) -> list[int]:
     return words
 
 
-def _trial_words(seed: int, lo: int, hi: int):
-    """Yield, for each trial ``t`` in ``[lo, hi)``, a ``uint32`` array equal to
-    the pooled entropy of ``SeedSequence((seed, t))``.
+# The hash of numpy's ``SeedSequence`` (``numpy/random/bit_generator.pyx``):
+# its pool size, hash constants and xorshift.  The oracle tests in
+# ``tests/test_lattice.py`` compare ``_seed_states`` with ``SeedSequence``
+# itself, so a numpy whose hash differs fails them.
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = np.uint32(16)
 
-    The seed's words are built once; below 2**32 every trial is one word, so
-    one array is reused with its last slot overwritten.  ``SeedSequence``
-    mixes the words into its pool when it is built, which fixes the stream,
-    but keeps the array as its ``entropy``: a generator seeded from an item
-    must not outlive its trial.
+
+def _hasher(const: int, mult: int):
+    """``SeedSequence``'s running hash of ``uint32`` arrays: each call xors
+    in the constant, steps it by ``mult`` and multiplies by the new one."""
+
+    def step(v: np.ndarray) -> np.ndarray:
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        v = v * np.uint32(const)
+        return v ^ (v >> _XSHIFT)
+
+    return step
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return r ^ (r >> _XSHIFT)
+
+
+def _hash_pools(entropy: list[np.ndarray]) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` for many entropies at
+    once: ``entropy[k]`` holds word ``k`` of every entropy, and the result has
+    one row per entropy.  ``uint32`` arithmetic wraps as numpy's C does."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    # mix_entropy: hash the first words into the pool, padding with
+    # hashmix(0) when the entropy is shorter than the pool
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    # ... mix all pairs of pool words so late words reach early ones
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    # ... and mix each word past the pool into every pool word
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight 32-bit words cycling over the pool,
+    # paired little-endian into four 64-bit words
+    hash_b = _hasher(_INIT_B, _MULT_B)
+    out = [hash_b(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    return np.stack([out[2 * j] | (out[2 * j + 1] << np.uint64(32)) for j in range(4)], axis=1)
+
+
+def _seed_states(seed: int, lo: int, hi: int) -> np.ndarray:
+    """A ``(hi - lo, 4)`` ``uint64`` array whose row ``t - lo`` equals
+    ``SeedSequence((seed, t)).generate_state(4, np.uint64)``, the words
+    ``PCG64`` seeds itself from, for every trial ``t`` in ``[lo, hi)``.
+
+    The entropy of trial ``t`` is the seed's words followed by ``t``'s; a
+    trial index of 2**32 or more has two words, so a range that straddles
+    2**32 is hashed in two groups.
     """
     head = _words(int(seed))
-    words = np.array(head + [0], dtype=np.uint32)
-    for t in range(lo, hi):
-        if t <= 0xFFFFFFFF:
-            words[-1] = t
-            yield words
-        else:
-            yield np.array(head + _words(t), dtype=np.uint32)
+    states = np.empty((hi - lo, 4), dtype=np.uint64)
+    cut = min(max(lo, 1 << 32), hi)
+    for a, b in ((lo, cut), (cut, hi)):
+        if a == b:
+            continue
+        t = np.arange(a, b, dtype=np.uint64)
+        entropy = [np.full(b - a, w, dtype=np.uint32) for w in head]
+        entropy.append((t & np.uint64(0xFFFFFFFF)).astype(np.uint32))
+        if a > 0xFFFFFFFF:
+            entropy.append((t >> np.uint64(32)).astype(np.uint32))
+        states[a - lo : b - lo] = _hash_pools(entropy)
+    return states
+
+
+class _Pooled:
+    """A seed sequence that hands ``PCG64`` one precomputed row of
+    ``_seed_states``.
+
+    It is made an ``ISeedSequence`` (numpy's documented interface for seed
+    sequences) by registration in ``_generators``, so that importing this
+    module does not load ``numpy.random``.  It answers only the request
+    ``PCG64`` makes, ``generate_state(4, np.uint64)``, and raises on any
+    other rather than return words a ``SeedSequence`` would not.
+    """
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise RuntimeError(
+                f"precomputed seed state holds generate_state(4, uint64), "
+                f"not ({n_words}, {np.dtype(dtype)})"
+            )
+        return self.state
+
+
+def _generators(seed: int, lo: int, hi: int):
+    """Yield ``Generator(PCG64(SeedSequence((seed, t))))`` for each trial
+    ``t`` in ``[lo, hi)``, seeded from one ``_seed_states`` call."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_Pooled)
+    for state in _seed_states(seed, lo, hi):
+        yield Generator(PCG64(_Pooled(state)))
 
 
 def _draw(rng: np.random.Generator, generator: str, out: np.ndarray, scratch: np.ndarray) -> None:
@@ -206,9 +312,10 @@ def _sweep_chunk(
     """Gap counts and the worst trial over trials ``[lo, hi)``.
 
     Each trial seeds its own ``Generator(PCG64(SeedSequence((seed, t))))``
-    from reused seed words (``_trial_words``), draws x and y straight into
-    its rows of the batch, and makes the nudge's two RNG calls.  The nudge
-    itself runs once for the chunk (``_nudge``): its remaining steps use no
+    from its row of the chunk's seed states, which ``_generators`` hashes for
+    all trials at once (``_seed_states``), draws x and y straight into its
+    rows of the batch, and makes the nudge's two RNG calls.  The nudge itself
+    runs once for the chunk (``_nudge``): its remaining steps use no
     randomness and touch only their own trial's y, so deferring them leaves
     every row as a per-trial nudge would.
     """
@@ -218,8 +325,7 @@ def _sweep_chunk(
     xs, ys, meets, joins = batch
     scratch = np.empty(n_atoms)
     rows, picks = [], []
-    for i, words in enumerate(_trial_words(seed, lo, hi)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+    for i, rng in enumerate(_generators(seed, lo, hi)):
         pick = _draw_pair(rng, generator, xs[i], ys[i], scratch)
         if pick is not None:
             rows.append(i)
@@ -261,6 +367,7 @@ def random_pair_sweep(
         raise DomainError("sweeps need at least one trial")
     if generator not in GENERATORS:
         raise DomainError(f"unknown generator {generator!r}; expected one of {GENERATORS}")
+    _check_epsilon(epsilon)
 
     n_workers = max(1, min(int(threads), trials))
     # chunk size bounded both by the worker count and a memory cap

@@ -30,6 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, DomainError
 from .functions import AdjustmentGrid
+from .lattice import _check_epsilon
 from .specs import RiskMeasureSpec
 
 __all__ = [
@@ -106,8 +107,7 @@ class RollingConfig:
     def __post_init__(self):
         if self.window < 2:
             raise DomainError("rolling window must be at least 2")
-        if self.epsilon < 0:
-            raise DomainError("epsilon must be nonnegative")
+        _check_epsilon(self.epsilon)
         object.__setattr__(self, "measures", tuple(self.measures))
 
 

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +88,38 @@ def test_sweep_negative_seed_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: seed must be a nonnegative integer\n"
+
+
+@pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
+def test_sweep_bad_epsilon_exits_2(capsys, epsilon):
+    code, out, err = run(capsys, "sweep", "--measure", "es:0.95", "--atoms", "10", "--trials",
+                         "50", "--seed", "0", "--epsilon", epsilon)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: epsilon must be finite and nonnegative")
+
+
+def test_pipeline_bad_epsilon_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("levels = 0.9\nepsilon = nan\n")
+    code, out, err = run(capsys, "pipeline", "--prices", str(tmp_path / "p.csv"), "--config",
+                         str(cfg), "--out", str(tmp_path / "report"))
+    assert code == 2
+    assert err.startswith("error: epsilon must be finite and nonnegative")
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random loads on a sweep's first chunk; numpy 1.x imports it with
+    # numpy itself, so count only what importing risklattice.cli adds
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import risklattice.cli\n"
+            "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.random')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_counterexample_shortfall_jump(capsys):

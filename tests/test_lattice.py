@@ -15,7 +15,7 @@ from risklattice import (
     submodularity_gap,
     violation_rate,
 )
-from risklattice.lattice import GENERATORS, _sweep_chunk, _trial_words
+from risklattice.lattice import GENERATORS, _Pooled, _seed_states, _sweep_chunk
 
 
 def test_expected_loss_gap_exactly_zero():
@@ -145,7 +145,8 @@ def _assert_chunk_matches_oracle(seed, lo, hi, generator, n):
 
 @pytest.mark.parametrize("generator", GENERATORS)
 @pytest.mark.parametrize("n", [3, 4, 11, 50])
-@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32 + 5, 2**64 + 3])
+# 2**96 + 7 has four words, so its entropy runs past SeedSequence's pool
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32 + 5, 2**64 + 3, 2**96 + 7])
 def test_chunk_draws_bit_equal_to_per_trial_loop(seed, n, generator):
     nudged = _assert_chunk_matches_oracle(seed, 37, 137, generator, n)
     assert nudged.any() and not nudged.all()
@@ -154,12 +155,30 @@ def test_chunk_draws_bit_equal_to_per_trial_loop(seed, n, generator):
 def test_chunk_draws_past_32_bit_trial_index():
     _assert_chunk_matches_oracle(2**32 + 5, 2**32 - 2, 2**32 + 2, "gaussian", 11)
     for seed in (0, 2**32 + 5):
-        lo = 2**32 - 1
-        for trial, words in zip(range(lo, lo + 3), _trial_words(seed, lo, lo + 3)):
-            assert words.dtype == np.uint32
-            got = np.random.SeedSequence(words).generate_state(8)
-            want = np.random.SeedSequence(entropy=(seed, trial)).generate_state(8)
-            np.testing.assert_array_equal(got, want)
+        _assert_seed_states_match(seed, 2**32 - 1, 2**32 + 2)
+
+
+def _assert_seed_states_match(seed, lo, hi):
+    got = _seed_states(seed, lo, hi)
+    want = [np.random.SeedSequence((seed, t)).generate_state(4, np.uint64) for t in range(lo, hi)]
+    assert got.dtype == np.uint64
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+# seeds of one to seven words: entropy shorter than the pool, filling it, and
+# running past it
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**64 + 3, 2**96 + 7, 2**200 + 1])
+@pytest.mark.parametrize("lo, hi", [(0, 50), (37, 38), (2**32 - 3, 2**32 + 3), (2**32, 2**32 + 2)])
+def test_seed_states_match_seed_sequence(seed, lo, hi):
+    _assert_seed_states_match(seed, lo, hi)
+
+
+def test_pooled_seed_state_serves_only_pcg64_request():
+    state = _seed_states(3, 0, 1)[0]
+    assert _Pooled(state).generate_state(4, np.uint64) is state
+    for n_words, dtype in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
+        with pytest.raises(RuntimeError, match="generate_state"):
+            _Pooled(state).generate_state(n_words, dtype)
 
 
 def test_sweep_deterministic_and_thread_invariant():
@@ -221,6 +240,23 @@ def test_sweep_argument_validation():
         random_pair_sweep(spec, 5, 0, seed=0)
     with pytest.raises(DomainError):
         random_pair_sweep(spec, 5, 10, seed=0, generator="cauchy")
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, -1e-300, float("nan"), float("inf")])
+def test_epsilon_must_be_finite_and_nonnegative(epsilon):
+    spec = RiskMeasureSpec.es(0.9)
+    x, y = [0.0, 1.0, 2.0], [2.0, 0.0, 1.0]
+    for call in (lambda: submodularity_gap(spec, x, y, epsilon=epsilon),
+                 lambda: subadditivity_gap(spec, x, y, epsilon=epsilon),
+                 lambda: random_pair_sweep(spec, 5, 10, seed=0, epsilon=epsilon)):
+        with pytest.raises(DomainError, match="epsilon must be finite and nonnegative"):
+            call()
+
+
+def test_zero_epsilon_accepted():
+    spec = RiskMeasureSpec.es(0.9)
+    assert not submodularity_gap(spec, [0.0, 1.0, 2.0], [2.0, 0.0, 1.0], epsilon=0).violated
+    assert random_pair_sweep(spec, 5, 10, seed=0, epsilon=0.0).violations == 0
 
 
 def test_sweep_rejects_negative_seed():

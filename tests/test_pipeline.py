@@ -448,6 +448,17 @@ def test_config_bad_value_reports_line(tmp_path, line):
         pl.load_config(cfg_file)
 
 
+@pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
+def test_config_epsilon_must_be_finite_and_nonnegative(tmp_path, epsilon):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"levels = 0.9\nepsilon = {epsilon}\n")
+    cfg = pl.load_config(cfg_file)
+    with pytest.raises(DomainError, match="epsilon must be finite and nonnegative"):
+        pl.config_to_rolling(cfg)
+    with pytest.raises(DomainError, match="epsilon must be finite and nonnegative"):
+        pl.RollingConfig(window=5, measures=(RiskMeasureSpec.es(0.9),), epsilon=float(epsilon))
+
+
 @pytest.mark.parametrize("row", [
     "2024-01-02,AAABBB,VaR(0.9),submodularity,0.5,false",
     "2024-01-02,AAA-BBB,VaR(0.9),submodularity,abc,false",
