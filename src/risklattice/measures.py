@@ -37,9 +37,10 @@ max with ``expm1``/``log1p``.  For the piecewise-linear losses ``linear``,
 statistics, so suffix sums over the sorted row give the exact root or
 minimum in O(n); ``OCE(cvar:p)`` is ES (Rockafellar and Uryasev).  Every
 other loss (``poly2exp``, ``quadlin``, ``arctan-bend``, custom losses) goes
-to one bracketed bisection that stops each row at a few ulps of that row's
-own scale.  Either way a value does not depend on the rest of its batch and
-keeps its relative precision at any sample scale.
+to one bracketed solver that stops each row at a few ulps of that row's own
+scale: Chandrupatla's interpolating steps for the CE and shortfall roots,
+bisection for the OCE minimum.  Either way a value does not depend on the
+rest of its batch and keeps its relative precision at any sample scale.
 """
 
 from __future__ import annotations
@@ -65,11 +66,14 @@ __all__ = [
 ]
 
 # Bracketed-solver caps, for the losses without a closed form (poly2exp,
-# quadlin, arctan-bend and custom losses).  Bisection is unconditionally safe
-# on the monotone residuals and convex objectives used here.  _MAX_BISECT
-# steps shrink any bracket below the smallest subnormal, so every row meets
-# its stopping rule; a sample of scale 1 stops after about 55.
-_MAX_BISECT = 2300
+# quadlin, arctan-bend and custom losses).  A finite bracket is under 2**1025
+# wide and a row stops at 4 ulps, at least 2**-1072, so 2097 halvings always
+# meet the stopping rule.  A bisection step of OCE shrinks its bracket to
+# 33/64, so 2200 of them do; in any three consecutive steps of a residual's
+# solve the bracket at least halves (a row whose bracket has not halved over
+# two steps takes the midpoint), so 6300 of them do.  A sample of scale 1
+# stops after about 55 bisection steps, or about 13 interpolating ones.
+_MAX_STEPS = 6900
 _MAX_EXPAND = 60
 
 
@@ -209,22 +213,55 @@ def distortion_rho(sample, phi: DistortionFunction) -> float:
 # loss without a closed form
 
 
-def _bisect(fn, Xs, what: str, pad: float = 0.0, spread: float = 0.0) -> np.ndarray:
+def _chandrupatla(lo, hi, glo, ghi, c, gc, h, bisect) -> np.ndarray:
+    """Chandrupatla's trial point in brackets ``[lo, hi]`` of a nondecreasing
+    residual that is ``glo`` and ``ghi`` at their ends.
+
+    The inverse quadratic through the ends and ``c``, the end the last step
+    dropped (residual ``gc``), is monotone on the bracket only where
+    ``phi^2 < xi`` and ``(1 - phi)^2 < 1 - xi``.  There the trial point is its
+    root, at least ``h`` inside the bracket; elsewhere, and where ``bisect``,
+    it is the midpoint.
+    """
+    a_hi = c >= hi  # a is the end the last step moved, next to c; b the other
+    a, b = np.where(a_hi, hi, lo), np.where(a_hi, lo, hi)
+    fa, fb = np.where(a_hi, ghi, glo), np.where(a_hi, glo, ghi)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        xi, phi = (a - b) / (c - b), (fa - fb) / (gc - fb)
+        s = (fa / (fb - fa) * gc / (fb - gc)
+             + (c - a) / (b - a) * fa / (gc - fa) * fb / (gc - fb))
+    # s is the root's fraction of the way from a to b; a NaN fails the last test
+    iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & ~bisect & (np.abs(s - 0.5) <= 0.5)
+    return np.where(iqi, np.clip(a + s * (b - a), lo + h, hi - h), 0.5 * (lo + hi))
+
+
+def _bracketed(fn, Xs, what: str, pad: float = 0.0, spread: float = 0.0) -> np.ndarray:
     """Per-row root of a nondecreasing residual, or minimizer of a convex objective.
 
     ``fn(m, rows)`` evaluates rows ``rows`` of the ascending batch ``Xs`` at
     ``m``, from the bracket ``[min x - pad, max x + pad]``.  Each step tests
     the sign of ``g(m) = fn(m)`` (``spread == 0``: a residual) or of
     ``g(m) = fn(m + d) - fn(m - d)`` with ``d = spread (hi - lo)`` (a convex
-    objective; ``g`` is then nondecreasing too), and keeps ``[lo, mid + d]``
-    if ``g(mid) > 0``, else ``[mid - d, hi]``.  That is exact for a convex
-    objective; where rounding hides the sign of ``g`` it loses at most about
-    ``1/(4 spread)`` ulps of the value.  Brackets are first doubled outward
-    until ``g(lo + d) <= 0 <= g(hi - d)``.  A row stops when ``hi - lo`` is a
-    few ulps of ``max(|lo|, |hi|, max |x|)`` (``pad * eps`` for a row of
-    zeros) and leaves the active set, so its result depends on that row
-    alone, at any scale.  An overflowed ``+-inf``
-    still has the right sign; a NaN raises ``NumericError`` naming the row.
+    objective; ``g`` is then nondecreasing too) at a trial point ``t``, and
+    keeps ``[lo, t + d]`` if ``g(t) > 0``, else ``[t - d, hi]``.  Brackets are
+    first doubled outward until ``g(lo + d) <= 0 <= g(hi - d)``.
+
+    An objective is bisected: ``t`` is the midpoint, which ``d`` makes exact
+    for a convex objective; where rounding hides the sign of ``g`` it loses at
+    most about ``1/(4 spread)`` ulps of the value.  A residual takes
+    Chandrupatla's step (1997): inverse quadratic interpolation through the
+    bracket's ends and the end its last step dropped, where those three values
+    are monotone enough for it, else the midpoint.  The residual at the ends
+    carries over from step to step, and from the doubling, so a step evaluates
+    ``g`` once.  ``t`` stays half a stopping width inside the bracket, so a
+    side that has converged still collapses it, and a row whose bracket has
+    not halved over its last two steps takes the midpoint.
+
+    A row stops when ``hi - lo`` is at most 4 ulps of
+    ``max(|lo|, |hi|, max |x|)`` (``pad * eps`` for a row of zeros), leaves the
+    active set and returns its bracket's midpoint, so its result depends on
+    that row alone, at any scale.  An overflowed ``+-inf`` still has the right
+    sign; a NaN raises ``NumericError`` naming the row.
     """
     lo, hi = Xs[:, 0] - pad, Xs[:, -1] + pad
     scale = np.maximum(-Xs[:, 0], Xs[:, -1])
@@ -232,44 +269,67 @@ def _bisect(fn, Xs, what: str, pad: float = 0.0, spread: float = 0.0) -> np.ndar
     scale = np.where(scale > 0.0, scale, pad * np.finfo(np.float64).eps)
 
     def g(m, d, rows):
-        sel = rows if rows.size < lo.size else slice(None)  # no gather of a full batch
+        sel = rows if rows.size < Xs.shape[0] else slice(None)  # no gather of a full batch
         v = fn(m + d, sel) - fn(m - d, sel) if spread else fn(m, sel)
         nan = np.isnan(v)
         if nan.any():
             raise NumericError(f"{what}: overflow at batch row {rows[nan.argmax()]}")
         return v
 
-    # A bracketed row's g values no longer change, so the rows that need
-    # doubling double at the same steps as they would alone.
+    # A bracketed row's ends, d and g values no longer change, so only the
+    # rows still unbracketed are evaluated again; they double at the same
+    # steps as they would alone.
+    glo, ghi = np.empty_like(lo), np.empty_like(hi)
     act = np.arange(lo.size)
     step = np.maximum(hi - lo, 1.0)
     for _ in range(_MAX_EXPAND):
-        d = spread * (hi - lo)
-        low = g(lo + d, d, act) > 0.0
-        high = g(hi - d, d, act) < 0.0
-        if not (low.any() or high.any()):
+        d = spread * (hi[act] - lo[act])
+        glo[act] = g(lo[act] + d, d, act)
+        ghi[act] = g(hi[act] - d, d, act)
+        low, high = glo[act] > 0.0, ghi[act] < 0.0
+        out = low | high
+        if not out.any():
             break
-        lo -= np.where(low, step, 0.0)
-        hi += np.where(high, step, 0.0)
+        act, low, high = act[out], low[out], high[out]
+        lo[act] -= np.where(low, step[act], 0.0)
+        hi[act] += np.where(high, step[act], 0.0)
         step *= 2.0
     else:
         raise (DomainError if spread else NumericError)(
             f"{what}: no bracket after {_MAX_EXPAND} doublings at batch row "
-            f"{(low | high).argmax()} (objective unbounded below, or no sign change)"
+            f"{act[0]} (objective unbounded below, or no sign change)"
         )
-    for _ in range(_MAX_BISECT):
-        a, b = lo[act], hi[act]
-        # max(-a, b) is max(|a|, |b|) because a <= b
-        wide = b - a > 4.0 * np.spacing(np.maximum(np.maximum(-a, b), scale[act]))
-        act, a, b = act[wide], a[wide], b[wide]
-        if not act.size:
-            break
-        mid = 0.5 * (a + b)
-        d = spread * (b - a)
-        left = g(mid, d, act) > 0.0
-        lo[act] = np.where(left, a, mid - d)
-        hi[act] = np.where(left, mid + d, b)
-    return 0.5 * (lo + hi)
+
+    res = np.empty_like(lo)
+    act = np.arange(lo.size)
+    # c is the end the last step dropped; c = hi makes the first step a midpoint
+    c, gc = hi.copy(), ghi.copy()
+    w1 = w2 = np.full(lo.size, np.inf)  # the bracket's width one and two steps ago
+    for _ in range(_MAX_STEPS):
+        width = hi - lo
+        # max(-lo, hi) is max(|lo|, |hi|) because lo <= hi
+        tol = 4.0 * np.spacing(np.maximum(np.maximum(-lo, hi), scale[act]))
+        wide = width > tol
+        if not wide.all():
+            res[act[~wide]] = 0.5 * (lo[~wide] + hi[~wide])
+            act, lo, hi, glo, ghi, c, gc, w1, w2, width, tol = (
+                v[wide] for v in (act, lo, hi, glo, ghi, c, gc, w1, w2, width, tol))
+            if not act.size:
+                return res
+        if spread:
+            t = 0.5 * (lo + hi)
+        else:
+            # a row whose bracket has not halved over two steps bisects
+            t = _chandrupatla(lo, hi, glo, ghi, c, gc, 0.5 * tol, width > 0.5 * w2)
+        w2, w1 = w1, width
+        d = spread * width
+        gt = g(t, d, act)
+        left = gt > 0.0
+        c, gc = np.where(left, hi, lo), np.where(left, ghi, glo)
+        lo, hi = np.where(left, lo, t - d), np.where(left, t + d, hi)
+        glo, ghi = np.where(left, glo, gt), np.where(left, gt, ghi)
+    res[act] = 0.5 * (lo + hi)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +385,7 @@ def _kinked_sums(Xs: np.ndarray, s_minus: float, s_plus: float):
 
 def _shift_rows(Xs: np.ndarray, m: np.ndarray, rows, work: np.ndarray) -> np.ndarray:
     """``Xs[rows] - m[:, None]``, written into the leading rows of ``work``,
-    the one work array a bisection solve reuses at every step."""
+    the one work array a solve reuses at every step."""
     w = work[: m.size]
     if isinstance(rows, slice):
         return np.subtract(Xs, m[:, None], out=w)
@@ -345,7 +405,7 @@ def _ce_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
         t = (sm * Xs.sum(axis=1) + (sp - sm) * np.maximum(Xs, 0.0).sum(axis=1)) / Xs.shape[1]
         return np.where(t > 0.0, t / sp, t / sm)
     target = ell.fn(Xs).mean(axis=1)  # in [l(min x), l(max x)]
-    return _bisect(lambda m, rows: ell.fn(m) - target[rows], Xs, "certainty equivalent")
+    return _bracketed(lambda m, rows: ell.fn(m) - target[rows], Xs, "certainty equivalent")
 
 
 def certainty_equivalent(sample, ell: LossFunction) -> float:
@@ -354,9 +414,9 @@ def certainty_equivalent(sample, ell: LossFunction) -> float:
     For ``exp:g`` this is the entropic risk measure
     ``log(mean exp(g x_i)) / g``, computed shifted by ``max x`` so that it
     never overflows; for a piecewise-linear loss it is ``mean l(x_i)``
-    divided by the slope on its side of 0.  Other losses are bisected on the
-    sample range, to a few ulps of the sample's scale, and an overflowing
-    mean loss raises ``NumericError``.
+    divided by the slope on its side of 0.  Other losses are solved in a
+    bracket on the sample range, to a few ulps of the sample's scale, and an
+    overflowing mean loss raises ``NumericError``.
     ``certainty_equivalent([c, ..., c]) == c``; the functional is submodular
     exactly when ``l`` is convex.
     """
@@ -389,8 +449,8 @@ def _shortfall_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
     def resid(m, rows=slice(None)):
         return n * ell0 - ell.fn(_shift_rows(Xs, m, rows, work)).sum(axis=1)
 
-    m = _bisect(resid, Xs, "shortfall")
-    # Residual guard, on the bisection path only (losses without a closed
+    m = _bracketed(resid, Xs, "shortfall")
+    # Residual guard, on the solver path only (losses without a closed
     # form: poly2exp, quadlin, arctan-bend and custom losses).  A continuous
     # residual ends within its rounding plus its slope times a few ulps of the
     # root, which 2**-24 of its change over m -/+ d (d = 2**-20 of the row's
@@ -418,10 +478,10 @@ def shortfall_rho(sample, ell: LossFunction) -> float:
     ``exp:g`` the root is the entropic risk measure
     ``log(mean exp(g x_i)) / g``.  For a piecewise-linear loss the residual
     is linear between order statistics, so the root is solved exactly on the
-    piece where it changes sign.  Other losses are bisected on the sample
-    range, where the strictly decreasing residual changes sign, to a few
-    ulps of the sample's scale; a residual left far from 0 there (a loss
-    with a jump) raises ``NumericError``.  Cash-invariant, and positively
+    piece where it changes sign.  Other losses are solved in a bracket on
+    the sample range, where the strictly decreasing residual changes sign,
+    to a few ulps of the sample's scale; a residual left far from 0 there (a
+    loss with a jump) raises ``NumericError``.  Cash-invariant, and positively
     homogeneous at any scale when ``l`` is.
     """
     return float(_shortfall_batch(_sorted_row(sample), ell)[0])
@@ -453,7 +513,7 @@ def _oce_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
         return m + ell.fn(_shift_rows(Xs, m, rows, work)).mean(axis=1)
 
     # the minimizer also depends on the loss's own unit: start one unit out
-    m = _bisect(f, Xs, "optimized certainty equivalent", pad=1.0, spread=2.0**-6)
+    m = _bracketed(f, Xs, "optimized certainty equivalent", pad=1.0, spread=2.0**-6)
     return f(m)
 
 

@@ -31,6 +31,8 @@ from risklattice import (
     pointwise_meet_join,
     poly2exp_loss,
     power_distortion,
+    quadlin_loss,
+    random_pair_sweep,
     shortfall_rho,
     square_weight,
     submodularity_gap,
@@ -349,10 +351,13 @@ def test_shortfall_guard_rejects_a_jump():
 
 @pytest.mark.parametrize("text", ["ce:expectile:1", "shortfall:expectile:1", "oce:cvar:0.75",
                                   "ce:exp:1", "shortfall:exp:1", "oce:exp:1", "oce:exp:0.5",
-                                  "shortfall:poly2exp", "oce:quadlin"])
+                                  "shortfall:poly2exp", "oce:quadlin", "ce:poly2exp",
+                                  "ce:quadlin", "ce:arctan-bend", "shortfall:quadlin"])
 def test_solver_row_does_not_depend_on_its_batch(text):
     spec = parse_measure_spec(text)
     big = 1e3 * np.random.default_rng(1).standard_normal(50)
+    if text == "ce:poly2exp":
+        big /= 10.0  # exp(2 x) on the 1e3 row overflows the mean loss, which raises
     alone = spec.evaluate_batch(X50[None, :])[0]
     assert spec.evaluate_batch(np.stack([big, X50]))[1] == alone
 
@@ -378,6 +383,202 @@ def test_oce_flat_side_custom_loss_at_small_scale():
     x = 1e-9 * (X50 + 1.0)
     ell = LossFunction(fn=lambda v: v + np.maximum(v, 0.0), name="slopes-1-2")
     assert oce(x, ell) == pytest.approx(math.fsum(x) / x.size, rel=1e-13, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the interpolating solver against the bisection it replaced
+
+_ORACLE_MAX_BISECT = 2300
+_ORACLE_MAX_EXPAND = 60
+
+
+def _bisect_oracle(fn, Xs, what: str, pad: float = 0.0, spread: float = 0.0) -> np.ndarray:
+    """The per-row bracketed bisection that ``_bracketed`` replaced, as it was."""
+    lo, hi = Xs[:, 0] - pad, Xs[:, -1] + pad
+    scale = np.maximum(-Xs[:, 0], Xs[:, -1])
+    scale = np.where(scale > 0.0, scale, pad * np.finfo(np.float64).eps)
+
+    def g(m, d, rows):
+        sel = rows if rows.size < lo.size else slice(None)
+        v = fn(m + d, sel) - fn(m - d, sel) if spread else fn(m, sel)
+        nan = np.isnan(v)
+        if nan.any():
+            raise NumericError(f"{what}: overflow at batch row {rows[nan.argmax()]}")
+        return v
+
+    act = np.arange(lo.size)
+    step = np.maximum(hi - lo, 1.0)
+    for _ in range(_ORACLE_MAX_EXPAND):
+        d = spread * (hi - lo)
+        low = g(lo + d, d, act) > 0.0
+        high = g(hi - d, d, act) < 0.0
+        if not (low.any() or high.any()):
+            break
+        lo -= np.where(low, step, 0.0)
+        hi += np.where(high, step, 0.0)
+        step *= 2.0
+    else:
+        raise (DomainError if spread else NumericError)(
+            f"{what}: no bracket after {_ORACLE_MAX_EXPAND} doublings at batch row "
+            f"{(low | high).argmax()} (objective unbounded below, or no sign change)"
+        )
+    for _ in range(_ORACLE_MAX_BISECT):
+        a, b = lo[act], hi[act]
+        wide = b - a > 4.0 * np.spacing(np.maximum(np.maximum(-a, b), scale[act]))
+        act, a, b = act[wide], a[wide], b[wide]
+        if not act.size:
+            break
+        mid = 0.5 * (a + b)
+        d = spread * (b - a)
+        left = g(mid, d, act) > 0.0
+        lo[act] = np.where(left, a, mid - d)
+        hi[act] = np.where(left, mid + d, b)
+    return 0.5 * (lo + hi)
+
+
+BATCH_SOLVERS = {"ce": rm._ce_batch, "shortfall": rm._shortfall_batch, "oce": rm._oce_batch}
+# v + max(v, 0)^1.5: strictly increasing, convex, no closed form, and no
+# cancellation inside fn at any scale
+POW15 = LossFunction(fn=lambda v: v + np.maximum(v, 0.0) ** 1.5, name="pow1.5")
+# slope 1/2 below 0 and v / 16 more above: a constant row's OCE minimizer is
+# 8 below it, three doublings out of its starting bracket
+SHALLOW = LossFunction(fn=lambda v: 0.5 * v + np.square(np.maximum(v, 0.0)) / 32.0,
+                       name="shallow-quadlin")
+SOLVER_LOSSES = {"quadlin": quadlin_loss(), "pow1.5": POW15,
+                 "arctan-bend": parse_loss_spec("arctan-bend"), "poly2exp": poly2exp_loss(),
+                 "shallow-quadlin": SHALLOW}
+SOLVER_BATCH = np.sort(np.random.default_rng(4).standard_normal((200, 50)), axis=1)
+
+
+def _counted(ell):
+    """``ell`` with a ``fn`` that counts its calls and points."""
+    count = {"calls": 0, "points": 0}
+
+    def fn(x):
+        count["calls"] += 1
+        count["points"] += np.size(x)
+        return ell.fn(x)
+
+    return dataclasses.replace(ell, fn=fn), count
+
+
+def _solve(kind, loss, Xs, oracle=False):
+    """Per-row values and ``fn`` counts of one solver on sorted rows ``Xs``,
+    with the bisection oracle in place of ``_bracketed`` if ``oracle``."""
+    ell, count = _counted(SOLVER_LOSSES[loss])
+    with pytest.MonkeyPatch.context() as mp:
+        if oracle:
+            mp.setattr(rm, "_bracketed", _bisect_oracle)
+        return BATCH_SOLVERS[kind](Xs, ell), count
+
+
+def _assert_within_4_ulps(got, expected, Xs):
+    scale = np.maximum(np.abs(expected), np.abs(Xs).max(axis=1))
+    assert np.all(np.abs(got - expected) <= 4.0 * np.spacing(scale))
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+@pytest.mark.parametrize("kind, loss", [("shortfall", "quadlin"), ("ce", "quadlin"),
+                                        ("shortfall", "pow1.5"), ("ce", "pow1.5"),
+                                        ("ce", "arctan-bend")])
+def test_interpolating_solver_matches_bisection(kind, loss, scale):
+    Xs = scale * SOLVER_BATCH
+    got, _ = _solve(kind, loss, Xs)
+    expected, _ = _solve(kind, loss, Xs, oracle=True)
+    _assert_within_4_ulps(got, expected, Xs)
+
+
+def test_poly2exp_solvers_match_bisection_and_the_exact_root():
+    # poly2exp's fn cancels below about 1e-3, so only scale 1 pins 4 ulps
+    for kind in ("ce", "shortfall"):
+        got, _ = _solve(kind, "poly2exp", SOLVER_BATCH)
+        expected, _ = _solve(kind, "poly2exp", SOLVER_BATCH, oracle=True)
+        _assert_within_4_ulps(got, expected, SOLVER_BATCH)
+    # the quadratic in u = exp(-m) of test_shortfall_poly2exp_at_small_scale
+    a = np.expm1(2.0 * SOLVER_BATCH).mean(axis=1)
+    b = np.expm1(SOLVER_BATCH).mean(axis=1)
+    c, B = a + b, 3.0 + 2.0 * a + b
+    root = -np.log1p(-2.0 * c / (B + np.sqrt(B * B - 4.0 * (1.0 + a) * c)))
+    np.testing.assert_allclose(got, root, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("loss", ["quadlin", "shallow-quadlin"])
+def test_oce_keeps_bisection_bit_for_bit(loss):
+    for scale in (1e-9, 1.0, 1e9):
+        Xs = scale * SOLVER_BATCH
+        got, _ = _solve("oce", loss, Xs)
+        expected, _ = _solve("oce", loss, Xs, oracle=True)
+        assert np.array_equal(got, expected)
+
+
+def test_doubling_evaluates_only_unbracketed_rows():
+    # 40 wide rows are bracketed at once; 10 constant rows (minimizer 8 below
+    # them) need three doublings, in which bisection still evaluated all 50
+    n, doublings, bracketed = SOLVER_BATCH.shape[1], 3, 40
+    Xs = np.concatenate([30.0 * SOLVER_BATCH[:bracketed], np.full((10, n), 0.25)])
+    got, count = _solve("oce", "shallow-quadlin", Xs)
+    expected, oracle = _solve("oce", "shallow-quadlin", Xs, oracle=True)
+    assert np.array_equal(got, expected)
+    # a constant c has OCE c + min_t (l(t) - t) = c - 2
+    np.testing.assert_allclose(got[bracketed:], 0.25 - 2.0, rtol=1e-15)
+    # each doubling evaluates fn at both ends, each as f(m + d) - f(m - d)
+    assert oracle["points"] - count["points"] == 4 * n * bracketed * doublings
+
+
+def test_shortfall_poly2exp_call_budget():
+    Xs = np.sort(np.random.default_rng(6).standard_normal((2000, 50)), axis=1)
+    _, count = _solve("shortfall", "poly2exp", Xs)
+    _, oracle = _solve("shortfall", "poly2exp", Xs, oracle=True)
+    assert oracle["calls"] == 58
+    assert count["calls"] <= 20
+
+
+def test_noisy_residual_costs_at_most_twice_bisection():
+    # exp(2 m) + exp(m) - 2 cancels at 1e-9: the residual is mostly rounding,
+    # where interpolation gains nothing and the midpoint safeguard takes over
+    Xs = 1e-9 * SOLVER_BATCH
+    _, count = _solve("ce", "poly2exp", Xs)
+    _, oracle = _solve("ce", "poly2exp", Xs, oracle=True)
+    assert count["calls"] <= 2 * oracle["calls"]
+
+
+def test_bracket_halves_within_any_three_steps():
+    # Residuals with a jump at their root: interpolation creeps up on it from
+    # one side and leaves the far end in place.  The midpoint safeguard still
+    # halves every bracket within any three steps, which bounds _MAX_STEPS.
+    rng = np.random.default_rng(0)
+    rows = 50
+    root, jump = rng.uniform(-0.9, 1.2, rows), np.exp(rng.uniform(-3.0, 1.0, rows))
+    below, above = np.exp(rng.uniform(-3.0, 6.0, (2, rows)))
+    Xs = np.tile([-1.0, 0.0, 1.3], (rows, 1))
+    lo, hi = Xs[:, 0].copy(), Xs[:, -1].copy()
+    widths = [[w] for w in hi - lo]
+    calls = 0
+
+    def residual(m, sel):
+        nonlocal calls
+        i = np.arange(rows)[sel]
+        v = np.where(m < root[i], below[i] * (m - root[i]), jump[i] + above[i] * (m - root[i]))
+        calls += 1
+        if calls > 2:  # the first two calls evaluate the starting ends
+            for k, mk, vk in zip(i, m, v):
+                lo[k], hi[k] = (lo[k], mk) if vk > 0.0 else (mk, hi[k])
+                widths[k].append(hi[k] - lo[k])
+        return v
+
+    m = rm._bracketed(residual, Xs, "jump")
+    assert np.all(np.abs(m - root) <= 4.0 * np.spacing(1.3))
+    for w in map(np.array, widths):
+        assert np.all(w[3:] <= 0.5 * w[:-3])
+
+
+def test_shortfall_poly2exp_sweep_is_thread_invariant():
+    spec = RiskMeasureSpec.shortfall(poly2exp_loss())
+    a = random_pair_sweep(spec, 50, 300, seed=5)
+    b = random_pair_sweep(spec, 50, 300, seed=5, threads=3)
+    assert (a.violations, _bits(a.worst_gap)) == (b.violations, _bits(b.worst_gap))
+    assert np.array_equal(a.worst_pair[0], b.worst_pair[0])
+    assert np.array_equal(a.worst_pair[1], b.worst_pair[1])
 
 
 # ---------------------------------------------------------------------------
