@@ -10,8 +10,9 @@ Subcommands::
 
 Exit codes: 0 success, 1 violated expectations (a failed selftest check, a
 sweep that promises zero violations but finds one, a counterexample that
-fails to violate), 2 usage errors.  Output is deterministic for identical
-argv.
+fails to violate), 2 usage errors (bad arguments, unreadable or malformed
+input files), each with an ``error:`` line on stderr.  Output is
+deterministic for identical argv.
 """
 
 from __future__ import annotations
@@ -297,10 +298,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "pipeline":
             return _cmd_pipeline(args)
         return _cmd_selftest(args)
-    except RiskLatticeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (RiskLatticeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

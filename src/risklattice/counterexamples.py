@@ -1,6 +1,6 @@
 """Constructive counterexamples: pairs that break submodularity by design.
 
-Three families are built here, each with a closed-form target the measured
+Four families are built here, each with a closed-form target the measured
 gap can be checked against:
 
 * adjusted ES with a two-level penalty grid (``aes_counterexample``): a
@@ -30,7 +30,8 @@ from .functions import (
     LossFunction,
     piecewise_linear_loss,
 )
-from .measures import _ce_batch, shortfall_rho
+from .measures import shortfall_rho
+from .specs import RiskMeasureSpec
 
 __all__ = [
     "aes_counterexample",
@@ -154,12 +155,12 @@ def mmd_counterexample(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Search the atom grid for an admissible triple and build the pair.
 
-    Scans ``q`` over atom-grid levels; for each earlier level ``p`` with
-    ``psi(p) > psi(q)`` the balancing third level solves
-    ``psi(r) = 2 psi(q) - psi(p)`` by bisection in ``r`` and is snapped to
-    the grid; the first exactly-validated triple wins.  Raises a search error
-    with diagnostics when the grid admits no triple, and refuses the
-    degenerate inputs (identity distortion, linear weight).
+    Scans ``q`` ascending, then earlier ``p`` ascending, then later ``r``
+    ascending, and returns the first triple that passes the admissibility
+    tests with ``|psi(p) + psi(r) - 2 psi(q)| <= 1e-12``.  Each ``r`` is
+    looked up in the tabulated ``psi`` by sorted search, which needs no
+    monotonicity, so a search error (with diagnostics) means the grid admits
+    no triple.  Refuses the identity distortion and linear weights.
     """
     if not phi.concave:
         raise DomainError("construction requires a concave distortion")
@@ -169,57 +170,31 @@ def mmd_counterexample(
         raise DomainError("construction refused: the distortion is the identity")
     _nonlinearity_point(g)  # refuse linear weights before searching
 
-    for iq in range(1, n_atoms - 1):
-        pq = float(psi[iq - 1])
+    order = np.argsort(psi)
+    ranked = psi[order]
+    for iq in range(1, n_atoms - 2):
+        pq = psi[iq]
         if pq <= 0:
             continue
-        for ip in range(1, iq):
-            ppl = float(psi[ip - 1])
-            if ppl <= pq:
-                continue
-            target = 2.0 * pq - ppl
-            if target <= 0:
-                continue
-            r = _bisect_psi(phi, levels[iq], 1.0 - 1.0 / n_atoms, target)
-            if r is None:
-                continue
-            # snap the located root to the atom grid; also try its neighbors
-            # in case the root sits between admissible grid levels
-            for ir in {round(r * n_atoms) + d for d in (0, -1, 1)}:
-                if not iq < ir < n_atoms:
-                    continue
-                pr = float(psi[ir - 1])
-                if pq > pr and abs(ppl + pr - 2.0 * pq) <= 1e-12:
-                    return mmd_pair_from_triple(
-                        phi, g, levels[ip - 1], levels[iq - 1], levels[ir - 1], n_atoms
-                    )
+        ip = np.flatnonzero((psi[:iq] > pq) & (2.0 * pq - psi[:iq] > 0))
+        target = 2.0 * pq - psi[ip]
+        # psi lies in [-1, 1]: a balancing psi(r) is within 1e-12 plus a few
+        # ulps of its target, so a 2e-12 window holds every candidate
+        lo, hi = np.searchsorted(ranked, [target - 2e-12, target + 2e-12])
+        for k in np.flatnonzero(hi > lo):
+            ir = order[lo[k]:hi[k]]
+            pr = psi[ir]
+            ok = (ir > iq) & (pr < pq) & (np.abs(psi[ip[k]] + pr - 2.0 * pq) <= 1e-12)
+            if ok.any():
+                return mmd_pair_from_triple(
+                    phi, g, levels[ip[k]], levels[iq], levels[ir[ok].min()], n_atoms
+                )
     raise CounterexampleSearchError(
         f"no admissible level triple on the 1/{n_atoms} grid: need grid levels p < q < r with "
         "psi(p) > psi(q) > psi(r) and psi(p) + psi(r) = 2 psi(q); "
         f"psi range on the grid is [{float(np.min(psi)):g}, {float(np.max(psi)):g}] "
         "(try a finer grid)"
     )
-
-
-def _bisect_psi(phi: DistortionFunction, lo: float, hi: float, target: float) -> float | None:
-    f_lo = float(_psi(phi, np.array(lo))) - target
-    f_hi = float(_psi(phi, np.array(hi))) - target
-    if f_lo == 0.0:
-        return lo
-    if f_lo * f_hi > 0:
-        return None
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        f_mid = float(_psi(phi, np.array(mid))) - target
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-        if hi - lo < 1e-13:
-            break
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +254,8 @@ def ce_counterexample(
     grid = np.linspace(lo, hi, n_grid)
     iu, iv = np.triu_indices(n_grid, k=1)
     pairs = np.stack([grid[iu], grid[iv]], axis=1)
-    ce_vals = _ce_batch(pairs, ell)
-    gaps = 2.0 * ce_vals - pairs.sum(axis=1)
+    ce = RiskMeasureSpec.certainty_equivalent(ell).kernel(2)  # the rows are ascending
+    gaps = 2.0 * ce(pairs) - pairs.sum(axis=1)
     i_min = int(np.argmin(gaps))
     if gaps[i_min] >= -1e-10:
         raise CounterexampleSearchError(

@@ -227,8 +227,8 @@ class DeviationWeight:
 
 def exponential_loss(gamma: float = 1.0) -> LossFunction:
     """``l(x) = exp(gamma x) - 1`` for ``gamma > 0``; constant relative curvature."""
-    if gamma <= 0:
-        raise DomainError("exponential loss requires gamma > 0")
+    if not 0 < gamma < np.inf:
+        raise DomainError("exponential loss requires finite gamma > 0")
     g = float(gamma)
     return LossFunction(
         fn=lambda x: np.expm1(g * x),
@@ -275,8 +275,8 @@ def expectile_loss(a: float) -> LossFunction:
     Derivatives are deliberately left to finite differences so grid-based
     curvature sees the kink.
     """
-    if a < 0:
-        raise DomainError("expectile loss requires a >= 0")
+    if not 0 <= a < np.inf:
+        raise DomainError("expectile loss requires finite a >= 0")
     aa = float(a)
     return LossFunction(
         fn=lambda x: x + aa * np.maximum(x, 0.0),
@@ -291,10 +291,10 @@ def expectile_loss(a: float) -> LossFunction:
 def piecewise_linear_loss(s_minus: float, s_plus: float) -> LossFunction:
     """Slope ``s_minus`` on the losses' left half-line and ``s_plus`` on the right.
 
-    Requires ``0 < s_minus <= s_plus`` (convexity).
+    Requires finite ``0 < s_minus <= s_plus`` (convexity).
     """
-    if not (0 < s_minus <= s_plus):
-        raise DomainError("piecewise loss requires 0 < s_minus <= s_plus")
+    if not 0 < s_minus <= s_plus < np.inf:
+        raise DomainError("piecewise loss requires finite 0 < s_minus <= s_plus")
     sm, sp = float(s_minus), float(s_plus)
     return LossFunction(
         fn=lambda x: np.where(x <= 0, sm * x, sp * x),
@@ -401,8 +401,8 @@ def identity_distortion() -> DistortionFunction:
 
 def power_distortion(theta: float) -> DistortionFunction:
     """``phi(t) = t**theta``; concave for ``theta <= 1``."""
-    if theta <= 0:
-        raise DomainError("power distortion requires theta > 0")
+    if not 0 < theta < np.inf:
+        raise DomainError("power distortion requires finite theta > 0")
     th = float(theta)
     return DistortionFunction(
         fn=lambda t: np.power(t, th), concave=th <= 1.0, name=f"pow:{th:g}"
@@ -426,8 +426,8 @@ def square_weight() -> DeviationWeight:
 
 def power_weight(k: float) -> DeviationWeight:
     """``g(t) = t**k`` for ``k >= 1``."""
-    if k < 1:
-        raise DomainError("power weight requires k >= 1 (convexity)")
+    if not 1 <= k < np.inf:
+        raise DomainError("power weight requires finite k >= 1 (convexity)")
     kk = float(k)
     return DeviationWeight(
         fn=lambda t: np.power(t, kk), convex=True, linear=kk == 1.0, name=f"pow:{kk:g}"

@@ -262,6 +262,15 @@ class CorrelationResult:
 # ingestion
 
 
+def _read_text(path: Path) -> str:
+    """The file's text, newlines untranslated; a file that is not UTF-8
+    raises ``DataError`` naming it."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def load_prices_csv(path) -> PricePanel:
     """Read a ``date,ticker,adj_close`` CSV into a price panel.
 
@@ -273,29 +282,28 @@ def load_prices_csv(path) -> PricePanel:
     path = Path(path)
     cells: dict[tuple[dt.date, str], float] = {}
     duplicates = 0
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: no data (empty file)")
-        if [c.strip().lower() for c in header] != ["date", "ticker", "adj_close"]:
-            raise DataError(f"{path}: expected header 'date,ticker,adj_close', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            try:
-                day = dt.date.fromisoformat(row[0].strip())
-                price = float(row[2].strip())
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            if not np.isfinite(price) or price <= 0:
-                raise DataError(f"{path}:{lineno}: nonpositive or non-finite price {row[2]!r}")
-            key = (day, row[1].strip())
-            if key in cells:
-                duplicates += 1
-            cells[key] = price
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: no data (empty file)")
+    if [c.strip().lower() for c in header] != ["date", "ticker", "adj_close"]:
+        raise DataError(f"{path}: expected header 'date,ticker,adj_close', got {header}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+        try:
+            day = dt.date.fromisoformat(row[0].strip())
+            price = float(row[2].strip())
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        if not np.isfinite(price) or price <= 0:
+            raise DataError(f"{path}:{lineno}: nonpositive or non-finite price {row[2]!r}")
+        key = (day, row[1].strip())
+        if key in cells:
+            duplicates += 1
+        cells[key] = price
     if not cells:
         raise DataError(f"{path}: no data rows")
     if duplicates:
@@ -767,7 +775,7 @@ def load_config(path) -> dict:
     its line number.
     """
     cfg: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(Path(path)).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -99,6 +99,27 @@ def test_sweep_bad_epsilon_exits_2(capsys, epsilon):
     assert err.startswith("error: epsilon must be finite and nonnegative")
 
 
+def test_sweep_non_finite_loss_parameter_exits_2(capsys):
+    code, out, err = run(capsys, "sweep", "--measure", "ce:exp:nan", "--atoms", "10",
+                         "--trials", "200", "--seed", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "exponential loss requires finite gamma > 0" in err
+
+
+def test_pipeline_unreadable_prices_exit_2(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("levels = 0.9\n")
+    bad = tmp_path / "prices.csv"
+    bad.write_bytes(b"date,ticker,adj_close\n2024-01-02,\xff,1.0\n")
+    for prices in (tmp_path, bad):  # a directory, then a file that is not UTF-8
+        code, out, err = run(capsys, "pipeline", "--prices", str(prices), "--config", str(cfg),
+                             "--out", str(tmp_path / "report"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(prices) in err
+
+
 def test_pipeline_bad_epsilon_exits_2(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("levels = 0.9\nepsilon = nan\n")
@@ -139,6 +160,13 @@ def test_counterexample_mmd(capsys):
     code, out, _ = run(capsys, "counterexample", "--family", "mmd", "--atoms", "10")
     assert code == 0
     assert "violated" in out
+
+
+def test_counterexample_mmd_triple_ending_on_last_level(capsys):
+    # the first admissible triple on the 1/6 grid is (3/6, 4/6, 5/6)
+    code, out, _ = run(capsys, "counterexample", "--family", "mmd", "--atoms", "6")
+    assert code == 0
+    assert "(violated)" in out
 
 
 def test_usage_error_exit_two(capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from risklattice import (
     CounterexampleSearchError,
+    DistortionFunction,
     DomainError,
     RiskMeasureSpec,
     aes_counterexample,
@@ -16,6 +17,8 @@ from risklattice import (
     identity_weight,
     mmd_counterexample,
     mmd_pair_from_triple,
+    power_distortion,
+    power_weight,
     shortfall_jump_deficit,
     square_weight,
     submodularity_gap,
@@ -110,6 +113,51 @@ def test_mmd_linear_weight_refused():
 def test_mmd_no_triple_on_coarse_grid():
     with pytest.raises(CounterexampleSearchError, match="grid"):
         mmd_counterexample(es_distortion(0.5), square_weight(), 3)
+
+
+def _first_admissible_triple(phi, n_atoms):
+    """Brute force: every (q, p, r) in the search's scan order."""
+    levels = np.arange(1, n_atoms) / n_atoms
+    psi = phi(levels) - levels
+    for q in range(len(levels)):
+        for p in range(q):
+            for r in range(q + 1, len(levels)):
+                if (psi[q] > 0 and psi[p] > psi[q] and 2 * psi[q] - psi[p] > 0
+                        and psi[r] < psi[q] and abs(psi[p] + psi[r] - 2 * psi[q]) <= 1e-12):
+                    return levels[p], levels[q], levels[r]
+    return None
+
+
+KINKED = DistortionFunction(
+    fn=lambda t: np.minimum(np.minimum(2.0 * t, 0.5 + 0.75 * t), 0.8 + 0.2 * t), name="kinked"
+).validate()
+MMD_DISTORTIONS = [es_distortion(p) for p in (0.1, 0.25, 0.3, 0.5, 0.6, 0.75, 0.9, 0.95)] + [
+    power_distortion(t) for t in (0.25, 0.5, 0.7, 0.9)] + [KINKED]
+
+
+@pytest.mark.parametrize("phi", MMD_DISTORTIONS, ids=lambda phi: phi.name)
+def test_mmd_search_returns_first_admissible_triple(phi):
+    for n_atoms in range(3, 41):
+        triple = _first_admissible_triple(phi, n_atoms)
+        for g in (square_weight(), power_weight(3)):
+            if triple is None:
+                with pytest.raises(CounterexampleSearchError):
+                    mmd_counterexample(phi, g, n_atoms)
+                continue
+            x, y = mmd_counterexample(phi, g, n_atoms)
+            x_ref, y_ref = mmd_pair_from_triple(phi, g, *triple, n_atoms)
+            np.testing.assert_array_equal(x, x_ref)
+            np.testing.assert_array_equal(y, y_ref)
+            assert submodularity_gap(RiskMeasureSpec.mmd(g, phi), x, y).violated
+
+
+@pytest.mark.parametrize("n_atoms", [6, 9])
+def test_mmd_search_finds_triple_at_range_end(n_atoms):
+    # the first admissible r sits at an end of the levels after q: the triple
+    # is (3/6, 4/6, 5/6) on the 1/6 grid and (4/9, 6/9, 7/9) on the 1/9 grid
+    phi = es_distortion(0.5)
+    x, y = mmd_counterexample(phi, square_weight(), n_atoms)
+    assert submodularity_gap(RiskMeasureSpec.mmd(square_weight(), phi), x, y).violated
 
 
 # ---------------------------------------------------------------------------

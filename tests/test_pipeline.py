@@ -77,6 +77,14 @@ def test_load_wrong_header(tmp_path):
         pl.load_prices_csv(p)
 
 
+@pytest.mark.parametrize("load", [pl.load_prices_csv, pl.load_config])
+def test_load_non_utf8_file_names_it(tmp_path, load):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"date,ticker,adj_close\n2024-01-02,\xff,1.0\n")
+    with pytest.raises(DataError, match="bad.txt: not UTF-8"):
+        load(p)
+
+
 # ---------------------------------------------------------------------------
 # loss panel
 

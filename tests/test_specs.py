@@ -48,6 +48,14 @@ def test_parse_rejects_garbage():
             parse_measure_spec(text)
 
 
+@pytest.mark.parametrize("text", ["ce:exp:nan", "ce:exp:inf", "shortfall:expectile:nan",
+                                  "shortfall:piecewise:1,inf", "dist:pow:nan",
+                                  "mmd:pow:inf:es:0.5"])
+def test_parse_rejects_non_finite_parameters(text):
+    with pytest.raises(DomainError, match="finite"):
+        parse_measure_spec(text)
+
+
 def test_spec_evaluate_matches_direct_calls():
     ell = exponential_loss(1.0)
     phi = es_distortion(0.6)
