@@ -69,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=0.0, help="(aes) ramp offset")
     p.add_argument("--q", type=float, default=0.5, help="(aes) fold level")
     p.add_argument("--p1", type=float, default=0.25, help="(aes) tested mid-tail level")
-    p.add_argument("--atoms", type=int, default=10_000, help="(aes/mmd) atom count")
+    p.add_argument("--atoms", type=int, default=None,
+                   help="(aes/mmd) atom count (default 10000 for aes, 10 for mmd)")
     p.add_argument("--phi", default="es:0.5", help="(mmd) distortion spec")
     p.add_argument("--weight", default="square", help="(mmd) deviation weight spec")
     p.add_argument("--sminus", type=float, default=1.0, help="(shortfall-jump) left slope")
@@ -181,6 +182,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    if args.atoms is None:
+        args.atoms = 10 if args.family == "mmd" else 10_000
     if args.family == "shortfall-jump":
         measured, limit = ctrex.shortfall_jump_deficit(args.sminus, args.splus, args.h)
         payload = {"measured_ratio": measured, "limit_ratio": limit, "h": args.h,

@@ -162,6 +162,8 @@ def mmd_counterexample(
     monotonicity, so a search error (with diagnostics) means the grid admits
     no triple.  Refuses the identity distortion and linear weights.
     """
+    if n_atoms < 2:
+        raise DomainError(f"the MMD search needs at least 2 atoms, got {n_atoms}")
     if not phi.concave:
         raise DomainError("construction requires a concave distortion")
     levels = np.arange(1, n_atoms) / n_atoms

@@ -442,13 +442,13 @@ _LOSS_HELP = "exp:G | poly2exp | linear | expectile:A | piecewise:SM,SP | cvar:P
 
 def parse_loss_spec(text: str) -> LossFunction:
     """Build a named loss from a compact text spec (see ``_LOSS_HELP``)."""
-    head, _, rest = text.strip().partition(":")
+    head, sep, rest = text.strip().partition(":")
     try:
         if head == "exp":
             return exponential_loss(float(rest or 1.0))
-        if head == "poly2exp":
+        if head == "poly2exp" and not sep:
             return poly2exp_loss()
-        if head == "linear":
+        if head == "linear" and not sep:
             return linear_loss()
         if head == "expectile":
             return expectile_loss(float(rest))
@@ -457,9 +457,9 @@ def parse_loss_spec(text: str) -> LossFunction:
             return piecewise_linear_loss(sm, sp)
         if head == "cvar":
             return cvar_loss(float(rest))
-        if head == "quadlin":
+        if head == "quadlin" and not sep:
             return quadlin_loss()
-        if head == "arctan-bend":
+        if head == "arctan-bend" and not sep:
             return arctan_bend_loss()
     except (TypeError, ValueError) as exc:
         raise DomainError(f"bad loss spec {text!r}: {exc}") from exc
@@ -468,13 +468,13 @@ def parse_loss_spec(text: str) -> LossFunction:
 
 def parse_distortion_spec(text: str) -> DistortionFunction:
     """Build a named distortion from ``es:P | var:P | identity | pow:T``."""
-    head, _, rest = text.strip().partition(":")
+    head, sep, rest = text.strip().partition(":")
     try:
         if head == "es":
             return es_distortion(float(rest))
         if head == "var":
             return var_distortion(float(rest))
-        if head == "identity":
+        if head == "identity" and not sep:
             return identity_distortion()
         if head == "pow":
             return power_distortion(float(rest))
@@ -485,11 +485,11 @@ def parse_distortion_spec(text: str) -> DistortionFunction:
 
 def parse_weight_spec(text: str) -> DeviationWeight:
     """Build a named deviation weight from ``identity | square | pow:K``."""
-    head, _, rest = text.strip().partition(":")
+    head, sep, rest = text.strip().partition(":")
     try:
-        if head == "identity":
+        if head == "identity" and not sep:
             return identity_weight()
-        if head == "square":
+        if head == "square" and not sep:
             return square_weight()
         if head == "pow":
             return power_weight(float(rest))

@@ -28,6 +28,7 @@ randomness.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -357,7 +358,8 @@ def random_pair_sweep(
     """Measure the submodularity gap on ``trials`` independent random pairs.
 
     Deterministic given ``seed`` (per-trial RNG streams); ``threads > 1``
-    chunks the trial range across a thread pool without changing any result.
+    chunks the trial range across a thread pool of at most ``threads``, trial
+    count and CPU count workers, without changing any result.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError("seed must be a nonnegative integer")
@@ -369,7 +371,7 @@ def random_pair_sweep(
         raise DomainError(f"unknown generator {generator!r}; expected one of {GENERATORS}")
     _check_epsilon(epsilon)
 
-    n_workers = max(1, min(int(threads), trials))
+    n_workers = max(1, min(int(threads), trials, os.cpu_count() or 1))
     # chunk size bounded both by the worker count and a memory cap
     chunk = max(1, min(20_000, -(-trials // n_workers)))
     spans = [(lo, min(trials, lo + chunk)) for lo in range(0, trials, chunk)]

@@ -22,7 +22,6 @@ import json
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -135,8 +134,8 @@ class ViolationTable(Sequence):
     test) pair) for ticker pair ``pairs[p]`` on the window ending at
     ``dates[d]``; ``violated`` flags the same cells.  ``epsilon`` is the
     threshold the flags were computed with (None for a table built from
-    records, whose flags come with them).  NaN marks a cell with no test, which
-    only tables built from sparse record lists have.
+    records, whose flags come with them).  The table is a full grid: every
+    cell holds a test, and a NaN gap raises ``DataError``.
 
     The table is also a read-only sequence of ``ViolationRecord``s in (date,
     pair, measure, test) order, with ``len``, indexing, iteration and ``==``
@@ -152,36 +151,31 @@ class ViolationTable(Sequence):
 
     __hash__ = None
 
+    def __post_init__(self):
+        if np.isnan(self.gaps).any():
+            raise DataError(f"{next(r for r in self if np.isnan(r.gap))} has a NaN gap")
+
     @classmethod
     def from_records(cls, records) -> ViolationTable:
-        """Columns of a plain record list.
-
-        A (measure, test) that repeats within one (date, pair) cell gets one
-        check column per repeat, in list order, as the pipeline gives a label
-        configured twice.  Cells the list has no record for are NaN.
+        """Columns of a record list that fills the grid dates x pairs x checks,
+        the checks being the first (date, pair) cell's (measure, test) keys; a
+        sparse list raises ``DataError``.  A key that repeats within a cell
+        gets one check column per repeat, in list order, as the pipeline gives
+        a label configured twice.
         """
         records = sorted(records, key=_record_key)
-        slots: list[int] = []  # repeat number of each record within its key
-        width: dict[tuple[str, str], int] = {}
-        for n, r in enumerate(records):
-            if np.isnan(r.gap):
-                raise DataError(f"record {r} has a NaN gap")
-            same = n > 0 and _record_key(records[n - 1]) == _record_key(r)
-            slots.append(slots[-1] + 1 if same else 0)
-            width[(r.measure, r.test)] = max(width.get((r.measure, r.test), 0), slots[-1] + 1)
-        checks = tuple(c for c in sorted(width) for _ in range(width[c]))
-        first = {c: checks.index(c) for c in width}
         dates = tuple(sorted({r.date for r in records}))
         pairs = tuple(sorted({r.pair for r in records}))
-        d_index = {d: i for i, d in enumerate(dates)}
-        p_index = {p: i for i, p in enumerate(pairs)}
-        gaps = np.full((len(checks), len(pairs), len(dates)), np.nan)
-        violated = np.zeros(gaps.shape, dtype=bool)
-        for r, s in zip(records, slots):
-            cell = (first[(r.measure, r.test)] + s, p_index[r.pair], d_index[r.date])
-            gaps[cell] = r.gap
-            violated[cell] = r.violated
-        return cls(dates=dates, pairs=pairs, checks=checks, gaps=gaps, violated=violated)
+        first = records[: len(records) // max(len(dates) * len(pairs), 1)]  # if the grid is full
+        checks = tuple((r.measure, r.test) for r in first)
+        grid = [(d, p, *c) for d in dates for p in pairs for c in checks]
+        if [_record_key(r) for r in records] != grid:
+            raise DataError(f"records are not a full grid of dates x pairs x checks {checks}")
+        shape = (len(dates), len(pairs), len(checks))
+        gaps = np.array([r.gap for r in records], dtype=float).reshape(shape)
+        violated = np.array([r.violated for r in records], dtype=bool).reshape(shape)
+        return cls(dates=dates, pairs=pairs, checks=checks,
+                   gaps=gaps.transpose(2, 1, 0), violated=violated.transpose(2, 1, 0))
 
     def _record(self, k: int, p: int, d: int) -> ViolationRecord:
         measure, test = self.checks[k]
@@ -190,22 +184,17 @@ class ViolationTable(Sequence):
             gap=float(self.gaps[k, p, d]), violated=bool(self.violated[k, p, d]),
         )
 
-    def _present(self) -> np.ndarray:
-        """Cells holding a test, as a [date, pair, check] mask."""
-        return ~np.isnan(self.gaps.transpose(2, 1, 0))
-
     def __len__(self) -> int:
-        return int(np.count_nonzero(self._present()))
+        return self.gaps.size
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return list(self)[i]
-        present = self._present()
-        d, p, k = np.unravel_index(np.flatnonzero(present)[i], present.shape)
+            return [self[j] for j in range(len(self))[i]]
+        d, p, k = np.unravel_index(range(len(self))[i], self.gaps.shape[::-1])
         return self._record(k, p, d)
 
     def __iter__(self):
-        for d, p, k in zip(*np.nonzero(self._present())):
+        for d, p, k in np.ndindex(self.gaps.shape[::-1]):
             yield self._record(k, p, d)
 
     def __eq__(self, other):
@@ -213,7 +202,7 @@ class ViolationTable(Sequence):
             (self.dates, self.pairs, self.checks) == (other.dates, other.pairs, other.checks)
         ):
             return bool(
-                np.array_equal(self.gaps, other.gaps, equal_nan=True)
+                np.array_equal(self.gaps, other.gaps)
                 and np.array_equal(self.violated, other.violated)
             )
         if isinstance(other, Sequence) and not isinstance(other, str):
@@ -369,7 +358,7 @@ def rolling_eval(
 
 
 def _pair_gaps(
-    config: RollingConfig, kernels: list, series, values: list, i, j, batch, debug: bool
+    config: RollingConfig, kernels: list, series, values: list, i, j, batch
 ) -> list[np.ndarray]:
     """Gap rows ``[pair, date]``, one per (measure, test) check in config
     order, for the pairs ``(i[p], j[p])``.
@@ -388,8 +377,6 @@ def _pair_gaps(
     lanes = np.empty((3 if has_var else 2, m, series.shape[1]))  # meet, join[, x + y]
     np.minimum(x, y, out=lanes[0])
     np.maximum(x, y, out=lanes[1])
-    if debug and not np.array_equal(lanes[0] + lanes[1], x + y):
-        raise AssertionError("meet/join accounting failed: meet + join != x + y")
     if has_var:
         np.add(x, y, out=lanes[2])
     batch = batch[: len(lanes) * m * d]
@@ -445,10 +432,10 @@ def pairwise_day_tests(
     order breaking label ties; pairs in sorted-ticker order; dates the window
     end dates.  Read as a sequence, the table gives the records in (date,
     pair, measure, test) order, so runs are reproducible byte for byte.
-    ``debug`` asserts the exact meet/join accounting ``meet + join == x + y``
-    on every loss, hence on every window.  Pairs run serially: ``threads`` is
-    accepted for compatibility and ignored, because a thread pool over pairs
-    gave no speedup on 2 cores.
+    ``debug`` and ``threads`` are accepted and ignored: ``meet + join == x +
+    y``, which ``debug`` asserted, holds bitwise for finite losses (``min +
+    max`` is ``x + y`` or ``y + x``), and a thread pool over pairs gave no
+    speedup on 2 cores, so pairs run serially.
     """
     if len(losses.tickers) < 2:
         raise DomainError("pairwise tests need at least 2 tickers")
@@ -480,8 +467,7 @@ def pairwise_day_tests(
     gaps = np.empty((len(checks), len(pairs), d))
     for start in range(0, len(pairs), chunk):
         at = slice(start, start + chunk)
-        gaps[slot, at] = _pair_gaps(config, kernels, series, values, first[at], second[at],
-                                    batch, debug)
+        gaps[slot, at] = _pair_gaps(config, kernels, series, values, first[at], second[at], batch)
     return ViolationTable(
         dates=dates,
         pairs=tuple((losses.tickers[i], losses.tickers[j]) for i, j in pairs),
@@ -501,25 +487,24 @@ def daily_violation_rate(
 ) -> DailyViolationSeries:
     """Per-date violation proportion for one measure label (and test kind).
 
-    ``records`` is a ``ViolationTable`` or a list of ``ViolationRecord``s
-    (converted to a table first).  Counts are summed over the pair axis of
-    every check column with this label and test, so a label configured twice
-    counts twice.  Dates with zero tests are omitted.  An unknown label (no
-    matching records) is a domain error.
+    ``records`` is a ``ViolationTable`` or a full-grid list of
+    ``ViolationRecord``s (converted to a table first).  Every date of the
+    table counts every pair of every check column with this label and test,
+    so a label configured twice counts twice.  An unknown label (no matching
+    records) is a domain error.
     """
     table = _as_table(records)
     ks = [k for k, check in enumerate(table.checks) if check == (label, test)]
     if not ks:
         raise DomainError(f"no records for measure {label!r} with test {test!r}")
-    tests = np.count_nonzero(~np.isnan(table.gaps[ks]), axis=(0, 1)).astype(np.int64)
+    tests = len(ks) * len(table.pairs)
     violations = np.count_nonzero(table.violated[ks], axis=(0, 1)).astype(np.int64)
-    keep = tests > 0
     return DailyViolationSeries(
-        dates=tuple(d for d, k in zip(table.dates, keep) if k),
-        rate=violations[keep] / tests[keep],
+        dates=table.dates,
+        rate=violations / tests,
         label=f"{label}/{test}",
-        violations=violations[keep],
-        tests=tests[keep],
+        violations=violations,
+        tests=np.full(len(table.dates), tests, dtype=np.int64),
     )
 
 
@@ -653,7 +638,7 @@ def _write_violations(fh, table: ViolationTable) -> None:
     # -0.0 and 0.0 keep their own text.
     lines = ["%s," + f"{_csv_fields('-'.join(pair))},{_csv_fields(*check)}".replace("%", "%%")
              + ",%s,%s\n" for pair in table.pairs for check in table.checks]
-    full = "".join(lines)
+    template = "".join(lines)
     step = max(1, _EXPORT_BLOCK_CELLS // max(len(lines), 1))
     for start in range(0, len(table.dates), step):
         block = np.asarray(table.gaps[:, :, start : start + step], dtype=np.float64)
@@ -661,11 +646,9 @@ def _write_violations(fh, table: ViolationTable) -> None:
         texts = np.array(["%.17g" % g for g in distinct.view(np.float64).tolist()], dtype=object)
         index = index.reshape(block.shape)
         for d, day in enumerate(table.dates[start : start + step]):
-            keep = ~np.isnan(block[:, :, d].T.ravel())
-            template = full if keep.all() else "".join(compress(lines, keep))
-            args = [day.isoformat()] * (3 * int(np.count_nonzero(keep)))
-            args[1::3] = texts[index[:, :, d].T.ravel()[keep]].tolist()
-            violated = table.violated[:, :, start + d].T.ravel()[keep]
+            args = [day.isoformat()] * (3 * len(lines))
+            args[1::3] = texts[index[:, :, d].T.ravel()].tolist()
+            violated = table.violated[:, :, start + d].T.ravel()
             args[2::3] = np.where(violated, "true", "false").tolist()
             fh.write(template % tuple(args))
 
@@ -733,32 +716,31 @@ def read_violations_csv(path) -> list[ViolationRecord]:
     """Round-trip loader for ``violations.csv``; a malformed row raises
     ``DataError`` with its line number."""
     out = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["date", "pair", "measure", "params", "gap", "violated"]:
-            raise DataError(f"{path}: unexpected violations header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 6:
-                raise DataError(f"{path}:{lineno}: expected 6 columns, got {len(row)}")
-            a, dash, b = row[1].partition("-")
-            if not dash:
-                raise DataError(f"{path}:{lineno}: pair {row[1]!r} is not 'TICKER-TICKER'")
-            try:
-                day = dt.date.fromisoformat(row[0])
-                gap = float(row[4])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            out.append(
-                ViolationRecord(
-                    date=day,
-                    pair=(a, b),
-                    measure=row[2],
-                    test=row[3],
-                    gap=gap,
-                    violated=row[5] == "true",
-                )
+    reader = csv.reader(io.StringIO(_read_text(Path(path)), newline=""))
+    header = next(reader, None)
+    if header != ["date", "pair", "measure", "params", "gap", "violated"]:
+        raise DataError(f"{path}: unexpected violations header {header}")
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != 6:
+            raise DataError(f"{path}:{lineno}: expected 6 columns, got {len(row)}")
+        a, dash, b = row[1].partition("-")
+        if not dash:
+            raise DataError(f"{path}:{lineno}: pair {row[1]!r} is not 'TICKER-TICKER'")
+        try:
+            day = dt.date.fromisoformat(row[0])
+            gap = float(row[4])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        out.append(
+            ViolationRecord(
+                date=day,
+                pair=(a, b),
+                measure=row[2],
+                test=row[3],
+                gap=gap,
+                violated=row[5] == "true",
             )
+        )
     return out
 
 

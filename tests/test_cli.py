@@ -162,6 +162,20 @@ def test_counterexample_mmd(capsys):
     assert "violated" in out
 
 
+def test_counterexample_mmd_defaults_violate(capsys):
+    # the default grid is 10 atoms, where the first triple's gap is far
+    # outside epsilon
+    code, out, _ = run(capsys, "counterexample", "--family", "mmd")
+    assert code == 0
+    assert "on 10 atoms" in out and "(violated)" in out
+
+
+def test_counterexample_mmd_one_atom_is_usage_error(capsys):
+    code, out, err = run(capsys, "counterexample", "--family", "mmd", "--atoms", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "at least 2 atoms" in err
+
+
 def test_counterexample_mmd_triple_ending_on_last_level(capsys):
     # the first admissible triple on the 1/6 grid is (3/6, 4/6, 5/6)
     code, out, _ = run(capsys, "counterexample", "--family", "mmd", "--atoms", "6")
@@ -174,6 +188,9 @@ def test_usage_error_exit_two(capsys):
     assert main(["no-such-command"]) == 2
     assert main(["sweep", "--measure", "banana:1", "--atoms", "5", "--trials", "5",
                  "--seed", "1"]) == 2
+    # an argument after an argument-free loss is refused, not dropped
+    assert main(["sweep", "--measure", "ce:poly2exp:3", "--atoms", "10", "--trials", "10",
+                 "--seed", "0"]) == 2
 
 
 def test_unknown_flag_rejected(capsys):

@@ -105,6 +105,12 @@ def test_mmd_identity_distortion_refused():
         mmd_counterexample(identity_distortion(), square_weight(), 10)
 
 
+@pytest.mark.parametrize("n_atoms", [-1, 0, 1])
+def test_mmd_needs_two_atoms(n_atoms):
+    with pytest.raises(DomainError, match="at least 2 atoms"):
+        mmd_counterexample(es_distortion(0.5), square_weight(), n_atoms)
+
+
 def test_mmd_linear_weight_refused():
     with pytest.raises(DomainError, match="linear"):
         mmd_counterexample(es_distortion(0.5), identity_weight(), 10)

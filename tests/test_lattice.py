@@ -15,6 +15,7 @@ from risklattice import (
     submodularity_gap,
     violation_rate,
 )
+from risklattice import lattice
 from risklattice.lattice import GENERATORS, _Pooled, _seed_states, _sweep_chunk
 
 
@@ -181,10 +182,12 @@ def test_pooled_seed_state_serves_only_pcg64_request():
             _Pooled(state).generate_state(n_words, dtype)
 
 
-def test_sweep_deterministic_and_thread_invariant():
+def test_sweep_deterministic_and_thread_invariant(monkeypatch):
     spec = RiskMeasureSpec.var(0.8)
-    # threads=3 splits the 400 trials into chunks at 134 and 268; with seed 38
-    # the gaussian trials 133 and 134, either side of a border, are nudged
+    # threads=3 splits the 400 trials into chunks at 134 and 268 (on 3 or
+    # more CPUs); with seed 38 the gaussian trials 133 and 134, either side of
+    # a border, are nudged
+    monkeypatch.setattr(lattice.os, "cpu_count", lambda: 3)
     _, _, nudged = _oracle_pairs(38, 133, 135, "gaussian", 10)
     assert nudged.all()
     for generator, seed in (("heavy_tail", 9), ("gaussian", 38)):
@@ -195,6 +198,38 @@ def test_sweep_deterministic_and_thread_invariant():
         assert a.violations == b.violations == c.violations
         np.testing.assert_array_equal(a.worst_pair[0], c.worst_pair[0])
         np.testing.assert_array_equal(a.worst_pair[1], c.worst_pair[1])
+
+
+def test_sweep_pool_capped_at_cpu_count(monkeypatch):
+    # a huge --threads asks the pool for at most one worker per CPU, and so
+    # gets chunks of trials / CPUs; a serial fake pool starts no thread
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, spans):
+            spans = list(spans)
+            chunks.extend(hi - lo for lo, hi in spans)
+            return map(fn, spans)
+
+    workers, chunks = [], []
+    monkeypatch.setattr(lattice, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(lattice.os, "cpu_count", lambda: 3)
+    spec = RiskMeasureSpec.es(0.8)
+    capped = random_pair_sweep(spec, 10, 100, seed=5, threads=100_000)
+    assert workers == [3] and chunks == [34, 34, 32]
+    serial = random_pair_sweep(spec, 10, 100, seed=5)
+    assert (capped.violations, capped.worst_gap) == (serial.violations, serial.worst_gap)
+    np.testing.assert_array_equal(capped.worst_pair[0], serial.worst_pair[0])
+    monkeypatch.setattr(lattice.os, "cpu_count", lambda: None)  # unknown: serial
+    random_pair_sweep(spec, 10, 100, seed=5, threads=100_000)
+    assert workers == [3]
 
 
 def test_sweep_seed_changes_results():

@@ -77,7 +77,7 @@ def test_load_wrong_header(tmp_path):
         pl.load_prices_csv(p)
 
 
-@pytest.mark.parametrize("load", [pl.load_prices_csv, pl.load_config])
+@pytest.mark.parametrize("load", [pl.load_prices_csv, pl.load_config, pl.read_violations_csv])
 def test_load_non_utf8_file_names_it(tmp_path, load):
     p = tmp_path / "bad.txt"
     p.write_bytes(b"date,ticker,adj_close\n2024-01-02,\xff,1.0\n")
@@ -661,29 +661,52 @@ def test_table_counts_match_record_counts():
 
 
 def test_table_from_sparse_records():
+    # a full grid builds a table; a sparse list or a NaN gap raises
     day1, day2 = dt.date(2024, 1, 2), dt.date(2024, 1, 3)
 
     def rec(day, pair, gap, measure="VaR(0.9)", test=pl.SUBMODULARITY):
         return pl.ViolationRecord(date=day, pair=pair, measure=measure, test=test,
                                   gap=gap, violated=gap < 0)
 
-    records = [
-        rec(day2, ("B", "C"), -1.0),
-        rec(day1, ("A", "B"), 0.5),
-        rec(day1, ("A", "B"), 0.25),  # a repeated key keeps its list order
-        rec(day2, ("A", "B"), 2.0, measure="ES(0.9)"),
-    ]
+    records = [rec(day, pair, gap, measure)
+               for day, gap in ((day2, -1.0), (day1, 0.5))
+               for pair in (("B", "C"), ("A", "B"))
+               for measure in ("VaR(0.9)", "ES(0.9)")]
     table = pl.ViolationTable.from_records(records)
-    assert table.checks == (("ES(0.9)", pl.SUBMODULARITY),) + (("VaR(0.9)", pl.SUBMODULARITY),) * 2
-    assert table.gaps.shape == (3, 2, 2)
-    assert len(table) == 4
+    assert table.checks == (("ES(0.9)", pl.SUBMODULARITY), ("VaR(0.9)", pl.SUBMODULARITY))
+    assert table.gaps.shape == (2, 2, 2) and len(table) == 8
     assert list(table) == sorted(records, key=lambda r: (r.date, r.pair, r.measure, r.test))
     series = pl.daily_violation_rate(records, "VaR(0.9)")
     assert series.dates == (day1, day2)
-    assert series.tests.tolist() == [2, 1] and series.violations.tolist() == [0, 1]
-    assert pl.daily_violation_rate(records, "ES(0.9)").dates == (day2,)
+    assert series.tests.tolist() == [2, 2] and series.violations.tolist() == [0, 2]
+    for sparse in (records[1:], records + [rec(day1, ("A", "C"), 0.0)],
+                   records + [rec(day1, ("A", "B"), 0.0, measure="AES")]):
+        with pytest.raises(DataError, match="full grid"):
+            pl.ViolationTable.from_records(sparse)
+        with pytest.raises(DataError, match="full grid"):
+            pl.daily_violation_rate(sparse, "VaR(0.9)")
     with pytest.raises(DataError, match="NaN"):
         pl.ViolationTable.from_records([rec(day1, ("A", "B"), float("nan"))])
+    gaps = table.gaps.copy()
+    gaps[1, 1, 0] = np.nan
+    with pytest.raises(DataError, match=r"2024, 1, 2\), pair=\('B', 'C'\), measure='VaR.*NaN"):
+        dataclasses.replace(table, gaps=gaps)
+
+
+def test_table_from_records_repeated_key():
+    # a key that repeats within a cell gets one column per repeat, in list
+    # order, as the pipeline gives a label configured twice
+    day1, day2 = dt.date(2024, 1, 2), dt.date(2024, 1, 3)
+    records = [pl.ViolationRecord(date=day, pair=("A", "B"), measure="VaR(0.9)",
+                                  test=pl.SUBMODULARITY, gap=gap, violated=gap < 0)
+               for day in (day2, day1) for gap in (0.5, -0.25)]
+    table = pl.ViolationTable.from_records(records)
+    assert table.checks == (("VaR(0.9)", pl.SUBMODULARITY),) * 2
+    assert table.gaps[:, 0].tolist() == [[0.5, 0.5], [-0.25, -0.25]]
+    assert table.violated[:, 0].tolist() == [[False, False], [True, True]]
+    assert pl.daily_violation_rate(table, "VaR(0.9)").tests.tolist() == [2, 2]
+    with pytest.raises(DataError, match="full grid"):
+        pl.ViolationTable.from_records(records[:-1])
 
 
 def flat_stretch_panel():
@@ -739,25 +762,24 @@ def plain_violations_csv(table) -> bytes:
 
 @pytest.mark.parametrize("block_cells", [1, 36, 1 << 14])
 def test_export_bytes_match_plain_writer(tmp_path, monkeypatch, block_cells):
-    # a sparse table (NaN cells) whose gaps repeat, with -0.0 and 0.0 apart,
-    # written in blocks of 1 date, 3 dates, and all of them
+    # a full grid whose gaps repeat, with -0.0 and 0.0 apart and a check
+    # configured twice, written in blocks of 1 date, 2 dates, and all of them
     monkeypatch.setattr(pl, "_EXPORT_BLOCK_CELLS", block_cells)
     days = [dt.date(2024, 1, 1) + dt.timedelta(days=k) for k in range(7)]
     pairs = [("A", "B"), ("A", "C"), ("B", "C")]
     checks = [("VaR(0.9)", pl.SUBMODULARITY), ("VaR(0.9)", pl.SUBADDITIVITY),
-              ("AES(0.6:0,0.9:0.01)", pl.SUBMODULARITY), ("odd 50% label", pl.SUBMODULARITY)]
+              ("AES(0.6:0,0.9:0.01)", pl.SUBMODULARITY), ("odd 50% label", pl.SUBMODULARITY),
+              ("odd 50% label", pl.SUBMODULARITY)]
     values = [-0.0, 0.0, 1.0 / 3.0, -1e-300, 5e-324, 0.1 + 0.2, -2.5]
     records = []
     for d, day in enumerate(days):
         for p, pair in enumerate(pairs):
             for k, (measure, test) in enumerate(checks):
-                if d > 0 and (d + p + k) % 4 == 0:
-                    continue  # no test in this cell: NaN in the table
                 gap = values[(d // 2 + p + k) % len(values)]
                 records.append(pl.ViolationRecord(date=day, pair=pair, measure=measure,
                                                   test=test, gap=gap, violated=gap < 0))
     table = pl.ViolationTable.from_records(records)
-    assert np.isnan(table.gaps).any() and not np.isnan(table.gaps[:, :, 0]).any()
+    assert table.gaps.shape == (5, 3, 7) and table.checks.count(checks[-1]) == 2
     assert {"-0", "0"} <= {"%.17g" % r.gap for r in table}
     path = pl.export_report(table, [], [], tmp_path)["violations"]
     assert path.read_bytes() == plain_violations_csv(table)

@@ -14,6 +14,7 @@ from risklattice import (
     mmd_rho,
     oce,
     parse_measure_spec,
+    parse_weight_spec,
     power_distortion,
     shortfall_rho,
     square_weight,
@@ -46,6 +47,20 @@ def test_parse_rejects_garbage():
     for text in ("unknown:1", "var:1.5", "es:", "aes:0.5"):
         with pytest.raises(DomainError):
             parse_measure_spec(text)
+
+
+@pytest.mark.parametrize("text", ["ce:poly2exp:3", "shortfall:linear:5", "oce:quadlin:x",
+                                  "eloss:arctan-bend:1", "shortfall:poly2exp:",
+                                  "dist:identity:0.3", "mmd:square:identity:0.3"])
+def test_parse_rejects_argument_after_argument_free_head(text):
+    with pytest.raises(DomainError, match="unknown (loss|distortion) spec"):
+        parse_measure_spec(text)
+
+
+@pytest.mark.parametrize("text", ["identity:1", "square:2"])
+def test_parse_weight_rejects_argument_after_argument_free_head(text):
+    with pytest.raises(DomainError, match="unknown weight spec"):
+        parse_weight_spec(text)
 
 
 @pytest.mark.parametrize("text", ["ce:exp:nan", "ce:exp:inf", "shortfall:expectile:nan",
