@@ -74,10 +74,15 @@ class LossFunction:
         slopes: ``(s_minus, s_plus)`` when ``fn`` is piecewise linear with
             slope ``s_minus`` below 0 and ``s_plus`` above; the certainty
             equivalent, shortfall and OCE then have exact O(n) forms.
+        quad: a nonnegative second term on top of ``entropic`` or ``slopes``:
+            ``fn`` is ``exp(g x) - 1 + quad (exp(2 g x) - 1)`` with
+            ``entropic=g`` (``poly2exp``), and the piecewise-linear loss plus
+            ``quad max(x, 0)^2`` with ``slopes`` (``quadlin``).  The three
+            functionals are then a quadratic root per row.
 
-    ``entropic`` and ``slopes`` describe ``fn`` and are trusted by the
-    solvers; only the named constructors set them, and ``validate`` checks
-    them against ``fn`` on the check grid.  Both survive
+    ``entropic``, ``slopes`` and ``quad`` describe ``fn`` and are trusted by
+    the solvers; only the named constructors set them, and ``validate``
+    checks them against ``fn`` on the check grid.  They survive
     ``dataclasses.replace(ell, fn=...)``, so the replacement must compute the
     same function.
     """
@@ -92,6 +97,7 @@ class LossFunction:
     name: str = "custom"
     entropic: float | None = None
     slopes: tuple[float, float] | None = None
+    quad: float = 0.0
 
     def __post_init__(self):
         if self.strictly_increasing and not self.increasing:
@@ -115,16 +121,20 @@ class LossFunction:
                 raise DomainError(f"loss '{self.name}' fails midpoint convexity on the check grid")
         if self.normalized and abs(float(self.fn(np.array(0.0)))) > 1e-12:
             raise DomainError(f"loss '{self.name}' declared normalized but fn(0) != 0")
-        g = self.entropic
-        if g is not None and not np.allclose(v, np.expm1(g * grid), rtol=1e-12, atol=1e-12):
-            raise DomainError(f"loss '{self.name}' declares entropic={g:g} but is not "
-                              f"exp({g:g} x) - 1 on the check grid")
+        g, q = self.entropic, self.quad
+        if not 0.0 <= q < np.inf or (q and g is None and self.slopes is None):
+            raise DomainError(f"loss '{self.name}' declares quad={q:g}; it needs a finite "
+                              "quad >= 0 and entropic or slopes to add to")
+        if g is not None and not np.allclose(v, np.expm1(g * grid) + q * np.expm1(2.0 * g * grid),
+                                             rtol=1e-12, atol=1e-12):
+            raise DomainError(f"loss '{self.name}' declares entropic={g:g}, quad={q:g} but is "
+                              f"not exp({g:g} x) - 1 + {q:g} (exp({2 * g:g} x) - 1) on the check grid")
         if self.slopes is not None:
             sm, sp = self.slopes
-            if not np.allclose(v, np.where(grid <= 0.0, sm * grid, sp * grid),
-                               rtol=1e-12, atol=1e-12):
-                raise DomainError(f"loss '{self.name}' declares slopes={sm:g},{sp:g} but is "
-                                  "not piecewise linear with them on the check grid")
+            if not np.allclose(v, np.where(grid <= 0.0, sm * grid, sp * grid)
+                               + q * np.square(np.maximum(grid, 0.0)), rtol=1e-12, atol=1e-12):
+                raise DomainError(f"loss '{self.name}' declares slopes={sm:g},{sp:g}, quad={q:g} "
+                                  "but is not that piecewise loss on the check grid")
         return self
 
 
@@ -252,6 +262,8 @@ def poly2exp_loss() -> LossFunction:
         convex=True,
         normalized=True,
         name="poly2exp",
+        entropic=1.0,
+        quad=1.0,
     )
 
 
@@ -339,6 +351,8 @@ def quadlin_loss() -> LossFunction:
         convex=True,
         normalized=True,
         name="quadlin",
+        slopes=(0.5, 0.5),
+        quad=1.0,
     )
 
 

@@ -35,12 +35,17 @@ max with ``expm1``/``log1p``.  For the piecewise-linear losses ``linear``,
 ``expectile:a``, ``piecewise:sm,sp`` and ``cvar:p`` (``slopes``, one kink at
 0) the shortfall residual and the OCE objective are linear between order
 statistics, so suffix sums over the sorted row give the exact root or
-minimum in O(n); ``OCE(cvar:p)`` is ES (Rockafellar and Uryasev).  Every
-other loss (``poly2exp``, ``quadlin``, ``arctan-bend``, custom losses) goes
-to one bracketed solver that stops each row at a few ulps of that row's own
-scale: Chandrupatla's interpolating steps for the CE and shortfall roots,
-bisection for the OCE minimum.  Either way a value does not depend on the
-rest of its batch and keeps its relative precision at any sample scale.
+minimum in O(n); ``OCE(cvar:p)`` is ES (Rockafellar and Uryasev).  A
+``quad`` term on top makes each of the three a quadratic root per row:
+``poly2exp`` (``exp(2x) + exp(x) - 2``) is one in ``exp(+-m)`` from the
+row's sums of ``exp(x)`` and ``exp(2x)``, and ``quadlin`` (``x/2 +
+max(x, 0)^2``) one on the piece between order statistics where the
+shortfall residual, or the OCE's ``mean l'(x - m) - 1``, changes sign.
+Every other loss (``arctan-bend``, custom losses) goes to one bracketed
+solver that stops each row at a few ulps of that row's own scale:
+Chandrupatla's interpolating steps for the CE and shortfall roots, bisection
+for the OCE minimum.  Either way a value does not depend on the rest of its
+batch and keeps its relative precision at any sample scale.
 """
 
 from __future__ import annotations
@@ -65,8 +70,8 @@ __all__ = [
     "mmd_rho",
 ]
 
-# Bracketed-solver caps, for the losses without a closed form (poly2exp,
-# quadlin, arctan-bend and custom losses).  A finite bracket is under 2**1025
+# Bracketed-solver caps, for the losses without a closed form (arctan-bend
+# and custom losses).  A finite bracket is under 2**1025
 # wide and a row stops at 4 ulps, at least 2**-1072, so 2097 halvings always
 # meet the stopping rule.  A bisection step of OCE shrinks its bracket to
 # 33/64, so 2200 of them do; in any three consecutive steps of a residual's
@@ -213,7 +218,7 @@ def distortion_rho(sample, phi: DistortionFunction) -> float:
 # loss without a closed form
 
 
-def _chandrupatla(lo, hi, glo, ghi, c, gc, h, bisect) -> np.ndarray:
+def _chandrupatla(lo, hi, glo, ghi, c, gc, h, bisect) -> tuple[np.ndarray, np.ndarray]:
     """Chandrupatla's trial point in brackets ``[lo, hi]`` of a nondecreasing
     residual that is ``glo`` and ``ghi`` at their ends.
 
@@ -221,7 +226,7 @@ def _chandrupatla(lo, hi, glo, ghi, c, gc, h, bisect) -> np.ndarray:
     dropped (residual ``gc``), is monotone on the bracket only where
     ``phi^2 < xi`` and ``(1 - phi)^2 < 1 - xi``.  There the trial point is its
     root, at least ``h`` inside the bracket; elsewhere, and where ``bisect``,
-    it is the midpoint.
+    it is the midpoint.  Returns the trial points and where they interpolate.
     """
     a_hi = c >= hi  # a is the end the last step moved, next to c; b the other
     a, b = np.where(a_hi, hi, lo), np.where(a_hi, lo, hi)
@@ -232,7 +237,7 @@ def _chandrupatla(lo, hi, glo, ghi, c, gc, h, bisect) -> np.ndarray:
              + (c - a) / (b - a) * fa / (gc - fa) * fb / (gc - fb))
     # s is the root's fraction of the way from a to b; a NaN fails the last test
     iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & ~bisect & (np.abs(s - 0.5) <= 0.5)
-    return np.where(iqi, np.clip(a + s * (b - a), lo + h, hi - h), 0.5 * (lo + hi))
+    return np.where(iqi, np.clip(a + s * (b - a), lo + h, hi - h), 0.5 * (lo + hi)), iqi
 
 
 def _bracketed(fn, Xs, what: str, pad: float = 0.0, spread: float = 0.0) -> np.ndarray:
@@ -254,8 +259,11 @@ def _bracketed(fn, Xs, what: str, pad: float = 0.0, spread: float = 0.0) -> np.n
     are monotone enough for it, else the midpoint.  The residual at the ends
     carries over from step to step, and from the doubling, so a step evaluates
     ``g`` once.  ``t`` stays half a stopping width inside the bracket, so a
-    side that has converged still collapses it, and a row whose bracket has
-    not halved over its last two steps takes the midpoint.
+    side that has converged still collapses it; after an interpolating step
+    that did not halve the residual at the end it replaced (a rounding
+    plateau, or a jump), the next stays twice that step's length inside.  A
+    row whose bracket has not halved over its last two steps takes the
+    midpoint, and a row whose residual is exactly 0 at ``t`` stops there.
 
     A row stops when ``hi - lo`` is at most 4 ulps of
     ``max(|lo|, |hi|, max |x|)`` (``pad * eps`` for a row of zeros), leaves the
@@ -305,6 +313,7 @@ def _bracketed(fn, Xs, what: str, pad: float = 0.0, spread: float = 0.0) -> np.n
     # c is the end the last step dropped; c = hi makes the first step a midpoint
     c, gc = hi.copy(), ghi.copy()
     w1 = w2 = np.full(lo.size, np.inf)  # the bracket's width one and two steps ago
+    h = np.zeros(lo.size)  # the least step of an interpolating trial from an end
     for _ in range(_MAX_STEPS):
         width = hi - lo
         # max(-lo, hi) is max(|lo|, |hi|) because lo <= hi
@@ -312,15 +321,16 @@ def _bracketed(fn, Xs, what: str, pad: float = 0.0, spread: float = 0.0) -> np.n
         wide = width > tol
         if not wide.all():
             res[act[~wide]] = 0.5 * (lo[~wide] + hi[~wide])
-            act, lo, hi, glo, ghi, c, gc, w1, w2, width, tol = (
-                v[wide] for v in (act, lo, hi, glo, ghi, c, gc, w1, w2, width, tol))
+            act, lo, hi, glo, ghi, c, gc, w1, w2, h, width, tol = (
+                v[wide] for v in (act, lo, hi, glo, ghi, c, gc, w1, w2, h, width, tol))
             if not act.size:
                 return res
         if spread:
             t = 0.5 * (lo + hi)
         else:
             # a row whose bracket has not halved over two steps bisects
-            t = _chandrupatla(lo, hi, glo, ghi, c, gc, 0.5 * tol, width > 0.5 * w2)
+            h = np.clip(h, 0.5 * tol, 0.25 * width)
+            t, iqi = _chandrupatla(lo, hi, glo, ghi, c, gc, h, width > 0.5 * w2)
         w2, w1 = w1, width
         d = spread * width
         gt = g(t, d, act)
@@ -328,6 +338,15 @@ def _bracketed(fn, Xs, what: str, pad: float = 0.0, spread: float = 0.0) -> np.n
         c, gc = np.where(left, hi, lo), np.where(left, ghi, glo)
         lo, hi = np.where(left, lo, t - d), np.where(left, t + d, hi)
         glo, ghi = np.where(left, glo, gt), np.where(left, gt, ghi)
+        if not spread:
+            # a residual of exactly 0 is a root: the row stops there
+            lo, hi = np.where(gt == 0.0, t, lo), np.where(gt == 0.0, t, hi)
+            # An interpolating step that did not halve the residual at the end
+            # it replaced sits on the residual's rounding plateau, or creeps
+            # up on a jump: the next one keeps at least twice that step's
+            # length from the ends, so it crosses in a few steps, not dozens
+            stalled = iqi & (np.abs(gt) > 0.5 * np.abs(gc))
+            h = np.where(stalled, 2.0 * np.abs(t - c), np.where(iqi, 0.0, h))
     res[act] = 0.5 * (lo + hi)
     return res
 
@@ -359,7 +378,15 @@ def _log_mean_exp(Xs: np.ndarray, g: float) -> np.ndarray:
     return top + np.log1p(w.mean(axis=1)) / g
 
 
-def _kinked_sums(Xs: np.ndarray, s_minus: float, s_plus: float):
+def _suffix_sums(v: np.ndarray) -> np.ndarray:
+    """``out[:, j] = sum_{i > j} v[:, i]``, in a new array."""
+    out = np.empty_like(v)
+    out[:, -1] = 0.0
+    np.cumsum(v[:, :0:-1], axis=1, out=out[:, -2::-1])
+    return out
+
+
+def _kinked_sums(Xs: np.ndarray, s_minus: float, s_plus: float, quad: float = 0.0):
     """Mean loss at each order statistic for a loss kinked at 0.
 
     With ``y = x - top`` (``top = max x``) on ascending rows and ``l`` of slope
@@ -368,19 +395,86 @@ def _kinked_sums(Xs: np.ndarray, s_minus: float, s_plus: float):
     ``slope[j] = s_minus + (s_plus - s_minus) (n - 1 - j) / n`` is the mean
     slope of ``l`` there (the ``n - 1 - j`` atoms above ``y_j`` at
     ``s_plus``), and ``B`` is made of suffix sums of ``y``.  ``y`` and ``B``
-    are the only batch-sized work arrays; callers update ``y`` in place.
+    are the only batch-sized work arrays kept; callers update ``y`` in place.
+    With ``quad``, ``l`` has ``quad max(v, 0)^2`` on top, and ``B[:, j]`` also
+    holds ``quad mean_{i > j} (y_i - y_j)^2``, from suffix sums of ``y^2``.
     """
     n = Xs.shape[1]
     top = Xs[:, -1]
     y = np.subtract(Xs, top[:, None])
-    B = np.empty_like(y)
-    B[:, -1] = 0.0
-    np.cumsum(y[:, :0:-1], axis=1, out=B[:, -2::-1])  # B[:, j] = sum_{i > j} y_i
+    B = _suffix_sums(y)  # B[:, j] = sum_{i > j} y_i
     total = B[:, 0] + y[:, 0]
+    if quad:
+        # sum_{i > j} (y_i - y_j)^2 = Q_j - y_j (2 B_j - k_j y_j), k_j = n - 1 - j
+        sq = _suffix_sums(np.square(y))
+        t = np.arange(n - 1, -1, -1.0) * y
+        t -= 2.0 * B
+        t *= y
+        sq += t
+        sq *= quad / n
     B *= (s_plus - s_minus) / n
     B += (s_minus / n) * total[:, None]
+    if quad:
+        B += sq
     slope = s_minus + (s_plus - s_minus) / n * np.arange(n - 1, -1, -1.0)
     return top, y, B, slope
+
+
+def _kinked_mean(Xs: np.ndarray, m: np.ndarray):
+    """``mean(x - m)``, ``mean max(x - m, 0)`` and ``mean max(x - m, 0)^2``
+    per row, in one work array."""
+    d = np.subtract(Xs, m[:, None])
+    total = d.sum(axis=1)
+    np.maximum(d, 0.0, out=d)
+    n = Xs.shape[1]
+    return total / n, d.sum(axis=1) / n, np.einsum("ij,ij->i", d, d) / n
+
+
+def _root(a, b, c):
+    """The root of ``a r^2 + b r + c`` nearest 0, for ``a >= 0`` and ``b > 0``
+    (``-c / b`` when ``a = 0``), in the form that does not cancel."""
+    return -2.0 * c / (b + np.sqrt(b * b - 4.0 * a * c))
+
+
+def _exp_sums(Xs: np.ndarray, g: float):
+    """Row means of ``exp(y)`` and ``exp(2 y)`` with ``y = g (x - c)``.
+
+    Returns ``c``, ``A = (mean e^y, mean e^2y)`` and ``S = A - 1``, in one
+    batch-sized work array as in ``_log_mean_exp``.  A row is shifted by its
+    middle order statistic and takes ``S`` from ``expm1``: ``S`` keeps its
+    relative precision however small it is, and ``A = 1 + S`` keeps its own
+    because half the atoms have ``y >= 0``, so ``A >= 1/2``.  A row whose top
+    is more than 300 above that in ``g x`` (``exp(2 y)`` would overflow) is
+    shifted by its max instead and takes ``A`` from ``exp``.
+    """
+    n = Xs.shape[1]
+    mid = g * (Xs[:, -1] - Xs[:, n // 2]) <= 300.0
+    c = np.where(mid, Xs[:, n // 2], Xs[:, -1])
+    w = np.subtract(Xs, c[:, None])
+    w *= g
+    np.expm1(w, out=w)
+    far = np.flatnonzero(~mid)
+    if far.size:  # rare, and a masked ufunc would slow down every row
+        w[far] = np.exp(g * (Xs[far] - c[far, None]))
+    m1 = w.sum(axis=1) / n
+    m2 = np.einsum("ij,ij->i", w, w) / n  # expm1(2y) = w (w + 2)
+    s1 = np.where(mid, m1, m1 - 1.0)
+    s2 = np.where(mid, m2 + 2.0 * m1, m2 - 1.0)
+    return c, (np.where(mid, 1.0 + s1, m1), np.where(mid, 1.0 + s2, m2)), (s1, s2)
+
+
+def _log_root(u, v):
+    """``log u`` from a root ``u`` and the same root ``v = u - 1`` solved on
+    its own: ``log1p(v)`` keeps the precision of a ``u`` near 1, ``log(u)``
+    that of a ``u`` far below 1."""
+    return np.where(v >= -0.5, np.log1p(np.maximum(v, -0.5)), np.log(u))
+
+
+def _finite(vals: np.ndarray, what: str) -> np.ndarray:
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise NumericError(f"{what}: overflow at batch row {int(bad.argmax())}")
+    return vals
 
 
 def _shift_rows(Xs: np.ndarray, m: np.ndarray, rows, work: np.ndarray) -> np.ndarray:
@@ -398,12 +492,27 @@ def _shift_rows(Xs: np.ndarray, m: np.ndarray, rows, work: np.ndarray) -> np.nda
 def _ce_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
     if not ell.strictly_increasing:
         raise DomainError("certainty equivalent requires a strictly increasing loss")
-    if ell.entropic is not None:
-        return _log_mean_exp(Xs, ell.entropic)
+    g, q = ell.entropic, ell.quad
+    if g is not None and q:
+        # e^{g m} + q e^{2 g m} = mean(e^{g x} + q e^{2 g x}) is a quadratic in
+        # u = e^{g (m - c)}: rho u + rho2 u^2 = rho A1 + rho2 A2, with
+        # weights rho : rho2 = 1 : q e^{g c} that add to 1 and cannot overflow
+        c, (a1, a2), (s1, s2) = _exp_sums(Xs, g)
+        rho, rho2 = 1.0 / (1.0 + q * np.exp(g * c)), 1.0 / (1.0 + np.exp(-g * c) / q)
+        u = _root(rho2, rho, -(rho * a1 + rho2 * a2))
+        v = _root(rho2, 2.0 * rho2 + rho, -(rho * s1 + rho2 * s2))
+        return c + _log_root(u, v) / g
+    if g is not None:
+        return _log_mean_exp(Xs, g)
     if ell.slopes is not None:
         sm, sp = ell.slopes
-        t = (sm * Xs.sum(axis=1) + (sp - sm) * np.maximum(Xs, 0.0).sum(axis=1)) / Xs.shape[1]
-        return np.where(t > 0.0, t / sp, t / sm)
+        pos = np.maximum(Xs, 0.0)
+        t = sm * Xs.sum(axis=1) + (sp - sm) * pos.sum(axis=1)
+        if q:
+            t += q * np.einsum("ij,ij->i", pos, pos)
+        t /= Xs.shape[1]
+        # l^{-1}: t / sm below 0, the root of sp m + q m^2 = t above
+        return _finite(np.where(t > 0.0, _root(q, sp, -t), t / sm), "certainty equivalent")
     target = ell.fn(Xs).mean(axis=1)  # in [l(min x), l(max x)]
     return _bracketed(lambda m, rows: ell.fn(m) - target[rows], Xs, "certainty equivalent")
 
@@ -414,7 +523,10 @@ def certainty_equivalent(sample, ell: LossFunction) -> float:
     For ``exp:g`` this is the entropic risk measure
     ``log(mean exp(g x_i)) / g``, computed shifted by ``max x`` so that it
     never overflows; for a piecewise-linear loss it is ``mean l(x_i)``
-    divided by the slope on its side of 0.  Other losses are solved in a
+    divided by the slope on its side of 0.  For ``poly2exp`` it is the root
+    of a quadratic in ``exp(m)``, shifted so that it never overflows, and for
+    ``quadlin`` the root of ``m/2 + m^2 = mean l(x_i)`` where that is
+    positive.  Other losses are solved in a
     bracket on the sample range, to a few ulps of the sample's scale, and an
     overflowing mean loss raises ``NumericError``.
     ``certainty_equivalent([c, ..., c]) == c``; the functional is submodular
@@ -430,18 +542,40 @@ def _shortfall_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
             "shortfall risk requires a strictly increasing convex loss "
             f"(got flags strictly_increasing={ell.strictly_increasing}, convex={ell.convex})"
         )
-    if ell.entropic is not None:
-        return _log_mean_exp(Xs, ell.entropic)
+    g, q = ell.entropic, ell.quad
+    if g is not None and q:
+        # mean l(x - m) = 0 is q A2 u^2 + A1 u = 1 + q in u = e^{g (c - m)}
+        c, (a1, a2), (s1, s2) = _exp_sums(Xs, g)
+        u = _root(q * a2, a1, -(1.0 + q))
+        v = _root(q * a2, 2.0 * q * a2 + a1, q * s2 + s1)
+        return c - _log_root(u, v) / g
+    if g is not None:
+        return _log_mean_exp(Xs, g)
     n = Xs.shape[1]
     if ell.slopes is not None:
-        # The residual mean l(y - m) is linear between order statistics and
-        # decreasing in m: count the order statistics where it is negative
-        # (the top c), then solve the piece with those c atoms above the root.
-        top, y, B, slope = _kinked_sums(Xs, *ell.slopes)
+        # The residual mean l(y - m) is decreasing in m, and linear (quadratic
+        # with quad) between order statistics: count the order statistics
+        # where it is negative (the top c), then solve the piece with those c
+        # atoms above the root.
+        sm, sp = ell.slopes
+        top, y, B, slope = _kinked_sums(Xs, sm, sp, q)
         y *= slope
         np.subtract(B, y, out=y)
-        j = np.maximum(n - 1 - np.count_nonzero(y < 0.0, axis=1), 0)
-        return top + B[np.arange(j.size), j] / slope[j]
+        c = np.count_nonzero(y < 0.0, axis=1)
+        if not q:
+            j = np.maximum(n - 1 - c, 0)
+            return top + B[np.arange(j.size), j] / slope[j]
+        # Anchored at the lowest of those order statistics, x_a, the residual
+        # at m = x_a - t is mean l(x - x_a) + b t + (q k / n) t^2 with
+        # b = slope + 2 q mean max(x - x_a, 0): every term but the first is
+        # nonnegative, so the root does not cancel.
+        a = np.clip(n - c, 0, n - 1)
+        anchor = Xs[np.arange(a.size), a]
+        k = n - a
+        total, pos, sq = _kinked_mean(Xs, anchor)
+        t = _root(q * k / n, sm + (sp - sm) * k / n + 2.0 * q * pos,
+                  sm * total + (sp - sm) * pos + q * sq)
+        return _finite(anchor - t, "shortfall")
     # silent normalization: subtracting l(0) leaves the root unchanged
     ell0 = float(ell.fn(np.array(0.0)))
     work = np.empty_like(Xs)  # one work array for the whole solve
@@ -450,19 +584,38 @@ def _shortfall_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
         return n * ell0 - ell.fn(_shift_rows(Xs, m, rows, work)).sum(axis=1)
 
     m = _bracketed(resid, Xs, "shortfall")
-    # Residual guard, on the solver path only (losses without a closed
-    # form: poly2exp, quadlin, arctan-bend and custom losses).  A continuous
+    # Residual guard, on the solver path only (custom losses without a closed
+    # form).  A continuous
     # residual ends within its rounding plus its slope times a few ulps of the
     # root, which 2**-24 of its change over m -/+ d (d = 2**-20 of the row's
     # scale) bounds with a wide margin.  A loss with a jump (declared convex,
     # but not) leaves the jump's size.  Subnormal residuals have no relative
     # precision, hence the ``tiny`` floor.
     d = 2.0**-20 * np.maximum(np.abs(m), np.maximum(-Xs[:, 0], Xs[:, -1]))
-    tol = 2.0**-24 * np.abs(resid(m + d) - resid(m - d)) + np.finfo(np.float64).tiny
+    rise = np.abs(resid(m + d) - resid(m - d))
+    tol = 2.0**-24 * rise + np.finfo(np.float64).tiny
     terms = ell.fn(_shift_rows(Xs, m, slice(None), work))
     r = n * ell0 - terms.sum(axis=1)
     tol += n * np.finfo(np.float64).eps * (np.abs(terms).sum(axis=1) + n * abs(ell0))
     bad = ~(np.abs(r) <= tol)
+    if bad.any():
+        # A loss whose fn cancels internally (exp(2 x) + exp(x) - 2) rounds at
+        # the scale of its intermediates, far above that bound, so near the
+        # root its residual is a staircase, or noise, at that scale.  Measure
+        # it on a grid about m as wide as the slope needs to reach +-|r|:
+        # allow four times the smallest nonzero step between neighbours (the
+        # staircase's tread), or twice the largest step away from m (noise).
+        # A residual with a jump at m is left at one side of the jump there
+        # and moves smoothly elsewhere, by |r| / 8 from one point to the next.
+        i = np.flatnonzero(bad)
+        tiny = np.finfo(np.float64).tiny
+        half = d[i] * np.minimum(1.0, 2.0 * np.abs(r[i]) / np.maximum(rise[i], tiny))
+        grid = m[i, None] + half[:, None] * np.linspace(-1.0, 1.0, 17)
+        steps = np.abs(np.diff([resid(grid[:, j], i) for j in range(grid.shape[1])], axis=0))
+        tread = np.where(steps > 0.0, steps, np.inf).min(axis=0)
+        steps[7:9] = 0.0  # the two steps next to m
+        tol[i] += np.maximum(np.where(np.isinf(tread), 0.0, 4.0 * tread), 2.0 * steps.max(axis=0))
+        bad = ~(np.abs(r) <= tol)
     if bad.any():
         i = int(bad.argmax())
         raise NumericError(f"shortfall: residual {r[i]:.3g} exceeds its tolerance "
@@ -478,10 +631,13 @@ def shortfall_rho(sample, ell: LossFunction) -> float:
     ``exp:g`` the root is the entropic risk measure
     ``log(mean exp(g x_i)) / g``.  For a piecewise-linear loss the residual
     is linear between order statistics, so the root is solved exactly on the
-    piece where it changes sign.  Other losses are solved in a bracket on
+    piece where it changes sign; for ``quadlin`` it is quadratic there.  For
+    ``poly2exp`` the root is that of a quadratic in ``exp(-m)``.  Other
+    losses are solved in a bracket on
     the sample range, where the strictly decreasing residual changes sign,
-    to a few ulps of the sample's scale; a residual left far from 0 there (a
-    loss with a jump) raises ``NumericError``.  Cash-invariant, and positively
+    to a few ulps of the sample's scale; a residual left far from 0 there,
+    beyond the rounding the residual shows near the root (a loss with a
+    jump), raises ``NumericError``.  Cash-invariant, and positively
     homogeneous at any scale when ``l`` is.
     """
     return float(_shortfall_batch(_sorted_row(sample), ell)[0])
@@ -491,9 +647,57 @@ def shortfall_rho(sample, ell: LossFunction) -> float:
 def _oce_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
     if not (ell.increasing and ell.convex):
         raise DomainError("optimized certainty equivalent requires an increasing convex loss")
-    if ell.entropic is not None:
-        g = ell.entropic
+    g, q = ell.entropic, ell.quad
+    if g is not None and q:
+        # The minimizer solves mean l'(x - m) = 1, that is
+        # 2 q A2 u^2 + A1 u = 1 / g in u = e^{g (c - m)}, and the objective is
+        # m + (u A1 - 1) + q (u^2 A2 - 1).  Near a constant sample it is
+        # solved for e = u / u0 - 1, with u0 the root for S = 0, and the value
+        # is the zero sample's OCE k0 plus c plus a part that is small with S.
+        c, (a1, a2), (s1, s2) = _exp_sums(Xs, g)
+        u = _root(2.0 * q * a2, a1, -1.0 / g)
+        u0 = float(_root(2.0 * q, 1.0, -1.0 / g))
+        k0 = -math.log(u0) / g + u0 - 1.0 + q * (u0 * u0 - 1.0)
+        e = _root(2.0 * q * u0 * a2, 4.0 * q * u0 * a2 + a1, 2.0 * q * u0 * s2 + s1)
+        near = np.abs(e) <= 0.5
+        e = np.clip(e, -0.5, 0.5)  # the far rows' e only needs to stay finite
+        near_value = k0 + (-np.log1p(e) / g + u0 * (e + s1 + e * s1)
+                     + q * u0 * u0 * (e * (2.0 + e) + s2 * (1.0 + e) ** 2))
+        far_value = -np.log(u) / g + u * a1 - 1.0 + q * (u * u * a2 - 1.0)
+        return c + np.where(near, near_value, far_value)
+    if g is not None:
         return _log_mean_exp(Xs, g) + (1.0 + math.log(g) - g) / g
+    if ell.slopes is not None and q:
+        sm, sp = ell.slopes
+        if sm > 1.0:
+            raise DomainError(f"optimized certainty equivalent: objective unbounded below "
+                              f"(loss slope {sm:g} > 1 below 0)")
+        # The minimizer solves mean l'(x - m) = 1, where mean l'(x - m) is
+        # decreasing and linear between order statistics.  At x_j it is
+        # slope[j] + (2 q / n) sum_{i > j} (x_i - x_j): count where that is
+        # below 1 (the top c), then solve the piece below the lowest of them.
+        n = Xs.shape[1]
+        top = Xs[:, -1]
+        y = np.subtract(Xs, top[:, None])
+        above = _suffix_sums(y)
+        y *= np.arange(n - 1, -1, -1.0)
+        above -= y  # sum_{i > j} (y_i - y_j)
+        above *= 2.0 * q / n
+        above += (sm + (sp - sm) / n * np.arange(n - 1, -1, -1.0)) - 1.0
+        a = np.clip(n - np.count_nonzero(above < 0.0, axis=1), 0, n - 1)
+        anchor = Xs[np.arange(a.size), a]
+        k = n - a
+        total, pos, sq = _kinked_mean(Xs, anchor)
+        # At m = anchor - t the condition is linear in t, and the objective is
+        # f(anchor) + t (slope_k - 1 + 2 q pos + q t k / n): only that last
+        # term is large when the minimizer is far from the sample.  t >= 0
+        # keeps the minimizer nearest the sample on a flat side (slope 1
+        # below 0).
+        slope_k = sm + (sp - sm) * k / n
+        t = np.maximum(((1.0 - slope_k) / (2.0 * q) - pos) * n / k, 0.0)
+        value = anchor + (sm * total + (sp - sm) * pos + q * sq)
+        value += t * (slope_k - 1.0 + 2.0 * q * pos + q * k / n * t)
+        return _finite(value, "optimized certainty equivalent")
     if ell.slopes is not None:
         sm, sp = ell.slopes
         if not sm <= 1.0 <= sp:
@@ -514,7 +718,17 @@ def _oce_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
 
     # the minimizer also depends on the loss's own unit: start one unit out
     m = _bracketed(f, Xs, "optimized certainty equivalent", pad=1.0, spread=2.0**-6)
-    return f(m)
+    terms = ell.fn(_shift_rows(Xs, m, slice(None), work))
+    value = m + terms.mean(axis=1)
+    # On a flat side of the objective every point has the same value, and
+    # bisection may stop far out on it, where m + mean l(x - m) keeps only
+    # eps |m|.  The point of [min x, max x] nearest m keeps the sample's
+    # precision: take its value wherever it is no larger than m's, up to the
+    # rounding of m's.
+    near = np.clip(m, Xs[:, 0], Xs[:, -1])
+    slack = 8.0 * np.finfo(np.float64).eps * (np.abs(m) + np.abs(terms).mean(axis=1))
+    at_near = f(near)
+    return np.where(at_near <= value + slack, at_near, value)
 
 
 def oce(sample, ell: LossFunction) -> float:
@@ -528,12 +742,16 @@ def oce(sample, ell: LossFunction) -> float:
     kinks at the order statistics, so the minimum is the least of its ``n``
     values there; with other slopes it is unbounded below and raises
     ``DomainError``.  ``OCE(cvar:p)`` is ES at level ``p`` (Rockafellar and
-    Uryasev).  Other losses are bisected: ``[min(x)-1, max(x)+1]`` is
-    doubled outward until the objective rises at both ends (``DomainError``
-    if it never does: unbounded below), then bisected on the sign of
-    ``f(mid + d) - f(mid - d)`` to a few ulps of the sample's scale.  The
-    objective value, not the minimizer, is the contract, so flat regions do
-    not matter.  Overflow there raises ``NumericError``.  Always submodular
+    Uryasev).  For ``poly2exp`` and ``quadlin`` the first-order condition
+    ``mean l'(x_i - m) = 1`` is a quadratic in ``exp(-m)``, or linear on the
+    piece between order statistics where it holds.  Other losses are
+    bisected: ``[min(x)-1, max(x)+1]`` is doubled outward until the
+    objective rises at both ends (``DomainError`` if it never does: unbounded
+    below), then bisected on the sign of ``f(mid + d) - f(mid - d)`` to a
+    few ulps of the sample's scale.  The objective value, not the minimizer,
+    is the contract: on a flat side the value is taken at the end of the
+    sample range, where it keeps the sample's precision.  Overflow raises
+    ``NumericError``.  Always submodular
     for increasing convex ``l``.
     """
     return float(_oce_batch(_sorted_row(sample), ell)[0])

@@ -61,12 +61,29 @@ def test_validate_catches_wrong_flags():
 
 
 def test_validate_checks_declared_structure():
-    fake_entropic = dataclasses.replace(poly2exp_loss(), entropic=1.0)
+    fake_entropic = dataclasses.replace(poly2exp_loss(), quad=0.0)  # claims exp:1
     with pytest.raises(DomainError, match="entropic"):
         fake_entropic.validate()
     fake_slopes = dataclasses.replace(quadlin_loss(), slopes=(0.5, 1.0))
     with pytest.raises(DomainError, match="slopes"):
         fake_slopes.validate()
+
+
+@pytest.mark.parametrize("ell, field", [
+    (dataclasses.replace(exponential_loss(1), quad=1.0), "entropic"),  # claims poly2exp
+    (dataclasses.replace(poly2exp_loss(), quad=2.0), "entropic"),
+    (dataclasses.replace(poly2exp_loss(), entropic=2.0), "entropic"),
+    (dataclasses.replace(quadlin_loss(), quad=0.0), "slopes"),  # claims piecewise:0.5,0.5
+    (dataclasses.replace(quadlin_loss(), quad=0.5), "slopes"),
+    (dataclasses.replace(expectile_loss(1), quad=1.0), "slopes"),
+    (LossFunction(fn=lambda x: x + np.square(np.maximum(x, 0.0)), quad=1.0), "quad"),
+    (dataclasses.replace(poly2exp_loss(), quad=-1.0), "quad"),
+    (dataclasses.replace(poly2exp_loss(), quad=float("inf")), "quad"),
+    (dataclasses.replace(poly2exp_loss(), quad=float("nan")), "quad"),
+])
+def test_validate_checks_declared_quad(ell, field):
+    with pytest.raises(DomainError, match=field):
+        ell.validate()
 
 
 def test_normalized_losses():

@@ -282,6 +282,18 @@ def test_oce_detects_unbounded_objective():
 X50 = np.random.default_rng(0).standard_normal(50)
 
 
+def _unstructured(ell, fn=None):
+    """The same loss (or ``fn``) and flags without ``entropic``, ``slopes`` and
+    ``quad``: the solver path."""
+    return LossFunction(fn=fn or ell.fn, strictly_increasing=ell.strictly_increasing,
+                        increasing=ell.increasing, convex=ell.convex,
+                        normalized=ell.normalized, name=ell.name)
+
+
+# poly2exp as a custom loss, with the named loss's fn, which cancels at small x
+CUSTOM_POLY2EXP = _unstructured(poly2exp_loss())
+
+
 @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
 def test_shortfall_linear_is_mean_at_any_scale(scale):
     assert shortfall_rho(scale * X50, linear_loss()) == pytest.approx(
@@ -312,12 +324,28 @@ def test_exponential_solvers_are_log_mean_exp(solver):
 
 @pytest.mark.parametrize("solver", [certainty_equivalent, oce])
 def test_overflow_raises_numeric_error_only(solver):
-    # poly2exp has no closed form: exp(1600 x) overflows in the bisection, which
-    # raises with no clamped log(DBL_MAX) or inf, and no numpy warning first
+    # a custom poly2exp has no closed form: exp(1600 x) overflows in the solver,
+    # which raises with no clamped log(DBL_MAX) or inf, and no numpy warning first
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="overflow at batch row 0"):
-            solver(800 * X50, poly2exp_loss())
+            solver(800 * X50, CUSTOM_POLY2EXP)
+
+
+@pytest.mark.parametrize("solver", [certainty_equivalent, oce])
+def test_poly2exp_closed_form_survives_overflow_scale(solver):
+    # exp(1600 x) overflows, but the closed form shifts by max x first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solver(800 * X50, poly2exp_loss())
+    # only the top atom counts (the next is 127 lower): the CE solves
+    # e^{2m} = e^{2 top} / n, and the OCE's minimizer u = e^{top - m} solves
+    # 2 u^2 / n + u / n = 1
+    n, top = X50.size, 800 * X50.max()
+    u = (math.sqrt(1.0 + 8.0 * n) - 1.0) / 4.0
+    expected = (top - math.log(n) / 2.0 if solver is certainty_equivalent
+                else top - math.log(u) + u / n + u * u / n - 2.0)
+    assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("solver", [certainty_equivalent, oce])
@@ -349,6 +377,32 @@ def test_shortfall_guard_rejects_a_jump():
         shortfall_rho([0.0, 0.5], jump)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e-9])
+def test_shortfall_guard_accepts_a_loss_that_cancels(scale):
+    # exp(2 x) + exp(x) - 2 rounds at eps absolute near 0, so its residual is
+    # a staircase far coarser than n eps |l|; the guard measures that rounding
+    # and lets the solver's root through, on X50 and on 200 more rows
+    ell = LossFunction(fn=lambda v: np.exp(2 * v) + np.exp(v) - 2, name="exp2+exp")
+    x = scale * X50
+    got = shortfall_rho(x, ell)
+    assert math.isfinite(got)
+    # fn carries about eps absolute and the residual's slope is 3, so the root
+    # is known only to about eps / 3: at 1e-9 (root 1.3e-10) that is coarser
+    # than 1e-9 relative
+    assert got == pytest.approx(shortfall_rho(x, poly2exp_loss()), rel=1e-9,
+                                abs=0.0 if scale == 1e-6 else 2.0**-54)
+    Xs = scale * SOLVER_BATCH
+    got = rm._shortfall_batch(Xs, ell)
+    assert np.all(np.abs(got - rm._shortfall_batch(Xs, poly2exp_loss())) <= 2.0**-54)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+def test_shortfall_guard_rejects_a_jump_at_any_scale(scale):
+    jump = LossFunction(fn=lambda v: v + scale * (v > 0), name="jump")
+    with pytest.raises(NumericError, match="residual"):
+        shortfall_rho(scale * np.array([0.0, 0.2, 0.5]), jump)
+
+
 @pytest.mark.parametrize("text", ["ce:expectile:1", "shortfall:expectile:1", "oce:cvar:0.75",
                                   "ce:exp:1", "shortfall:exp:1", "oce:exp:1", "oce:exp:0.5",
                                   "shortfall:poly2exp", "oce:quadlin", "ce:poly2exp",
@@ -356,15 +410,10 @@ def test_shortfall_guard_rejects_a_jump():
 def test_solver_row_does_not_depend_on_its_batch(text):
     spec = parse_measure_spec(text)
     big = 1e3 * np.random.default_rng(1).standard_normal(50)
-    if text == "ce:poly2exp":
-        big /= 10.0  # exp(2 x) on the 1e3 row overflows the mean loss, which raises
     alone = spec.evaluate_batch(X50[None, :])[0]
     assert spec.evaluate_batch(np.stack([big, X50]))[1] == alone
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: the shortfall residual guard misjudges a loss whose fn "
-    "cancels internally; poly2exp at scale 1e-6 raises NumericError"))
 def test_shortfall_poly2exp_at_small_scale():
     x = 1e-6 * X50
     # poly2exp's residual is a quadratic in u = exp(-m); with u = 1 + v it is
@@ -375,9 +424,6 @@ def test_shortfall_poly2exp_at_small_scale():
     assert shortfall_rho(x, poly2exp_loss()) == pytest.approx(root, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: OCE bisection on an objective with a flat side keeps only "
-    "eps |m| absolute precision; 1.7e-8 relative off the mean at scale 1e-9"))
 def test_oce_flat_side_custom_loss_at_small_scale():
     # slope 1 below 0 and 2 above: the objective is flat (the mean) for m >= max x
     x = 1e-9 * (X50 + 1.0)
@@ -444,8 +490,9 @@ POW15 = LossFunction(fn=lambda v: v + np.maximum(v, 0.0) ** 1.5, name="pow1.5")
 # 8 below it, three doublings out of its starting bracket
 SHALLOW = LossFunction(fn=lambda v: 0.5 * v + np.square(np.maximum(v, 0.0)) / 32.0,
                        name="shallow-quadlin")
-SOLVER_LOSSES = {"quadlin": quadlin_loss(), "pow1.5": POW15,
-                 "arctan-bend": parse_loss_spec("arctan-bend"), "poly2exp": poly2exp_loss(),
+# quadlin and poly2exp as custom losses: the named ones have closed forms
+SOLVER_LOSSES = {"quadlin": _unstructured(quadlin_loss()), "pow1.5": POW15,
+                 "arctan-bend": parse_loss_spec("arctan-bend"), "poly2exp": CUSTOM_POLY2EXP,
                  "shallow-quadlin": SHALLOW}
 SOLVER_BATCH = np.sort(np.random.default_rng(4).standard_normal((200, 50)), axis=1)
 
@@ -533,13 +580,14 @@ def test_shortfall_poly2exp_call_budget():
     assert count["calls"] <= 20
 
 
-def test_noisy_residual_costs_at_most_twice_bisection():
-    # exp(2 m) + exp(m) - 2 cancels at 1e-9: the residual is mostly rounding,
-    # where interpolation gains nothing and the midpoint safeguard takes over
-    Xs = 1e-9 * SOLVER_BATCH
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e-4, 1e-3])
+def test_noisy_residual_costs_at_most_bisection(scale):
+    # exp(2 m) + exp(m) - 2 cancels at small m: near the root the residual is
+    # a rounding plateau, where interpolation alone would inch along it
+    Xs = scale * np.sort(np.random.default_rng(6).standard_normal((2000, 50)), axis=1)
     _, count = _solve("ce", "poly2exp", Xs)
     _, oracle = _solve("ce", "poly2exp", Xs, oracle=True)
-    assert count["calls"] <= 2 * oracle["calls"]
+    assert count["calls"] <= oracle["calls"]
 
 
 def test_bracket_halves_within_any_three_steps():
@@ -585,18 +633,14 @@ def test_shortfall_poly2exp_sweep_is_thread_invariant():
 # closed forms for the entropic and piecewise-linear losses, against bisection
 
 STRUCTURED = ["exp:0.5", "exp:1", "exp:2", "linear", "expectile:0.5", "expectile:1",
-              "piecewise:0.5,2", "cvar:0.75"]
+              "piecewise:0.5,2", "cvar:0.75", "poly2exp", "quadlin"]
+# the same function as poly2exp's fn, without its cancellation near 0, so that
+# the solver's value is exact to a few ulps at every scale
+ACCURATE_FN = {"poly2exp": lambda v: np.expm1(2.0 * v) + np.expm1(v)}
 SOLVERS = {"ce": certainty_equivalent, "shortfall": shortfall_rho, "oce": oce}
 # mixed signs, so every kink is crossed, and values well away from 0, so a
 # relative tolerance means something
 ORACLE_SAMPLE = X50 + 1.0
-
-
-def _unstructured(ell):
-    """The same loss and flags without ``entropic``/``slopes``: bisection."""
-    return LossFunction(fn=ell.fn, strictly_increasing=ell.strictly_increasing,
-                        increasing=ell.increasing, convex=ell.convex,
-                        normalized=ell.normalized, name=ell.name)
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
@@ -606,7 +650,7 @@ def test_closed_form_matches_bisection(text, kind, scale):
     ell, solver = parse_loss_spec(text), SOLVERS[kind]
     x = scale * ORACLE_SAMPLE
     try:
-        expected = solver(x, _unstructured(ell))
+        expected = solver(x, _unstructured(ell, ACCURATE_FN.get(text)))
     except DomainError:  # the flags rule this kind out: the closed form must agree
         with pytest.raises(DomainError):
             solver(x, ell)
@@ -615,11 +659,6 @@ def test_closed_form_matches_bisection(text, kind, scale):
         assert scale == 1e9 and ell.entropic is not None
         assert math.isfinite(solver(x, ell))
         return
-    if kind == "oce" and ell.slopes is not None and ell.slopes[0] == 1.0:
-        # Slope 1 below 0 makes the objective flat (equal to the mean) for
-        # m >= max x.  Bisection's minimizer wanders there and m + mean(l(x - m))
-        # keeps only eps |m| absolute, far from 1e-13 relative at scale 1e-9.
-        expected = math.fsum(x) / x.size
     assert solver(x, ell) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
@@ -662,13 +701,76 @@ def test_structure_survives_replacing_fn():
         return ell.fn(x)
 
     batch = np.stack([X50, 2.0 * X50])
-    for text in ("exp:1", "expectile:1", "cvar:0.75"):
+    for text in ("exp:1", "expectile:1", "cvar:0.75", "poly2exp", "quadlin"):
         ell = parse_loss_spec(text)
         wrapped = dataclasses.replace(ell, fn=counted)
-        assert (wrapped.entropic, wrapped.slopes) == (ell.entropic, ell.slopes)
+        assert (wrapped.entropic, wrapped.slopes, wrapped.quad) == (ell.entropic, ell.slopes, ell.quad)
         spec, traced = RiskMeasureSpec.oce(ell), RiskMeasureSpec.oce(wrapped)
         assert np.array_equal(traced.evaluate_batch(batch), spec.evaluate_batch(batch))
     assert calls == []
+
+
+LD = np.longdouble
+LD_LOSS = {  # fn and l' in long double, without cancellation
+    "poly2exp": (lambda v: np.expm1(v) + np.expm1(2 * v),
+                 lambda v: np.exp(np.minimum(v, 5000)) + 2 * np.exp(np.minimum(2 * v, 11000))),
+    "quadlin": (lambda v: v / 2 + np.maximum(v, 0) ** 2, lambda v: 0.5 + 2 * np.maximum(v, 0)),
+}
+
+
+def _ld_bisect(F, lo, hi):
+    """Per-row root of a nondecreasing ``F`` in long double, by plain bisection."""
+    lo, hi = lo.astype(LD), hi.astype(LD)
+    for _ in range(160):
+        mid = (lo + hi) / 2
+        up = F(mid) > 0
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    return (lo + hi) / 2
+
+
+def _ld_oracle(kind, loss, Xs):
+    X, (fn, d1) = Xs.astype(LD), LD_LOSS[loss]
+    lo, hi = Xs[:, 0] - 5.0, Xs[:, -1] + 5.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "shortfall":
+            return _ld_bisect(lambda m: -fn(X - m[:, None]).sum(axis=1), lo, hi)
+        if kind == "oce":
+            m = _ld_bisect(lambda m: 1 - d1(X - m[:, None]).mean(axis=1), lo, hi)
+            return m + fn(X - m[:, None]).mean(axis=1)
+        if loss == "quadlin":
+            target = fn(X).mean(axis=1)
+            return _ld_bisect(lambda m: fn(m) - target, lo, hi)
+        # l(m) - l(x) for poly2exp as sum_k e^{k (lo - top)} expm1(k (hi - lo)),
+        # scaled by e^{-2 top} (top = max x > 0), which cannot overflow
+        top = X[:, -1:]
+
+        def F(m):
+            M, total = m[:, None], 0
+            for k, w in ((1, np.exp(-top)), (2, 1)):
+                d = M - X
+                total = total + w * np.where(
+                    d > 0, -np.exp(k * (M - top)) * np.expm1(-k * d),
+                    np.exp(k * (X - top)) * np.expm1(k * d))
+            return total.sum(axis=1)
+
+        return _ld_bisect(F, lo, hi)
+
+
+@pytest.mark.skipif(np.finfo(LD).eps >= np.finfo(np.float64).eps / 64,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("atoms", [3, 50])
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e9])
+@pytest.mark.parametrize("kind", sorted(SOLVERS))
+@pytest.mark.parametrize("loss", ["poly2exp", "quadlin"])
+def test_quadratic_forms_match_long_double(loss, kind, scale, atoms):
+    # every row has max x > 0, as the poly2exp CE oracle needs; at scale 10 a
+    # root lies far above the middle order statistic, where u is far below 1
+    Xs = scale * np.sort(np.random.default_rng(9).standard_normal((24, atoms)) + 0.5, axis=1)
+    Xs = Xs[Xs[:, -1] > 0]
+    got = BATCH_SOLVERS[kind](Xs, parse_loss_spec(loss))
+    expected = _ld_oracle(kind, loss, Xs)
+    ulps = np.spacing(np.maximum(np.abs(got), np.abs(Xs).max(axis=1)))
+    assert np.all(np.abs(got - expected) <= 4 * ulps)
 
 
 # ---------------------------------------------------------------------------
