@@ -20,10 +20,11 @@ threaded, and serial runs agree bit for bit: trial ``t`` draws from
 ``PCG64(SeedSequence((seed, t)))``.  ``SeedSequence``'s hash is a fixed
 function of the entropy words, so a chunk hashes all its trials' seeds in one
 pass of ``uint32`` numpy arithmetic (``_seed_states``) and hands each trial's
-``PCG64`` its precomputed words.  It draws each pair straight into the
-evaluation batch, and applies the nudge to all its nudged trials at once
-after the draws, since the nudge's steps after its two RNG calls use no
-randomness.
+``PCG64`` its precomputed words.  A trial makes two calls on it, one for the
+pair and one for the raw words of the nudge; the chunk then copies numpy's
+``choice`` (Floyd's algorithm with Lemire's bounded draw) and nudges all its
+nudged trials at once, replaying with numpy's own calls the rare trial whose
+draw Lemire's method rejects.
 """
 
 from __future__ import annotations
@@ -259,34 +260,52 @@ def _generators(seed: int, lo: int, hi: int):
         yield Generator(PCG64(_Pooled(state)))
 
 
-def _draw(rng: np.random.Generator, generator: str, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Fill the row ``out`` with one draw; ``scratch`` is a work row of the same size."""
-    if generator == "two_point":
+def _draw(rng: np.random.Generator, generator: str, pair: np.ndarray, scratch: np.ndarray) -> None:
+    """Fill the ``(2, n)`` array ``pair`` with one trial's x and y rows;
+    ``scratch`` is a work row of size n."""
+    if generator == "gaussian":
+        rng.standard_normal(out=pair)  # the stream of one call per row
+    elif generator == "two_point":
         # indicator-like vectors with entries in {0, 1}
-        out[...] = rng.integers(0, 2, size=out.size)
-        return
-    rng.standard_normal(out=out)
-    if generator == "heavy_tail":
-        # normal over sqrt(uniform); the uniform is taken on (0, 1] so the
-        # ratio stays finite
-        rng.random(out=scratch)
-        np.subtract(1.0, scratch, out=scratch)
-        out /= np.sqrt(scratch, out=scratch)
+        pair[...] = rng.integers(0, 2, size=pair.shape)
+    else:
+        # heavy_tail, row by row: normal over sqrt(uniform on (0, 1]), finite
+        for out in pair:
+            rng.standard_normal(out=out)
+            rng.random(out=scratch)
+            np.subtract(1.0, scratch, out=scratch)
+            out /= np.sqrt(scratch, out=scratch)
 
 
-def _draw_pair(
-    rng: np.random.Generator, generator: str, x: np.ndarray, y: np.ndarray, scratch: np.ndarray
-) -> np.ndarray | None:
-    """Draw one trial's pair into the rows ``x`` and ``y``.
+_NUDGE_BELOW = np.uint64(1 << 62)  # random() < 0.25 exactly when its raw word is below
+_FLOYD_MAX_ATOMS = 10_000  # numpy's choice shuffles a tail of arange(n) above
+_BLOCK = 256  # trials drawn into the pair buffer between copies to the batch
 
-    Returns the atoms of the comonotone nudge (a random half, drawn with
-    probability 1/4), or None; ``_nudge`` applies them.
+
+def _floyd_picks(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.sort(Generator.choice(n, n // 2, replace=False))`` for each row of
+    raw ``PCG64`` words, and a flag on each row this copy cannot follow.
+
+    Floyd's algorithm takes, for ``j = n - k .. n - 1``, ``val = (u (j + 1))
+    >> 32`` (Lemire's bounded draw) from the next 32-bit half ``u`` of the
+    stream, low half first, or ``j`` when ``val`` is already taken.  A row
+    is flagged where Lemire's draw would reject a ``u``, ``(u (j + 1)) mod
+    2**32 < 2**32 mod (j + 1)``, and every row above ``_FLOYD_MAX_ATOMS``.
     """
-    _draw(rng, generator, x, scratch)
-    _draw(rng, generator, y, scratch)
-    if rng.random() < 0.25:
-        return rng.choice(x.size, size=x.size // 2, replace=False)
-    return None
+    m, k = len(words), n // 2
+    if n > _FLOYD_MAX_ATOMS:
+        return np.zeros((m, k), dtype=np.intp), np.ones(m, dtype=bool)
+    halves = words.astype("<u8").view("<u4")  # low half first on any platform
+    taken = np.zeros((m, n), dtype=bool)
+    rejected = np.zeros(m, dtype=bool)
+    rows = np.arange(m)
+    for step, j in enumerate(range(n - k, n)):
+        scaled = halves[:, step] * np.uint64(j + 1)
+        rejected |= scaled.astype(np.uint32) < (1 << 32) % (j + 1)
+        val = (scaled >> np.uint64(32)).astype(np.intp)
+        val[taken[rows, val]] = j
+        taken[rows, val] = True
+    return np.nonzero(taken)[1].reshape(m, k), rejected
 
 
 def _nudge(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray, picks: np.ndarray) -> None:
@@ -301,6 +320,48 @@ def _nudge(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray, picks: np.ndarray) 
     ys[rows] = y
 
 
+def _draw_chunk(n_atoms: int, lo: int, hi: int, seed: int, generator: str) -> np.ndarray:
+    """The x, y, meet and join rows of trials ``[lo, hi)``, stacked as
+    ``evaluate_batch`` reads them.
+
+    Each trial makes two calls on its own generator (four for
+    ``heavy_tail``): it draws x and y into a buffer of ``_BLOCK`` trials,
+    copied into the batch a block at a time, and takes the raw words that the
+    nudge's ``random()`` and ``choice`` would read.  ``_floyd_picks`` then
+    makes the choice for all nudged trials, a trial it flags is replayed with
+    numpy's own calls, and ``_nudge`` runs once for the chunk: its steps use
+    no randomness and touch only their own trial's y.
+    """
+    m, k = hi - lo, n_atoms // 2
+    batch = np.empty((4, m, n_atoms))
+    xs, ys, meets, joins = batch
+    pairs = np.empty((min(m, _BLOCK), 2, n_atoms))
+    scratch = np.empty(n_atoms)
+    rows, words = [], []
+    trials = enumerate(_generators(seed, lo, hi))
+    for start in range(0, m, _BLOCK):
+        # pairs first: zip then stops without taking a generator it drops
+        for pair, (i, rng) in zip(pairs, trials):
+            _draw(rng, generator, pair, scratch)
+            raw = rng.bit_generator.random_raw(1 + (k + 1) // 2)  # coin, k halves
+            if raw[0] < _NUDGE_BELOW:
+                rows.append(i)
+                words.append(raw)
+        xs[start : start + _BLOCK] = pairs[: m - start, 0]
+        ys[start : start + _BLOCK] = pairs[: m - start, 1]
+    if rows:
+        picks, replay = _floyd_picks(np.array(words)[:, 1:], n_atoms)
+        for r in np.flatnonzero(replay):
+            rng = next(_generators(seed, lo + rows[r], lo + rows[r] + 1))
+            _draw(rng, generator, pairs[0], scratch)
+            rng.random()
+            picks[r] = rng.choice(n_atoms, size=k, replace=False)
+        _nudge(xs, ys, np.array(rows), picks)
+    np.minimum(xs, ys, out=meets)
+    np.maximum(xs, ys, out=joins)
+    return batch
+
+
 def _sweep_chunk(
     spec: RiskMeasureSpec,
     n_atoms: int,
@@ -310,31 +371,10 @@ def _sweep_chunk(
     generator: str,
     epsilon: float,
 ):
-    """Gap counts and the worst trial over trials ``[lo, hi)``.
-
-    Each trial seeds its own ``Generator(PCG64(SeedSequence((seed, t))))``
-    from its row of the chunk's seed states, which ``_generators`` hashes for
-    all trials at once (``_seed_states``), draws x and y straight into its
-    rows of the batch, and makes the nudge's two RNG calls.  The nudge itself
-    runs once for the chunk (``_nudge``): its remaining steps use no
-    randomness and touch only their own trial's y, so deferring them leaves
-    every row as a per-trial nudge would.
-    """
+    """Gap counts and the worst trial over trials ``[lo, hi)``, drawn by
+    ``_draw_chunk``, whose work arrays are freed before the evaluation."""
     m = hi - lo
-    # x, y, meet and join rows, stacked as evaluate_batch reads them
-    batch = np.empty((4, m, n_atoms))
-    xs, ys, meets, joins = batch
-    scratch = np.empty(n_atoms)
-    rows, picks = [], []
-    for i, rng in enumerate(_generators(seed, lo, hi)):
-        pick = _draw_pair(rng, generator, xs[i], ys[i], scratch)
-        if pick is not None:
-            rows.append(i)
-            picks.append(pick)
-    if rows:
-        _nudge(xs, ys, np.array(rows), np.array(picks))
-    np.minimum(xs, ys, out=meets)
-    np.maximum(xs, ys, out=joins)
+    batch = _draw_chunk(n_atoms, lo, hi, seed, generator)
     vals = spec.evaluate_batch(batch.reshape(4 * m, n_atoms))
     gaps = (vals[:m] + vals[m : 2 * m]) - (vals[2 * m : 3 * m] + vals[3 * m :])
     i_min = int(np.argmin(gaps))
@@ -342,7 +382,7 @@ def _sweep_chunk(
         int(np.count_nonzero(gaps < -epsilon)),
         float(gaps[i_min]),
         lo + i_min,
-        (xs[i_min].copy(), ys[i_min].copy()),
+        (batch[0, i_min].copy(), batch[1, i_min].copy()),
     )
 
 

@@ -398,10 +398,22 @@ def _kinked_sums(Xs: np.ndarray, s_minus: float, s_plus: float, quad: float = 0.
     are the only batch-sized work arrays kept; callers update ``y`` in place.
     With ``quad``, ``l`` has ``quad max(v, 0)^2`` on top, and ``B[:, j]`` also
     holds ``quad mean_{i > j} (y_i - y_j)^2``, from suffix sums of ``y^2``.
+
+    Without ``quad`` the loss is positively homogeneous: a row whose sums
+    here or in the caller could overflow is taken times ``2**-e`` (exactly),
+    and the last value returned, ``unit``, is ``2**e`` on it and 1 elsewhere:
+    callers multiply their result by it.
     """
     n = Xs.shape[1]
     top = Xs[:, -1]
     y = np.subtract(Xs, top[:, None])
+    unit = np.ones(len(Xs))
+    reach = 4.0 * n * max(1.0, s_minus, s_plus)
+    big = np.flatnonzero(~np.isfinite(y[:, 0] * reach))
+    if big.size and not quad:
+        unit[big] = 2.0 ** (2 + math.ceil(math.log2(reach)))
+        top = top / unit
+        y[big] = Xs[big] / unit[big, None] - top[big, None]
     B = _suffix_sums(y)  # B[:, j] = sum_{i > j} y_i
     total = B[:, 0] + y[:, 0]
     if quad:
@@ -417,7 +429,7 @@ def _kinked_sums(Xs: np.ndarray, s_minus: float, s_plus: float, quad: float = 0.
     if quad:
         B += sq
     slope = s_minus + (s_plus - s_minus) / n * np.arange(n - 1, -1, -1.0)
-    return top, y, B, slope
+    return top, y, B, slope, unit
 
 
 def _kinked_mean(Xs: np.ndarray, m: np.ndarray):
@@ -558,13 +570,13 @@ def _shortfall_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
         # where it is negative (the top c), then solve the piece with those c
         # atoms above the root.
         sm, sp = ell.slopes
-        top, y, B, slope = _kinked_sums(Xs, sm, sp, q)
+        top, y, B, slope, unit = _kinked_sums(Xs, sm, sp, q)
         y *= slope
         np.subtract(B, y, out=y)
         c = np.count_nonzero(y < 0.0, axis=1)
         if not q:
             j = np.maximum(n - 1 - c, 0)
-            return top + B[np.arange(j.size), j] / slope[j]
+            return unit * (top + B[np.arange(j.size), j] / slope[j])
         # Anchored at the lowest of those order statistics, x_a, the residual
         # at m = x_a - t is mean l(x - x_a) + b t + (q k / n) t^2 with
         # b = slope + 2 q mean max(x - x_a, 0): every term but the first is
@@ -707,10 +719,10 @@ def _oce_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
             )
         # the objective is convex and piecewise linear with kinks at the
         # order statistics: its minimum is the least value there
-        top, y, B, slope = _kinked_sums(Xs, sm, sp)
+        top, y, B, slope, unit = _kinked_sums(Xs, sm, sp)
         y *= 1.0 - slope
         y += B
-        return top + y.min(axis=1)
+        return unit * (top + y.min(axis=1))
     work = np.empty_like(Xs)  # one work array for the whole solve
 
     def f(m, rows=slice(None)):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import itertools
 import json
 import warnings
 from collections.abc import Sequence
@@ -194,8 +195,14 @@ class ViolationTable(Sequence):
         return self._record(k, p, d)
 
     def __iter__(self):
-        for d, p, k in np.ndindex(self.gaps.shape[::-1]):
-            yield self._record(k, p, d)
+        # .T puts the cells in (date, pair, check) order; tolist() gives
+        # Python floats and bools without a numpy scalar per cell
+        cells = itertools.product(self.dates, self.pairs, self.checks)
+        for (date, pair, (measure, test)), gap, violated in zip(
+            cells, self.gaps.T.ravel().tolist(), self.violated.T.ravel().tolist()
+        ):
+            yield ViolationRecord(date=date, pair=pair, measure=measure, test=test,
+                                  gap=gap, violated=violated)
 
     def __eq__(self, other):
         if isinstance(other, ViolationTable) and (

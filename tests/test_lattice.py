@@ -153,10 +153,84 @@ def test_chunk_draws_bit_equal_to_per_trial_loop(seed, n, generator):
     assert nudged.any() and not nudged.all()
 
 
+def test_chunk_draws_span_several_pair_blocks():
+    # more trials than the pair buffer holds, ending part way into a block
+    for generator in GENERATORS:
+        _assert_chunk_matches_oracle(5, 3, 10 + 2 * lattice._BLOCK, generator, 5)
+
+
 def test_chunk_draws_past_32_bit_trial_index():
     _assert_chunk_matches_oracle(2**32 + 5, 2**32 - 2, 2**32 + 2, "gaussian", 11)
     for seed in (0, 2**32 + 5):
         _assert_seed_states_match(seed, 2**32 - 1, 2**32 + 2)
+
+
+def _nudge_streams(seed, trials, generator, n):
+    """After each trial's pair draws on ``SeedSequence((seed, t))``: the raw
+    words of the nudge, numpy's coin and numpy's own sorted picks."""
+    k = n // 2
+    words, coins, picks = [], [], []
+    for t in range(trials):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, t))))
+        _oracle_draw(rng, generator, n)
+        _oracle_draw(rng, generator, n)
+        state = rng.bit_generator.state
+        words.append(rng.bit_generator.random_raw(1 + (k + 1) // 2))
+        rng.bit_generator.state = state
+        coins.append(rng.random() < 0.25)
+        picks.append(np.sort(rng.choice(n, size=k, replace=False)))
+    return np.array(words), np.array(coins), np.array(picks)
+
+
+# 4 x 3 x 7,000 = 84,000 streams, 21,000 for each n
+@pytest.mark.parametrize("generator", GENERATORS)
+@pytest.mark.parametrize("n", [3, 4, 11, 50])
+def test_floyd_picks_match_numpy_choice(n, generator):
+    words, coins, want = _nudge_streams(11, 7_000, generator, n)
+    np.testing.assert_array_equal(words[:, 0] < lattice._NUDGE_BELOW, coins)
+    picks, rejected = lattice._floyd_picks(words[:, 1:], n)
+    assert not rejected.any()
+    np.testing.assert_array_equal(picks, want)
+
+
+def test_floyd_picks_flag_a_rejected_draw():
+    # n = 50 draws first on [0, 25]: Lemire's method rejects a half u when
+    # (26 u) mod 2**32 < 2**32 mod 26 = 22, so u = 0 rejects; 26 u = 20 and
+    # 26 u = 22 (mod 2**32) sit either side of the threshold
+    inv13 = pow(13, -1, 2**31)
+    halves = [0, 10 * inv13 % 2**31, 11 * inv13 % 2**31, 2**31]
+    assert [26 * u % 2**32 for u in halves] == [0, 20, 22, 0]
+    # each word's high half is 2**31, harmless at the odd j + 1 it is drawn at
+    words = np.full((len(halves), 13), 2**63 + 12345, dtype=np.uint64)
+    words[:, 0] = np.array([2**63 + u for u in halves], dtype=np.uint64)
+    picks, rejected = lattice._floyd_picks(words, 50)
+    assert rejected.tolist() == [True, True, False, True]
+    assert picks.shape == (4, 25) and (np.diff(picks, axis=1) > 0).all()
+    # above 10000 atoms numpy's choice shuffles a tail: every row is flagged
+    assert lattice._floyd_picks(words, 10_001)[1].all()
+
+
+def test_replayed_rows_match_oracle(monkeypatch):
+    # rows flagged by the copied choice are replayed with numpy's own calls;
+    # the garbage picks given for them must not survive
+    floyd = lattice._floyd_picks
+
+    def flag_every_other(words, n):
+        picks, rejected = floyd(words, n)
+        picks[::2] = 0
+        rejected[::2] = True
+        return picks, rejected
+
+    monkeypatch.setattr(lattice, "_floyd_picks", flag_every_other)
+    for generator in GENERATORS:
+        assert _assert_chunk_matches_oracle(7, 5, 85, generator, 11).sum() >= 2
+
+
+@pytest.mark.parametrize("n", [10_000, 10_001])
+def test_chunk_draws_at_floyd_limit(n):
+    # numpy's choice runs Floyd's algorithm up to 10000 atoms and shuffles a
+    # tail of arange(n) above, which every nudged row then replays
+    assert _assert_chunk_matches_oracle(3, 0, 12, "gaussian", n).any()
 
 
 def _assert_seed_states_match(seed, lo, hi):

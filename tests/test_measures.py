@@ -360,6 +360,34 @@ def test_entropic_closed_form_survives_overflow_scale(solver):
     assert got == pytest.approx(1564.2946, abs=1e-4)
 
 
+EDGE = np.array([-1e308, 1e308, 0.5e308])  # x - max x overflows
+
+
+@pytest.mark.parametrize("solver", [shortfall_rho, oce])
+@pytest.mark.parametrize("loss", [linear_loss, lambda: expectile_loss(1.0)])
+def test_piecewise_linear_forms_survive_a_span_that_overflows(solver, loss):
+    # the loss is positively homogeneous, so the row is scaled by a power of
+    # two and the value comes out exactly twice the halved sample's
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solver(EDGE, loss())
+        half = solver(EDGE / 2, loss())
+    assert math.isfinite(got) and got == 2 * half
+    if solver is oce or loss is linear_loss:  # both are the mean here
+        assert got == 1.6666666666666674e307
+    # in a batch, each row keeps its own value
+    Xs = np.sort(np.stack([EDGE, EDGE / 1e300]), axis=1)
+    kernel = rm._shortfall_batch if solver is shortfall_rho else rm._oce_batch
+    assert kernel(Xs, loss()).tolist() == [got, solver(EDGE / 1e300, loss())]
+
+
+@pytest.mark.parametrize("solver", [shortfall_rho, oce])
+def test_quadlin_span_that_overflows_raises(solver):
+    # quad max(x, 0)^2 is not homogeneous: no scaling, and the overflow raises
+    with pytest.raises(NumericError, match="overflow at batch row 0"):
+        solver(EDGE, quadlin_loss())
+
+
 def test_shortfall_root_survives_overflow_elsewhere_in_its_bracket():
     # the residual overflows near min(x) with the right sign, and is finite at the root
     y = 800 * X50

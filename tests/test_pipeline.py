@@ -641,6 +641,14 @@ def test_table_reads_as_sorted_records():
     assert table != records[:-1]
 
 
+def test_table_iteration_matches_indexing():
+    # iteration builds the records from whole columns, indexing cell by cell
+    _, _, table = golden_table()
+    records = list(table)
+    assert records == [table[i] for i in range(len(table))]
+    assert all(type(r.gap) is float and type(r.violated) is bool for r in records)
+
+
 def test_table_counts_match_record_counts():
     _, config, table = golden_table()
     records = list(table)
