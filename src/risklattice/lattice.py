@@ -20,11 +20,9 @@ threaded, and serial runs agree bit for bit: trial ``t`` draws from
 ``PCG64(SeedSequence((seed, t)))``.  ``SeedSequence``'s hash is a fixed
 function of the entropy words, so a chunk hashes all its trials' seeds in one
 pass of ``uint32`` numpy arithmetic (``_seed_states``) and hands each trial's
-``PCG64`` its precomputed words.  A trial makes two calls on it, one for the
-pair and one for the raw words of the nudge; the chunk then copies numpy's
-``choice`` (Floyd's algorithm with Lemire's bounded draw) and nudges all its
-nudged trials at once, replaying with numpy's own calls the rare trial whose
-draw Lemire's method rejects.
+``PCG64`` its precomputed words.  A trial draws its pair into the batch and
+takes the nudge's raw words; the chunk redoes numpy's ``choice`` (Floyd's
+algorithm) on them and nudges all its nudged trials at once.
 """
 
 from __future__ import annotations
@@ -260,52 +258,64 @@ def _generators(seed: int, lo: int, hi: int):
         yield Generator(PCG64(_Pooled(state)))
 
 
-def _draw(rng: np.random.Generator, generator: str, pair: np.ndarray, scratch: np.ndarray) -> None:
-    """Fill the ``(2, n)`` array ``pair`` with one trial's x and y rows;
-    ``scratch`` is a work row of size n."""
-    if generator == "gaussian":
-        rng.standard_normal(out=pair)  # the stream of one call per row
-    elif generator == "two_point":
+def _draw(rng: np.random.Generator, generator: str, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Fill the row ``out`` with one draw; ``scratch`` is a work row of the same size."""
+    if generator == "two_point":
         # indicator-like vectors with entries in {0, 1}
-        pair[...] = rng.integers(0, 2, size=pair.shape)
-    else:
-        # heavy_tail, row by row: normal over sqrt(uniform on (0, 1]), finite
-        for out in pair:
-            rng.standard_normal(out=out)
-            rng.random(out=scratch)
-            np.subtract(1.0, scratch, out=scratch)
-            out /= np.sqrt(scratch, out=scratch)
+        out[...] = rng.integers(0, 2, size=out.size)
+        return
+    rng.standard_normal(out=out)
+    if generator == "heavy_tail":
+        # normal over sqrt(uniform); the uniform is taken on (0, 1] so the
+        # ratio stays finite
+        rng.random(out=scratch)
+        np.subtract(1.0, scratch, out=scratch)
+        out /= np.sqrt(scratch, out=scratch)
 
 
 _NUDGE_BELOW = np.uint64(1 << 62)  # random() < 0.25 exactly when its raw word is below
 _FLOYD_MAX_ATOMS = 10_000  # numpy's choice shuffles a tail of arange(n) above
-_BLOCK = 256  # trials drawn into the pair buffer between copies to the batch
 
 
 def _floyd_picks(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.sort(Generator.choice(n, n // 2, replace=False))`` for each row of
-    raw ``PCG64`` words, and a flag on each row this copy cannot follow.
+    raw ``PCG64`` words (``n <= _FLOYD_MAX_ATOMS``), all rows at once, and a
+    flag on each row where Lemire's bounded draw rejects a half.
 
-    Floyd's algorithm takes, for ``j = n - k .. n - 1``, ``val = (u (j + 1))
-    >> 32`` (Lemire's bounded draw) from the next 32-bit half ``u`` of the
-    stream, low half first, or ``j`` when ``val`` is already taken.  A row
-    is flagged where Lemire's draw would reject a ``u``, ``(u (j + 1)) mod
-    2**32 < 2**32 mod (j + 1)``, and every row above ``_FLOYD_MAX_ATOMS``.
-    """
+    Floyd's step ``s`` takes ``j = n - k + s`` and, from the next 32-bit half
+    ``u`` (low half first), ``val = u (j + 1) >> 32``, rejecting ``u`` where
+    ``u (j + 1) mod 2**32 < 2**32 mod (j + 1)``.  It inserts ``j`` if ``val``
+    is in (an earlier step drew it, or it is the ``j`` of one that inserted
+    ``j``), else ``val``."""
     m, k = len(words), n // 2
-    if n > _FLOYD_MAX_ATOMS:
-        return np.zeros((m, k), dtype=np.intp), np.ones(m, dtype=bool)
-    halves = words.astype("<u8").view("<u4")  # low half first on any platform
-    taken = np.zeros((m, n), dtype=bool)
-    rejected = np.zeros(m, dtype=bool)
-    rows = np.arange(m)
-    for step, j in enumerate(range(n - k, n)):
-        scaled = halves[:, step] * np.uint64(j + 1)
-        rejected |= scaled.astype(np.uint32) < (1 << 32) % (j + 1)
-        val = (scaled >> np.uint64(32)).astype(np.intp)
-        val[taken[rows, val]] = j
-        taken[rows, val] = True
-    return np.nonzero(taken)[1].reshape(m, k), rejected
+    bound = np.arange(n - k + 1, n + 1, dtype=np.uint64)  # j + 1 at each step
+    # low half first on any platform
+    scaled = words.astype("<u8", copy=False).view("<u4")[:, :k] * bound
+    rejected = (scaled.astype(np.uint32) < (1 << 32) % bound).any(axis=1)
+    scaled >>= 32
+    pos = scaled.view(np.int64)  # val, worked in place into two flat indices
+    steps = np.arange(k)
+    pos -= n - k  # val is the j of step pos if 0 <= pos < s
+    linked = ((pos >= 0) & (pos < steps)).ravel()
+    pos += np.arange(n - k, m * n, n)[:, None]  # val's index in an (m, n) mask
+    first = np.full(m * n, k, dtype=np.int16)  # first step to draw each value; k <= 5000
+    np.minimum.at(first, pos.ravel(), np.tile(steps.astype(np.int16), m))
+    repeat = (first[pos] < steps).ravel()
+    pos -= np.arange(n - k, (m + 1) * (n - k), n - k)[:, None]  # flat index of step pos
+    link = pos.ravel()
+    # a step collides if its val repeats, or it is linked to a step that collides
+    collide = repeat.copy()
+    at = np.flatnonzero(linked & ~repeat)
+    to = link[at]
+    while at.size:
+        collide[at[repeat[to]]] = True
+        keep = ~repeat[to] & linked[to]
+        at, to = at[keep], link[to[keep]]
+    taken = (first < k).reshape(m, n)
+    taken[:, n - k :] |= collide.reshape(m, k)
+    picks = np.flatnonzero(taken).reshape(m, k)
+    picks -= np.arange(0, m * n, n)[:, None]
+    return picks, rejected
 
 
 def _nudge(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray, picks: np.ndarray) -> None:
@@ -313,53 +323,9 @@ def _nudge(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray, picks: np.ndarray) 
     on the atoms ``picks[k]`` of row ``r = rows[k]``, rearrange y so that it
     follows x's ordering there."""
     idx = np.sort(picks, axis=1)
-    order = np.argsort(np.take_along_axis(xs[rows], idx, axis=1), axis=1, kind="stable")
-    y = ys[rows]
-    sorted_y = np.sort(np.take_along_axis(y, idx, axis=1), axis=1)
-    np.put_along_axis(y, np.take_along_axis(idx, order, axis=1), sorted_y, axis=1)
-    ys[rows] = y
-
-
-def _draw_chunk(n_atoms: int, lo: int, hi: int, seed: int, generator: str) -> np.ndarray:
-    """The x, y, meet and join rows of trials ``[lo, hi)``, stacked as
-    ``evaluate_batch`` reads them.
-
-    Each trial makes two calls on its own generator (four for
-    ``heavy_tail``): it draws x and y into a buffer of ``_BLOCK`` trials,
-    copied into the batch a block at a time, and takes the raw words that the
-    nudge's ``random()`` and ``choice`` would read.  ``_floyd_picks`` then
-    makes the choice for all nudged trials, a trial it flags is replayed with
-    numpy's own calls, and ``_nudge`` runs once for the chunk: its steps use
-    no randomness and touch only their own trial's y.
-    """
-    m, k = hi - lo, n_atoms // 2
-    batch = np.empty((4, m, n_atoms))
-    xs, ys, meets, joins = batch
-    pairs = np.empty((min(m, _BLOCK), 2, n_atoms))
-    scratch = np.empty(n_atoms)
-    rows, words = [], []
-    trials = enumerate(_generators(seed, lo, hi))
-    for start in range(0, m, _BLOCK):
-        # pairs first: zip then stops without taking a generator it drops
-        for pair, (i, rng) in zip(pairs, trials):
-            _draw(rng, generator, pair, scratch)
-            raw = rng.bit_generator.random_raw(1 + (k + 1) // 2)  # coin, k halves
-            if raw[0] < _NUDGE_BELOW:
-                rows.append(i)
-                words.append(raw)
-        xs[start : start + _BLOCK] = pairs[: m - start, 0]
-        ys[start : start + _BLOCK] = pairs[: m - start, 1]
-    if rows:
-        picks, replay = _floyd_picks(np.array(words)[:, 1:], n_atoms)
-        for r in np.flatnonzero(replay):
-            rng = next(_generators(seed, lo + rows[r], lo + rows[r] + 1))
-            _draw(rng, generator, pairs[0], scratch)
-            rng.random()
-            picks[r] = rng.choice(n_atoms, size=k, replace=False)
-        _nudge(xs, ys, np.array(rows), picks)
-    np.minimum(xs, ys, out=meets)
-    np.maximum(xs, ys, out=joins)
-    return batch
+    rows = rows[:, None]
+    order = np.argsort(xs[rows, idx], axis=1, kind="stable")
+    ys[rows, np.take_along_axis(idx, order, axis=1)] = np.sort(ys[rows, idx], axis=1)
 
 
 def _sweep_chunk(
@@ -371,10 +337,44 @@ def _sweep_chunk(
     generator: str,
     epsilon: float,
 ):
-    """Gap counts and the worst trial over trials ``[lo, hi)``, drawn by
-    ``_draw_chunk``, whose work arrays are freed before the evaluation."""
-    m = hi - lo
-    batch = _draw_chunk(n_atoms, lo, hi, seed, generator)
+    """Gap counts and the worst trial over trials ``[lo, hi)``.
+
+    Each trial draws x and y into its rows of the batch and takes in one call
+    the raw words that the nudge's ``random()`` and ``choice`` would read
+    (above ``_FLOYD_MAX_ATOMS`` it makes those calls).  ``_floyd_picks`` makes
+    the choice for all nudged trials, a trial it flags is redone with numpy's
+    own calls, and ``_nudge`` runs once: it uses no randomness."""
+    m, k, floyd = hi - lo, n_atoms // 2, n_atoms <= _FLOYD_MAX_ATOMS
+    # x, y, meet and join rows, stacked as evaluate_batch reads them
+    batch = np.empty((4, m, n_atoms))
+    xs, ys, meets, joins = batch
+    scratch = np.empty(n_atoms)
+    rows, picks = [], []
+    for i, rng in enumerate(_generators(seed, lo, hi)):
+        _draw(rng, generator, xs[i], scratch)
+        _draw(rng, generator, ys[i], scratch)
+        if not floyd:
+            if rng.random() < 0.25:
+                rows.append(i)
+                picks.append(rng.choice(n_atoms, size=k, replace=False))
+            continue
+        raw = rng.bit_generator.random_raw(1 + (k + 1) // 2)  # coin, k halves
+        if raw[0] < _NUDGE_BELOW:
+            rows.append(i)
+            picks.append(raw[1:])
+    if rows:
+        picks = np.array(picks)
+        if floyd:
+            picks, replay = _floyd_picks(picks, n_atoms)
+            for r in np.flatnonzero(replay):
+                rng = next(_generators(seed, lo + rows[r], lo + rows[r] + 1))
+                _draw(rng, generator, meets[0], scratch)  # the pair again, into a free row
+                _draw(rng, generator, meets[0], scratch)
+                rng.random()
+                picks[r] = rng.choice(n_atoms, size=k, replace=False)
+        _nudge(xs, ys, np.array(rows), picks)
+    np.minimum(xs, ys, out=meets)
+    np.maximum(xs, ys, out=joins)
     vals = spec.evaluate_batch(batch.reshape(4 * m, n_atoms))
     gaps = (vals[:m] + vals[m : 2 * m]) - (vals[2 * m : 3 * m] + vals[3 * m :])
     i_min = int(np.argmin(gaps))
@@ -382,7 +382,7 @@ def _sweep_chunk(
         int(np.count_nonzero(gaps < -epsilon)),
         float(gaps[i_min]),
         lo + i_min,
-        (batch[0, i_min].copy(), batch[1, i_min].copy()),
+        (xs[i_min].copy(), ys[i_min].copy()),
     )
 
 
