@@ -20,6 +20,7 @@ import datetime as dt
 import io
 import itertools
 import json
+import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -277,6 +278,7 @@ def load_prices_csv(path) -> PricePanel:
     """
     path = Path(path)
     cells: dict[tuple[dt.date, str], float] = {}
+    days: dict[str, dt.date] = {}  # each distinct date text is parsed once
     duplicates = 0
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     header = next(reader, None)
@@ -290,11 +292,13 @@ def load_prices_csv(path) -> PricePanel:
         if len(row) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
         try:
-            day = dt.date.fromisoformat(row[0].strip())
+            day = days.get(row[0])
+            if day is None:
+                day = days[row[0]] = dt.date.fromisoformat(row[0].strip())
             price = float(row[2].strip())
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
-        if not np.isfinite(price) or price <= 0:
+        if not math.isfinite(price) or price <= 0:
             raise DataError(f"{path}:{lineno}: nonpositive or non-finite price {row[2]!r}")
         key = (day, row[1].strip())
         if key in cells:
@@ -631,33 +635,49 @@ def _csv_fields(*fields: str) -> str:
 
 
 # violations.csv is formatted in blocks of dates holding about this many
-# cells.  A block keeps the strings of its distinct gaps (about 75 bytes
-# each), so this bounds them at about 1 MB.
-_EXPORT_BLOCK_CELLS = 1 << 14
+# cells.  A block keeps one text per distinct (gap, flag) of its cells and a
+# few 8-byte indices per cell, so the writer's memory peaks at about 12 MB
+# when every cell is a distinct gap (traced with tracemalloc).
+_EXPORT_BLOCK_CELLS = 1 << 16
+
+
+def _gap_texts(values: np.ndarray, suffix: str) -> list[str]:
+    """``"%.17g" + suffix`` of each value, in one ``%`` call.  ``suffix`` ends
+    in a newline, which no formatted float holds."""
+    return ((f"%.17g{suffix}" * values.size) % tuple(values.tolist())).splitlines(True)
 
 
 def _write_violations(fh, table: ViolationTable) -> None:
-    # Each label is CSV-encoded once, into one %-template line per (pair,
-    # check) cell (a literal '%' in a label is doubled).  Rows are formatted a
-    # block of dates at a time, so the file is never held in memory as
-    # strings.  A gap often repeats from one date to the next, so each
-    # distinct gap of a block is formatted once, keyed by its bits so that
-    # -0.0 and 0.0 keep their own text.
-    lines = ["%s," + f"{_csv_fields('-'.join(pair))},{_csv_fields(*check)}".replace("%", "%%")
-             + ",%s,%s\n" for pair in table.pairs for check in table.checks]
-    template = "".join(lines)
-    step = max(1, _EXPORT_BLOCK_CELLS // max(len(lines), 1))
+    # Each pair and check label is CSV-encoded once.  A row is three slots of
+    # one list per date: "date,", the labels and "gap,flag\n", and the list
+    # is joined.  Rows are formatted a block of dates at a time, so the file
+    # is never held in memory as strings.  A gap often repeats from one date
+    # to the next, so each distinct (gap, flag) of a block is formatted once,
+    # keyed by the gap's bits so that -0.0 and 0.0 keep their own text, and
+    # by the flag so that a table built from records keeps its own flags.
+    pairs = [_csv_fields("-".join(pair)) for pair in table.pairs]
+    checks = [_csv_fields(*check) for check in table.checks]
+    rows = len(pairs) * len(checks)
+    slots = [None] * (3 * rows)
+    slots[1::3] = [f"{pair},{check}," for pair in pairs for check in checks]
+    step = max(1, _EXPORT_BLOCK_CELLS // max(rows, 1))
     for start in range(0, len(table.dates), step):
-        block = np.asarray(table.gaps[:, :, start : start + step], dtype=np.float64)
-        distinct, index = np.unique(block.view(np.int64).ravel(), return_inverse=True)
-        texts = np.array(["%.17g" % g for g in distinct.view(np.float64).tolist()], dtype=object)
-        index = index.reshape(block.shape)
-        for d, day in enumerate(table.dates[start : start + step]):
-            args = [day.isoformat()] * (3 * len(lines))
-            args[1::3] = texts[index[:, :, d].T.ravel()].tolist()
-            violated = table.violated[:, :, start + d].T.ravel()
-            args[2::3] = np.where(violated, "true", "false").tolist()
-            fh.write(template % tuple(args))
+        days = table.dates[start : start + step]
+        # (date, pair, check) order, the order of the rows
+        gaps = np.ascontiguousarray(table.gaps[:, :, start : start + step].T, dtype=np.float64)
+        flags = np.asarray(table.violated[:, :, start : start + step].T, dtype=bool)
+        distinct, index = np.unique(gaps.view(np.int64).ravel(), return_inverse=True)
+        key = 2 * index.ravel() + flags.ravel()  # (gap, flag) -> 2 * distinct gap + flag
+        seen = np.zeros(2 * distinct.size, dtype=bool)
+        seen[key] = True
+        texts = np.empty(2 * distinct.size, dtype=object)
+        for flag, suffix in enumerate((",false\n", ",true\n")):
+            at = np.flatnonzero(seen[flag::2])
+            texts[2 * at + flag] = _gap_texts(distinct[at].view(np.float64), suffix)
+        for day, cells in zip(days, key.reshape(len(days), rows)):
+            slots[0::3] = [day.isoformat() + ","] * rows
+            slots[2::3] = texts[cells].tolist()
+            fh.write("".join(slots))
 
 
 def export_report(
@@ -672,8 +692,11 @@ def export_report(
     ``summary.json`` into ``outdir``; column orders are fixed.
 
     ``records`` is a ``ViolationTable`` or a list of ``ViolationRecord``s
-    (converted to a table first); ``violations.csv`` is written from the
-    table's arrays one date at a time, in (date, pair, measure, test) order.
+    (converted to a table first).  ``violations.csv`` is written from the
+    table's arrays in (date, pair, measure, test) order, a block of dates of
+    about ``_EXPORT_BLOCK_CELLS`` cells at a time: each pair and check label
+    is CSV-encoded once, and each distinct (gap, flag) of a block is
+    formatted once, so memory does not grow with the number of dates.
     ``correlation_rows`` is an iterable of ``(label_a, label_b,
     CorrelationResult)``.  Output is byte-stable for a fixed input: floats
     are written with 17 significant digits, and the JSON summary has sorted

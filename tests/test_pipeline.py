@@ -60,6 +60,31 @@ def test_load_nonpositive_price_rejected(tmp_path):
         pl.load_prices_csv(p)
 
 
+@pytest.mark.parametrize("price", ["inf", "nan", "-inf", "1e999"])
+def test_load_non_finite_price_rejected_with_line(tmp_path, price):
+    p = write_csv(tmp_path / "p.csv", ["2024-01-02,AAA,100.0", f"2024-01-03,AAA,{price}"])
+    with pytest.raises(DataError, match=f"p.csv:3: nonpositive or non-finite price '{price}'"):
+        pl.load_prices_csv(p)
+
+
+@pytest.mark.parametrize("row", ["2024-02-30,AAA,1.0", "2024-01-02,CCC,abc"])
+def test_load_error_after_a_parsed_date_names_its_own_line(tmp_path, row):
+    # line 3 reuses line 2's parsed date; line 4 fails on its own date or price
+    p = write_csv(tmp_path / "p.csv", ["2024-01-02,AAA,100.0", "2024-01-02,BBB,50.0", row])
+    with pytest.raises(DataError, match="p.csv:4: "):
+        pl.load_prices_csv(p)
+
+
+def test_load_date_with_spaces_is_the_same_cell(tmp_path):
+    p = write_csv(tmp_path / "p.csv", ["2024-01-02,AAA,100.0", " 2024-01-02 ,AAA,200.0",
+                                       "2024-01-03 ,AAA,300.0"])
+    with pytest.warns(UserWarning, match="1 duplicate"):
+        panel = pl.load_prices_csv(p)
+    assert panel.dates == (dt.date(2024, 1, 2), dt.date(2024, 1, 3))
+    assert panel.duplicates == 1
+    assert panel.closes[:, 0].tolist() == [200.0, 300.0]
+
+
 def test_load_duplicates_last_wins(tmp_path):
     p = write_csv(tmp_path / "p.csv", [
         "2024-01-02,AAA,100.0", "2024-01-02,AAA,200.0", "2024-01-03,AAA,300.0",
@@ -768,26 +793,37 @@ def plain_violations_csv(table) -> bytes:
     return buf.getvalue().encode()
 
 
-@pytest.mark.parametrize("block_cells", [1, 36, 1 << 14])
+@pytest.mark.parametrize("block_cells", [1, 36, 1 << 14, pl._EXPORT_BLOCK_CELLS])
 def test_export_bytes_match_plain_writer(tmp_path, monkeypatch, block_cells):
-    # a full grid whose gaps repeat, with -0.0 and 0.0 apart and a check
-    # configured twice, written in blocks of 1 date, 2 dates, and all of them
+    # a full grid whose gaps repeat, with -0.0 and 0.0 apart, +-inf, a check
+    # configured twice, tickers and labels holding '%', ',' and '"' (quoted,
+    # '"' doubled), and flags that disagree with the gap's sign, one gap
+    # carrying both flags on one date; written in blocks of 1 date, 2 dates,
+    # and all of them
     monkeypatch.setattr(pl, "_EXPORT_BLOCK_CELLS", block_cells)
     days = [dt.date(2024, 1, 1) + dt.timedelta(days=k) for k in range(7)]
-    pairs = [("A", "B"), ("A", "C"), ("B", "C")]
+    pairs = [("10%", 'Q"1'), ("10%", "a,b"), ('Q"1', "a,b")]
     checks = [("VaR(0.9)", pl.SUBMODULARITY), ("VaR(0.9)", pl.SUBADDITIVITY),
-              ("AES(0.6:0,0.9:0.01)", pl.SUBMODULARITY), ("odd 50% label", pl.SUBMODULARITY),
-              ("odd 50% label", pl.SUBMODULARITY)]
-    values = [-0.0, 0.0, 1.0 / 3.0, -1e-300, 5e-324, 0.1 + 0.2, -2.5]
+              ("AES(0.6:0,0.9:0.01)", pl.SUBMODULARITY), ('odd 50% "label"', pl.SUBMODULARITY),
+              ('odd 50% "label"', pl.SUBMODULARITY)]
+    values = [-0.0, 0.0, 1.0 / 3.0, -1e-300, 5e-324, 0.1 + 0.2, -2.5, math.inf, -math.inf]
     records = []
     for d, day in enumerate(days):
         for p, pair in enumerate(pairs):
             for k, (measure, test) in enumerate(checks):
                 gap = values[(d // 2 + p + k) % len(values)]
+                violated = (gap < 0) != ((d + p) % 3 == 0)
                 records.append(pl.ViolationRecord(date=day, pair=pair, measure=measure,
-                                                  test=test, gap=gap, violated=gap < 0))
+                                                  test=test, gap=gap, violated=violated))
     table = pl.ViolationTable.from_records(records)
     assert table.gaps.shape == (5, 3, 7) and table.checks.count(checks[-1]) == 2
-    assert {"-0", "0"} <= {"%.17g" % r.gap for r in table}
+    assert {"-0", "0", "inf", "-inf"} <= {"%.17g" % r.gap for r in table}
+    flags = {}
+    for r in table:
+        flags.setdefault((r.date, "%.17g" % r.gap), set()).add(r.violated)
+    assert any(len(f) == 2 for f in flags.values())
+    assert any(r.violated and r.gap > 0 for r in table)
+    assert any(not r.violated and r.gap < 0 for r in table)
     path = pl.export_report(table, [], [], tmp_path)["violations"]
     assert path.read_bytes() == plain_violations_csv(table)
+    assert pl.read_violations_csv(path) == list(table)
