@@ -23,6 +23,15 @@ pass of ``uint32`` numpy arithmetic (``_seed_states``) and hands each trial's
 ``PCG64`` its precomputed words.  A trial draws its pair into the batch and
 takes the nudge's raw words; the chunk redoes numpy's ``choice`` (Floyd's
 algorithm) on them and nudges all its nudged trials at once.
+
+The pairs of a chunk depend only on ``(n_atoms, lo, hi, seed, generator)``,
+not on the measure or ``epsilon``, so the module keeps the last chunk's batch
+(x, y, meet and join rows) under that key and a later sweep with the same key
+evaluates it without drawing again: sweeping several measures on one seed in
+one process draws the pairs once.  The kept batch is read-only, so no
+evaluator can change what the next sweep reads, and a batch over 64 MB
+(``_PAIR_CACHE_BYTES``) is not kept.  Results are bit for bit those of a fresh
+draw.  A CLI ``sweep`` runs in a fresh process and so gains nothing.
 """
 
 from __future__ import annotations
@@ -328,24 +337,42 @@ def _nudge(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray, picks: np.ndarray) 
     ys[rows, np.take_along_axis(idx, order, axis=1)] = np.sort(ys[rows, idx], axis=1)
 
 
-def _sweep_chunk(
-    spec: RiskMeasureSpec,
-    n_atoms: int,
-    lo: int,
-    hi: int,
-    seed: int,
-    generator: str,
-    epsilon: float,
-):
-    """Gap counts and the worst trial over trials ``[lo, hi)``.
+# (key, batch) of the last pair batch kept by ``_pair_batch``, or None; a
+# batch over the cap is not kept, so a long-lived process never holds a chunk
+# of thousands of wide pairs
+_PAIR_CACHE_BYTES = 64 << 20
+_pair_cache: tuple[tuple, np.ndarray] | None = None
+
+
+def _forget_pairs() -> None:
+    """Drop the cached pair batch, so that the next sweep draws its pairs."""
+    global _pair_cache
+    _pair_cache = None
+
+
+def _pair_batch(n_atoms: int, lo: int, hi: int, seed: int, generator: str) -> np.ndarray:
+    """The read-only ``(4, hi - lo, n_atoms)`` batch of trials ``[lo, hi)``:
+    x, y, meet and join rows, as the chunk evaluates them.
 
     Each trial draws x and y into its rows of the batch and takes in one call
     the raw words that the nudge's ``random()`` and ``choice`` would read
     (above ``_FLOYD_MAX_ATOMS`` it makes those calls).  ``_floyd_picks`` makes
     the choice for all nudged trials, a trial it flags is redone with numpy's
-    own calls, and ``_nudge`` runs once: it uses no randomness."""
+    own calls, and ``_nudge`` runs once: it uses no randomness.
+
+    The batch depends only on the key ``(n_atoms, lo, hi, seed,
+    generator)``, so the last one drawn is kept and handed to the next call
+    with the same key; the measure and ``epsilon`` act only after the draw.
+    Each entry is replaced by one assignment, so threaded chunks read either
+    the old entry or the new one.
+    """
+    global _pair_cache
+    key = (n_atoms, lo, hi, int(seed), generator)
+    entry = _pair_cache
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    _pair_cache = None  # free the old batch before drawing the new one
     m, k, floyd = hi - lo, n_atoms // 2, n_atoms <= _FLOYD_MAX_ATOMS
-    # x, y, meet and join rows, stacked as evaluate_batch reads them
     batch = np.empty((4, m, n_atoms))
     xs, ys, meets, joins = batch
     scratch = np.empty(n_atoms)
@@ -375,6 +402,24 @@ def _sweep_chunk(
         _nudge(xs, ys, np.array(rows), picks)
     np.minimum(xs, ys, out=meets)
     np.maximum(xs, ys, out=joins)
+    batch.flags.writeable = False
+    if batch.nbytes <= _PAIR_CACHE_BYTES:
+        _pair_cache = (key, batch)
+    return batch
+
+
+def _sweep_chunk(
+    spec: RiskMeasureSpec,
+    n_atoms: int,
+    lo: int,
+    hi: int,
+    seed: int,
+    generator: str,
+    epsilon: float,
+):
+    """Gap counts and the worst trial over trials ``[lo, hi)``."""
+    m = hi - lo
+    batch = _pair_batch(n_atoms, lo, hi, seed, generator)
     vals = spec.evaluate_batch(batch.reshape(4 * m, n_atoms))
     gaps = (vals[:m] + vals[m : 2 * m]) - (vals[2 * m : 3 * m] + vals[3 * m :])
     i_min = int(np.argmin(gaps))
@@ -382,7 +427,7 @@ def _sweep_chunk(
         int(np.count_nonzero(gaps < -epsilon)),
         float(gaps[i_min]),
         lo + i_min,
-        (xs[i_min].copy(), ys[i_min].copy()),
+        (batch[0, i_min].copy(), batch[1, i_min].copy()),
     )
 
 

@@ -272,9 +272,9 @@ def load_prices_csv(path) -> PricePanel:
     """Read a ``date,ticker,adj_close`` CSV into a price panel.
 
     Rows are sorted by date; duplicate (date, ticker) cells keep the last
-    value and are counted on the panel (with a warning).  Unparseable rows
-    and nonpositive prices raise with their line number; a file with no data
-    rows raises a "no data" error.
+    value and are counted on the panel (with a warning).  Unparseable rows,
+    empty tickers and nonpositive prices raise with their line number; a file
+    with no data rows raises a "no data" error.
     """
     path = Path(path)
     cells: dict[tuple[dt.date, str], float] = {}
@@ -300,7 +300,10 @@ def load_prices_csv(path) -> PricePanel:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
         if not math.isfinite(price) or price <= 0:
             raise DataError(f"{path}:{lineno}: nonpositive or non-finite price {row[2]!r}")
-        key = (day, row[1].strip())
+        ticker = row[1].strip()
+        if not ticker:
+            raise DataError(f"{path}:{lineno}: empty ticker")
+        key = (day, ticker)
         if key in cells:
             duplicates += 1
         cells[key] = price
@@ -744,7 +747,11 @@ def export_report(
 
 def read_violations_csv(path) -> list[ViolationRecord]:
     """Round-trip loader for ``violations.csv``; a malformed row raises
-    ``DataError`` with its line number."""
+    ``DataError`` with its line number.
+
+    A pair is read back only when its text has exactly one ``-``: the pair
+    ``("BRK-B", "C")`` is written ``BRK-B-C``, which also reads as
+    ``("BRK", "B-C")``, so it raises rather than be misread."""
     out = []
     reader = csv.reader(io.StringIO(_read_text(Path(path)), newline=""))
     header = next(reader, None)
@@ -753,9 +760,10 @@ def read_violations_csv(path) -> list[ViolationRecord]:
     for lineno, row in enumerate(reader, start=2):
         if len(row) != 6:
             raise DataError(f"{path}:{lineno}: expected 6 columns, got {len(row)}")
-        a, dash, b = row[1].partition("-")
-        if not dash:
+        # a ticker holding '-' makes the pair split more than one way
+        if row[1].count("-") != 1:
             raise DataError(f"{path}:{lineno}: pair {row[1]!r} is not 'TICKER-TICKER'")
+        a, _, b = row[1].partition("-")
         try:
             day = dt.date.fromisoformat(row[0])
             gap = float(row[4])

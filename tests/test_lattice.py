@@ -19,6 +19,15 @@ from risklattice import lattice
 from risklattice.lattice import GENERATORS, _Pooled, _seed_states, _sweep_chunk
 
 
+@pytest.fixture(autouse=True)
+def cold_pairs():
+    # every test draws its pairs: a batch kept by an earlier test would let
+    # a generator check pass without running the generator it checks
+    lattice._forget_pairs()
+    yield
+    lattice._forget_pairs()
+
+
 def test_expected_loss_gap_exactly_zero():
     rng = np.random.default_rng(2)
     spec = RiskMeasureSpec.expected_loss(exponential_loss(1.0))
@@ -218,9 +227,8 @@ def test_floyd_picks_flag_a_rejected_draw():
     assert picks.shape == (4, 25) and (np.diff(picks, axis=1) > 0).all()
 
 
-def test_replayed_rows_match_oracle(monkeypatch):
-    # rows flagged by the copied choice are replayed with numpy's own calls;
-    # the garbage picks given for them must not survive
+def _flag_every_other(monkeypatch):
+    """Make the copied choice flag every other nudged row, with garbage picks."""
     floyd = lattice._floyd_picks
 
     def flag_every_other(words, n):
@@ -230,6 +238,12 @@ def test_replayed_rows_match_oracle(monkeypatch):
         return picks, rejected
 
     monkeypatch.setattr(lattice, "_floyd_picks", flag_every_other)
+
+
+def test_replayed_rows_match_oracle(monkeypatch):
+    # rows flagged by the copied choice are replayed with numpy's own calls;
+    # the garbage picks given for them must not survive
+    _flag_every_other(monkeypatch)
     for generator in GENERATORS:
         assert _assert_chunk_matches_oracle(7, 5, 85, generator, 11).sum() >= 2
 
@@ -274,7 +288,9 @@ def test_sweep_deterministic_and_thread_invariant(monkeypatch):
     assert nudged.all()
     for generator, seed in (("heavy_tail", 9), ("gaussian", 38)):
         a = random_pair_sweep(spec, 10, 400, seed=seed, generator=generator)
+        lattice._forget_pairs()  # b and c draw their pairs too
         b = random_pair_sweep(spec, 10, 400, seed=seed, generator=generator)
+        lattice._forget_pairs()
         c = random_pair_sweep(spec, 10, 400, seed=seed, generator=generator, threads=3)
         assert a.worst_gap == b.worst_gap == c.worst_gap
         assert a.violations == b.violations == c.violations
@@ -312,6 +328,90 @@ def test_sweep_pool_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(lattice.os, "cpu_count", lambda: None)  # unknown: serial
     random_pair_sweep(spec, 10, 100, seed=5, threads=100_000)
     assert workers == [3]
+
+
+def _report_bytes(rep):
+    return (rep.violations, rep.worst_gap.hex(), rep.worst_pair[0].tobytes(),
+            rep.worst_pair[1].tobytes())
+
+
+def _no_draw(*args):
+    raise AssertionError("a sweep on a kept batch drew pairs")
+
+
+# the copied choice with replayed rows, and numpy's own choice above 10,000 atoms
+@pytest.mark.parametrize("generator", GENERATORS)
+@pytest.mark.parametrize(
+    "n, trials, replay", [(11, 300, False), (11, 80, True), (10_001, 12, False)]
+)
+def test_warm_sweep_equals_cold(monkeypatch, n, trials, replay, generator):
+    if replay:
+        _flag_every_other(monkeypatch)
+
+    def sweep(spec):
+        return random_pair_sweep(spec, n, trials, seed=7, generator=generator)
+
+    specs = (RiskMeasureSpec.es(0.8), RiskMeasureSpec.var(0.8))
+    sweep(specs[1])  # keeps the batch
+    draw = lattice._generators
+    monkeypatch.setattr(lattice, "_generators", _no_draw)
+    warm = [_report_bytes(sweep(spec)) for spec in specs]
+    monkeypatch.setattr(lattice, "_generators", draw)
+    cold = []
+    for spec in specs:
+        lattice._forget_pairs()
+        cold.append(_report_bytes(sweep(spec)))
+    assert warm == cold
+
+
+@pytest.mark.parametrize("field, value", [(0, 12), (1, 1), (2, 41), (3, 8), (4, "heavy_tail")])
+def test_pair_cache_misses_on_any_key_change(field, value):
+    key = [11, 0, 40, 7, "gaussian"]
+    first = lattice._pair_batch(*key)
+    assert lattice._pair_batch(*key) is first
+    key[field] = value
+    second = lattice._pair_batch(*key)
+    assert second is not first and lattice._pair_cache[0] == tuple(key)
+    lattice._forget_pairs()
+    assert lattice._pair_batch(*key).tobytes() == second.tobytes()
+
+
+def test_kept_batch_is_read_only():
+    batch = lattice._pair_batch(11, 0, 40, 7, "gaussian")
+    with pytest.raises(ValueError, match="read-only"):
+        batch[0, 0, 0] = 1.0
+
+    class SortsInPlace:
+        label = "in place"
+
+        def evaluate_batch(self, X):
+            X.sort(axis=1)
+            return np.zeros(len(X))
+
+    # an evaluator that writes into the batch fails instead of changing what
+    # the next sweep on the same pairs reads
+    with pytest.raises(ValueError, match="read-only"):
+        random_pair_sweep(SortsInPlace(), 11, 40, seed=7)
+    assert lattice._pair_batch(11, 0, 40, 7, "gaussian") is batch
+
+
+def test_batch_over_cap_is_not_kept(monkeypatch):
+    nbytes = 4 * 40 * 11 * 8
+    monkeypatch.setattr(lattice, "_PAIR_CACHE_BYTES", nbytes)
+    kept = lattice._pair_batch(11, 0, 40, 7, "gaussian")
+    assert kept.nbytes == nbytes and lattice._pair_cache[1] is kept
+    big = lattice._pair_batch(11, 0, 41, 7, "gaussian")
+    assert big.nbytes > nbytes and lattice._pair_cache is None
+    assert lattice._pair_batch(11, 0, 41, 7, "gaussian") is not big
+
+
+def test_threaded_sweep_equals_serial_on_kept_batches(monkeypatch):
+    # threads=3 chunks replace the serial sweep's entry, one after another
+    monkeypatch.setattr(lattice.os, "cpu_count", lambda: 3)
+    spec = RiskMeasureSpec.var(0.8)
+    runs = [_report_bytes(random_pair_sweep(spec, 10, 400, seed=38, threads=t))
+            for t in (1, 3, 3, 1, 1)]
+    assert runs == [runs[0]] * 5
 
 
 def test_sweep_seed_changes_results():

@@ -75,6 +75,13 @@ def test_load_error_after_a_parsed_date_names_its_own_line(tmp_path, row):
         pl.load_prices_csv(p)
 
 
+@pytest.mark.parametrize("ticker", ["", "  "])
+def test_load_empty_ticker_reports_line(tmp_path, ticker):
+    p = write_csv(tmp_path / "p.csv", ["2024-01-02,AAA,100.0", f"2024-01-02,{ticker},1.0"])
+    with pytest.raises(DataError, match="p.csv:3: empty ticker"):
+        pl.load_prices_csv(p)
+
+
 def test_load_date_with_spaces_is_the_same_cell(tmp_path):
     p = write_csv(tmp_path / "p.csv", ["2024-01-02,AAA,100.0", " 2024-01-02 ,AAA,200.0",
                                        "2024-01-03 ,AAA,300.0"])
@@ -433,6 +440,20 @@ def test_export_round_trip(tmp_path):
     assert pl.read_violations_csv(paths["violations"]) == [record]
 
 
+def test_hyphenated_ticker_pair_is_not_misread(tmp_path):
+    # BRK-B-C splits as ("BRK-B", "C") and as ("BRK", "B-C"); the bytes
+    # written stay as they were, and reading them back refuses to guess
+    record = pl.ViolationRecord(
+        date=dt.date(2024, 3, 1), pair=("BRK-B", "C"), measure="VaR(0.5)",
+        test=pl.SUBMODULARITY, gap=-0.5, violated=True,
+    )
+    paths = pl.export_report([record], [], [], tmp_path)
+    assert paths["violations"].read_text().splitlines()[1] == (
+        "2024-03-01,BRK-B-C,VaR(0.5),submodularity,-0.5,true")
+    with pytest.raises(DataError, match="violations.csv:2: pair 'BRK-B-C' is not 'TICKER-TICKER'"):
+        pl.read_violations_csv(paths["violations"])
+
+
 def test_export_summary_echoes_config(tmp_path):
     import json
 
@@ -494,6 +515,7 @@ def test_config_epsilon_must_be_finite_and_nonnegative(tmp_path, epsilon):
 
 @pytest.mark.parametrize("row", [
     "2024-01-02,AAABBB,VaR(0.9),submodularity,0.5,false",
+    "2024-01-02,AAA-BBB-C,VaR(0.9),submodularity,0.5,false",
     "2024-01-02,AAA-BBB,VaR(0.9),submodularity,abc,false",
     "01/02/2024,AAA-BBB,VaR(0.9),submodularity,0.5,false",
     "2024-01-02,AAA-BBB,VaR(0.9),submodularity,0.5",
