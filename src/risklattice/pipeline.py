@@ -18,9 +18,9 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
-import itertools
 import json
 import math
+import re
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -124,10 +124,6 @@ class ViolationRecord:
     violated: bool
 
 
-def _record_key(r: ViolationRecord):
-    return (r.date, r.pair, r.measure, r.test)
-
-
 @dataclass(frozen=True, eq=False)
 class ViolationTable(Sequence):
     """Every lattice-test gap of a pipeline run, in one array.
@@ -135,13 +131,12 @@ class ViolationTable(Sequence):
     ``gaps[k, p, d]`` is the gap of check ``checks[k]`` (a (measure label,
     test) pair) for ticker pair ``pairs[p]`` on the window ending at
     ``dates[d]``; ``violated`` flags the same cells.  ``epsilon`` is the
-    threshold the flags were computed with (None for a table built from
-    records, whose flags come with them).  The table is a full grid: every
-    cell holds a test, and a NaN gap raises ``DataError``.
-
-    The table is also a read-only sequence of ``ViolationRecord``s in (date,
-    pair, measure, test) order, with ``len``, indexing, iteration and ``==``
-    (equal when the records are).
+    threshold the flags were computed with, None for a table read back from
+    ``violations.csv``.  The table is a full grid: every cell holds a test,
+    and a NaN gap raises ``DataError``.  Tables are equal when their labels,
+    gaps and flags are.  ``len(table)`` counts the cells, and ``table[i]``
+    gives cell ``i`` as a ``ViolationRecord``, in (date, pair, check) order,
+    the row order of ``violations.csv``.
     """
 
     dates: tuple[dt.date, ...]
@@ -154,37 +149,9 @@ class ViolationTable(Sequence):
     __hash__ = None
 
     def __post_init__(self):
-        if np.isnan(self.gaps).any():
-            raise DataError(f"{next(r for r in self if np.isnan(r.gap))} has a NaN gap")
-
-    @classmethod
-    def from_records(cls, records) -> ViolationTable:
-        """Columns of a record list that fills the grid dates x pairs x checks,
-        the checks being the first (date, pair) cell's (measure, test) keys; a
-        sparse list raises ``DataError``.  A key that repeats within a cell
-        gets one check column per repeat, in list order, as the pipeline gives
-        a label configured twice.
-        """
-        records = sorted(records, key=_record_key)
-        dates = tuple(sorted({r.date for r in records}))
-        pairs = tuple(sorted({r.pair for r in records}))
-        first = records[: len(records) // max(len(dates) * len(pairs), 1)]  # if the grid is full
-        checks = tuple((r.measure, r.test) for r in first)
-        grid = [(d, p, *c) for d in dates for p in pairs for c in checks]
-        if [_record_key(r) for r in records] != grid:
-            raise DataError(f"records are not a full grid of dates x pairs x checks {checks}")
-        shape = (len(dates), len(pairs), len(checks))
-        gaps = np.array([r.gap for r in records], dtype=float).reshape(shape)
-        violated = np.array([r.violated for r in records], dtype=bool).reshape(shape)
-        return cls(dates=dates, pairs=pairs, checks=checks,
-                   gaps=gaps.transpose(2, 1, 0), violated=violated.transpose(2, 1, 0))
-
-    def _record(self, k: int, p: int, d: int) -> ViolationRecord:
-        measure, test = self.checks[k]
-        return ViolationRecord(
-            date=self.dates[d], pair=self.pairs[p], measure=measure, test=test,
-            gap=float(self.gaps[k, p, d]), violated=bool(self.violated[k, p, d]),
-        )
+        nan = np.flatnonzero(np.isnan(self.gaps.T))  # cell numbers, (date, pair, check) order
+        if nan.size:
+            raise DataError(f"{self[nan[0]]} has a NaN gap")
 
     def __len__(self) -> int:
         return self.gaps.size
@@ -193,29 +160,20 @@ class ViolationTable(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         d, p, k = np.unravel_index(range(len(self))[i], self.gaps.shape[::-1])
-        return self._record(k, p, d)
-
-    def __iter__(self):
-        # .T puts the cells in (date, pair, check) order; tolist() gives
-        # Python floats and bools without a numpy scalar per cell
-        cells = itertools.product(self.dates, self.pairs, self.checks)
-        for (date, pair, (measure, test)), gap, violated in zip(
-            cells, self.gaps.T.ravel().tolist(), self.violated.T.ravel().tolist()
-        ):
-            yield ViolationRecord(date=date, pair=pair, measure=measure, test=test,
-                                  gap=gap, violated=violated)
+        measure, test = self.checks[k]
+        return ViolationRecord(
+            date=self.dates[d], pair=self.pairs[p], measure=measure, test=test,
+            gap=float(self.gaps[k, p, d]), violated=bool(self.violated[k, p, d]),
+        )
 
     def __eq__(self, other):
-        if isinstance(other, ViolationTable) and (
+        if not isinstance(other, ViolationTable):
+            return NotImplemented
+        return bool(
             (self.dates, self.pairs, self.checks) == (other.dates, other.pairs, other.checks)
-        ):
-            return bool(
-                np.array_equal(self.gaps, other.gaps)
-                and np.array_equal(self.violated, other.violated)
-            )
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return list(self) == list(other)
-        return NotImplemented
+            and np.array_equal(self.gaps, other.gaps)
+            and np.array_equal(self.violated, other.violated)
+        )
 
 
 @dataclass(frozen=True)
@@ -441,15 +399,13 @@ def pairwise_day_tests(
     v(join))``, and a kernel gives a row the same value wherever the row
     sits, so dominated-pair gaps are exactly 0 and every gap is bit-equal to
     evaluating each pair's windows on their own.  The gap rows go straight
-    into one ``ViolationTable`` array
-    ``gaps[check, pair, date]``: checks in (measure label, test) order, config
-    order breaking label ties; pairs in sorted-ticker order; dates the window
-    end dates.  Read as a sequence, the table gives the records in (date,
-    pair, measure, test) order, so runs are reproducible byte for byte.
-    ``debug`` and ``threads`` are accepted and ignored: ``meet + join == x +
-    y``, which ``debug`` asserted, holds bitwise for finite losses (``min +
-    max`` is ``x + y`` or ``y + x``), and a thread pool over pairs gave no
-    speedup on 2 cores, so pairs run serially.
+    into one ``ViolationTable`` array ``gaps[check, pair, date]``: checks in
+    (measure label, test) order, config order breaking label ties; pairs in
+    sorted-ticker order; dates the window end dates.  ``debug`` and
+    ``threads`` are accepted and ignored: ``meet + join == x + y``, which
+    ``debug`` asserted, holds bitwise for finite losses (``min + max`` is
+    ``x + y`` or ``y + x``), and a thread pool over pairs gave no speedup on
+    2 cores, so pairs run serially.
     """
     if len(losses.tickers) < 2:
         raise DomainError("pairwise tests need at least 2 tickers")
@@ -492,33 +448,26 @@ def pairwise_day_tests(
     )
 
 
-def _as_table(records) -> ViolationTable:
-    return records if isinstance(records, ViolationTable) else ViolationTable.from_records(records)
-
-
 def daily_violation_rate(
-    records, label: str, test: str = SUBMODULARITY
+    records: ViolationTable, label: str, test: str = SUBMODULARITY
 ) -> DailyViolationSeries:
     """Per-date violation proportion for one measure label (and test kind).
 
-    ``records`` is a ``ViolationTable`` or a full-grid list of
-    ``ViolationRecord``s (converted to a table first).  Every date of the
-    table counts every pair of every check column with this label and test,
-    so a label configured twice counts twice.  An unknown label (no matching
-    records) is a domain error.
+    Every date of the table ``records`` counts every pair of every check
+    column with this label and test, so a label configured twice counts
+    twice.  An unknown label (no matching check) is a domain error.
     """
-    table = _as_table(records)
-    ks = [k for k, check in enumerate(table.checks) if check == (label, test)]
+    ks = [k for k, check in enumerate(records.checks) if check == (label, test)]
     if not ks:
         raise DomainError(f"no records for measure {label!r} with test {test!r}")
-    tests = len(ks) * len(table.pairs)
-    violations = np.count_nonzero(table.violated[ks], axis=(0, 1)).astype(np.int64)
+    tests = len(ks) * len(records.pairs)
+    violations = np.count_nonzero(records.violated[ks], axis=(0, 1)).astype(np.int64)
     return DailyViolationSeries(
-        dates=table.dates,
+        dates=records.dates,
         rate=violations / tests,
         label=f"{label}/{test}",
         violations=violations,
-        tests=np.full(len(table.dates), tests, dtype=np.int64),
+        tests=np.full(len(records.dates), tests, dtype=np.int64),
     )
 
 
@@ -637,6 +586,8 @@ def _csv_fields(*fields: str) -> str:
     return buf.getvalue()[:-1]
 
 
+_VIOLATIONS_HEADER = "date,pair,measure,params,gap,violated"
+
 # violations.csv is formatted in blocks of dates holding about this many
 # cells.  A block keeps one text per distinct (gap, flag) of its cells and a
 # few 8-byte indices per cell, so the writer's memory peaks at about 12 MB
@@ -650,6 +601,12 @@ def _gap_texts(values: np.ndarray, suffix: str) -> list[str]:
     return ((f"%.17g{suffix}" * values.size) % tuple(values.tolist())).splitlines(True)
 
 
+def _row_labels(pairs, checks) -> list[str]:
+    """The ``pair,measure,params,`` text of each row of a date, CSV-encoded."""
+    checks = [_csv_fields(*check) for check in checks]
+    return [f"{_csv_fields(pair)},{check}," for pair in pairs for check in checks]
+
+
 def _write_violations(fh, table: ViolationTable) -> None:
     # Each pair and check label is CSV-encoded once.  A row is three slots of
     # one list per date: "date,", the labels and "gap,flag\n", and the list
@@ -657,12 +614,11 @@ def _write_violations(fh, table: ViolationTable) -> None:
     # is never held in memory as strings.  A gap often repeats from one date
     # to the next, so each distinct (gap, flag) of a block is formatted once,
     # keyed by the gap's bits so that -0.0 and 0.0 keep their own text, and
-    # by the flag so that a table built from records keeps its own flags.
-    pairs = [_csv_fields("-".join(pair)) for pair in table.pairs]
-    checks = [_csv_fields(*check) for check in table.checks]
-    rows = len(pairs) * len(checks)
+    # by the flag so that a table read back from a file keeps its own flags.
+    labels = _row_labels(["-".join(pair) for pair in table.pairs], table.checks)
+    rows = len(labels)
     slots = [None] * (3 * rows)
-    slots[1::3] = [f"{pair},{check}," for pair in pairs for check in checks]
+    slots[1::3] = labels
     step = max(1, _EXPORT_BLOCK_CELLS // max(rows, 1))
     for start in range(0, len(table.dates), step):
         days = table.dates[start : start + step]
@@ -684,7 +640,7 @@ def _write_violations(fh, table: ViolationTable) -> None:
 
 
 def export_report(
-    records,
+    records: ViolationTable,
     series,
     correlation_rows,
     outdir,
@@ -694,9 +650,8 @@ def export_report(
     """Write ``violations.csv``, ``daily_rates.csv``, ``correlations.csv`` and
     ``summary.json`` into ``outdir``; column orders are fixed.
 
-    ``records`` is a ``ViolationTable`` or a list of ``ViolationRecord``s
-    (converted to a table first).  ``violations.csv`` is written from the
-    table's arrays in (date, pair, measure, test) order, a block of dates of
+    ``violations.csv`` is written from the arrays of the table ``records``,
+    one row per cell in (date, pair, check) order, a block of dates of
     about ``_EXPORT_BLOCK_CELLS`` cells at a time: each pair and check label
     is CSV-encoded once, and each distinct (gap, flag) of a block is
     formatted once, so memory does not grow with the number of dates.
@@ -713,10 +668,9 @@ def export_report(
         "correlations": outdir / "correlations.csv",
         "summary": outdir / "summary.json",
     }
-    table = _as_table(records)
     with paths["violations"].open("w", newline="", encoding="utf-8") as fh:
-        fh.write("date,pair,measure,params,gap,violated\n")
-        _write_violations(fh, table)
+        fh.write(_VIOLATIONS_HEADER + "\n")
+        _write_violations(fh, records)
     with paths["daily_rates"].open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["date", "measure", "rate", "tests"])
@@ -729,9 +683,9 @@ def export_report(
         for la, lb, c in correlation_rows:
             w.writerow([la, lb, _fmt(c.pearson), _fmt(c.spearman), _fmt(c.dcor)])
     summary = {
-        "n_records": len(table),
-        "n_violations": int(np.count_nonzero(table.violated)),
-        "measures": sorted({measure for measure, _ in table.checks}),
+        "n_records": len(records),
+        "n_violations": int(np.count_nonzero(records.violated)),
+        "measures": sorted({measure for measure, _ in records.checks}),
     }
     if config is not None:
         summary["window"] = config.window
@@ -745,41 +699,86 @@ def export_report(
     return paths
 
 
-def read_violations_csv(path) -> list[ViolationRecord]:
-    """Round-trip loader for ``violations.csv``; a malformed row raises
-    ``DataError`` with its line number.
+def read_violations_csv(path) -> ViolationTable:
+    """Read ``violations.csv`` back into a ``ViolationTable`` with ``epsilon``
+    None, equal to the table ``export_report`` wrote, its gaps bit for bit.
 
-    A pair is read back only when its text has exactly one ``-``: the pair
-    ``("BRK-B", "C")`` is written ``BRK-B-C``, which also reads as
+    The first date's rows fix the pairs and the checks, and only they are
+    CSV-decoded.  Every row must then hold its date text, the labels that
+    the (date, pair, check) grid puts at its position (encoded as
+    ``export_report`` encodes them), a gap and the flag ``true`` or
+    ``false``.  A malformed row, a row off the grid (a cell missing, added or
+    repeated), a NaN gap or any other flag raises ``DataError`` with
+    ``path:line``.  A pair is read back only when its text has exactly one
+    ``-``: ``("BRK-B", "C")`` is written ``BRK-B-C``, which also reads as
     ``("BRK", "B-C")``, so it raises rather than be misread."""
-    out = []
-    reader = csv.reader(io.StringIO(_read_text(Path(path)), newline=""))
-    header = next(reader, None)
-    if header != ["date", "pair", "measure", "params", "gap", "violated"]:
-        raise DataError(f"{path}: unexpected violations header {header}")
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != 6:
-            raise DataError(f"{path}:{lineno}: expected 6 columns, got {len(row)}")
-        # a ticker holding '-' makes the pair split more than one way
-        if row[1].count("-") != 1:
-            raise DataError(f"{path}:{lineno}: pair {row[1]!r} is not 'TICKER-TICKER'")
-        a, _, b = row[1].partition("-")
+    text = _read_text(Path(path))
+    if not text.endswith("\n"):
+        text += "\n"
+    header = text[: text.index("\n")]
+    if header != _VIOLATIONS_HEADER:
+        raise DataError(f"{path}: unexpected violations header {header!r}")
+
+    # one line at a time: an io.StringIO would copy the whole text
+    reader = csv.reader(line[0] for line in re.finditer(".*\n", text))
+    next(reader)
+    first = []  # the first date's rows, CSV-decoded
+    try:
+        for row in reader:
+            if first and row[:1] != first[0][:1]:
+                break
+            if len(row) != 6:
+                raise DataError(f"{path}:{reader.line_num}: expected 6 columns, got {len(row)}")
+            # a ticker holding '-' makes the pair split more than one way
+            if row[1].count("-") != 1:
+                raise DataError(
+                    f"{path}:{reader.line_num}: pair {row[1]!r} is not 'TICKER-TICKER'")
+            first.append(row)
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+    # a pair that comes back later on the first date breaks the grid these fix
+    pairs = list(dict.fromkeys(row[1] for row in first))
+    checks = [(row[2], row[3]) for row in first if row[1] == first[0][1]]
+    labels = _row_labels(pairs, checks)
+
+    def error(pos: int, message: str) -> DataError:
+        return DataError("%s:%d: %s" % (path, text.count("\n", 0, pos) + 1, message))
+
+    dates, gaps, violated = {}, [], []
+    pos = len(header) + 1
+    while pos < len(text):
+        date_text = text[pos : text.find(",", pos)]
         try:
-            day = dt.date.fromisoformat(row[0])
-            gap = float(row[4])
+            day = dt.date.fromisoformat(date_text)
         except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        out.append(
-            ViolationRecord(
-                date=day,
-                pair=(a, b),
-                measure=row[2],
-                test=row[3],
-                gap=gap,
-                violated=row[5] == "true",
-            )
-        )
-    return out
+            raise error(pos, str(exc)) from exc
+        if day in dates:
+            raise error(pos, f"date {date_text} repeats")
+        dates[day] = None
+        for label in labels:
+            head = f"{date_text},{label}"
+            if not text.startswith(head, pos):
+                raise error(pos, f"row is off the (date, pair, check) grid: expected {head!r}")
+            start = pos + len(head)
+            pos = text.index("\n", start) + 1
+            gap, _, flag = text[start : pos - 1].partition(",")
+            try:
+                gap = float(gap)
+            except ValueError:
+                gap = math.nan
+            if flag not in ("true", "false") or math.isnan(gap):
+                raise error(start, f"expected a gap and 'true' or 'false', got "
+                                   f"{text[start : pos - 1]!r}")
+            gaps.append(gap)
+            violated.append(flag == "true")
+    shape = (len(dates), len(pairs), len(checks))
+    return ViolationTable(
+        dates=tuple(dates),
+        pairs=tuple(tuple(pair.split("-")) for pair in pairs),
+        checks=tuple(checks),
+        gaps=np.array(gaps, dtype=float).reshape(shape).T,
+        violated=np.array(violated, dtype=bool).reshape(shape).T,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -424,30 +424,36 @@ def run_small(outdir):
     return pl.export_report(records, series, rows, outdir, config=config), records
 
 
+def empty_table():
+    return pl.ViolationTable(dates=(), pairs=(), checks=(), gaps=np.empty((0, 0, 0)),
+                             violated=np.empty((0, 0, 0), dtype=bool))
+
+
 def test_export_headers_only_when_empty(tmp_path):
-    paths = pl.export_report([], [], [], tmp_path)
+    paths = pl.export_report(empty_table(), [], [], tmp_path)
     assert paths["violations"].read_text() == "date,pair,measure,params,gap,violated\n"
     assert paths["daily_rates"].read_text() == "date,measure,rate,tests\n"
     assert paths["correlations"].read_text() == "series_a,series_b,pearson,spearman,dcor\n"
+    back = pl.read_violations_csv(paths["violations"])
+    assert back == empty_table() and len(back) == 0 and back.gaps.shape == (0, 0, 0)
 
 
 def test_export_round_trip(tmp_path):
-    record = pl.ViolationRecord(
-        date=dt.date(2024, 3, 1), pair=("AAA", "BBB"), measure="VaR(0.5)",
-        test=pl.SUBMODULARITY, gap=-0.12345678901234567, violated=True,
-    )
-    paths = pl.export_report([record], [], [], tmp_path)
-    assert pl.read_violations_csv(paths["violations"]) == [record]
+    _, _, table = golden_table()
+    back = pl.read_violations_csv(pl.export_report(table, [], [], tmp_path)["violations"])
+    assert back == table and back.epsilon is None
+    assert np.array_equal(back.gaps.view(np.int64), table.gaps.view(np.int64))
 
 
 def test_hyphenated_ticker_pair_is_not_misread(tmp_path):
     # BRK-B-C splits as ("BRK-B", "C") and as ("BRK", "B-C"); the bytes
     # written stay as they were, and reading them back refuses to guess
-    record = pl.ViolationRecord(
-        date=dt.date(2024, 3, 1), pair=("BRK-B", "C"), measure="VaR(0.5)",
-        test=pl.SUBMODULARITY, gap=-0.5, violated=True,
+    table = pl.ViolationTable(
+        dates=(dt.date(2024, 3, 1),), pairs=(("BRK-B", "C"),),
+        checks=(("VaR(0.5)", pl.SUBMODULARITY),), gaps=np.full((1, 1, 1), -0.5),
+        violated=np.ones((1, 1, 1), dtype=bool),
     )
-    paths = pl.export_report([record], [], [], tmp_path)
+    paths = pl.export_report(table, [], [], tmp_path)
     assert paths["violations"].read_text().splitlines()[1] == (
         "2024-03-01,BRK-B-C,VaR(0.5),submodularity,-0.5,true")
     with pytest.raises(DataError, match="violations.csv:2: pair 'BRK-B-C' is not 'TICKER-TICKER'"):
@@ -519,6 +525,10 @@ def test_config_epsilon_must_be_finite_and_nonnegative(tmp_path, epsilon):
     "2024-01-02,AAA-BBB,VaR(0.9),submodularity,abc,false",
     "01/02/2024,AAA-BBB,VaR(0.9),submodularity,0.5,false",
     "2024-01-02,AAA-BBB,VaR(0.9),submodularity,0.5",
+    "2024-01-02,AAA-BBB,VaR(0.9),submodularity,0.5,TRUE",
+    "2024-01-02,AAA-BBB,VaR(0.9),submodularity,0.5,yes",
+    "2024-01-02,AAA-BBB,VaR(0.9),submodularity,0.5,",
+    "2024-01-02,AAA-BBB,VaR(0.9),submodularity,nan,false",
 ])
 def test_read_violations_bad_row_reports_line(tmp_path, row):
     p = tmp_path / "violations.csv"
@@ -535,7 +545,7 @@ def test_verdict_serializes_into_summary(tmp_path):
 
     ell = poly2exp_loss()
     verdict = linear_dominance_check(curvature_profile(ell, -20, 20, 0.01), ell)
-    paths = pl.export_report([], [], [], tmp_path,
+    paths = pl.export_report(empty_table(), [], [], tmp_path,
                              extra_summary={"dominance": {ell.name: verdict.to_dict()}})
     summary = json.loads(paths["summary"].read_text())
     assert summary["dominance"]["poly2exp"]["feasible"] is True
@@ -558,14 +568,12 @@ def test_aes_counterexample_through_pipeline():
 
 def test_daily_rate_sector_scale_arithmetic():
     # 66 violations out of 1,485 pair tests on one day
-    day = dt.date(2024, 5, 6)
-    records = [
-        pl.ViolationRecord(date=day, pair=(f"T{i:04d}", f"U{i:04d}"), measure="VaR(0.9)",
-                           test=pl.SUBMODULARITY, gap=-1.0 if i < 66 else 0.0,
-                           violated=i < 66)
-        for i in range(1485)
-    ]
-    series = pl.daily_violation_rate(records, "VaR(0.9)")
+    gaps = np.where(np.arange(1485) < 66, -1.0, 0.0).reshape(1, 1485, 1)
+    table = pl.ViolationTable(
+        dates=(dt.date(2024, 5, 6),), pairs=tuple((f"T{i:04d}", f"U{i:04d}") for i in range(1485)),
+        checks=(("VaR(0.9)", pl.SUBMODULARITY),), gaps=gaps, violated=gaps < 0,
+    )
+    series = pl.daily_violation_rate(table, "VaR(0.9)")
     assert series.tests.tolist() == [1485]
     assert series.rate[0] == pytest.approx(66 / 1485, abs=1e-15)
     assert round(100 * series.rate[0], 2) == 4.44
@@ -630,66 +638,57 @@ def golden_table():
     return panel, config, pl.pairwise_day_tests(panel, config, debug=True)
 
 
-def test_export_record_list_matches_table_bytes(tmp_path):
-    _, config, table = golden_table()
-    series = [pl.daily_violation_rate(table, "VaR(0.9)")]
-    a = pl.export_report(table, series, [], tmp_path / "a", config=config)
-    b = pl.export_report(list(table), series, [], tmp_path / "b", config=config)
-    for key in a:
-        assert a[key].read_bytes() == b[key].read_bytes(), key
-
-
 # ---------------------------------------------------------------------------
 # the columnar result
 
 
-def reference_records(panel, config):
-    """Per-pair, per-measure record loop: each window evaluated on its own."""
+def reference_table(panel, config):
+    """Per-pair, per-measure loop: each window evaluated on its own."""
     from numpy.lib.stride_tricks import sliding_window_view
 
     w = config.window
-    out = []
     tickers = sorted(panel.tickers)
-    for a, ta in enumerate(tickers):
-        for tb in tickers[a + 1:]:
-            x, y = panel.column(ta), panel.column(tb)
-            X, Y, M, J, S = (sliding_window_view(v, w) for v in
-                             (x, y, np.minimum(x, y), np.maximum(x, y), x + y))
-            for spec in config.measures:
-                tests = [(pl.SUBMODULARITY, spec.evaluate_batch(M) + spec.evaluate_batch(J))]
-                if spec.kind == "var":
-                    tests.append((pl.SUBADDITIVITY, spec.evaluate_batch(S)))
-                pair_sum = spec.evaluate_batch(X) + spec.evaluate_batch(Y)
-                for test, other in tests:
-                    out.extend(
-                        pl.ViolationRecord(date=day, pair=(ta, tb), measure=spec.label,
-                                           test=test, gap=float(g),
-                                           violated=bool(g < -config.epsilon))
-                        for day, g in zip(panel.dates[w - 1:], pair_sum - other)
-                    )
-    return sorted(out, key=lambda r: (r.date, r.pair, r.measure, r.test))
+    pairs = [(ta, tb) for a, ta in enumerate(tickers) for tb in tickers[a + 1:]]
+    gaps = []  # gaps[pair][check] rows over the dates
+    for ta, tb in pairs:
+        x, y = panel.column(ta), panel.column(tb)
+        X, Y, M, J, S = (sliding_window_view(v, w) for v in
+                         (x, y, np.minimum(x, y), np.maximum(x, y), x + y))
+        rows = []
+        for spec in config.measures:
+            tests = [(pl.SUBMODULARITY, spec.evaluate_batch(M) + spec.evaluate_batch(J))]
+            if spec.kind == "var":
+                tests.append((pl.SUBADDITIVITY, spec.evaluate_batch(S)))
+            pair_sum = spec.evaluate_batch(X) + spec.evaluate_batch(Y)
+            rows.extend(((spec.label, test), pair_sum - other) for test, other in tests)
+        rows.sort(key=lambda row: row[0])  # stable: config order on label ties
+        gaps.append([gap for _, gap in rows])
+    gaps = np.array(gaps).transpose(1, 0, 2)
+    return pl.ViolationTable(dates=panel.dates[w - 1:], pairs=tuple(pairs),
+                             checks=tuple(check for check, _ in rows), gaps=gaps,
+                             violated=gaps < -config.epsilon, epsilon=config.epsilon)
 
 
 def test_table_reads_as_sorted_records():
     panel, config, table = golden_table()
     records = list(table)
     assert records == sorted(records, key=lambda r: (r.date, r.pair, r.measure, r.test))
-    assert records == reference_records(panel, config)
+    assert table == reference_table(panel, config)
     assert table.pairs == tuple(sorted(table.pairs))
     assert len(table) == len(records) == table.gaps.size == 24 * 6 * 7
     assert table[0] == records[0] and table[-1] == records[-1] and table[5] == records[5]
     assert table[2:4] == records[2:4]
     with pytest.raises(IndexError):
         table[len(records)]
-    assert table == records and records == table
     assert table == pl.pairwise_day_tests(panel, config)
-    changed = records[:-1] + [dataclasses.replace(records[-1], gap=records[-1].gap + 1.0)]
-    assert table != changed
-    assert table != records[:-1]
+    changed = table.gaps.copy()
+    changed[-1, -1, -1] += 1.0
+    assert table != dataclasses.replace(table, gaps=changed)
+    assert table != records and records != table  # a table is not equal to a list
 
 
 def test_table_iteration_matches_indexing():
-    # iteration builds the records from whole columns, indexing cell by cell
+    # iteration goes through indexing, and each record holds Python scalars
     _, _, table = golden_table()
     records = list(table)
     assert records == [table[i] for i in range(len(table))]
@@ -715,53 +714,61 @@ def test_table_counts_match_record_counts():
     assert int(table.violated.sum()) == sum(r.violated for r in records) > 0
 
 
-def test_table_from_sparse_records():
-    # a full grid builds a table; a sparse list or a NaN gap raises
+def test_read_back_off_grid_rows_report_line(tmp_path):
+    # a full grid reads back; a cell missing, added or repeated raises with
+    # the line that leaves the grid fixed by the first date's rows
     day1, day2 = dt.date(2024, 1, 2), dt.date(2024, 1, 3)
-
-    def rec(day, pair, gap, measure="VaR(0.9)", test=pl.SUBMODULARITY):
-        return pl.ViolationRecord(date=day, pair=pair, measure=measure, test=test,
-                                  gap=gap, violated=gap < 0)
-
-    records = [rec(day, pair, gap, measure)
-               for day, gap in ((day2, -1.0), (day1, 0.5))
-               for pair in (("B", "C"), ("A", "B"))
-               for measure in ("VaR(0.9)", "ES(0.9)")]
-    table = pl.ViolationTable.from_records(records)
-    assert table.checks == (("ES(0.9)", pl.SUBMODULARITY), ("VaR(0.9)", pl.SUBMODULARITY))
-    assert table.gaps.shape == (2, 2, 2) and len(table) == 8
-    assert list(table) == sorted(records, key=lambda r: (r.date, r.pair, r.measure, r.test))
-    series = pl.daily_violation_rate(records, "VaR(0.9)")
+    gaps = np.array([[[0.5, -1.0]] * 2] * 2)  # day2's gaps are negative
+    table = pl.ViolationTable(
+        dates=(day1, day2), pairs=(("A", "B"), ("B", "C")),
+        checks=(("ES(0.9)", pl.SUBMODULARITY), ("VaR(0.9)", pl.SUBMODULARITY)),
+        gaps=gaps, violated=gaps < 0,
+    )
+    path = pl.export_report(table, [], [], tmp_path)["violations"]
+    back = pl.read_violations_csv(path)
+    assert back == table and len(back) == 8
+    series = pl.daily_violation_rate(back, "VaR(0.9)")
     assert series.dates == (day1, day2)
     assert series.tests.tolist() == [2, 2] and series.violations.tolist() == [0, 2]
-    for sparse in (records[1:], records + [rec(day1, ("A", "C"), 0.0)],
-                   records + [rec(day1, ("A", "B"), 0.0, measure="AES")]):
-        with pytest.raises(DataError, match="full grid"):
-            pl.ViolationTable.from_records(sparse)
-        with pytest.raises(DataError, match="full grid"):
-            pl.daily_violation_rate(sparse, "VaR(0.9)")
-    with pytest.raises(DataError, match="NaN"):
-        pl.ViolationTable.from_records([rec(day1, ("A", "B"), float("nan"))])
+    lines = path.read_text().splitlines(True)
+    extra = "2024-01-02,A-C,VaR(0.9),submodularity,0,false\n"
+    for edited, line in [
+        (lines[:2] + lines[3:], 4),  # day1's (A-B, VaR) missing
+        (lines[:5] + lines[6:], 6),  # day2's (A-B, ES) missing
+        (lines[:-1], 9),  # day2's (B-C, VaR) missing: the file ends early
+        (lines[:5] + [extra] + lines[5:], 6),  # day1 gains (A-C, VaR) but no (A-C, ES)
+        (lines + [extra.replace("01-02", "01-03")], 10),  # day2 gains (A-C, VaR) after its rows
+        (lines + [lines[-1]], 10),  # a repeated cell
+        (lines + lines[5:], 10),  # every cell of day2 repeated
+        (lines[:5] + lines[1:3], 4),  # pair A-B again on day1: its checks are now 4
+        # (A-B, ES) twice reads as ES configured twice, which B-C's rows break
+        (lines[:2] + [lines[1]] + lines[2:], 6),
+    ]:
+        path.write_text("".join(edited))
+        with pytest.raises(DataError, match=f"violations.csv:{line}: "):
+            pl.read_violations_csv(path)
     gaps = table.gaps.copy()
     gaps[1, 1, 0] = np.nan
     with pytest.raises(DataError, match=r"2024, 1, 2\), pair=\('B', 'C'\), measure='VaR.*NaN"):
         dataclasses.replace(table, gaps=gaps)
 
 
-def test_table_from_records_repeated_key():
-    # a key that repeats within a cell gets one column per repeat, in list
-    # order, as the pipeline gives a label configured twice
-    day1, day2 = dt.date(2024, 1, 2), dt.date(2024, 1, 3)
-    records = [pl.ViolationRecord(date=day, pair=("A", "B"), measure="VaR(0.9)",
-                                  test=pl.SUBMODULARITY, gap=gap, violated=gap < 0)
-               for day in (day2, day1) for gap in (0.5, -0.25)]
-    table = pl.ViolationTable.from_records(records)
-    assert table.checks == (("VaR(0.9)", pl.SUBMODULARITY),) * 2
-    assert table.gaps[:, 0].tolist() == [[0.5, 0.5], [-0.25, -0.25]]
-    assert table.violated[:, 0].tolist() == [[False, False], [True, True]]
-    assert pl.daily_violation_rate(table, "VaR(0.9)").tests.tolist() == [2, 2]
-    with pytest.raises(DataError, match="full grid"):
-        pl.ViolationTable.from_records(records[:-1])
+def test_read_back_check_configured_twice(tmp_path):
+    # a check that repeats within a (date, pair) cell is one column per
+    # repeat, as the pipeline gives a label configured twice
+    gaps = np.array([[[0.5, 0.5]], [[-0.25, -0.25]]])
+    table = pl.ViolationTable(
+        dates=(dt.date(2024, 1, 2), dt.date(2024, 1, 3)), pairs=(("A", "B"),),
+        checks=(("VaR(0.9)", pl.SUBMODULARITY),) * 2, gaps=gaps, violated=gaps < 0,
+    )
+    path = pl.export_report(table, [], [], tmp_path)["violations"]
+    back = pl.read_violations_csv(path)
+    assert back == table
+    assert back.violated[:, 0].tolist() == [[False, False], [True, True]]
+    assert pl.daily_violation_rate(back, "VaR(0.9)").tests.tolist() == [2, 2]
+    path.write_text("".join(path.read_text().splitlines(True)[:-1]))
+    with pytest.raises(DataError, match="violations.csv:5: .*off the"):
+        pl.read_violations_csv(path)
 
 
 def flat_stretch_panel():
@@ -792,7 +799,7 @@ def test_pairwise_gaps_bit_equal_to_per_pair_loop(measures, pairs_per_chunk, mon
     config = pl.RollingConfig(window=40, measures=measures)
     table = pl.pairwise_day_tests(panel, config, debug=True)
     assert table.gaps.shape[1:] == (3, 80)
-    reference = pl.ViolationTable.from_records(reference_records(panel, config))
+    reference = reference_table(panel, config)
     assert (table.dates, table.pairs, table.checks) == (
         reference.dates, reference.pairs, reference.checks)
     assert np.array_equal(table.gaps.view(np.int64), reference.gaps.view(np.int64))
@@ -829,15 +836,13 @@ def test_export_bytes_match_plain_writer(tmp_path, monkeypatch, block_cells):
               ("AES(0.6:0,0.9:0.01)", pl.SUBMODULARITY), ('odd 50% "label"', pl.SUBMODULARITY),
               ('odd 50% "label"', pl.SUBMODULARITY)]
     values = [-0.0, 0.0, 1.0 / 3.0, -1e-300, 5e-324, 0.1 + 0.2, -2.5, math.inf, -math.inf]
-    records = []
-    for d, day in enumerate(days):
-        for p, pair in enumerate(pairs):
-            for k, (measure, test) in enumerate(checks):
-                gap = values[(d // 2 + p + k) % len(values)]
-                violated = (gap < 0) != ((d + p) % 3 == 0)
-                records.append(pl.ViolationRecord(date=day, pair=pair, measure=measure,
-                                                  test=test, gap=gap, violated=violated))
-    table = pl.ViolationTable.from_records(records)
+    gaps = np.empty((len(checks), len(pairs), len(days)))
+    violated = np.empty(gaps.shape, dtype=bool)
+    for k, p, d in np.ndindex(gaps.shape):
+        gaps[k, p, d] = values[(d // 2 + p + k) % len(values)]
+        violated[k, p, d] = (gaps[k, p, d] < 0) != ((d + p) % 3 == 0)
+    table = pl.ViolationTable(dates=tuple(days), pairs=tuple(pairs), checks=tuple(checks),
+                              gaps=gaps, violated=violated)
     assert table.gaps.shape == (5, 3, 7) and table.checks.count(checks[-1]) == 2
     assert {"-0", "0", "inf", "-inf"} <= {"%.17g" % r.gap for r in table}
     flags = {}
@@ -848,4 +853,6 @@ def test_export_bytes_match_plain_writer(tmp_path, monkeypatch, block_cells):
     assert any(not r.violated and r.gap < 0 for r in table)
     path = pl.export_report(table, [], [], tmp_path)["violations"]
     assert path.read_bytes() == plain_violations_csv(table)
-    assert pl.read_violations_csv(path) == list(table)
+    back = pl.read_violations_csv(path)
+    assert back == table
+    assert np.array_equal(back.gaps.view(np.int64), table.gaps.view(np.int64))
