@@ -25,25 +25,31 @@ takes the nudge's raw words; the chunk redoes numpy's ``choice`` (Floyd's
 algorithm) on them and nudges all its nudged trials at once.
 
 The pairs of a chunk depend only on ``(n_atoms, lo, hi, seed, generator)``,
-not on the measure or ``epsilon``, so the module keeps the last chunk's batch
-(x, y, meet and join rows) under that key and a later sweep with the same key
-evaluates it without drawing again: sweeping several measures on one seed in
-one process draws the pairs once.  The kept batch is read-only, so no
-evaluator can change what the next sweep reads, and a batch over 64 MB
-(``_PAIR_CACHE_BYTES``) is not kept.  Results are bit for bit those of a fresh
-draw.  A CLI ``sweep`` runs in a fresh process and so gains nothing.
+not on the measure or ``epsilon``.  So the module keeps each chunk it draws:
+the batch (x, y, meet and join rows) and the same rows validated once and
+sorted once along the atoms axis, the form every measure's kernel reads.  A
+later sweep with the same key evaluates the kept sorted rows and neither
+draws, validates nor sorts again: sweeping several measures on one seed in one
+process draws the pairs once and sorts them once.  Chunks are kept while the
+atom count, seed and generator stay the same (so every chunk of a threaded
+sweep is kept), oldest dropped first so that both arrays of all kept chunks
+together stay within 64 MB (``_PAIR_CACHE_BYTES``).  Both arrays are
+read-only, so no evaluator can change what the next sweep reads.  Results are
+bit for bit those of a fresh draw.  A single CLI ``sweep`` runs in a fresh
+process, draws and sorts once as it would anyway, and so gains nothing.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .sample import as_sample
+from .sample import as_batch, as_sample
 from .specs import RiskMeasureSpec
 
 __all__ = [
@@ -337,41 +343,44 @@ def _nudge(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray, picks: np.ndarray) 
     ys[rows, np.take_along_axis(idx, order, axis=1)] = np.sort(ys[rows, idx], axis=1)
 
 
-# (key, batch) of the last pair batch kept by ``_pair_batch``, or None; a
-# batch over the cap is not kept, so a long-lived process never holds a chunk
-# of thousands of wide pairs
+# The chunks kept by ``_pair_batch``, oldest first: key ``(n_atoms, seed,
+# generator, lo, hi)`` -> (pair batch, sorted rows).  Every kept chunk shares
+# one (n_atoms, seed, generator), and the arrays of all of them hold at most
+# _PAIR_CACHE_BYTES, so a long-lived process never holds a chunk of thousands
+# of wide pairs.  The lock guards the dict, not the draw.
 _PAIR_CACHE_BYTES = 64 << 20
-_pair_cache: tuple[tuple, np.ndarray] | None = None
+_pair_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+_pair_lock = threading.Lock()
 
 
 def _forget_pairs() -> None:
-    """Drop the cached pair batch, so that the next sweep draws its pairs."""
-    global _pair_cache
-    _pair_cache = None
+    """Drop the kept chunks, so that the next sweep draws its pairs."""
+    with _pair_lock:
+        _pair_cache.clear()
 
 
-def _pair_batch(n_atoms: int, lo: int, hi: int, seed: int, generator: str) -> np.ndarray:
-    """The read-only ``(4, hi - lo, n_atoms)`` batch of trials ``[lo, hi)``:
-    x, y, meet and join rows, as the chunk evaluates them.
+def _make_room(key: tuple, nbytes: int) -> None:
+    """Drop the kept chunks of another ``(n_atoms, seed, generator)`` than
+    ``key``'s, then the oldest until ``nbytes`` more fit under the cap (all
+    of them when ``nbytes`` alone does not).  Call with the lock held."""
+    if _pair_cache and next(iter(_pair_cache))[:3] != key[:3]:
+        _pair_cache.clear()
+    used = sum(a.nbytes + b.nbytes for a, b in _pair_cache.values())
+    while _pair_cache and used + nbytes > _PAIR_CACHE_BYTES:
+        a, b = _pair_cache.pop(next(iter(_pair_cache)))
+        used -= a.nbytes + b.nbytes
+
+
+def _draw_pairs(n_atoms: int, lo: int, hi: int, seed: int, generator: str) -> np.ndarray:
+    """The ``(4, hi - lo, n_atoms)`` batch of trials ``[lo, hi)``: x, y, meet
+    and join rows.
 
     Each trial draws x and y into its rows of the batch and takes in one call
     the raw words that the nudge's ``random()`` and ``choice`` would read
     (above ``_FLOYD_MAX_ATOMS`` it makes those calls).  ``_floyd_picks`` makes
     the choice for all nudged trials, a trial it flags is redone with numpy's
     own calls, and ``_nudge`` runs once: it uses no randomness.
-
-    The batch depends only on the key ``(n_atoms, lo, hi, seed,
-    generator)``, so the last one drawn is kept and handed to the next call
-    with the same key; the measure and ``epsilon`` act only after the draw.
-    Each entry is replaced by one assignment, so threaded chunks read either
-    the old entry or the new one.
     """
-    global _pair_cache
-    key = (n_atoms, lo, hi, int(seed), generator)
-    entry = _pair_cache
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    _pair_cache = None  # free the old batch before drawing the new one
     m, k, floyd = hi - lo, n_atoms // 2, n_atoms <= _FLOYD_MAX_ATOMS
     batch = np.empty((4, m, n_atoms))
     xs, ys, meets, joins = batch
@@ -402,10 +411,42 @@ def _pair_batch(n_atoms: int, lo: int, hi: int, seed: int, generator: str) -> np
         _nudge(xs, ys, np.array(rows), picks)
     np.minimum(xs, ys, out=meets)
     np.maximum(xs, ys, out=joins)
-    batch.flags.writeable = False
-    if batch.nbytes <= _PAIR_CACHE_BYTES:
-        _pair_cache = (key, batch)
     return batch
+
+
+def _pair_batch(
+    n_atoms: int, lo: int, hi: int, seed: int, generator: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only pair batch of trials ``[lo, hi)`` (``_draw_pairs``) and
+    its rows, ``(4 (hi - lo), n_atoms)``, validated by ``as_batch`` and sorted
+    ascending along the atoms axis: what ``evaluate_batch`` would hand each
+    measure's kernel.
+
+    Both depend only on ``(n_atoms, lo, hi, seed, generator)``, so they are
+    drawn and sorted once per key, kept, and handed to every later call with
+    the same key; the measure and ``epsilon`` act only after the sort.  Before
+    drawing, the chunks of another ``(n_atoms, seed, generator)`` and, past
+    the cap, the oldest chunks are dropped, so their memory is free for the
+    new one.  The threaded chunks of one sweep each keep their own entry.
+    """
+    key = (n_atoms, int(seed), generator, lo, hi)
+    m = hi - lo
+    nbytes = 2 * 4 * m * n_atoms * 8  # the batch and its sorted rows
+    with _pair_lock:
+        entry = _pair_cache.get(key)
+        if entry is not None:
+            return entry
+        _make_room(key, nbytes)
+    batch = _draw_pairs(n_atoms, lo, hi, seed, generator)
+    rows = np.sort(as_batch(batch.reshape(4 * m, n_atoms)), axis=1)
+    batch.flags.writeable = False
+    rows.flags.writeable = False
+    entry = (batch, rows)
+    if nbytes <= _PAIR_CACHE_BYTES:
+        with _pair_lock:
+            _make_room(key, nbytes)  # again: other chunks may be kept by now
+            _pair_cache[key] = entry
+    return entry
 
 
 def _sweep_chunk(
@@ -417,10 +458,11 @@ def _sweep_chunk(
     generator: str,
     epsilon: float,
 ):
-    """Gap counts and the worst trial over trials ``[lo, hi)``."""
+    """Gap counts and the worst trial over trials ``[lo, hi)``: the measure's
+    kernel reads the kept sorted rows, the worst pair comes from the batch."""
     m = hi - lo
-    batch = _pair_batch(n_atoms, lo, hi, seed, generator)
-    vals = spec.evaluate_batch(batch.reshape(4 * m, n_atoms))
+    batch, rows = _pair_batch(n_atoms, lo, hi, seed, generator)
+    vals = spec.kernel(n_atoms)(rows)
     gaps = (vals[:m] + vals[m : 2 * m]) - (vals[2 * m : 3 * m] + vals[3 * m :])
     i_min = int(np.argmin(gaps))
     return (
@@ -444,7 +486,10 @@ def random_pair_sweep(
 
     Deterministic given ``seed`` (per-trial RNG streams); ``threads > 1``
     chunks the trial range across a thread pool of at most ``threads``, trial
-    count and CPU count workers, without changing any result.
+    count and CPU count workers, without changing any result.  Each chunk's
+    pairs are drawn and sorted once per process and kept (``_pair_batch``),
+    so a later sweep of another measure on the same ``n_atoms``, ``trials``,
+    ``seed`` and ``generator`` (and ``threads``) only runs the measure.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError("seed must be a nonnegative integer")

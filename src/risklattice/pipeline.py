@@ -580,10 +580,13 @@ def _fmt(x: float) -> str:
 
 
 def _csv_fields(*fields: str) -> str:
-    """``fields`` encoded as part of a CSV row (quoted where needed), no newline."""
+    """``fields`` encoded as part of a CSV row (quoted where needed), no line
+    end.  The writer quotes a field holding any character of its line
+    terminator, so encoding with ``\r\n`` quotes ``\r`` as well as ``\n``: a
+    bare ``\r`` in a field would end the row for a CSV reader."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fields)
-    return buf.getvalue()[:-1]
+    csv.writer(buf, lineterminator="\r\n").writerow(fields)
+    return buf.getvalue()[:-2]
 
 
 _VIOLATIONS_HEADER = "date,pair,measure,params,gap,violated"

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from risklattice import (
     expectile_loss,
     exponential_loss,
     linear_loss,
+    parse_measure_spec,
     poly2exp_loss,
     random_pair_sweep,
     subadditivity_gap,
@@ -16,7 +19,8 @@ from risklattice import (
     violation_rate,
 )
 from risklattice import lattice
-from risklattice.lattice import GENERATORS, _Pooled, _seed_states, _sweep_chunk
+from risklattice import specs as specs_module
+from risklattice.lattice import GENERATORS, _Pooled, _seed_states
 
 
 @pytest.fixture(autouse=True)
@@ -135,21 +139,13 @@ def _oracle_pairs(seed, lo, hi, generator, n):
     return np.array(xs), np.array(ys), np.array(nudged)
 
 
-class _CaptureSpec:
-    """Stands in for a spec in ``_sweep_chunk`` and keeps the batch it is given."""
-
-    def evaluate_batch(self, X):
-        self.batch = np.array(X)
-        return np.zeros(len(X))
-
-
 def _assert_chunk_matches_oracle(seed, lo, hi, generator, n):
-    spec = _CaptureSpec()
-    _sweep_chunk(spec, n, lo, hi, seed, generator, 1e-8)
+    batch, rows = lattice._pair_batch(n, lo, hi, seed, generator)
     xs, ys, nudged = _oracle_pairs(seed, lo, hi, generator, n)
-    expected = np.concatenate([xs, ys, np.minimum(xs, ys), np.maximum(xs, ys)])
-    assert spec.batch.shape == expected.shape
-    assert spec.batch.tobytes() == expected.tobytes()  # bit for bit, -0.0 included
+    expected = np.stack([xs, ys, np.minimum(xs, ys), np.maximum(xs, ys)])
+    assert batch.shape == expected.shape
+    assert batch.tobytes() == expected.tobytes()  # bit for bit, -0.0 included
+    assert rows.tobytes() == np.sort(expected.reshape(-1, n), axis=1).tobytes()
     return nudged
 
 
@@ -371,47 +367,163 @@ def test_pair_cache_misses_on_any_key_change(field, value):
     assert lattice._pair_batch(*key) is first
     key[field] = value
     second = lattice._pair_batch(*key)
-    assert second is not first and lattice._pair_cache[0] == tuple(key)
+    n, lo, hi, seed, generator = key
+    assert second[0] is not first[0] and lattice._pair_cache[n, seed, generator, lo, hi] is second
     lattice._forget_pairs()
-    assert lattice._pair_batch(*key).tobytes() == second.tobytes()
+    assert [a.tobytes() for a in lattice._pair_batch(*key)] == [a.tobytes() for a in second]
 
 
 def test_kept_batch_is_read_only():
-    batch = lattice._pair_batch(11, 0, 40, 7, "gaussian")
+    batch, _ = lattice._pair_batch(11, 0, 40, 7, "gaussian")
     with pytest.raises(ValueError, match="read-only"):
         batch[0, 0, 0] = 1.0
 
     class SortsInPlace:
         label = "in place"
 
-        def evaluate_batch(self, X):
-            X.sort(axis=1)
-            return np.zeros(len(X))
+        def kernel(self, n):
+            def sort_in_place(Xs):
+                Xs.sort(axis=1)
+                return np.zeros(len(Xs))
 
-    # an evaluator that writes into the batch fails instead of changing what
+            return sort_in_place
+
+    # a kernel that writes into the kept rows fails instead of changing what
     # the next sweep on the same pairs reads
     with pytest.raises(ValueError, match="read-only"):
         random_pair_sweep(SortsInPlace(), 11, 40, seed=7)
-    assert lattice._pair_batch(11, 0, 40, 7, "gaussian") is batch
+    assert lattice._pair_batch(11, 0, 40, 7, "gaussian")[0] is batch
 
 
 def test_batch_over_cap_is_not_kept(monkeypatch):
     nbytes = 4 * 40 * 11 * 8
-    monkeypatch.setattr(lattice, "_PAIR_CACHE_BYTES", nbytes)
-    kept = lattice._pair_batch(11, 0, 40, 7, "gaussian")
-    assert kept.nbytes == nbytes and lattice._pair_cache[1] is kept
-    big = lattice._pair_batch(11, 0, 41, 7, "gaussian")
-    assert big.nbytes > nbytes and lattice._pair_cache is None
-    assert lattice._pair_batch(11, 0, 41, 7, "gaussian") is not big
+    monkeypatch.setattr(lattice, "_PAIR_CACHE_BYTES", 2 * nbytes)  # the batch and its rows
+    kept, _ = lattice._pair_batch(11, 0, 40, 7, "gaussian")
+    assert kept.nbytes == nbytes and lattice._pair_cache[11, 7, "gaussian", 0, 40][0] is kept
+    big, _ = lattice._pair_batch(11, 0, 41, 7, "gaussian")
+    assert big.nbytes > nbytes and not lattice._pair_cache
+    assert lattice._pair_batch(11, 0, 41, 7, "gaussian")[0] is not big
+
+
+def test_pair_cache_cap_counts_batch_and_sorted_rows(monkeypatch):
+    nbytes = 4 * 40 * 11 * 8
+    monkeypatch.setattr(lattice, "_PAIR_CACHE_BYTES", 2 * nbytes - 1)
+    lattice._pair_batch(11, 0, 40, 7, "gaussian")
+    assert not lattice._pair_cache  # either array fits, the two do not
+    # room for one chunk and a half: the oldest chunk makes way
+    monkeypatch.setattr(lattice, "_PAIR_CACHE_BYTES", 3 * nbytes)
+    lattice._pair_batch(11, 0, 40, 7, "gaussian")
+    lattice._pair_batch(11, 40, 80, 7, "gaussian")
+    assert list(lattice._pair_cache) == [(11, 7, "gaussian", 40, 80)]
+
+
+def test_kept_sorted_rows_are_read_only():
+    batch, rows = lattice._pair_batch(11, 0, 40, 7, "gaussian")
+    assert rows.shape == (4 * 40, 11) and not rows.flags.writeable
+    assert rows.tobytes() == np.sort(batch.reshape(-1, 11), axis=1).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 1.0
+
+
+# the measures of the sweep-mix benchmark: order statistics, MMD, and the CE,
+# shortfall and OCE solvers
+SWEEP_MIX = ("es:0.95", "var:0.95", "aes:0.6:0,0.9:0.01", "dist:pow:0.5", "mmd:square:es:0.5",
+             "ce:exp:1", "shortfall:expectile:1", "shortfall:poly2exp", "oce:exp:1")
+
+
+def test_warm_sweeps_equal_cold_and_evaluate_batch_for_every_kind(monkeypatch):
+    specs = [parse_measure_spec(text) for text in SWEEP_MIX]
+
+    def sweep(spec):
+        return _report_bytes(random_pair_sweep(spec, 50, 300, seed=3))
+
+    cold = []
+    for spec in specs:
+        lattice._forget_pairs()
+        cold.append(sweep(spec))
+    # each measure's own evaluate_batch on the unsorted pairs
+    batch, _ = lattice._pair_batch(50, 0, 300, 3, "gaussian")
+    for spec, got in zip(specs, cold):
+        v = spec.evaluate_batch(batch.reshape(-1, 50)).reshape(4, 300)
+        gaps = (v[0] + v[1]) - (v[2] + v[3])
+        i = int(np.argmin(gaps))
+        assert got == (int(np.count_nonzero(gaps < -1e-8)), float(gaps[i]).hex(),
+                       batch[0, i].tobytes(), batch[1, i].tobytes())
+    monkeypatch.setattr(lattice, "_generators", _no_draw)
+    assert [sweep(spec) for spec in specs] == cold
+
+
+def test_warm_sweep_neither_validates_nor_sorts_kept_rows(monkeypatch):
+    spec = RiskMeasureSpec.es(0.95)
+    random_pair_sweep(spec, 50, 300, seed=3)
+    calls = []
+    sort, as_batch = np.sort, lattice.as_batch
+
+    def counting_sort(a, *args, **kwargs):
+        if np.shape(a) == (4 * 300, 50):  # the rows of a pair batch
+            calls.append("sort")
+        return sort(a, *args, **kwargs)
+
+    def counting_as_batch(X):
+        calls.append("as_batch")
+        return as_batch(X)
+
+    monkeypatch.setattr(np, "sort", counting_sort)
+    monkeypatch.setattr(lattice, "as_batch", counting_as_batch)
+    monkeypatch.setattr(specs_module, "as_batch", counting_as_batch)
+    for text in SWEEP_MIX:
+        random_pair_sweep(parse_measure_spec(text), 50, 300, seed=3)
+    assert calls == []
+    lattice._forget_pairs()  # a cold sweep validates and sorts its pairs once
+    random_pair_sweep(spec, 50, 300, seed=3)
+    assert calls == ["as_batch", "sort"]
+
+
+def test_repeated_threaded_sweep_draws_nothing(monkeypatch):
+    monkeypatch.setattr(lattice.os, "cpu_count", lambda: 2)
+    spec = RiskMeasureSpec.es(0.95)
+    random_pair_sweep(spec, 50, 4000, seed=3, threads=2)
+    assert sorted(lattice._pair_cache) == [(50, 3, "gaussian", 0, 2000),
+                                           (50, 3, "gaussian", 2000, 4000)]
+    draw = lattice._generators
+    monkeypatch.setattr(lattice, "_generators", _no_draw)
+    warm = _report_bytes(random_pair_sweep(spec, 50, 4000, seed=3, threads=2))
+    monkeypatch.setattr(lattice, "_generators", draw)
+    lattice._forget_pairs()
+    assert warm == _report_bytes(random_pair_sweep(spec, 50, 4000, seed=3))
+    # another seed drops every chunk of the old one
+    random_pair_sweep(spec, 50, 100, seed=4)
+    assert list(lattice._pair_cache) == [(50, 4, "gaussian", 0, 100)]
 
 
 def test_threaded_sweep_equals_serial_on_kept_batches(monkeypatch):
-    # threads=3 chunks replace the serial sweep's entry, one after another
+    # the serial sweep's chunk and the three threaded chunks are all kept
     monkeypatch.setattr(lattice.os, "cpu_count", lambda: 3)
     spec = RiskMeasureSpec.var(0.8)
     runs = [_report_bytes(random_pair_sweep(spec, 10, 400, seed=38, threads=t))
             for t in (1, 3, 3, 1, 1)]
     assert runs == [runs[0]] * 5
+
+
+def test_threads_keep_the_cache_within_cap(monkeypatch):
+    # eight threads on fewer cores, switching often, add and drop chunks of
+    # 25 trials while the seed flips; without the lock a few sweeps in a
+    # hundred overran the cap, mixed seeds or raised from the dict
+    monkeypatch.setattr(lattice.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(lattice, "_PAIR_CACHE_BYTES", 3 * 2 * 4 * 25 * 3 * 8)
+    spec = RiskMeasureSpec.var(0.8)
+    serial = [_report_bytes(random_pair_sweep(spec, 3, 200, seed=seed)) for seed in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for i in range(200):
+            seed = i % 2
+            assert _report_bytes(random_pair_sweep(spec, 3, 200, seed=seed, threads=8)) == serial[seed]
+            kept = lattice._pair_cache
+            assert sum(a.nbytes + b.nbytes for a, b in kept.values()) <= lattice._PAIR_CACHE_BYTES
+            assert {key[:3] for key in kept} == {(3, seed, "gaussian")}
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_sweep_seed_changes_results():

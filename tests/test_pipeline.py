@@ -460,6 +460,21 @@ def test_hyphenated_ticker_pair_is_not_misread(tmp_path):
         pl.read_violations_csv(paths["violations"])
 
 
+def test_carriage_return_label_is_quoted_and_reads_back(tmp_path):
+    # a bare \r would end the row for a CSV reader, so the label is quoted
+    gaps = np.array([[[0.5, -1.0], [0.25, -0.0]]])
+    table = pl.ViolationTable(
+        dates=(dt.date(2024, 1, 2), dt.date(2024, 1, 3)), pairs=(("A", "B"), ("B", "C\r")),
+        checks=(("VaR(0.9)", pl.SUBMODULARITY),), gaps=gaps, violated=gaps < 0,
+    )
+    path = pl.export_report(table, [], [], tmp_path)["violations"]
+    assert path.read_bytes().split(b"\n")[2] == (
+        b'2024-01-02,"B-C\r",VaR(0.9),submodularity,0.25,false')
+    back = pl.read_violations_csv(path)
+    assert back == table
+    assert np.array_equal(back.gaps.view(np.int64), table.gaps.view(np.int64))
+
+
 def test_export_summary_echoes_config(tmp_path):
     import json
 
