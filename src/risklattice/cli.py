@@ -163,12 +163,6 @@ def _cmd_sweep(args) -> int:
         "worst_gap": report.worst_gap,
         "promises_zero": promised,
     }
-    # the text lines format the worst pair, which json and csv leave out
-    _emit(args, payload, _sweep_lines(report, promised) if args.format == "text" else [])
-    return 1 if (promised and report.violations > 0) else 0
-
-
-def _sweep_lines(report, promised: bool) -> list[str]:
     lines = [
         f"measure {report.label}  atoms {report.n_atoms}  trials {report.trials}"
         f"  seed {report.seed}  generator {report.generator}",
@@ -183,7 +177,8 @@ def _sweep_lines(report, promised: bool) -> list[str]:
             "expectation: zero violations for this measure class -- "
             + ("OK" if report.violations == 0 else "BROKEN")
         )
-    return lines
+    _emit(args, payload, lines)
+    return 1 if (promised and report.violations > 0) else 0
 
 
 def _cmd_counterexample(args) -> int:

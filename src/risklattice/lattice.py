@@ -25,24 +25,22 @@ takes the nudge's raw words; the chunk redoes numpy's ``choice`` (Floyd's
 algorithm) on them and nudges all its nudged trials at once.
 
 The pairs of a chunk depend only on ``(n_atoms, lo, hi, seed, generator)``,
-not on the measure or ``epsilon``.  So the module keeps each chunk it draws:
-the batch (x, y, meet and join rows) and the same rows validated once and
-sorted once along the atoms axis, the form every measure's kernel reads.  A
-later sweep with the same key evaluates the kept sorted rows and neither
-draws, validates nor sorts again: sweeping several measures on one seed in one
-process draws the pairs once and sorts them once.  Chunks are kept while the
-atom count, seed and generator stay the same (so every chunk of a threaded
-sweep is kept), oldest dropped first so that both arrays of all kept chunks
-together stay within 64 MB (``_PAIR_CACHE_BYTES``).  Both arrays are
-read-only, so no evaluator can change what the next sweep reads.  Results are
-bit for bit those of a fresh draw.  A single CLI ``sweep`` runs in a fresh
-process, draws and sorts once as it would anyway, and so gains nothing.
+not on the measure or ``epsilon``.  So the module keeps the last chunk it drew
+under that key: its x and y rows, and its x, y, meet and join rows validated
+once and sorted once along the atoms axis, the form every measure's kernel
+reads.  A later sweep with the same key evaluates the kept sorted rows and
+neither draws, validates nor sorts again: sweeping several measures on one
+seed in one process draws the pairs once and sorts them once.  Both kept
+arrays are read-only, so no kernel can change what the next sweep reads, and
+a chunk whose two arrays together exceed 64 MB (``_PAIR_CACHE_BYTES``) is not
+kept.  Results are bit for bit those of a fresh draw.  A single CLI ``sweep``
+runs in a fresh process, draws and sorts once as it would anyway, and so gains
+nothing.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -343,32 +341,17 @@ def _nudge(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray, picks: np.ndarray) 
     ys[rows, np.take_along_axis(idx, order, axis=1)] = np.sort(ys[rows, idx], axis=1)
 
 
-# The chunks kept by ``_pair_batch``, oldest first: key ``(n_atoms, seed,
-# generator, lo, hi)`` -> (pair batch, sorted rows).  Every kept chunk shares
-# one (n_atoms, seed, generator), and the arrays of all of them hold at most
-# _PAIR_CACHE_BYTES, so a long-lived process never holds a chunk of thousands
-# of wide pairs.  The lock guards the dict, not the draw.
+# (key, (pairs, rows)) of the last chunk kept by ``_pair_batch``, or None; a
+# chunk over the cap is not kept, so a long-lived process never holds a chunk
+# of thousands of wide pairs
 _PAIR_CACHE_BYTES = 64 << 20
-_pair_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-_pair_lock = threading.Lock()
+_pair_cache: tuple[tuple, tuple[np.ndarray, np.ndarray]] | None = None
 
 
 def _forget_pairs() -> None:
-    """Drop the kept chunks, so that the next sweep draws its pairs."""
-    with _pair_lock:
-        _pair_cache.clear()
-
-
-def _make_room(key: tuple, nbytes: int) -> None:
-    """Drop the kept chunks of another ``(n_atoms, seed, generator)`` than
-    ``key``'s, then the oldest until ``nbytes`` more fit under the cap (all
-    of them when ``nbytes`` alone does not).  Call with the lock held."""
-    if _pair_cache and next(iter(_pair_cache))[:3] != key[:3]:
-        _pair_cache.clear()
-    used = sum(a.nbytes + b.nbytes for a, b in _pair_cache.values())
-    while _pair_cache and used + nbytes > _PAIR_CACHE_BYTES:
-        a, b = _pair_cache.pop(next(iter(_pair_cache)))
-        used -= a.nbytes + b.nbytes
+    """Drop the kept chunk, so that the next sweep draws its pairs."""
+    global _pair_cache
+    _pair_cache = None
 
 
 def _draw_pairs(n_atoms: int, lo: int, hi: int, seed: int, generator: str) -> np.ndarray:
@@ -417,36 +400,36 @@ def _draw_pairs(n_atoms: int, lo: int, hi: int, seed: int, generator: str) -> np
 def _pair_batch(
     n_atoms: int, lo: int, hi: int, seed: int, generator: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only pair batch of trials ``[lo, hi)`` (``_draw_pairs``) and
-    its rows, ``(4 (hi - lo), n_atoms)``, validated by ``as_batch`` and sorted
-    ascending along the atoms axis: what ``evaluate_batch`` would hand each
-    measure's kernel.
+    """The read-only pairs of trials ``[lo, hi)`` and their sorted rows.
 
-    Both depend only on ``(n_atoms, lo, hi, seed, generator)``, so they are
-    drawn and sorted once per key, kept, and handed to every later call with
-    the same key; the measure and ``epsilon`` act only after the sort.  Before
-    drawing, the chunks of another ``(n_atoms, seed, generator)`` and, past
-    the cap, the oldest chunks are dropped, so their memory is free for the
-    new one.  The threaded chunks of one sweep each keep their own entry.
+    ``pairs`` is ``(2, hi - lo, n_atoms)``: the x and y rows of
+    ``_draw_pairs``.  ``rows`` is ``(4 (hi - lo), n_atoms)``: its x, y, meet
+    and join rows, validated by ``as_batch`` and sorted ascending along the
+    atoms axis, which is what ``evaluate_batch`` would hand each measure's
+    kernel.  The meet and join rows are kept only in sorted form: the worst
+    pair is read from ``pairs``.
+
+    Both depend only on the key ``(n_atoms, lo, hi, seed, generator)``, so
+    the last chunk drawn is kept and handed to the next call with the same
+    key; the measure and ``epsilon`` act only after the sort.  The entry is
+    replaced by one assignment, so threaded chunks read either the old entry
+    or the new one.
     """
-    key = (n_atoms, int(seed), generator, lo, hi)
-    m = hi - lo
-    nbytes = 2 * 4 * m * n_atoms * 8  # the batch and its sorted rows
-    with _pair_lock:
-        entry = _pair_cache.get(key)
-        if entry is not None:
-            return entry
-        _make_room(key, nbytes)
+    global _pair_cache
+    key = (n_atoms, lo, hi, int(seed), generator)
+    entry = _pair_cache
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    _pair_cache = None  # free the old chunk before drawing the new one
     batch = _draw_pairs(n_atoms, lo, hi, seed, generator)
-    rows = np.sort(as_batch(batch.reshape(4 * m, n_atoms)), axis=1)
-    batch.flags.writeable = False
-    rows.flags.writeable = False
-    entry = (batch, rows)
-    if nbytes <= _PAIR_CACHE_BYTES:
-        with _pair_lock:
-            _make_room(key, nbytes)  # again: other chunks may be kept by now
-            _pair_cache[key] = entry
-    return entry
+    pairs = batch[:2].copy()
+    rows = as_batch(batch.reshape(4 * (hi - lo), n_atoms))
+    rows.sort(axis=1)  # in place: the rows np.sort(rows, axis=1) returns
+    pairs.flags.writeable = rows.flags.writeable = False
+    chunk = (pairs, rows)
+    if pairs.nbytes + rows.nbytes <= _PAIR_CACHE_BYTES:
+        _pair_cache = (key, chunk)
+    return chunk
 
 
 def _sweep_chunk(
@@ -459,9 +442,9 @@ def _sweep_chunk(
     epsilon: float,
 ):
     """Gap counts and the worst trial over trials ``[lo, hi)``: the measure's
-    kernel reads the kept sorted rows, the worst pair comes from the batch."""
+    kernel reads the kept sorted rows, the worst pair comes from the pairs."""
     m = hi - lo
-    batch, rows = _pair_batch(n_atoms, lo, hi, seed, generator)
+    pairs, rows = _pair_batch(n_atoms, lo, hi, seed, generator)
     vals = spec.kernel(n_atoms)(rows)
     gaps = (vals[:m] + vals[m : 2 * m]) - (vals[2 * m : 3 * m] + vals[3 * m :])
     i_min = int(np.argmin(gaps))
@@ -469,7 +452,7 @@ def _sweep_chunk(
         int(np.count_nonzero(gaps < -epsilon)),
         float(gaps[i_min]),
         lo + i_min,
-        (batch[0, i_min].copy(), batch[1, i_min].copy()),
+        (pairs[0, i_min].copy(), pairs[1, i_min].copy()),
     )
 
 
@@ -486,10 +469,11 @@ def random_pair_sweep(
 
     Deterministic given ``seed`` (per-trial RNG streams); ``threads > 1``
     chunks the trial range across a thread pool of at most ``threads``, trial
-    count and CPU count workers, without changing any result.  Each chunk's
-    pairs are drawn and sorted once per process and kept (``_pair_batch``),
-    so a later sweep of another measure on the same ``n_atoms``, ``trials``,
-    ``seed`` and ``generator`` (and ``threads``) only runs the measure.
+    count and CPU count workers, without changing any result.  The last
+    chunk's pairs are drawn and sorted once and kept (``_pair_batch``), so a
+    later serial sweep of another measure on the same ``n_atoms``, ``seed``,
+    ``generator`` and ``trials`` (at most 20,000, one chunk) only runs the
+    measure.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError("seed must be a nonnegative integer")

@@ -82,20 +82,6 @@ def test_sweep_text_output_golden(capsys, measure, generator):
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_GOLDEN[measure, generator]
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_sweep_machine_formats_do_not_format_worst_pair(capsys, monkeypatch, fmt):
-    # var:0.5 violates, so the text output would print the worst pair
-    import risklattice.cli as cli
-
-    def no_text(*args, **kwargs):
-        raise AssertionError("a json or csv sweep formatted text-only lines")
-
-    monkeypatch.setattr(cli.np, "array2string", no_text)
-    code, out, _ = run(capsys, "--format", fmt, "sweep", "--measure", "var:0.5", "--atoms",
-                       "11", "--trials", "500", "--seed", "0")
-    assert code == 0 and "violations" in out and "worst pair" not in out
-
-
 def test_sweep_negative_seed_exits_2(capsys):
     code, out, err = run(capsys, "sweep", "--measure", "es:0.95", "--atoms", "10", "--trials",
                          "10", "--seed", "-1")

@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 
@@ -140,12 +138,12 @@ def _oracle_pairs(seed, lo, hi, generator, n):
 
 
 def _assert_chunk_matches_oracle(seed, lo, hi, generator, n):
-    batch, rows = lattice._pair_batch(n, lo, hi, seed, generator)
+    pairs, rows = lattice._pair_batch(n, lo, hi, seed, generator)
     xs, ys, nudged = _oracle_pairs(seed, lo, hi, generator, n)
-    expected = np.stack([xs, ys, np.minimum(xs, ys), np.maximum(xs, ys)])
-    assert batch.shape == expected.shape
-    assert batch.tobytes() == expected.tobytes()  # bit for bit, -0.0 included
-    assert rows.tobytes() == np.sort(expected.reshape(-1, n), axis=1).tobytes()
+    expected = np.concatenate([xs, ys, np.minimum(xs, ys), np.maximum(xs, ys)])
+    assert pairs.shape == (2, hi - lo, n)
+    assert pairs.tobytes() == expected[: 2 * (hi - lo)].tobytes()  # bit for bit, -0.0 included
+    assert rows.tobytes() == np.sort(expected, axis=1).tobytes()
     return nudged
 
 
@@ -367,8 +365,7 @@ def test_pair_cache_misses_on_any_key_change(field, value):
     assert lattice._pair_batch(*key) is first
     key[field] = value
     second = lattice._pair_batch(*key)
-    n, lo, hi, seed, generator = key
-    assert second[0] is not first[0] and lattice._pair_cache[n, seed, generator, lo, hi] is second
+    assert second is not first and lattice._pair_cache[0] == tuple(key)
     lattice._forget_pairs()
     assert [a.tobytes() for a in lattice._pair_batch(*key)] == [a.tobytes() for a in second]
 
@@ -396,31 +393,20 @@ def test_kept_batch_is_read_only():
 
 
 def test_batch_over_cap_is_not_kept(monkeypatch):
-    nbytes = 4 * 40 * 11 * 8
-    monkeypatch.setattr(lattice, "_PAIR_CACHE_BYTES", 2 * nbytes)  # the batch and its rows
-    kept, _ = lattice._pair_batch(11, 0, 40, 7, "gaussian")
-    assert kept.nbytes == nbytes and lattice._pair_cache[11, 7, "gaussian", 0, 40][0] is kept
-    big, _ = lattice._pair_batch(11, 0, 41, 7, "gaussian")
-    assert big.nbytes > nbytes and not lattice._pair_cache
-    assert lattice._pair_batch(11, 0, 41, 7, "gaussian")[0] is not big
-
-
-def test_pair_cache_cap_counts_batch_and_sorted_rows(monkeypatch):
-    nbytes = 4 * 40 * 11 * 8
-    monkeypatch.setattr(lattice, "_PAIR_CACHE_BYTES", 2 * nbytes - 1)
-    lattice._pair_batch(11, 0, 40, 7, "gaussian")
-    assert not lattice._pair_cache  # either array fits, the two do not
-    # room for one chunk and a half: the oldest chunk makes way
-    monkeypatch.setattr(lattice, "_PAIR_CACHE_BYTES", 3 * nbytes)
-    lattice._pair_batch(11, 0, 40, 7, "gaussian")
-    lattice._pair_batch(11, 40, 80, 7, "gaussian")
-    assert list(lattice._pair_cache) == [(11, 7, "gaussian", 40, 80)]
+    # the x and y rows, and all four sorted: a 41-trial chunk is not kept,
+    # though either of its arrays would fit
+    nbytes = (2 + 4) * 40 * 11 * 8
+    monkeypatch.setattr(lattice, "_PAIR_CACHE_BYTES", nbytes)
+    kept = lattice._pair_batch(11, 0, 40, 7, "gaussian")
+    assert sum(a.nbytes for a in kept) == nbytes and lattice._pair_cache[1] is kept
+    big = lattice._pair_batch(11, 0, 41, 7, "gaussian")
+    assert sum(a.nbytes for a in big) > nbytes and lattice._pair_cache is None
+    assert lattice._pair_batch(11, 0, 41, 7, "gaussian") is not big
 
 
 def test_kept_sorted_rows_are_read_only():
-    batch, rows = lattice._pair_batch(11, 0, 40, 7, "gaussian")
+    _, rows = lattice._pair_batch(11, 0, 40, 7, "gaussian")
     assert rows.shape == (4 * 40, 11) and not rows.flags.writeable
-    assert rows.tobytes() == np.sort(batch.reshape(-1, 11), axis=1).tobytes()
     with pytest.raises(ValueError, match="read-only"):
         rows[0, 0] = 1.0
 
@@ -442,13 +428,14 @@ def test_warm_sweeps_equal_cold_and_evaluate_batch_for_every_kind(monkeypatch):
         lattice._forget_pairs()
         cold.append(sweep(spec))
     # each measure's own evaluate_batch on the unsorted pairs
-    batch, _ = lattice._pair_batch(50, 0, 300, 3, "gaussian")
+    (xs, ys), _ = lattice._pair_batch(50, 0, 300, 3, "gaussian")
+    batch = np.concatenate([xs, ys, np.minimum(xs, ys), np.maximum(xs, ys)])
     for spec, got in zip(specs, cold):
-        v = spec.evaluate_batch(batch.reshape(-1, 50)).reshape(4, 300)
+        v = spec.evaluate_batch(batch).reshape(4, 300)
         gaps = (v[0] + v[1]) - (v[2] + v[3])
         i = int(np.argmin(gaps))
         assert got == (int(np.count_nonzero(gaps < -1e-8)), float(gaps[i]).hex(),
-                       batch[0, i].tobytes(), batch[1, i].tobytes())
+                       xs[i].tobytes(), ys[i].tobytes())
     monkeypatch.setattr(lattice, "_generators", _no_draw)
     assert [sweep(spec) for spec in specs] == cold
 
@@ -474,56 +461,18 @@ def test_warm_sweep_neither_validates_nor_sorts_kept_rows(monkeypatch):
     for text in SWEEP_MIX:
         random_pair_sweep(parse_measure_spec(text), 50, 300, seed=3)
     assert calls == []
-    lattice._forget_pairs()  # a cold sweep validates and sorts its pairs once
+    lattice._forget_pairs()  # a cold sweep validates its pairs once (and sorts them in place)
     random_pair_sweep(spec, 50, 300, seed=3)
-    assert calls == ["as_batch", "sort"]
-
-
-def test_repeated_threaded_sweep_draws_nothing(monkeypatch):
-    monkeypatch.setattr(lattice.os, "cpu_count", lambda: 2)
-    spec = RiskMeasureSpec.es(0.95)
-    random_pair_sweep(spec, 50, 4000, seed=3, threads=2)
-    assert sorted(lattice._pair_cache) == [(50, 3, "gaussian", 0, 2000),
-                                           (50, 3, "gaussian", 2000, 4000)]
-    draw = lattice._generators
-    monkeypatch.setattr(lattice, "_generators", _no_draw)
-    warm = _report_bytes(random_pair_sweep(spec, 50, 4000, seed=3, threads=2))
-    monkeypatch.setattr(lattice, "_generators", draw)
-    lattice._forget_pairs()
-    assert warm == _report_bytes(random_pair_sweep(spec, 50, 4000, seed=3))
-    # another seed drops every chunk of the old one
-    random_pair_sweep(spec, 50, 100, seed=4)
-    assert list(lattice._pair_cache) == [(50, 4, "gaussian", 0, 100)]
+    assert calls == ["as_batch"]
 
 
 def test_threaded_sweep_equals_serial_on_kept_batches(monkeypatch):
-    # the serial sweep's chunk and the three threaded chunks are all kept
+    # threads=3 chunks replace the serial sweep's entry, one after another
     monkeypatch.setattr(lattice.os, "cpu_count", lambda: 3)
     spec = RiskMeasureSpec.var(0.8)
     runs = [_report_bytes(random_pair_sweep(spec, 10, 400, seed=38, threads=t))
             for t in (1, 3, 3, 1, 1)]
     assert runs == [runs[0]] * 5
-
-
-def test_threads_keep_the_cache_within_cap(monkeypatch):
-    # eight threads on fewer cores, switching often, add and drop chunks of
-    # 25 trials while the seed flips; without the lock a few sweeps in a
-    # hundred overran the cap, mixed seeds or raised from the dict
-    monkeypatch.setattr(lattice.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(lattice, "_PAIR_CACHE_BYTES", 3 * 2 * 4 * 25 * 3 * 8)
-    spec = RiskMeasureSpec.var(0.8)
-    serial = [_report_bytes(random_pair_sweep(spec, 3, 200, seed=seed)) for seed in (0, 1)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for i in range(200):
-            seed = i % 2
-            assert _report_bytes(random_pair_sweep(spec, 3, 200, seed=seed, threads=8)) == serial[seed]
-            kept = lattice._pair_cache
-            assert sum(a.nbytes + b.nbytes for a, b in kept.values()) <= lattice._PAIR_CACHE_BYTES
-            assert {key[:3] for key in kept} == {(3, seed, "gaussian")}
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_sweep_seed_changes_results():
