@@ -28,7 +28,7 @@ from . import pipeline as pl
 from .curvature import curvature_profile, linear_dominance_check
 from .errors import RiskLatticeError
 from .functions import parse_distortion_spec, parse_loss_spec, parse_weight_spec
-from .lattice import GENERATORS, random_pair_sweep, submodularity_gap
+from .lattice import DEFAULT_EPSILON, GENERATORS, random_pair_sweep, submodularity_gap
 from .selftest import run_selftest
 from .specs import RiskMeasureSpec, parse_measure_spec
 
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--generator", choices=GENERATORS, default="gaussian")
-    p.add_argument("--epsilon", type=float, default=1e-8)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
 
     p = sub.add_parser("counterexample", help="construct a violating pair")
     p.add_argument("--family", choices=("aes", "mmd", "shortfall-jump"), required=True)

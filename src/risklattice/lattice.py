@@ -6,8 +6,8 @@ space, the submodularity gap is::
     gap = rho(x) + rho(y) - rho(x ^ y) - rho(x v y)
 
 with ``^``/``v`` the pointwise minimum/maximum; a violation is recorded when
-``gap < -epsilon`` (default ``epsilon = 1e-8``, a conservative guard against
-double-precision arithmetic error).  The subadditivity gap replaces the
+``gap < -epsilon`` (default ``DEFAULT_EPSILON = 1e-8``, a conservative guard
+against double-precision arithmetic error).  The subadditivity gap replaces the
 meet/join pair by the sum: ``rho(x) + rho(y) - rho(x + y)``.
 
 ``random_pair_sweep`` operationalizes "for all x, y" as a seeded randomized
@@ -24,18 +24,19 @@ pass of ``uint32`` numpy arithmetic (``_seed_states``) and hands each trial's
 takes the nudge's raw words; the chunk redoes numpy's ``choice`` (Floyd's
 algorithm) on them and nudges all its nudged trials at once.
 
-The pairs of a chunk depend only on ``(n_atoms, lo, hi, seed, generator)``,
-not on the measure or ``epsilon``.  So the module keeps the last chunk it drew
-under that key: its x and y rows, and its x, y, meet and join rows validated
-once and sorted once along the atoms axis, the form every measure's kernel
-reads.  A later sweep with the same key evaluates the kept sorted rows and
-neither draws, validates nor sorts again: sweeping several measures on one
-seed in one process draws the pairs once and sorts them once.  Both kept
-arrays are read-only, so no kernel can change what the next sweep reads, and
-a chunk whose two arrays together exceed 64 MB (``_PAIR_CACHE_BYTES``) is not
-kept.  Results are bit for bit those of a fresh draw.  A single CLI ``sweep``
-runs in a fresh process, draws and sorts once as it would anyway, and so gains
-nothing.
+A sweep runs in chunks of at most ``_CHUNK_BYTES // (32 n_atoms)`` trials,
+so a chunk's x, y, meet and join rows fit ``_CHUNK_BYTES`` (64 MB), the one
+memory bound of a sweep, unless a single trial is larger.  A chunk's pairs
+depend only on ``(n_atoms, lo, hi, seed, generator)``, not on the measure or
+``epsilon``.  So the module keeps the last chunk it drew under that key, as
+one read-only array: its rows validated once and sorted once along the atoms
+axis, the form every measure's kernel reads.  A later sweep with the same key
+evaluates the kept rows and neither draws, validates nor sorts again:
+sweeping several measures on one seed in one process draws the pairs once and
+sorts them once.  A report keeps only its worst trial's index and redraws
+that trial's pair when read.  Results are bit for bit those of a fresh draw.
+A single CLI ``sweep`` runs in a fresh process, draws and sorts once as it
+would anyway, and so gains nothing.
 """
 
 from __future__ import annotations
@@ -78,16 +79,17 @@ class GapResult:
 class SweepReport:
     """Outcome of a randomized pair sweep.
 
-    ``worst_gap`` is the minimum gap over all trials and ``worst_pair`` the
-    pair attaining it (first such trial on ties).  Identical seed and spec
-    reproduce the report exactly.
+    ``worst_gap`` is the minimum gap over all trials and ``worst_trial`` the
+    index of the trial attaining it (the first such trial on ties).
+    ``worst_pair`` is that trial's pair, redrawn from its own stream each time
+    it is read.  Identical seed and spec reproduce the report exactly.
     """
 
     label: str
     trials: int
     violations: int
     worst_gap: float
-    worst_pair: tuple[np.ndarray, np.ndarray]
+    worst_trial: int
     seed: int
     n_atoms: int
     generator: str
@@ -96,6 +98,13 @@ class SweepReport:
     @property
     def violation_found(self) -> bool:
         return self.violations > 0
+
+    @property
+    def worst_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """The x and y of trial ``worst_trial``, bit for bit as the sweep drew
+        them; the kept chunk (``_pair_batch``) is left as it is."""
+        t = self.worst_trial
+        return tuple(_draw_pairs(self.n_atoms, t, t + 1, self.seed, self.generator)[:2, 0])
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -341,11 +350,11 @@ def _nudge(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray, picks: np.ndarray) 
     ys[rows, np.take_along_axis(idx, order, axis=1)] = np.sort(ys[rows, idx], axis=1)
 
 
-# (key, (pairs, rows)) of the last chunk kept by ``_pair_batch``, or None; a
-# chunk over the cap is not kept, so a long-lived process never holds a chunk
-# of thousands of wide pairs
-_PAIR_CACHE_BYTES = 64 << 20
-_pair_cache: tuple[tuple, tuple[np.ndarray, np.ndarray]] | None = None
+# the most bytes a chunk's sorted rows take, at 32 per trial and atom, unless
+# a single trial takes more
+_CHUNK_BYTES = 64 << 20
+# (key, rows) of the last chunk drawn by ``_pair_batch``, or None
+_pair_cache: tuple[tuple, np.ndarray] | None = None
 
 
 def _forget_pairs() -> None:
@@ -397,19 +406,15 @@ def _draw_pairs(n_atoms: int, lo: int, hi: int, seed: int, generator: str) -> np
     return batch
 
 
-def _pair_batch(
-    n_atoms: int, lo: int, hi: int, seed: int, generator: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only pairs of trials ``[lo, hi)`` and their sorted rows.
+def _pair_batch(n_atoms: int, lo: int, hi: int, seed: int, generator: str) -> np.ndarray:
+    """The read-only sorted rows of trials ``[lo, hi)``.
 
-    ``pairs`` is ``(2, hi - lo, n_atoms)``: the x and y rows of
-    ``_draw_pairs``.  ``rows`` is ``(4 (hi - lo), n_atoms)``: its x, y, meet
-    and join rows, validated by ``as_batch`` and sorted ascending along the
-    atoms axis, which is what ``evaluate_batch`` would hand each measure's
-    kernel.  The meet and join rows are kept only in sorted form: the worst
-    pair is read from ``pairs``.
+    ``rows`` is ``(4 (hi - lo), n_atoms)``: the x, y, meet and join rows of
+    ``_draw_pairs``, validated by ``as_batch`` and sorted ascending in place
+    along the atoms axis, which is what ``evaluate_batch`` would hand each
+    measure's kernel.
 
-    Both depend only on the key ``(n_atoms, lo, hi, seed, generator)``, so
+    They depend only on the key ``(n_atoms, lo, hi, seed, generator)``, so
     the last chunk drawn is kept and handed to the next call with the same
     key; the measure and ``epsilon`` act only after the sort.  The entry is
     replaced by one assignment, so threaded chunks read either the old entry
@@ -421,15 +426,11 @@ def _pair_batch(
     if entry is not None and entry[0] == key:
         return entry[1]
     _pair_cache = None  # free the old chunk before drawing the new one
-    batch = _draw_pairs(n_atoms, lo, hi, seed, generator)
-    pairs = batch[:2].copy()
-    rows = as_batch(batch.reshape(4 * (hi - lo), n_atoms))
+    rows = as_batch(_draw_pairs(n_atoms, lo, hi, seed, generator).reshape(-1, n_atoms))
     rows.sort(axis=1)  # in place: the rows np.sort(rows, axis=1) returns
-    pairs.flags.writeable = rows.flags.writeable = False
-    chunk = (pairs, rows)
-    if pairs.nbytes + rows.nbytes <= _PAIR_CACHE_BYTES:
-        _pair_cache = (key, chunk)
-    return chunk
+    rows.flags.writeable = False
+    _pair_cache = (key, rows)
+    return rows
 
 
 def _sweep_chunk(
@@ -440,20 +441,14 @@ def _sweep_chunk(
     seed: int,
     generator: str,
     epsilon: float,
-):
-    """Gap counts and the worst trial over trials ``[lo, hi)``: the measure's
-    kernel reads the kept sorted rows, the worst pair comes from the pairs."""
+) -> tuple[int, float, int]:
+    """Gap count, worst gap and worst trial over trials ``[lo, hi)``: the
+    measure's kernel reads the kept sorted rows."""
     m = hi - lo
-    pairs, rows = _pair_batch(n_atoms, lo, hi, seed, generator)
-    vals = spec.kernel(n_atoms)(rows)
+    vals = spec.kernel(n_atoms)(_pair_batch(n_atoms, lo, hi, seed, generator))
     gaps = (vals[:m] + vals[m : 2 * m]) - (vals[2 * m : 3 * m] + vals[3 * m :])
     i_min = int(np.argmin(gaps))
-    return (
-        int(np.count_nonzero(gaps < -epsilon)),
-        float(gaps[i_min]),
-        lo + i_min,
-        (pairs[0, i_min].copy(), pairs[1, i_min].copy()),
-    )
+    return int(np.count_nonzero(gaps < -epsilon)), float(gaps[i_min]), lo + i_min
 
 
 def random_pair_sweep(
@@ -469,11 +464,11 @@ def random_pair_sweep(
 
     Deterministic given ``seed`` (per-trial RNG streams); ``threads > 1``
     chunks the trial range across a thread pool of at most ``threads``, trial
-    count and CPU count workers, without changing any result.  The last
-    chunk's pairs are drawn and sorted once and kept (``_pair_batch``), so a
-    later serial sweep of another measure on the same ``n_atoms``, ``seed``,
-    ``generator`` and ``trials`` (at most 20,000, one chunk) only runs the
-    measure.
+    count and CPU count workers, without changing any result.  A chunk's
+    sorted rows fit ``_CHUNK_BYTES``.  The last chunk's pairs are drawn and
+    sorted once and kept (``_pair_batch``), so a later serial sweep of another
+    measure on the same ``n_atoms``, ``seed``, ``generator`` and ``trials``
+    (one chunk) only runs the measure.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError("seed must be a nonnegative integer")
@@ -486,8 +481,8 @@ def random_pair_sweep(
     _check_epsilon(epsilon)
 
     n_workers = max(1, min(int(threads), trials, os.cpu_count() or 1))
-    # chunk size bounded both by the worker count and a memory cap
-    chunk = max(1, min(20_000, -(-trials // n_workers)))
+    # chunk size bounded both by the worker count and the memory bound
+    chunk = max(1, min(_CHUNK_BYTES // (32 * n_atoms), -(-trials // n_workers)))
     spans = [(lo, min(trials, lo + chunk)) for lo in range(0, trials, chunk)]
 
     def run(span):
@@ -507,7 +502,7 @@ def random_pair_sweep(
         trials=trials,
         violations=violations,
         worst_gap=best[1],
-        worst_pair=best[3],
+        worst_trial=best[2],
         seed=int(seed),
         n_atoms=int(n_atoms),
         generator=generator,

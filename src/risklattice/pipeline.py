@@ -31,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, DomainError
 from .functions import AdjustmentGrid
-from .lattice import _check_epsilon
+from .lattice import DEFAULT_EPSILON, _check_epsilon
 from .specs import RiskMeasureSpec
 
 __all__ = [
@@ -103,7 +103,7 @@ class RollingConfig:
 
     window: int
     measures: tuple[RiskMeasureSpec, ...]
-    epsilon: float = 1e-8
+    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
         if self.window < 2:
@@ -840,5 +840,5 @@ def config_to_rolling(cfg: dict) -> RollingConfig:
     return RollingConfig(
         window=int(cfg.get("window", 250)),
         measures=tuple(measures),
-        epsilon=float(cfg.get("epsilon", 1e-8)),
+        epsilon=float(cfg.get("epsilon", DEFAULT_EPSILON)),
     )

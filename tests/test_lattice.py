@@ -138,11 +138,12 @@ def _oracle_pairs(seed, lo, hi, generator, n):
 
 
 def _assert_chunk_matches_oracle(seed, lo, hi, generator, n):
-    pairs, rows = lattice._pair_batch(n, lo, hi, seed, generator)
+    batch = lattice._draw_pairs(n, lo, hi, seed, generator)
+    rows = lattice._pair_batch(n, lo, hi, seed, generator)
     xs, ys, nudged = _oracle_pairs(seed, lo, hi, generator, n)
     expected = np.concatenate([xs, ys, np.minimum(xs, ys), np.maximum(xs, ys)])
-    assert pairs.shape == (2, hi - lo, n)
-    assert pairs.tobytes() == expected[: 2 * (hi - lo)].tobytes()  # bit for bit, -0.0 included
+    assert batch.shape == (4, hi - lo, n)
+    assert batch[:2].tobytes() == expected[: 2 * (hi - lo)].tobytes()  # bit for bit, -0.0 included
     assert rows.tobytes() == np.sort(expected, axis=1).tobytes()
     return nudged
 
@@ -325,12 +326,30 @@ def test_sweep_pool_capped_at_cpu_count(monkeypatch):
 
 
 def _report_bytes(rep):
-    return (rep.violations, rep.worst_gap.hex(), rep.worst_pair[0].tobytes(),
-            rep.worst_pair[1].tobytes())
+    return rep.violations, rep.worst_gap.hex(), rep.worst_trial
 
 
 def _no_draw(*args):
     raise AssertionError("a sweep on a kept batch drew pairs")
+
+
+def _assert_worst_pair_redraws_one_trial(monkeypatch, rep):
+    # reading worst_pair draws its trial alone, as the oracle does, and
+    # leaves the kept chunk in place
+    kept, draw, spans = lattice._pair_cache, lattice._generators, []
+
+    def recording(seed, lo, hi):
+        spans.append((seed, lo, hi))
+        return draw(seed, lo, hi)
+
+    monkeypatch.setattr(lattice, "_generators", recording)
+    x, y = rep.worst_pair
+    monkeypatch.setattr(lattice, "_generators", draw)
+    t = rep.worst_trial
+    assert set(spans) == {(rep.seed, t, t + 1)}
+    xs, ys, _ = _oracle_pairs(rep.seed, t, t + 1, rep.generator, rep.n_atoms)
+    assert (x.tobytes(), y.tobytes()) == (xs[0].tobytes(), ys[0].tobytes())
+    assert lattice._pair_cache is kept
 
 
 # the copied choice with replayed rows, and numpy's own choice above 10,000 atoms
@@ -349,13 +368,15 @@ def test_warm_sweep_equals_cold(monkeypatch, n, trials, replay, generator):
     sweep(specs[1])  # keeps the batch
     draw = lattice._generators
     monkeypatch.setattr(lattice, "_generators", _no_draw)
-    warm = [_report_bytes(sweep(spec)) for spec in specs]
+    warm = [sweep(spec) for spec in specs]
     monkeypatch.setattr(lattice, "_generators", draw)
+    for rep in warm:
+        _assert_worst_pair_redraws_one_trial(monkeypatch, rep)
     cold = []
     for spec in specs:
         lattice._forget_pairs()
         cold.append(_report_bytes(sweep(spec)))
-    assert warm == cold
+    assert [_report_bytes(rep) for rep in warm] == cold
 
 
 @pytest.mark.parametrize("field, value", [(0, 12), (1, 1), (2, 41), (3, 8), (4, "heavy_tail")])
@@ -367,13 +388,14 @@ def test_pair_cache_misses_on_any_key_change(field, value):
     second = lattice._pair_batch(*key)
     assert second is not first and lattice._pair_cache[0] == tuple(key)
     lattice._forget_pairs()
-    assert [a.tobytes() for a in lattice._pair_batch(*key)] == [a.tobytes() for a in second]
+    assert lattice._pair_batch(*key).tobytes() == second.tobytes()
 
 
-def test_kept_batch_is_read_only():
-    batch, _ = lattice._pair_batch(11, 0, 40, 7, "gaussian")
+def test_kept_rows_are_read_only():
+    rows = lattice._pair_batch(11, 0, 40, 7, "gaussian")
+    assert rows.shape == (4 * 40, 11) and not rows.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        batch[0, 0, 0] = 1.0
+        rows[0, 0] = 1.0
 
     class SortsInPlace:
         label = "in place"
@@ -389,26 +411,47 @@ def test_kept_batch_is_read_only():
     # the next sweep on the same pairs reads
     with pytest.raises(ValueError, match="read-only"):
         random_pair_sweep(SortsInPlace(), 11, 40, seed=7)
-    assert lattice._pair_batch(11, 0, 40, 7, "gaussian")[0] is batch
+    assert lattice._pair_batch(11, 0, 40, 7, "gaussian") is rows
 
 
-def test_batch_over_cap_is_not_kept(monkeypatch):
-    # the x and y rows, and all four sorted: a 41-trial chunk is not kept,
-    # though either of its arrays would fit
-    nbytes = (2 + 4) * 40 * 11 * 8
-    monkeypatch.setattr(lattice, "_PAIR_CACHE_BYTES", nbytes)
-    kept = lattice._pair_batch(11, 0, 40, 7, "gaussian")
-    assert sum(a.nbytes for a in kept) == nbytes and lattice._pair_cache[1] is kept
-    big = lattice._pair_batch(11, 0, 41, 7, "gaussian")
-    assert sum(a.nbytes for a in big) > nbytes and lattice._pair_cache is None
-    assert lattice._pair_batch(11, 0, 41, 7, "gaussian") is not big
+def test_chunks_fit_the_byte_bound(monkeypatch):
+    # a bound of 10 trials of 11 atoms (and a little) splits 41 trials into
+    # chunks of 10, each kept in turn, with the results of one chunk
+    spec = RiskMeasureSpec.var(0.8)
+    whole = random_pair_sweep(spec, 11, 41, seed=7)
+    lattice._forget_pairs()
+    pair_batch, spans = lattice._pair_batch, []
+
+    def recording(n, lo, hi, seed, generator):
+        spans.append((lo, hi))
+        rows = pair_batch(n, lo, hi, seed, generator)
+        assert rows.nbytes == 32 * (hi - lo) * n <= lattice._CHUNK_BYTES
+        assert lattice._pair_cache[1] is rows
+        return rows
+
+    monkeypatch.setattr(lattice, "_CHUNK_BYTES", 32 * 10 * 11 + 31)
+    monkeypatch.setattr(lattice, "_pair_batch", recording)
+    chunked = random_pair_sweep(spec, 11, 41, seed=7)
+    assert spans == [(0, 10), (10, 20), (20, 30), (30, 40), (40, 41)]
+    assert _report_bytes(chunked) == _report_bytes(whole)
+    assert chunked.worst_pair[0].tobytes() == whole.worst_pair[0].tobytes()
+    assert chunked.worst_pair[1].tobytes() == whole.worst_pair[1].tobytes()
 
 
-def test_kept_sorted_rows_are_read_only():
-    _, rows = lattice._pair_batch(11, 0, 40, 7, "gaussian")
-    assert rows.shape == (4 * 40, 11) and not rows.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        rows[0, 0] = 1.0
+def test_wide_sweep_chunks_hold_the_bound_in_trials(monkeypatch):
+    # 10,001 atoms: 209 trials a chunk, 67 MB of sorted rows, where 20,000
+    # trials would be 6.4 GB; the chunks are recorded, not drawn
+    spans = []
+
+    def recording(spec, n, lo, hi, seed, generator, epsilon):
+        spans.append((lo, hi))
+        return 0, 0.0, lo
+
+    monkeypatch.setattr(lattice, "_sweep_chunk", recording)
+    random_pair_sweep(RiskMeasureSpec.es(0.95), 10_001, 20_000, seed=0)
+    m = lattice._CHUNK_BYTES // (32 * 10_001)
+    assert m == 209 and 32 * m * 10_001 <= lattice._CHUNK_BYTES
+    assert spans == [(lo, min(lo + m, 20_000)) for lo in range(0, 20_000, m)]
 
 
 # the measures of the sweep-mix benchmark: order statistics, MMD, and the CE,
@@ -426,18 +469,20 @@ def test_warm_sweeps_equal_cold_and_evaluate_batch_for_every_kind(monkeypatch):
     cold = []
     for spec in specs:
         lattice._forget_pairs()
-        cold.append(sweep(spec))
+        cold.append(random_pair_sweep(spec, 50, 300, seed=3))
     # each measure's own evaluate_batch on the unsorted pairs
-    (xs, ys), _ = lattice._pair_batch(50, 0, 300, 3, "gaussian")
+    xs, ys = lattice._draw_pairs(50, 0, 300, 3, "gaussian")[:2]
     batch = np.concatenate([xs, ys, np.minimum(xs, ys), np.maximum(xs, ys)])
-    for spec, got in zip(specs, cold):
+    for spec, rep in zip(specs, cold):
         v = spec.evaluate_batch(batch).reshape(4, 300)
         gaps = (v[0] + v[1]) - (v[2] + v[3])
         i = int(np.argmin(gaps))
-        assert got == (int(np.count_nonzero(gaps < -1e-8)), float(gaps[i]).hex(),
-                       xs[i].tobytes(), ys[i].tobytes())
+        assert _report_bytes(rep) == (int(np.count_nonzero(gaps < -1e-8)), float(gaps[i]).hex(), i)
+        assert (rep.worst_pair[0].tobytes(), rep.worst_pair[1].tobytes()) == (
+            xs[i].tobytes(), ys[i].tobytes())
     monkeypatch.setattr(lattice, "_generators", _no_draw)
-    assert [sweep(spec) for spec in specs] == cold
+    warm = [sweep(spec) for spec in specs]
+    assert warm == [_report_bytes(rep) for rep in cold]
 
 
 def test_warm_sweep_neither_validates_nor_sorts_kept_rows(monkeypatch):
