@@ -391,11 +391,15 @@ def test_pair_cache_misses_on_any_key_change(field, value):
     assert lattice._pair_batch(*key).tobytes() == second.tobytes()
 
 
-def test_kept_rows_are_read_only():
+def test_kept_sorted_rows_are_read_only():
     rows = lattice._pair_batch(11, 0, 40, 7, "gaussian")
     assert rows.shape == (4 * 40, 11) and not rows.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         rows[0, 0] = 1.0
+
+
+def test_kept_batch_is_read_only():
+    rows = lattice._pair_batch(11, 0, 40, 7, "gaussian")
 
     class SortsInPlace:
         label = "in place"
