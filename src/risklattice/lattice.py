@@ -21,8 +21,9 @@ threaded, and serial runs agree bit for bit: trial ``t`` draws from
 function of the entropy words, so a chunk hashes all its trials' seeds in one
 pass of ``uint32`` numpy arithmetic (``_seed_states``) and hands each trial's
 ``PCG64`` its precomputed words.  A trial draws its pair into the batch and
-takes the nudge's raw words; the chunk redoes numpy's ``choice`` (Floyd's
-algorithm) on them and nudges all its nudged trials at once.
+takes the nudge's raw words; the chunk redoes numpy's ``choice`` on them in
+Floyd's step loop over all its nudged trials at once.  Above 1,024 atoms a
+trial makes numpy's own ``random()`` and ``choice`` calls instead.
 
 A sweep runs in chunks of at most ``_CHUNK_BYTES // (32 n_atoms)`` trials,
 so a chunk's x, y, meet and join rows fit ``_CHUNK_BYTES`` (64 MB), the one
@@ -296,7 +297,7 @@ def _draw(rng: np.random.Generator, generator: str, out: np.ndarray, scratch: np
 
 
 _NUDGE_BELOW = np.uint64(1 << 62)  # random() < 0.25 exactly when its raw word is below
-_FLOYD_MAX_ATOMS = 10_000  # numpy's choice shuffles a tail of arange(n) above
+_FLOYD_MAX_ATOMS = 1_024  # the step loop's cost grows with n; above, numpy's calls run
 
 
 def _floyd_picks(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -306,35 +307,19 @@ def _floyd_picks(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Floyd's step ``s`` takes ``j = n - k + s`` and, from the next 32-bit half
     ``u`` (low half first), ``val = u (j + 1) >> 32``, rejecting ``u`` where
-    ``u (j + 1) mod 2**32 < 2**32 mod (j + 1)``.  It inserts ``j`` if ``val``
-    is in (an earlier step drew it, or it is the ``j`` of one that inserted
-    ``j``), else ``val``."""
+    ``u (j + 1) mod 2**32 < 2**32 mod (j + 1)``.  It takes ``j`` if ``val``
+    is taken already, else ``val``; no step before it takes ``j``."""
     m, k = len(words), n // 2
     bound = np.arange(n - k + 1, n + 1, dtype=np.uint64)  # j + 1 at each step
     # low half first on any platform
     scaled = words.astype("<u8", copy=False).view("<u4")[:, :k] * bound
     rejected = (scaled.astype(np.uint32) < (1 << 32) % bound).any(axis=1)
-    scaled >>= 32
-    pos = scaled.view(np.int64)  # val, worked in place into two flat indices
-    steps = np.arange(k)
-    pos -= n - k  # val is the j of step pos if 0 <= pos < s
-    linked = ((pos >= 0) & (pos < steps)).ravel()
-    pos += np.arange(n - k, m * n, n)[:, None]  # val's index in an (m, n) mask
-    first = np.full(m * n, k, dtype=np.int16)  # first step to draw each value; k <= 5000
-    np.minimum.at(first, pos.ravel(), np.tile(steps.astype(np.int16), m))
-    repeat = (first[pos] < steps).ravel()
-    pos -= np.arange(n - k, (m + 1) * (n - k), n - k)[:, None]  # flat index of step pos
-    link = pos.ravel()
-    # a step collides if its val repeats, or it is linked to a step that collides
-    collide = repeat.copy()
-    at = np.flatnonzero(linked & ~repeat)
-    to = link[at]
-    while at.size:
-        collide[at[repeat[to]]] = True
-        keep = ~repeat[to] & linked[to]
-        at, to = at[keep], link[to[keep]]
-    taken = (first < k).reshape(m, n)
-    taken[:, n - k :] |= collide.reshape(m, k)
+    vals = (scaled >> 32).astype(np.intp)
+    vals += np.arange(0, m * n, n)[:, None]  # val's index in the flat (m, n) taken
+    taken = np.zeros(m * n, dtype=bool)
+    for j, val in zip(range(n - k, n), vals.T):
+        taken[j::n] = taken[val]  # column j: taken where val was drawn before
+        taken[val] = True
     picks = np.flatnonzero(taken).reshape(m, k)
     picks -= np.arange(0, m * n, n)[:, None]
     return picks, rejected
@@ -369,9 +354,10 @@ def _draw_pairs(n_atoms: int, lo: int, hi: int, seed: int, generator: str) -> np
 
     Each trial draws x and y into its rows of the batch and takes in one call
     the raw words that the nudge's ``random()`` and ``choice`` would read
-    (above ``_FLOYD_MAX_ATOMS`` it makes those calls).  ``_floyd_picks`` makes
-    the choice for all nudged trials, a trial it flags is redone with numpy's
-    own calls, and ``_nudge`` runs once: it uses no randomness.
+    (above ``_FLOYD_MAX_ATOMS``, 1,024 atoms, it makes those calls).
+    ``_floyd_picks`` makes the choice for all nudged trials in Floyd's step
+    loop, a trial it flags is redone with numpy's own calls, and ``_nudge``
+    runs once: it uses no randomness.
     """
     m, k, floyd = hi - lo, n_atoms // 2, n_atoms <= _FLOYD_MAX_ATOMS
     batch = np.empty((4, m, n_atoms))
@@ -472,10 +458,10 @@ def random_pair_sweep(
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError("seed must be a nonnegative integer")
-    if n_atoms < 3:
-        raise DomainError("sweeps need n_atoms >= 3")
-    if trials < 1:
-        raise DomainError("sweeps need at least one trial")
+    if not isinstance(n_atoms, (int, np.integer)) or n_atoms < 3:
+        raise DomainError("sweeps need an integer n_atoms >= 3")
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise DomainError("sweeps need an integer count of at least one trial")
     if generator not in GENERATORS:
         raise DomainError(f"unknown generator {generator!r}; expected one of {GENERATORS}")
     _check_epsilon(epsilon)

@@ -288,9 +288,11 @@ def build_loss_panel(panel: PricePanel, tickers=None) -> LossPanel:
     """
     tickers = tuple(tickers) if tickers is not None else panel.tickers
     cols = []
-    for t in tickers:
+    for i, t in enumerate(tickers):
         if t not in panel.tickers:
             raise DomainError(f"ticker {t!r} not present in the price panel")
+        if t in tickers[:i]:
+            raise DomainError(f"ticker {t!r} is listed twice")
         cols.append(panel.tickers.index(t))
     sub = panel.closes[:, cols]
     keep = ~np.isnan(sub).any(axis=1)

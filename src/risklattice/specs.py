@@ -64,11 +64,13 @@ class RiskMeasureSpec:
 
     @classmethod
     def var(cls, p: float) -> "RiskMeasureSpec":
-        return cls(kind="var", level=float(p), label=f"VaR({p:g})")
+        p = _m._check_level(p)
+        return cls(kind="var", level=p, label=f"VaR({p:g})")
 
     @classmethod
     def es(cls, p: float) -> "RiskMeasureSpec":
-        return cls(kind="es", level=float(p), label=f"ES({p:g})")
+        p = _m._check_level(p)
+        return cls(kind="es", level=p, label=f"ES({p:g})")
 
     @classmethod
     def aes(cls, grid: AdjustmentGrid) -> "RiskMeasureSpec":
@@ -156,9 +158,9 @@ def parse_measure_spec(text: str) -> RiskMeasureSpec:
     head, _, rest = text.strip().partition(":")
     try:
         if head == "var":
-            return RiskMeasureSpec.var(_m._check_level(rest))
+            return RiskMeasureSpec.var(rest)
         if head == "es":
-            return RiskMeasureSpec.es(_m._check_level(rest))
+            return RiskMeasureSpec.es(rest)
         if head == "aes":
             pairs = [item.split(":") for item in rest.split(",")]
             levels = tuple(float(a) for a, _ in pairs)

@@ -121,12 +121,17 @@ def test_pipeline_unreadable_prices_exit_2(capsys, tmp_path):
 
 
 def test_pipeline_bad_epsilon_exits_2(capsys, tmp_path):
+    # a confidence level outside (0, 1) is refused as a bad epsilon is
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("levels = 0.9\nepsilon = nan\n")
-    code, out, err = run(capsys, "pipeline", "--prices", str(tmp_path / "p.csv"), "--config",
-                         str(cfg), "--out", str(tmp_path / "report"))
-    assert code == 2
-    assert err.startswith("error: epsilon must be finite and nonnegative")
+    for text, message in (("levels = 0.9\nepsilon = nan\n", "epsilon must be finite and nonnegative"),
+                          ("levels = 1.5\n", "confidence level must lie in (0, 1), got 1.5"),
+                          ("levels = 0\n", "confidence level must lie in (0, 1), got 0.0"),
+                          ("levels = 0.9, nan\n", "confidence level must lie in (0, 1), got nan")):
+        cfg.write_text(text)
+        code, out, err = run(capsys, "pipeline", "--prices", str(tmp_path / "p.csv"), "--config",
+                             str(cfg), "--out", str(tmp_path / "report"))
+        assert code == 2
+        assert err.startswith(f"error: {message}")
 
 
 def test_cli_import_leaves_numpy_random_unloaded():

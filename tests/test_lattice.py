@@ -199,7 +199,7 @@ def test_floyd_picks_match_numpy_choice(n, generator):
 
 # long chains of steps that draw an earlier step's j; a rare row Lemire's
 # method rejects is replayed, so only the others must match
-@pytest.mark.parametrize("n", [500, 2_001, 10_000])
+@pytest.mark.parametrize("n", [500, 1_024, 2_001, 10_000])
 def test_floyd_picks_match_numpy_choice_on_many_atoms(n):
     words, coins, want = _nudge_streams(13, 300, "gaussian", n)
     picks, rejected = lattice._floyd_picks(words[:, 1:], n)
@@ -243,10 +243,11 @@ def test_replayed_rows_match_oracle(monkeypatch):
         assert _assert_chunk_matches_oracle(7, 5, 85, generator, 11).sum() >= 2
 
 
-@pytest.mark.parametrize("n", [10_000, 10_001])
+@pytest.mark.parametrize("n", [1_024, 1_025, 10_000, 10_001])
 def test_chunk_draws_at_floyd_limit(n):
-    # numpy's choice runs Floyd's algorithm up to 10000 atoms and shuffles a
-    # tail of arange(n) above, where each nudged trial calls choice itself
+    # the copied choice runs up to 1024 atoms, and each nudged trial calls
+    # numpy's choice itself above; numpy's choice runs Floyd's algorithm up
+    # to 10000 atoms and shuffles a tail of arange(n) above
     assert _assert_chunk_matches_oracle(3, 0, 12, "gaussian", n).any()
 
 
@@ -567,6 +568,9 @@ def test_sweep_argument_validation():
         random_pair_sweep(spec, 5, 0, seed=0)
     with pytest.raises(DomainError):
         random_pair_sweep(spec, 5, 10, seed=0, generator="cauchy")
+    for n_atoms, trials in ((10.5, 10), (10.0, 10), ("10", 10), (5, 10.5), (5, 10.0), (5, None)):
+        with pytest.raises(DomainError, match="integer"):
+            random_pair_sweep(spec, n_atoms, trials, seed=0)
 
 
 @pytest.mark.parametrize("epsilon", [-1.0, -1e-300, float("nan"), float("inf")])

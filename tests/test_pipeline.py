@@ -144,6 +144,15 @@ def test_loss_panel_disjoint_dates(tmp_path):
         pl.build_loss_panel(pl.load_prices_csv(p))
 
 
+def test_loss_panel_rejects_repeated_ticker():
+    # a repeated column would test the self-pair, whose gap is always 0, and
+    # write a report that cannot be read back
+    panel = pl.synth_prices(seed=1, n_days=10, n_assets=2, vol=0.02, jump_prob=0.0)
+    assert panel.tickers == ("A00", "A01")
+    with pytest.raises(DomainError, match="ticker 'A00' is listed twice"):
+        pl.build_loss_panel(panel, ["A00", "A00", "A01"])
+
+
 def test_loss_panel_complete_case_deletion(tmp_path):
     # BBB is missing on 01-03; that date must drop entirely, and the loss
     # spans 01-02 -> 01-04 for both tickers

@@ -49,6 +49,20 @@ def test_parse_rejects_garbage():
             parse_measure_spec(text)
 
 
+@pytest.mark.parametrize("p", [1.5, 1.0, 0.0, -0.2, float("nan"), float("inf")])
+def test_var_and_es_constructors_reject_levels_outside_unit_interval(p):
+    for make in (RiskMeasureSpec.var, RiskMeasureSpec.es):
+        with pytest.raises(DomainError, match=r"confidence level must lie in \(0, 1\)"):
+            make(p)
+
+
+def test_parse_level_messages():
+    with pytest.raises(DomainError, match=r"^confidence level must lie in \(0, 1\), got 1.5$"):
+        parse_measure_spec("es:1.5")
+    with pytest.raises(DomainError, match="^bad measure spec 'var:x': could not convert"):
+        parse_measure_spec("var:x")
+
+
 @pytest.mark.parametrize("text", ["ce:poly2exp:3", "shortfall:linear:5", "oce:quadlin:x",
                                   "eloss:arctan-bend:1", "shortfall:poly2exp:",
                                   "dist:identity:0.3", "mmd:square:identity:0.3"])
