@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="cap sweep worker threads (default 1); the pipeline runs serially",
+        help="kept for compatibility and ignored (sweep refuses values below 1); all runs are serial",
     )
     parser.add_argument(
         "--format", choices=("text", "csv", "json"), default="text", help="machine output format"

@@ -15,15 +15,15 @@ search: every trial draws an independent pair from one of three generators
 and, with probability 1/4, nudges the second vector toward comonotonicity
 with the first (sorting part of it into the first vector's order), probing
 the comonotone boundary where submodularity interacts with comonotonic
-additivity.  RNG streams are split per trial index from the seed, so chunked,
-threaded, and serial runs agree bit for bit: trial ``t`` draws from
-``PCG64(SeedSequence((seed, t)))``.  ``SeedSequence``'s hash is a fixed
-function of the entropy words, so a chunk hashes all its trials' seeds in one
-pass of ``uint32`` numpy arithmetic (``_seed_states``) and hands each trial's
-``PCG64`` its precomputed words.  A trial draws its pair into the batch and
-takes the nudge's raw words; the chunk redoes numpy's ``choice`` on them in
-Floyd's step loop over all its nudged trials at once.  Above 1,024 atoms a
-trial makes numpy's own ``random()`` and ``choice`` calls instead.
+additivity.  RNG streams are split per trial index from the seed, so a sweep
+in many chunks and one in a single chunk agree bit for bit: trial ``t``
+draws from ``PCG64(SeedSequence((seed, t)))``.  ``SeedSequence``'s hash is a
+fixed function of the entropy words, so a chunk hashes all its trials' seeds
+in one pass of ``uint32`` numpy arithmetic (``_seed_states``) and hands each
+trial's ``PCG64`` its precomputed words.  A trial draws its pair into the
+batch and takes the nudge's raw words; the chunk redoes numpy's ``choice`` on
+them in Floyd's step loop over all its nudged trials at once.  Above 1,024
+atoms a trial makes numpy's own ``random()`` and ``choice`` calls instead.
 
 A sweep runs in chunks of at most ``_CHUNK_BYTES // (32 n_atoms)`` trials,
 so a chunk's x, y, meet and join rows fit ``_CHUNK_BYTES`` (64 MB), the one
@@ -42,8 +42,6 @@ would anyway, and so gains nothing.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -402,15 +400,12 @@ def _pair_batch(n_atoms: int, lo: int, hi: int, seed: int, generator: str) -> np
 
     They depend only on the key ``(n_atoms, lo, hi, seed, generator)``, so
     the last chunk drawn is kept and handed to the next call with the same
-    key; the measure and ``epsilon`` act only after the sort.  The entry is
-    replaced by one assignment, so threaded chunks read either the old entry
-    or the new one.
+    key; the measure and ``epsilon`` act only after the sort.
     """
     global _pair_cache
     key = (n_atoms, lo, hi, int(seed), generator)
-    entry = _pair_cache
-    if entry is not None and entry[0] == key:
-        return entry[1]
+    if _pair_cache is not None and _pair_cache[0] == key:
+        return _pair_cache[1]
     _pair_cache = None  # free the old chunk before drawing the new one
     rows = as_batch(_draw_pairs(n_atoms, lo, hi, seed, generator).reshape(-1, n_atoms))
     rows.sort(axis=1)  # in place: the rows np.sort(rows, axis=1) returns
@@ -448,13 +443,11 @@ def random_pair_sweep(
 ) -> SweepReport:
     """Measure the submodularity gap on ``trials`` independent random pairs.
 
-    Deterministic given ``seed`` (per-trial RNG streams); ``threads > 1``
-    chunks the trial range across a thread pool of at most ``threads``, trial
-    count and CPU count workers, without changing any result.  A chunk's
-    sorted rows fit ``_CHUNK_BYTES``.  The last chunk's pairs are drawn and
-    sorted once and kept (``_pair_batch``), so a later serial sweep of another
-    measure on the same ``n_atoms``, ``seed``, ``generator`` and ``trials``
-    (one chunk) only runs the measure.
+    Deterministic given ``seed`` (per-trial RNG streams).  Trials run
+    serially, in chunks whose sorted rows fit ``_CHUNK_BYTES``; ``threads``
+    must be a positive integer and is otherwise ignored.  The last chunk's
+    sorted pairs are kept (``_pair_batch``), so a later one-chunk sweep of
+    another measure on the same pairs only runs the measure.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError("seed must be a nonnegative integer")
@@ -462,23 +455,15 @@ def random_pair_sweep(
         raise DomainError("sweeps need an integer n_atoms >= 3")
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise DomainError("sweeps need an integer count of at least one trial")
+    if not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise DomainError("threads must be an integer of at least 1")
     if generator not in GENERATORS:
         raise DomainError(f"unknown generator {generator!r}; expected one of {GENERATORS}")
     _check_epsilon(epsilon)
 
-    n_workers = max(1, min(int(threads), trials, os.cpu_count() or 1))
-    # chunk size bounded both by the worker count and the memory bound
-    chunk = max(1, min(_CHUNK_BYTES // (32 * n_atoms), -(-trials // n_workers)))
-    spans = [(lo, min(trials, lo + chunk)) for lo in range(0, trials, chunk)]
-
-    def run(span):
-        return _sweep_chunk(spec, n_atoms, span[0], span[1], seed, generator, epsilon)
-
-    if n_workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(run, spans))
-    else:
-        parts = [run(span) for span in spans]
+    chunk = max(1, _CHUNK_BYTES // (32 * n_atoms))
+    parts = [_sweep_chunk(spec, n_atoms, lo, min(trials, lo + chunk), seed, generator, epsilon)
+             for lo in range(0, trials, chunk)]
 
     violations = sum(p[0] for p in parts)
     # lexicographic (gap, trial index) so ties resolve to the earliest trial

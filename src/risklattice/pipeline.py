@@ -149,6 +149,11 @@ class ViolationTable(Sequence):
     __hash__ = None
 
     def __post_init__(self):
+        shape = (len(self.checks), len(self.pairs), len(self.dates))
+        g, v = np.shape(self.gaps), np.shape(self.violated)
+        if not (g == v == shape and getattr(self.violated, "dtype", None) == bool):
+            raise DataError(f"gaps {g} and violated {v} need the shape {shape} of (checks, "
+                            f"pairs, dates), and violated bool values")
         nan = np.flatnonzero(np.isnan(self.gaps.T))  # cell numbers, (date, pair, check) order
         if nan.size:
             raise DataError(f"{self[nan[0]]} has a NaN gap")
@@ -218,10 +223,10 @@ class CorrelationResult:
 
 
 def _read_text(path: Path) -> str:
-    """The file's text, newlines untranslated; a file that is not UTF-8
-    raises ``DataError`` naming it."""
+    """The file's text, newlines untranslated and a leading byte order mark
+    dropped; a file that is not UTF-8 raises ``DataError`` naming it."""
     try:
-        return path.read_bytes().decode("utf-8")
+        return path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
 

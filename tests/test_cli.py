@@ -90,6 +90,15 @@ def test_sweep_negative_seed_exits_2(capsys):
     assert err == "error: seed must be a nonnegative integer\n"
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_sweep_bad_threads_exits_2(capsys, threads):
+    code, out, err = run(capsys, "--threads", threads, "sweep", "--measure", "es:0.95",
+                         "--atoms", "10", "--trials", "10", "--seed", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: threads must be an integer of at least 1\n"
+
+
 @pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
 def test_sweep_bad_epsilon_exits_2(capsys, epsilon):
     code, out, err = run(capsys, "sweep", "--measure", "es:0.95", "--atoms", "10", "--trials",
@@ -134,18 +143,29 @@ def test_pipeline_bad_epsilon_exits_2(capsys, tmp_path):
         assert err.startswith(f"error: {message}")
 
 
-def test_cli_import_leaves_numpy_random_unloaded():
-    # numpy.random loads on a sweep's first chunk; numpy 1.x imports it with
-    # numpy itself, so count only what importing risklattice.cli adds
+def _modules_cli_import_adds(prefix):
+    # the modules named prefix* that importing risklattice.cli loads in a
+    # fresh interpreter, beyond those that importing numpy loads
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, numpy\n"
             "before = set(sys.modules)\n"
             "import risklattice.cli\n"
-            "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.random')))")
+            f"print(sorted(m for m in set(sys.modules) - before if m.startswith({prefix!r})))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random loads on a sweep's first chunk; numpy 1.x imports it with
+    # numpy itself, so count only what importing risklattice.cli adds
+    assert _modules_cli_import_adds("numpy.random") == "[]"
+
+
+def test_cli_import_leaves_thread_pools_unloaded():
+    # sweeps and the pipeline run serially and import no executor
+    assert _modules_cli_import_adds("concurrent") == "[]"
 
 
 def test_counterexample_shortfall_jump(capsys):

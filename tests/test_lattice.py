@@ -274,56 +274,42 @@ def test_pooled_seed_state_serves_only_pcg64_request():
             _Pooled(state).generate_state(n_words, dtype)
 
 
+def _recorded_spans(monkeypatch):
+    # the (lo, hi) of every chunk that sweeps evaluate from here on, in order
+    sweep_chunk, spans = lattice._sweep_chunk, []
+
+    def recording(spec, n, lo, hi, *args):
+        spans.append((lo, hi))
+        return sweep_chunk(spec, n, lo, hi, *args)
+
+    monkeypatch.setattr(lattice, "_sweep_chunk", recording)
+    return spans
+
+
 def test_sweep_deterministic_and_thread_invariant(monkeypatch):
     spec = RiskMeasureSpec.var(0.8)
-    # threads=3 splits the 400 trials into chunks at 134 and 268 (on 3 or
-    # more CPUs); with seed 38 the gaussian trials 133 and 134, either side of
-    # a border, are nudged
-    monkeypatch.setattr(lattice.os, "cpu_count", lambda: 3)
+    # a byte bound of 134 trials of 10 atoms splits c's 400 trials into
+    # chunks at 134 and 268, and c's threads=3 is accepted and ignored; with
+    # seed 38 the gaussian trials 133 and 134, either side of a border, are
+    # nudged
+    whole, split = lattice._CHUNK_BYTES, 134 * 32 * 10
     _, _, nudged = _oracle_pairs(38, 133, 135, "gaussian", 10)
     assert nudged.all()
+    spans = _recorded_spans(monkeypatch)
     for generator, seed in (("heavy_tail", 9), ("gaussian", 38)):
+        spans.clear()
+        monkeypatch.setattr(lattice, "_CHUNK_BYTES", whole)
         a = random_pair_sweep(spec, 10, 400, seed=seed, generator=generator)
         lattice._forget_pairs()  # b and c draw their pairs too
         b = random_pair_sweep(spec, 10, 400, seed=seed, generator=generator)
         lattice._forget_pairs()
+        monkeypatch.setattr(lattice, "_CHUNK_BYTES", split)
         c = random_pair_sweep(spec, 10, 400, seed=seed, generator=generator, threads=3)
+        assert spans == [(0, 400), (0, 400), (0, 134), (134, 268), (268, 400)]
         assert a.worst_gap == b.worst_gap == c.worst_gap
         assert a.violations == b.violations == c.violations
         np.testing.assert_array_equal(a.worst_pair[0], c.worst_pair[0])
         np.testing.assert_array_equal(a.worst_pair[1], c.worst_pair[1])
-
-
-def test_sweep_pool_capped_at_cpu_count(monkeypatch):
-    # a huge --threads asks the pool for at most one worker per CPU, and so
-    # gets chunks of trials / CPUs; a serial fake pool starts no thread
-    class SerialPool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, spans):
-            spans = list(spans)
-            chunks.extend(hi - lo for lo, hi in spans)
-            return map(fn, spans)
-
-    workers, chunks = [], []
-    monkeypatch.setattr(lattice, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(lattice.os, "cpu_count", lambda: 3)
-    spec = RiskMeasureSpec.es(0.8)
-    capped = random_pair_sweep(spec, 10, 100, seed=5, threads=100_000)
-    assert workers == [3] and chunks == [34, 34, 32]
-    serial = random_pair_sweep(spec, 10, 100, seed=5)
-    assert (capped.violations, capped.worst_gap) == (serial.violations, serial.worst_gap)
-    np.testing.assert_array_equal(capped.worst_pair[0], serial.worst_pair[0])
-    monkeypatch.setattr(lattice.os, "cpu_count", lambda: None)  # unknown: serial
-    random_pair_sweep(spec, 10, 100, seed=5, threads=100_000)
-    assert workers == [3]
 
 
 def _report_bytes(rep):
@@ -517,12 +503,20 @@ def test_warm_sweep_neither_validates_nor_sorts_kept_rows(monkeypatch):
 
 
 def test_threaded_sweep_equals_serial_on_kept_batches(monkeypatch):
-    # threads=3 chunks replace the serial sweep's entry, one after another
-    monkeypatch.setattr(lattice.os, "cpu_count", lambda: 3)
+    # chunks at 134 and 268 replace the one-chunk sweep's entry, one after
+    # another, and the one chunk replaces them again
     spec = RiskMeasureSpec.var(0.8)
-    runs = [_report_bytes(random_pair_sweep(spec, 10, 400, seed=38, threads=t))
-            for t in (1, 3, 3, 1, 1)]
+    whole, split = lattice._CHUNK_BYTES, 134 * 32 * 10
+
+    def sweep(chunk_bytes):
+        monkeypatch.setattr(lattice, "_CHUNK_BYTES", chunk_bytes)
+        return _report_bytes(random_pair_sweep(spec, 10, 400, seed=38))
+
+    spans = _recorded_spans(monkeypatch)
+    runs = [sweep(b) for b in (whole, split, split, whole, whole)]
     assert runs == [runs[0]] * 5
+    cut = [(0, 134), (134, 268), (268, 400)]
+    assert spans == [(0, 400)] + cut + cut + [(0, 400)] * 2
 
 
 def test_sweep_seed_changes_results():
@@ -571,6 +565,11 @@ def test_sweep_argument_validation():
     for n_atoms, trials in ((10.5, 10), (10.0, 10), ("10", 10), (5, 10.5), (5, 10.0), (5, None)):
         with pytest.raises(DomainError, match="integer"):
             random_pair_sweep(spec, n_atoms, trials, seed=0)
+    for threads in ("x", None, 2.5, 0, -3):
+        with pytest.raises(DomainError, match="threads must be an integer of at least 1"):
+            random_pair_sweep(spec, 5, 10, seed=0, threads=threads)
+    random_pair_sweep(spec, 5, 10, seed=0, threads=100_000)  # accepted, and runs serially
+    random_pair_sweep(spec, 5, 10, seed=0, threads=np.int64(2))
 
 
 @pytest.mark.parametrize("epsilon", [-1.0, -1e-300, float("nan"), float("inf")])

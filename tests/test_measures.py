@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import risklattice.lattice as lattice
 import risklattice.measures as rm
 from risklattice import (
     AdjustmentGrid,
@@ -648,10 +649,20 @@ def test_bracket_halves_within_any_three_steps():
         assert np.all(w[3:] <= 0.5 * w[:-3])
 
 
-def test_shortfall_poly2exp_sweep_is_thread_invariant():
+def test_shortfall_poly2exp_sweep_is_thread_invariant(monkeypatch):
+    # b runs in chunks at 100 and 200, and its threads=3 is accepted and ignored
     spec = RiskMeasureSpec.shortfall(poly2exp_loss())
     a = random_pair_sweep(spec, 50, 300, seed=5)
+    sweep_chunk, spans = lattice._sweep_chunk, []
+
+    def recording(spec, n, lo, hi, *args):
+        spans.append((lo, hi))
+        return sweep_chunk(spec, n, lo, hi, *args)
+
+    monkeypatch.setattr(lattice, "_sweep_chunk", recording)
+    monkeypatch.setattr(lattice, "_CHUNK_BYTES", 100 * 32 * 50)
     b = random_pair_sweep(spec, 50, 300, seed=5, threads=3)
+    assert spans == [(0, 100), (100, 200), (200, 300)]
     assert (a.violations, _bits(a.worst_gap)) == (b.violations, _bits(b.worst_gap))
     assert np.array_equal(a.worst_pair[0], b.worst_pair[0])
     assert np.array_equal(a.worst_pair[1], b.worst_pair[1])

@@ -2,6 +2,7 @@ import dataclasses
 import datetime as dt
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +116,20 @@ def test_load_non_utf8_file_names_it(tmp_path, load):
     p.write_bytes(b"date,ticker,adj_close\n2024-01-02,\xff,1.0\n")
     with pytest.raises(DataError, match="bad.txt: not UTF-8"):
         load(p)
+
+
+def test_load_skips_utf8_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with EF BB BF; it is not part of
+    # the first header cell or config key
+    prices = b"date,ticker,adj_close\n2024-01-02,AAA,1.5\n2024-01-03,AAA,2.0\n"
+    config = b"window = 250\nlevels = 0.9\n"
+    for name, text in (("p.csv", prices), ("run.cfg", config)):
+        (tmp_path / name).write_bytes(text)
+        (tmp_path / f"bom-{name}").write_bytes(b"\xef\xbb\xbf" + text)
+    assert pl.load_config(tmp_path / "bom-run.cfg") == pl.load_config(tmp_path / "run.cfg")
+    a, b = pl.load_prices_csv(tmp_path / "p.csv"), pl.load_prices_csv(tmp_path / "bom-p.csv")
+    assert (a.dates, a.tickers, a.duplicates) == (b.dates, b.tickers, b.duplicates)
+    assert a.closes.tobytes() == b.closes.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +451,19 @@ def run_small(outdir):
 def empty_table():
     return pl.ViolationTable(dates=(), pairs=(), checks=(), gaps=np.empty((0, 0, 0)),
                              violated=np.empty((0, 0, 0), dtype=bool))
+
+
+def test_table_refuses_arrays_off_its_labels():
+    # 2 dates, 1 pair, 1 check: gaps and violated are (1, 1, 2) and bool
+    labels = dict(dates=(dt.date(2024, 1, 2), dt.date(2024, 1, 3)), pairs=(("A", "B"),),
+                  checks=(("VaR(0.9)", pl.SUBMODULARITY),))
+    gaps = np.array([[[0.5, -1.0]]])
+    pl.ViolationTable(**labels, gaps=gaps, violated=gaps < 0)
+    for g, v in ((np.zeros((1, 1, 3)), np.zeros((1, 1, 2), dtype=bool)),
+                 (gaps, np.zeros((1, 2, 1), dtype=bool)),
+                 (gaps, np.zeros((1, 1, 2)))):
+        with pytest.raises(DataError, match=re.escape(f"gaps {g.shape} and violated {v.shape}")):
+            pl.ViolationTable(**labels, gaps=g, violated=v)
 
 
 def test_export_headers_only_when_empty(tmp_path):
