@@ -28,7 +28,9 @@ from . import pipeline as pl
 from .curvature import curvature_profile, linear_dominance_check
 from .errors import RiskLatticeError
 from .functions import parse_distortion_spec, parse_loss_spec, parse_weight_spec
-from .lattice import DEFAULT_EPSILON, GENERATORS, random_pair_sweep, submodularity_gap
+from .lattice import (
+    DEFAULT_EPSILON, GENERATORS, _check_threads, random_pair_sweep, submodularity_gap,
+)
 from .selftest import run_selftest
 from .specs import RiskMeasureSpec, parse_measure_spec
 
@@ -42,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="kept for compatibility and ignored (sweep refuses values below 1); all runs are serial",
+        help="kept for compatibility and ignored (values below 1 are refused); all runs are serial",
     )
     parser.add_argument(
         "--format", choices=("text", "csv", "json"), default="text", help="machine output format"
@@ -292,6 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_threads(args.threads)
         if args.command == "check":
             return _cmd_check(args)
         if args.command == "sweep":

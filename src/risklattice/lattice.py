@@ -114,6 +114,12 @@ def _check_epsilon(epsilon: float) -> None:
         raise DomainError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
 
 
+def _check_threads(threads) -> None:
+    """Raise ``DomainError`` unless ``threads`` is an integer >= 1."""
+    if not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise DomainError("threads must be an integer of at least 1")
+
+
 def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
     xa, ya = as_sample(x), as_sample(y)
     if xa.shape != ya.shape:
@@ -455,8 +461,7 @@ def random_pair_sweep(
         raise DomainError("sweeps need an integer n_atoms >= 3")
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise DomainError("sweeps need an integer count of at least one trial")
-    if not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise DomainError("threads must be an integer of at least 1")
+    _check_threads(threads)
     if generator not in GENERATORS:
         raise DomainError(f"unknown generator {generator!r}; expected one of {GENERATORS}")
     _check_epsilon(epsilon)

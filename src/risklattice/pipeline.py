@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import io
 import json
 import math
@@ -599,32 +600,152 @@ def _csv_fields(*fields: str) -> str:
 _VIOLATIONS_HEADER = "date,pair,measure,params,gap,violated"
 
 # violations.csv is formatted in blocks of dates holding about this many
-# cells.  A block keeps one text per distinct (gap, flag) of its cells and a
-# few 8-byte indices per cell, so the writer's memory peaks at about 12 MB
-# when every cell is a distinct gap (traced with tracemalloc).
+# cells.  A block keeps one text per formatted cell and a few 8-byte indices
+# per cell, and formatting needs about 90 bytes per formatted cell for a
+# moment, so the writer's memory peaks at about 12 MB when every cell is
+# formatted (traced with tracemalloc).
 _EXPORT_BLOCK_CELLS = 1 << 16
 
 
-def _gap_texts(values: np.ndarray, suffix: str) -> list[str]:
-    """``"%.17g" + suffix`` of each value, in one ``%`` call.  ``suffix`` ends
-    in a newline, which no formatted float holds."""
-    return ((f"%.17g{suffix}" * values.size) % tuple(values.tolist())).splitlines(True)
+def _least_double_at_least(k: int) -> float:
+    """The least double >= ``10**k``, for ``k <= 0``."""
+    t = float(f"1e{k}")
+    num, den = t.as_integer_ratio()
+    return t if num * 10**-k >= den else math.nextafter(t, math.inf)
+
+
+# |v| >= _DECADES[j] exactly when |v| >= 10**(j - 8), and |v| < 10 below the
+# last; _format17g formats 1e-8 <= |v| < 10 in integer arithmetic
+_DECADES = np.array([_least_double_at_least(k) for k in range(-8, 1)] + [10.0])
+_POW5 = np.array([5**s for s in range(25)], dtype=np.uint64)
+_POW10 = np.array([float(10**s) for s in range(25)])
+
+
+@functools.cache
+def _cell_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tables ``_cell_text`` reads: the ASCII text of each 4-digit group
+    0000..9999 as one uint32, its count of trailing zeros, and the
+    characters and keep mask of each shape of a formatted cell.  They are
+    built on first use, from small arrays, so that a command that writes no
+    report does not hold them (built at import they added about 0.7 MB to
+    its resident memory).
+
+    A cell is a sign, "0.000" (as much as 1e-4 <= |v| < 1 needs), the 17
+    digits as d0 "." d1..d16 (filled in per value), "e-0d" below 1e-4, the
+    flag column and the line end.  Shape ``((negative * 9 - X) * 17 + kept)
+    * 2 + flag`` keeps ``kept`` fraction digits of a value with ``X =
+    floor(log10 |v|)`` in -8..0."""
+    digit = np.arange(48, 58, dtype=np.uint8)
+    group_text = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), axis=-1)
+    group_zeros = np.zeros(10_000, dtype=np.int64)
+    for step in (10, 100, 1000, 10_000):
+        group_zeros[::step] += 1
+    negative, minus_x, kept, flag = np.unravel_index(np.arange(2 * 9 * 17 * 2), (2, 9, 17, 2))
+    chars = np.tile(np.frombuffer(b"-0.000d.dddddddddddddddde-0d,false\n", dtype=np.uint8),
+                    (negative.size, 1))
+    chars[:, 27] = 48 + minus_x
+    chars[flag == 1, 28:] = np.frombuffer(b",true\n\n", dtype=np.uint8)
+    scientific = minus_x > 4
+    prefix = np.where(scientific, 0, minus_x + (minus_x > 0))  # "0." and -X - 1 zeros
+    keep = np.empty(chars.shape, dtype=bool)
+    keep[:, 0] = negative == 1
+    keep[:, 1:6] = np.arange(5) < prefix[:, None]
+    keep[:, 6] = True
+    keep[:, 7] = (prefix == 0) & (kept > 0)
+    keep[:, 8:24] = np.arange(16) < kept[:, None]
+    keep[:, 24:28] = scientific[:, None]
+    keep[:, 28:34] = True
+    keep[:, 34] = flag == 0  # ",true\n" is a column shorter
+    return group_text.view(np.uint32).ravel(), group_zeros, chars, keep
+
+
+def _digits17(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 significant digits of each ``mag`` (0, or 1e-8 <= mag < 10) as
+    an int64 ``D`` with ``mag ~ D * 10**(X - 16)``, and the exponent ``X``,
+    exactly as ``'%.17e'`` rounds them (half to even).
+
+    With ``mag = M * 2**(e - 53)`` (``frexp``), ``X = floor(log10 mag)``
+    (``floor(log10 2**(e - 1))`` or one more, by exact decade bounds) and
+    ``s = 16 - X``, ``D`` rounds ``10**s * mag = M * 5**s / 2**sh`` for ``sh
+    = 53 - e - s``.  A float estimate ``N`` of its floor is off by at most
+    about 25, so the remainder ``M * 5**s - N * 2**sh`` is within 2**61 of 0
+    (``s <= 24``, ``sh <= 55``): computed in wrapping uint64 and read as
+    int64 it is exact, and it corrects ``N``.  The dtypes stay explicit: an
+    int64/uint64 mix becomes float64, and numpy 1.x casts Python scalars by
+    value."""
+    frac, e = np.frexp(mag)
+    e = e.astype(np.int64)
+    # [2**(e - 1), 2**e) spans at most one power of 10
+    low = np.floor((e - 1) * math.log10(2.0)).astype(np.int64)
+    exp10 = low + (mag >= _DECADES[low + 9])
+    exp10[mag == 0.0] = 0
+    s = 16 - exp10
+    sh = 53 - e - s
+    est = np.floor(mag * _POW10[s]).astype(np.int64)
+    m = (frac * 2.0**53).astype(np.uint64)
+    rem = (m * _POW5[s] - (est.view(np.uint64) << sh.astype(np.uint64))).view(np.int64)
+    off = rem >> sh  # the estimate's error
+    digits = est + off
+    rem -= off << sh
+    half = np.int64(1) << (sh - 1)
+    digits += (rem > half) | ((rem == half) & ((digits & 1) == 1))
+    carried = digits == 10**17  # rounded up into the next decade
+    digits[carried] = 10**16
+    exp10[carried] += 1
+    return digits, exp10
+
+
+def _cell_text(negative, digits, exp10, violated) -> str:
+    """The ``"%.17g,flag\\n"`` cells of ``_digits17``'s digits, joined."""
+    group_text, group_zeros, shape_chars, shape_keep = _cell_tables()
+    lead, tail = np.divmod(digits, 10**16)  # d0, and d1..d16 as 4 groups
+    high, low = np.divmod(tail.astype(np.uint64), np.uint64(10**8))
+    groups = np.empty((digits.size, 4), dtype=np.uint32)
+    groups[:, 0], groups[:, 1] = np.divmod(high.astype(np.uint32), np.uint32(10**4))
+    groups[:, 2], groups[:, 3] = np.divmod(low.astype(np.uint32), np.uint32(10**4))
+    zeros = group_zeros[groups[:, 3]]  # trailing zeros of d1..d16
+    for g in (2, 1, 0):
+        zeros += (zeros == 4 * (3 - g)) * group_zeros[groups[:, g]]
+    shape = ((negative * 9 - exp10) * 17 + 16 - zeros) * 2 + violated
+    chars = np.take(shape_chars, shape, axis=0)
+    chars[:, 6] = lead + 48
+    chars[:, 8:24] = group_text[groups].view(np.uint8)
+    del lead, tail, high, low, groups, zeros  # the text's arrays need the memory
+    return str(chars[np.take(shape_keep, shape, axis=0)], "ascii")
+
+
+def _format17g(values: np.ndarray, violated: np.ndarray) -> list[str]:
+    """``"%.17g,true\\n"`` or ``"%.17g,false\\n"`` of each value and flag,
+    as Python's ``%`` writes it.  Zeros and 1e-8 <= |v| < 10 are formatted
+    in numpy, exactly (``_digits17``); every other value (subnormal, tiny,
+    >= 10, infinite) is formatted by ``%``."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    violated = np.asarray(violated, dtype=bool).ravel()
+    mag = np.abs(values)
+    fast = ((mag >= _DECADES[0]) & (mag < _DECADES[-1])) | (mag == 0.0)
+    text = _cell_text(np.signbit(values[fast]), *_digits17(mag[fast]), violated[fast])
+    texts = text.splitlines(True)
+    if fast.all():
+        return texts
+    out = np.empty(values.size, dtype=object)
+    out[fast] = texts
+    out[~fast] = ["%.17g,%s\n" % (v, "true" if f else "false")
+                  for v, f in zip(values[~fast].tolist(), violated[~fast].tolist())]
+    return out.tolist()
 
 
 def _row_labels(pairs, checks) -> list[str]:
     """The ``pair,measure,params,`` text of each row of a date, CSV-encoded."""
+    pairs = [_csv_fields(pair) for pair in pairs]
     checks = [_csv_fields(*check) for check in checks]
-    return [f"{_csv_fields(pair)},{check}," for pair in pairs for check in checks]
+    return [f"{pair},{check}," for pair in pairs for check in checks]
 
 
 def _write_violations(fh, table: ViolationTable) -> None:
     # Each pair and check label is CSV-encoded once.  A row is three slots of
     # one list per date: "date,", the labels and "gap,flag\n", and the list
     # is joined.  Rows are formatted a block of dates at a time, so the file
-    # is never held in memory as strings.  A gap often repeats from one date
-    # to the next, so each distinct (gap, flag) of a block is formatted once,
-    # keyed by the gap's bits so that -0.0 and 0.0 keep their own text, and
-    # by the flag so that a table read back from a file keeps its own flags.
+    # is never held in memory as strings.
     labels = _row_labels(["-".join(pair) for pair in table.pairs], table.checks)
     rows = len(labels)
     slots = [None] * (3 * rows)
@@ -634,19 +755,27 @@ def _write_violations(fh, table: ViolationTable) -> None:
         days = table.dates[start : start + step]
         # (date, pair, check) order, the order of the rows
         gaps = np.ascontiguousarray(table.gaps[:, :, start : start + step].T, dtype=np.float64)
-        flags = np.asarray(table.violated[:, :, start : start + step].T, dtype=bool)
-        distinct, index = np.unique(gaps.view(np.int64).ravel(), return_inverse=True)
-        key = 2 * index.ravel() + flags.ravel()  # (gap, flag) -> 2 * distinct gap + flag
-        seen = np.zeros(2 * distinct.size, dtype=bool)
-        seen[key] = True
-        texts = np.empty(2 * distinct.size, dtype=object)
-        for flag, suffix in enumerate((",false\n", ",true\n")):
-            at = np.flatnonzero(seen[flag::2])
-            texts[2 * at + flag] = _gap_texts(distinct[at].view(np.float64), suffix)
-        for day, cells in zip(days, key.reshape(len(days), rows)):
-            slots[0::3] = [day.isoformat() + ","] * rows
-            slots[2::3] = texts[cells].tolist()
-            fh.write("".join(slots))
+        flags = table.violated[:, :, start : start + step].T
+        _write_block(fh, slots, days, gaps.reshape(len(days), rows),
+                     flags.reshape(len(days), rows))
+
+
+def _write_block(fh, slots: list, days, gaps: np.ndarray, flags: np.ndarray) -> None:
+    # A gap often repeats from one date to the next: a cell whose gap bits
+    # (so -0.0 and 0.0 keep their own text) and flag (so a table read back
+    # keeps its own flags) equal those of its row on the previous date of the
+    # block reuses that text, and the other cells are formatted in one
+    # _format17g call.
+    new = np.ones(gaps.shape, dtype=bool)
+    new[1:] = (gaps[1:].view(np.int64) != gaps[:-1].view(np.int64)) | (flags[1:] != flags[:-1])
+    # the date of the cell whose text each cell takes, then that text's index
+    source = np.maximum.accumulate(np.where(new, np.arange(len(days))[:, None], 0), axis=0)
+    index = (np.cumsum(new) - 1).reshape(gaps.shape)[source, np.arange(gaps.shape[1])]
+    texts = np.array(_format17g(gaps[new], flags[new]), dtype=object)
+    for day, cells in zip(days, index):
+        slots[0::3] = [day.isoformat() + ","] * len(cells)
+        slots[2::3] = texts[cells].tolist()
+        fh.write("".join(slots))
 
 
 def export_report(
@@ -662,9 +791,11 @@ def export_report(
 
     ``violations.csv`` is written from the arrays of the table ``records``,
     one row per cell in (date, pair, check) order, a block of dates of
-    about ``_EXPORT_BLOCK_CELLS`` cells at a time: each pair and check label
-    is CSV-encoded once, and each distinct (gap, flag) of a block is
-    formatted once, so memory does not grow with the number of dates.
+    about ``_EXPORT_BLOCK_CELLS`` cells at a time, so memory does not grow
+    with the number of dates.  Each pair and check label is CSV-encoded
+    once; a cell that repeats the gap bits and flag of its (pair, check) on
+    the block's previous date reuses that text, and the other cells of a
+    block are formatted in one ``_format17g`` call.
     ``correlation_rows`` is an iterable of ``(label_a, label_b,
     CorrelationResult)``.  Output is byte-stable for a fixed input: floats
     are written with 17 significant digits, and the JSON summary has sorted

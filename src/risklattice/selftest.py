@@ -23,7 +23,7 @@ from .functions import (
     poly2exp_loss,
     square_weight,
 )
-from .lattice import _forget_pairs, random_pair_sweep, submodularity_gap
+from .lattice import _draw_pairs, _forget_pairs, random_pair_sweep, submodularity_gap
 from .measures import (
     aes,
     certainty_equivalent,
@@ -215,14 +215,16 @@ def check_dominated_pairs_gap_zero() -> str:
 def check_sweep_determinism() -> str:
     spec = RiskMeasureSpec.es(0.9)
     a = random_pair_sweep(spec, n_atoms=10, trials=500, seed=42, generator="heavy_tail")
-    _forget_pairs()  # b and c draw their pairs too
+    _forget_pairs()  # b draws its pairs too
     b = random_pair_sweep(spec, n_atoms=10, trials=500, seed=42, generator="heavy_tail")
-    _forget_pairs()
-    c = random_pair_sweep(spec, n_atoms=10, trials=500, seed=42, generator="heavy_tail", threads=4)
-    assert a.worst_gap == b.worst_gap == c.worst_gap
-    assert a.violations == b.violations == c.violations
-    assert np.array_equal(a.worst_pair[0], c.worst_pair[0])
-    return "same seed: serial == serial == 4 threads, bit for bit"
+    assert a.worst_gap == b.worst_gap
+    assert a.violations == b.violations
+    assert np.array_equal(a.worst_pair[0], b.worst_pair[0])
+    # a chunk border changes no trial's pair
+    whole = _draw_pairs(10, 0, 500, 42, "heavy_tail")
+    halves = [_draw_pairs(10, lo, hi, 42, "heavy_tail") for lo, hi in ((0, 250), (250, 500))]
+    assert np.array_equal(whole, np.concatenate(halves, axis=1))
+    return "same seed: two sweeps agree bit for bit; trials [0, 500) drawn at once == [0, 250) + [250, 500)"
 
 
 def check_es_sweeps_clean() -> str:

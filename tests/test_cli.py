@@ -99,6 +99,27 @@ def test_sweep_bad_threads_exits_2(capsys, threads):
     assert err == "error: threads must be an integer of at least 1\n"
 
 
+@pytest.mark.parametrize("command", ["check", "counterexample", "pipeline", "selftest"])
+def test_every_command_refuses_bad_threads(capsys, tmp_path, command):
+    # each command would succeed with --threads 1
+    prices, cfg, report = tmp_path / "prices.csv", tmp_path / "run.cfg", tmp_path / "report"
+    prices.write_text("date,ticker,adj_close\n" + "".join(
+        f"2024-01-{day:02d},{ticker},{100 + day * (1 + k)}\n"
+        for day in range(1, 11) for k, ticker in enumerate("AB")))
+    cfg.write_text("window = 5\nlevels = 0.9\n")
+    argv = {
+        "check": ["check", "--loss", "exp:1"],
+        "counterexample": ["counterexample", "--family", "mmd"],
+        "pipeline": ["pipeline", "--prices", str(prices), "--config", str(cfg),
+                     "--out", str(report)],
+        "selftest": ["selftest", "--only", "lattice.identity"],
+    }[command]
+    assert run(capsys, *argv)[0] == 0
+    for threads in ("0", "-3"):
+        code, out, err = run(capsys, "--threads", threads, *argv)
+        assert (code, out, err) == (2, "", "error: threads must be an integer of at least 1\n")
+
+
 @pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
 def test_sweep_bad_epsilon_exits_2(capsys, epsilon):
     code, out, err = run(capsys, "sweep", "--measure", "es:0.95", "--atoms", "10", "--trials",

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import risklattice.pipeline as pl
 from risklattice import AdjustmentGrid, DataError, DomainError, RiskMeasureSpec, power_distortion
@@ -874,29 +876,43 @@ def plain_violations_csv(table) -> bytes:
     return buf.getvalue().encode()
 
 
-@pytest.mark.parametrize("block_cells", [1, 36, 1 << 14, pl._EXPORT_BLOCK_CELLS])
+@pytest.mark.parametrize("block_cells", [1, 36, 45, 1 << 14, pl._EXPORT_BLOCK_CELLS])
 def test_export_bytes_match_plain_writer(tmp_path, monkeypatch, block_cells):
-    # a full grid whose gaps repeat, with -0.0 and 0.0 apart, +-inf, a check
-    # configured twice, tickers and labels holding '%', ',' and '"' (quoted,
-    # '"' doubled), and flags that disagree with the gap's sign, one gap
-    # carrying both flags on one date; written in blocks of 1 date, 2 dates,
+    # a full grid whose gaps repeat, with -0.0 and 0.0 apart, +-inf, values
+    # in and out of _format17g's integer range (a tie, both sides of the
+    # switch to an exponent), a check configured twice, tickers and labels
+    # holding '%', ',' and '"' (quoted, '"' doubled), and flags that disagree
+    # with the gap's sign, one gap carrying both flags on one date; one cell
+    # keeps its gap and flag on every date, so its run crosses each border
+    # of blocks of 1, 2 and 3 dates; written in blocks of 1, 2 and 3 dates,
     # and all of them
     monkeypatch.setattr(pl, "_EXPORT_BLOCK_CELLS", block_cells)
+    formatted = []  # the number of cells each _format17g call formats
+    format17g = pl._format17g
+
+    def counted(values, violated):
+        formatted.append(values.size)
+        return format17g(values, violated)
+
+    monkeypatch.setattr(pl, "_format17g", counted)
     days = [dt.date(2024, 1, 1) + dt.timedelta(days=k) for k in range(7)]
     pairs = [("10%", 'Q"1'), ("10%", "a,b"), ('Q"1', "a,b")]
     checks = [("VaR(0.9)", pl.SUBMODULARITY), ("VaR(0.9)", pl.SUBADDITIVITY),
               ("AES(0.6:0,0.9:0.01)", pl.SUBMODULARITY), ('odd 50% "label"', pl.SUBMODULARITY),
               ('odd 50% "label"', pl.SUBMODULARITY)]
-    values = [-0.0, 0.0, 1.0 / 3.0, -1e-300, 5e-324, 0.1 + 0.2, -2.5, math.inf, -math.inf]
+    values = [-0.0, 0.0, 1.0 / 3.0, -1e-300, 5e-324, 0.1 + 0.2, -2.5, math.inf, -math.inf,
+              1e-8, -9.9999999999999995e-05, 1e-4, 1.0 + 2.0**-17, 9.999999999999998, 12.5,
+              -7e-6, 0.00123]
     gaps = np.empty((len(checks), len(pairs), len(days)))
     violated = np.empty(gaps.shape, dtype=bool)
     for k, p, d in np.ndindex(gaps.shape):
-        gaps[k, p, d] = values[(d // 2 + p + k) % len(values)]
+        gaps[k, p, d] = values[(d // 2 + p + 4 * k) % len(values)]
         violated[k, p, d] = (gaps[k, p, d] < 0) != ((d + p) % 3 == 0)
+    gaps[2, 1], violated[2, 1] = 0.1, False
     table = pl.ViolationTable(dates=tuple(days), pairs=tuple(pairs), checks=tuple(checks),
                               gaps=gaps, violated=violated)
     assert table.gaps.shape == (5, 3, 7) and table.checks.count(checks[-1]) == 2
-    assert {"-0", "0", "inf", "-inf"} <= {"%.17g" % r.gap for r in table}
+    assert {"%.17g" % v for v in values} <= {"%.17g" % r.gap for r in table}
     flags = {}
     for r in table:
         flags.setdefault((r.date, "%.17g" % r.gap), set()).add(r.violated)
@@ -908,3 +924,59 @@ def test_export_bytes_match_plain_writer(tmp_path, monkeypatch, block_cells):
     back = pl.read_violations_csv(path)
     assert back == table
     assert np.array_equal(back.gaps.view(np.int64), table.gaps.view(np.int64))
+    # a cell whose gap and flag equal its row's on the block's previous date
+    # is not formatted again
+    step = max(1, block_cells // 15)
+    assert len(formatted) == -(-len(days) // step)
+    assert sum(formatted) < table.gaps.size if step > 1 else sum(formatted) == table.gaps.size
+
+
+def percent_texts(values, flags) -> list[str]:
+    return ["%.17g,%s\n" % (v, "true" if f else "false")
+            for v, f in zip(values.tolist(), flags.tolist())]
+
+
+def assert_format17g(values):
+    values = np.asarray(values, dtype=np.float64)
+    flags = np.arange(values.size) % 3 == 0
+    assert pl._format17g(values, flags) == percent_texts(values, flags)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.one_of(st.integers(0, 2047), st.integers(990, 1027)),
+                          st.integers(0, 2**52 - 1), st.booleans()), min_size=1, max_size=40))
+def test_format17g_matches_percent_on_any_bits(cells):
+    # sign, biased exponent and mantissa fields: every exponent class
+    # (zeros, subnormals, normals, and infinities for exponent 2047), and
+    # 990..1027 again, around the integer range 1e-8 <= |v| < 10
+    bits = [(sign << 63) | (exponent << 52) | (mantissa if exponent < 2047 else 0)
+            for sign, exponent, mantissa, _ in cells]
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    flags = np.array([flag for *_, flag in cells])
+    assert pl._format17g(values, flags) == percent_texts(values, flags)
+
+
+def test_format17g_at_powers_of_ten_and_range_edges():
+    tens = np.array([float(f"1e{k}") for k in range(-12, 17)])
+    edges = np.array([1e-8, 10.0])  # the integer range, and the neighbour of each end
+    values = np.concatenate([tens, edges, np.nextafter(np.concatenate([tens, edges]), 0.0),
+                             np.nextafter(tens, np.inf), [0.0]])
+    assert_format17g(np.concatenate([values, -values]))
+    # the last double below 1e-4 needs an exponent, 1e-4 does not
+    assert pl._format17g(np.array([9.9999999999999995e-05, 1e-4]), np.array([False, True])) == [
+        "9.9999999999999991e-05,false\n", "0.0001,true\n"]
+
+
+def test_format17g_rounds_ties_to_even():
+    # n * 2**(X - 17) for odd n, in [10**X, 10**(X + 1)), has 18 significant
+    # digits, the last a 5: the 17th digit rounds to even
+    assert pl._format17g(np.array([1 + 2.0**-17, 1 + 3 * 2.0**-17]), np.array([False, False])) == [
+        "1.0000076293945312,false\n", "1.0000228881835938,false\n"]
+    ties = []
+    for x in range(-8, 1):
+        lo, hi = -(-(2 ** (17 - x)) // 10**-x), 10 * 2 ** (17 - x) // 10**-x
+        ties += [math.ldexp(n, x - 17) for n in range(lo | 1, hi, 2 * max(1, (hi - lo) // 200))]
+    for t in ties:
+        digits = ("%.30e" % t).partition("e")[0].replace(".", "")  # exact
+        assert digits[17] == "5" and digits[18:] == "0" * 13, t
+    assert_format17g(ties)
