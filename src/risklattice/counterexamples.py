@@ -30,7 +30,7 @@ from .functions import (
     LossFunction,
     piecewise_linear_loss,
 )
-from .measures import shortfall_rho
+from .lattice import submodularity_gap
 from .specs import RiskMeasureSpec
 
 __all__ = [
@@ -224,15 +224,11 @@ def shortfall_jump_deficit(
     ell = piecewise_linear_loss(s_minus, s_plus)  # validates the slopes
     x = np.array([-2.0 * h, -h, 0.0])
     y = np.array([-h, -h, -h])
-    rx = shortfall_rho(x, ell)
-    ry = shortfall_rho(y, ell)
-    rmeet = shortfall_rho(np.minimum(x, y), ell)
-    rjoin = shortfall_rho(np.maximum(x, y), ell)
-    measured_ratio = (rx + ry - rmeet - rjoin) / h
+    measured_ratio = submodularity_gap(RiskMeasureSpec.shortfall(ell), x, y).gap / h
     limit_ratio = (
         s_minus * (s_minus - s_plus) / ((s_minus + 2.0 * s_plus) * (2.0 * s_minus + s_plus))
     )
-    return float(measured_ratio), float(limit_ratio)
+    return measured_ratio, float(limit_ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,10 @@ row's sums of ``exp(x)`` and ``exp(2x)``, and ``quadlin`` (``x/2 +
 max(x, 0)^2``) one on the piece between order statistics where the
 shortfall residual, or the OCE's ``mean l'(x - m) - 1``, changes sign.
 Every other loss (``arctan-bend``, custom losses) goes to one bracketed
-solver that stops each row at a few ulps of that row's own scale:
-Chandrupatla's interpolating steps for the CE and shortfall roots, bisection
-for the OCE minimum.  Either way a value does not depend on the rest of its
-batch and keeps its relative precision at any sample scale.
+solver that bisects each row, for the CE and shortfall roots and the OCE
+minimum alike, and stops it at a few ulps of that row's own scale, so a value
+does not depend on the rest of its batch and keeps its relative precision at
+any sample scale.
 """
 
 from __future__ import annotations
@@ -71,14 +71,12 @@ __all__ = [
 ]
 
 # Bracketed-solver caps, for the losses without a closed form (arctan-bend
-# and custom losses).  A finite bracket is under 2**1025
-# wide and a row stops at 4 ulps, at least 2**-1072, so 2097 halvings always
-# meet the stopping rule.  A bisection step of OCE shrinks its bracket to
-# 33/64, so 2200 of them do; in any three consecutive steps of a residual's
-# solve the bracket at least halves (a row whose bracket has not halved over
-# two steps takes the midpoint), so 6300 of them do.  A sample of scale 1
-# stops after about 55 bisection steps, or about 13 interpolating ones.
-_MAX_STEPS = 6900
+# and custom losses).  A finite bracket is under 2**1025 wide and a row stops
+# at 4 ulps, at least 2**-1072, so 2097 halvings always meet the stopping
+# rule.  A residual's step halves its bracket and an objective's step shrinks
+# it to 33/64 (spread 1/64), so 2195 steps always do.  A sample of scale 1
+# stops after about 55 steps.
+_MAX_STEPS = 2200
 _MAX_EXPAND = 60
 
 
@@ -218,52 +216,19 @@ def distortion_rho(sample, phi: DistortionFunction) -> float:
 # loss without a closed form
 
 
-def _chandrupatla(lo, hi, glo, ghi, c, gc, h, bisect) -> tuple[np.ndarray, np.ndarray]:
-    """Chandrupatla's trial point in brackets ``[lo, hi]`` of a nondecreasing
-    residual that is ``glo`` and ``ghi`` at their ends.
-
-    The inverse quadratic through the ends and ``c``, the end the last step
-    dropped (residual ``gc``), is monotone on the bracket only where
-    ``phi^2 < xi`` and ``(1 - phi)^2 < 1 - xi``.  There the trial point is its
-    root, at least ``h`` inside the bracket; elsewhere, and where ``bisect``,
-    it is the midpoint.  Returns the trial points and where they interpolate.
-    """
-    a_hi = c >= hi  # a is the end the last step moved, next to c; b the other
-    a, b = np.where(a_hi, hi, lo), np.where(a_hi, lo, hi)
-    fa, fb = np.where(a_hi, ghi, glo), np.where(a_hi, glo, ghi)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        xi, phi = (a - b) / (c - b), (fa - fb) / (gc - fb)
-        s = (fa / (fb - fa) * gc / (fb - gc)
-             + (c - a) / (b - a) * fa / (gc - fa) * fb / (gc - fb))
-    # s is the root's fraction of the way from a to b; a NaN fails the last test
-    iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & ~bisect & (np.abs(s - 0.5) <= 0.5)
-    return np.where(iqi, np.clip(a + s * (b - a), lo + h, hi - h), 0.5 * (lo + hi)), iqi
-
-
 def _bracketed(fn, Xs, what: str, pad: float = 0.0, spread: float = 0.0) -> np.ndarray:
     """Per-row root of a nondecreasing residual, or minimizer of a convex objective.
 
     ``fn(m, rows)`` evaluates rows ``rows`` of the ascending batch ``Xs`` at
     ``m``, from the bracket ``[min x - pad, max x + pad]``.  Each step tests
-    the sign of ``g(m) = fn(m)`` (``spread == 0``: a residual) or of
-    ``g(m) = fn(m + d) - fn(m - d)`` with ``d = spread (hi - lo)`` (a convex
-    objective; ``g`` is then nondecreasing too) at a trial point ``t``, and
-    keeps ``[lo, t + d]`` if ``g(t) > 0``, else ``[t - d, hi]``.  Brackets are
-    first doubled outward until ``g(lo + d) <= 0 <= g(hi - d)``.
-
-    An objective is bisected: ``t`` is the midpoint, which ``d`` makes exact
-    for a convex objective; where rounding hides the sign of ``g`` it loses at
-    most about ``1/(4 spread)`` ulps of the value.  A residual takes
-    Chandrupatla's step (1997): inverse quadratic interpolation through the
-    bracket's ends and the end its last step dropped, where those three values
-    are monotone enough for it, else the midpoint.  The residual at the ends
-    carries over from step to step, and from the doubling, so a step evaluates
-    ``g`` once.  ``t`` stays half a stopping width inside the bracket, so a
-    side that has converged still collapses it; after an interpolating step
-    that did not halve the residual at the end it replaced (a rounding
-    plateau, or a jump), the next stays twice that step's length inside.  A
-    row whose bracket has not halved over its last two steps takes the
-    midpoint, and a row whose residual is exactly 0 at ``t`` stops there.
+    the sign of ``g(t) = fn(t)`` (``spread == 0``: a residual) or of
+    ``g(t) = fn(t + d) - fn(t - d)`` with ``d = spread (hi - lo)`` (a convex
+    objective; ``g`` is then nondecreasing too) at the midpoint ``t`` of the
+    bracket, and keeps ``[lo, t + d]`` if ``g(t) > 0``, else ``[t - d, hi]``.
+    Brackets are first doubled outward until ``g(lo + d) <= 0 <= g(hi - d)``.
+    ``d`` makes the step exact for a convex objective; where rounding hides
+    the sign of ``g`` it loses at most about ``1/(4 spread)`` ulps of the
+    value.
 
     A row stops when ``hi - lo`` is at most 4 ulps of
     ``max(|lo|, |hi|, max |x|)`` (``pad * eps`` for a row of zeros), leaves the
@@ -284,17 +249,15 @@ def _bracketed(fn, Xs, what: str, pad: float = 0.0, spread: float = 0.0) -> np.n
             raise NumericError(f"{what}: overflow at batch row {rows[nan.argmax()]}")
         return v
 
-    # A bracketed row's ends, d and g values no longer change, so only the
-    # rows still unbracketed are evaluated again; they double at the same
-    # steps as they would alone.
-    glo, ghi = np.empty_like(lo), np.empty_like(hi)
+    # A bracketed row's ends no longer change, so only the rows still
+    # unbracketed are evaluated again; they double at the same steps as they
+    # would alone.
     act = np.arange(lo.size)
     step = np.maximum(hi - lo, 1.0)
     for _ in range(_MAX_EXPAND):
         d = spread * (hi[act] - lo[act])
-        glo[act] = g(lo[act] + d, d, act)
-        ghi[act] = g(hi[act] - d, d, act)
-        low, high = glo[act] > 0.0, ghi[act] < 0.0
+        low = g(lo[act] + d, d, act) > 0.0
+        high = g(hi[act] - d, d, act) < 0.0
         out = low | high
         if not out.any():
             break
@@ -310,43 +273,18 @@ def _bracketed(fn, Xs, what: str, pad: float = 0.0, spread: float = 0.0) -> np.n
 
     res = np.empty_like(lo)
     act = np.arange(lo.size)
-    # c is the end the last step dropped; c = hi makes the first step a midpoint
-    c, gc = hi.copy(), ghi.copy()
-    w1 = w2 = np.full(lo.size, np.inf)  # the bracket's width one and two steps ago
-    h = np.zeros(lo.size)  # the least step of an interpolating trial from an end
     for _ in range(_MAX_STEPS):
-        width = hi - lo
         # max(-lo, hi) is max(|lo|, |hi|) because lo <= hi
-        tol = 4.0 * np.spacing(np.maximum(np.maximum(-lo, hi), scale[act]))
-        wide = width > tol
+        wide = hi - lo > 4.0 * np.spacing(np.maximum(np.maximum(-lo, hi), scale[act]))
         if not wide.all():
             res[act[~wide]] = 0.5 * (lo[~wide] + hi[~wide])
-            act, lo, hi, glo, ghi, c, gc, w1, w2, h, width, tol = (
-                v[wide] for v in (act, lo, hi, glo, ghi, c, gc, w1, w2, h, width, tol))
+            act, lo, hi = act[wide], lo[wide], hi[wide]
             if not act.size:
                 return res
-        if spread:
-            t = 0.5 * (lo + hi)
-        else:
-            # a row whose bracket has not halved over two steps bisects
-            h = np.clip(h, 0.5 * tol, 0.25 * width)
-            t, iqi = _chandrupatla(lo, hi, glo, ghi, c, gc, h, width > 0.5 * w2)
-        w2, w1 = w1, width
-        d = spread * width
-        gt = g(t, d, act)
-        left = gt > 0.0
-        c, gc = np.where(left, hi, lo), np.where(left, ghi, glo)
+        t = 0.5 * (lo + hi)
+        d = spread * (hi - lo)
+        left = g(t, d, act) > 0.0
         lo, hi = np.where(left, lo, t - d), np.where(left, t + d, hi)
-        glo, ghi = np.where(left, glo, gt), np.where(left, gt, ghi)
-        if not spread:
-            # a residual of exactly 0 is a root: the row stops there
-            lo, hi = np.where(gt == 0.0, t, lo), np.where(gt == 0.0, t, hi)
-            # An interpolating step that did not halve the residual at the end
-            # it replaced sits on the residual's rounding plateau, or creeps
-            # up on a jump: the next one keeps at least twice that step's
-            # length from the ends, so it crosses in a few steps, not dozens
-            stalled = iqi & (np.abs(gt) > 0.5 * np.abs(gc))
-            h = np.where(stalled, 2.0 * np.abs(t - c), np.where(iqi, 0.0, h))
     res[act] = 0.5 * (lo + hi)
     return res
 

@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, DomainError
 from .functions import AdjustmentGrid
-from .lattice import DEFAULT_EPSILON, _check_epsilon
+from .lattice import DEFAULT_EPSILON, _check_epsilon, _check_threads
 from .specs import RiskMeasureSpec
 
 __all__ = [
@@ -409,12 +409,13 @@ def pairwise_day_tests(
     evaluating each pair's windows on their own.  The gap rows go straight
     into one ``ViolationTable`` array ``gaps[check, pair, date]``: checks in
     (measure label, test) order, config order breaking label ties; pairs in
-    sorted-ticker order; dates the window end dates.  ``debug`` and
-    ``threads`` are accepted and ignored: ``meet + join == x + y``, which
-    ``debug`` asserted, holds bitwise for finite losses (``min + max`` is
-    ``x + y`` or ``y + x``), and a thread pool over pairs gave no speedup on
-    2 cores, so pairs run serially.
+    sorted-ticker order; dates the window end dates.  ``debug`` is accepted
+    and ignored: ``meet + join == x + y``, which it asserted, holds bitwise
+    for finite losses (``min + max`` is ``x + y`` or ``y + x``).  ``threads``
+    must be an integer of at least 1 and is otherwise ignored: a thread pool
+    over pairs gave no speedup on 2 cores, so pairs run serially.
     """
+    _check_threads(threads)
     if len(losses.tickers) < 2:
         raise DomainError("pairwise tests need at least 2 tickers")
     if losses.losses.shape[0] < config.window:

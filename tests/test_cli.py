@@ -71,6 +71,9 @@ SWEEP_GOLDEN = {
         "f6ada22fea55a3234f1ab6cac3b00bae9913770654a20bf3232526d9887cc5f7",
     ("shortfall:expectile:1", "two_point"):
         "5637eb0af962e64829f313fde6103701fd40cf60926bf12dfbf42339d80f0e29",
+    # the one pin of a sweep that runs the bracketed solver (no closed form)
+    ("ce:arctan-bend", "gaussian"):
+        "24bbb2c377ced732dd020035a4aacb7b8310ee3421ecb7c6433ca8b1e02bfe9c",
 }
 
 

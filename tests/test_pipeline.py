@@ -280,6 +280,9 @@ def test_pairwise_thread_invariance():
     serial = pl.pairwise_day_tests(panel, config)
     threaded = pl.pairwise_day_tests(panel, config, threads=4)
     assert serial == threaded
+    for bad in (0, -3, "x", None):
+        with pytest.raises(DomainError, match="threads must be an integer of at least 1"):
+            pl.pairwise_day_tests(panel, config, threads=bad)
 
 
 def test_pairwise_needs_two_tickers():
