@@ -26,11 +26,9 @@ import numpy as np
 from . import counterexamples as ctrex
 from . import pipeline as pl
 from .curvature import curvature_profile, linear_dominance_check
-from .errors import RiskLatticeError
+from .errors import DomainError, RiskLatticeError
 from .functions import parse_distortion_spec, parse_loss_spec, parse_weight_spec
-from .lattice import (
-    DEFAULT_EPSILON, GENERATORS, _check_threads, random_pair_sweep, submodularity_gap,
-)
+from .lattice import DEFAULT_EPSILON, GENERATORS, random_pair_sweep, submodularity_gap
 from .selftest import run_selftest
 from .specs import RiskMeasureSpec, parse_measure_spec
 
@@ -151,7 +149,6 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
         generator=args.generator,
         epsilon=args.epsilon,
-        threads=args.threads,
     )
     promised = spec.promises_zero_violations
     payload = {
@@ -294,7 +291,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _check_threads(args.threads)
+        if args.threads < 1:  # every run is serial; the flag is kept for compatibility
+            raise DomainError("threads must be an integer of at least 1")
         if args.command == "check":
             return _cmd_check(args)
         if args.command == "sweep":

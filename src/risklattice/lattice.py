@@ -21,9 +21,9 @@ draws from ``PCG64(SeedSequence((seed, t)))``.  ``SeedSequence``'s hash is a
 fixed function of the entropy words, so a chunk hashes all its trials' seeds
 in one pass of ``uint32`` numpy arithmetic (``_seed_states``) and hands each
 trial's ``PCG64`` its precomputed words.  A trial draws its pair into the
-batch and takes the nudge's raw words; the chunk redoes numpy's ``choice`` on
-them in Floyd's step loop over all its nudged trials at once.  Above 1,024
-atoms a trial makes numpy's own ``random()`` and ``choice`` calls instead.
+batch and tosses the nudge's coin on one raw word.  A nudged trial takes the
+raw words of numpy's ``choice``, which the chunk redoes in Floyd's step loop
+over all its nudged trials at once; above 1,024 atoms it calls ``choice``.
 
 A sweep runs in chunks of at most ``_CHUNK_BYTES // (32 n_atoms)`` trials,
 so a chunk's x, y, meet and join rows fit ``_CHUNK_BYTES`` (64 MB), the one
@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
-from .sample import as_batch, as_sample
+from .errors import DomainError
+from .sample import as_batch, pointwise_meet_join
 from .specs import RiskMeasureSpec
 
 __all__ = [
@@ -114,27 +114,12 @@ def _check_epsilon(epsilon: float) -> None:
         raise DomainError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
 
 
-def _check_threads(threads) -> None:
-    """Raise ``DomainError`` unless ``threads`` is an integer >= 1."""
-    if not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise DomainError("threads must be an integer of at least 1")
-
-
-def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
-    xa, ya = as_sample(x), as_sample(y)
-    if xa.shape != ya.shape:
-        raise DimensionError(f"pair lives on different atom spaces: {xa.size} vs {ya.size}")
-    return xa, ya
-
-
 def submodularity_gap(
     spec: RiskMeasureSpec, x, y, epsilon: float = DEFAULT_EPSILON
 ) -> GapResult:
     """Gap ``rho(x) + rho(y) - rho(meet) - rho(join)`` for the configured measure."""
     _check_epsilon(epsilon)
-    xa, ya = _paired(x, y)
-    batch = np.stack([xa, ya, np.minimum(xa, ya), np.maximum(xa, ya)])
-    vx, vy, vmeet, vjoin = spec.evaluate_batch(batch)
+    vx, vy, vmeet, vjoin = spec.evaluate_batch(np.stack([x, y, *pointwise_meet_join(x, y)]))
     # grouped so the gap is exactly 0 whenever {meet, join} == {x, y} bitwise
     # (dominated pairs, x == y) and exactly symmetric in (x, y)
     gap = float((vx + vy) - (vmeet + vjoin))
@@ -146,9 +131,9 @@ def subadditivity_gap(
 ) -> GapResult:
     """Gap ``rho(x) + rho(y) - rho(x + y)``; negative values penalize diversification."""
     _check_epsilon(epsilon)
-    xa, ya = _paired(x, y)
-    batch = np.stack([xa, ya, xa + ya])
-    vx, vy, vsum = spec.evaluate_batch(batch)
+    meet, join = pointwise_meet_join(x, y)
+    # meet + join is x + y bit for bit: each atom adds the same two values
+    vx, vy, vsum = spec.evaluate_batch(np.stack([x, y, meet + join]))
     gap = float(vx + vy - vsum)
     return GapResult(gap=gap, violated=gap < -epsilon, epsilon=epsilon)
 
@@ -356,9 +341,10 @@ def _draw_pairs(n_atoms: int, lo: int, hi: int, seed: int, generator: str) -> np
     """The ``(4, hi - lo, n_atoms)`` batch of trials ``[lo, hi)``: x, y, meet
     and join rows.
 
-    Each trial draws x and y into its rows of the batch and takes in one call
-    the raw words that the nudge's ``random()`` and ``choice`` would read
-    (above ``_FLOYD_MAX_ATOMS``, 1,024 atoms, it makes those calls).
+    Each trial draws x and y into its rows of the batch and tosses the
+    nudge's coin on one raw word (``_NUDGE_BELOW``).  A nudged trial takes
+    the raw words that numpy's ``choice`` would read, or above
+    ``_FLOYD_MAX_ATOMS``, 1,024 atoms, calls ``choice`` itself.
     ``_floyd_picks`` makes the choice for all nudged trials in Floyd's step
     loop, a trial it flags is redone with numpy's own calls, and ``_nudge``
     runs once: it uses no randomness.
@@ -371,15 +357,10 @@ def _draw_pairs(n_atoms: int, lo: int, hi: int, seed: int, generator: str) -> np
     for i, rng in enumerate(_generators(seed, lo, hi)):
         _draw(rng, generator, xs[i], scratch)
         _draw(rng, generator, ys[i], scratch)
-        if not floyd:
-            if rng.random() < 0.25:
-                rows.append(i)
-                picks.append(rng.choice(n_atoms, size=k, replace=False))
-            continue
-        raw = rng.bit_generator.random_raw(1 + (k + 1) // 2)  # coin, k halves
-        if raw[0] < _NUDGE_BELOW:
+        if rng.bit_generator.random_raw() < _NUDGE_BELOW:
             rows.append(i)
-            picks.append(raw[1:])
+            picks.append(rng.bit_generator.random_raw((k + 1) // 2) if floyd
+                         else rng.choice(n_atoms, size=k, replace=False))
     if rows:
         picks = np.array(picks)
         if floyd:
@@ -445,15 +426,13 @@ def random_pair_sweep(
     seed: int,
     generator: str = "gaussian",
     epsilon: float = DEFAULT_EPSILON,
-    threads: int = 1,
 ) -> SweepReport:
     """Measure the submodularity gap on ``trials`` independent random pairs.
 
     Deterministic given ``seed`` (per-trial RNG streams).  Trials run
-    serially, in chunks whose sorted rows fit ``_CHUNK_BYTES``; ``threads``
-    must be a positive integer and is otherwise ignored.  The last chunk's
-    sorted pairs are kept (``_pair_batch``), so a later one-chunk sweep of
-    another measure on the same pairs only runs the measure.
+    serially, in chunks whose sorted rows fit ``_CHUNK_BYTES``.  The last
+    chunk's sorted pairs are kept (``_pair_batch``), so a later one-chunk
+    sweep of another measure on the same pairs only runs the measure.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError("seed must be a nonnegative integer")
@@ -461,7 +440,6 @@ def random_pair_sweep(
         raise DomainError("sweeps need an integer n_atoms >= 3")
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise DomainError("sweeps need an integer count of at least one trial")
-    _check_threads(threads)
     if generator not in GENERATORS:
         raise DomainError(f"unknown generator {generator!r}; expected one of {GENERATORS}")
     _check_epsilon(epsilon)

@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, DomainError
 from .functions import AdjustmentGrid
-from .lattice import DEFAULT_EPSILON, _check_epsilon, _check_threads
+from .lattice import DEFAULT_EPSILON, _check_epsilon
 from .specs import RiskMeasureSpec
 
 __all__ = [
@@ -389,7 +389,7 @@ def _checks(config: RollingConfig) -> list[tuple[str, str]]:
 
 
 def pairwise_day_tests(
-    losses: LossPanel, config: RollingConfig, debug: bool = False, threads: int = 1
+    losses: LossPanel, config: RollingConfig, debug: bool = False
 ) -> ViolationTable:
     """Lattice-test every unordered ticker pair on every full-window date.
 
@@ -411,11 +411,9 @@ def pairwise_day_tests(
     (measure label, test) order, config order breaking label ties; pairs in
     sorted-ticker order; dates the window end dates.  ``debug`` is accepted
     and ignored: ``meet + join == x + y``, which it asserted, holds bitwise
-    for finite losses (``min + max`` is ``x + y`` or ``y + x``).  ``threads``
-    must be an integer of at least 1 and is otherwise ignored: a thread pool
-    over pairs gave no speedup on 2 cores, so pairs run serially.
+    for finite losses (``min + max`` is ``x + y`` or ``y + x``).  Pairs run
+    serially.
     """
-    _check_threads(threads)
     if len(losses.tickers) < 2:
         raise DomainError("pairwise tests need at least 2 tickers")
     if losses.losses.shape[0] < config.window:

@@ -62,6 +62,12 @@ def _monetary_specs() -> list[RiskMeasureSpec]:
     ]
 
 
+def _require(ok, detail="") -> None:
+    """``assert ok, detail`` that ``python -O`` does not strip."""
+    if not ok:
+        raise AssertionError(detail)
+
+
 def _rng():
     return np.random.default_rng(20240901)
 
@@ -75,7 +81,7 @@ def check_law_invariance() -> str:
     perm = rng.permutation(17)
     for spec in _monetary_specs() + [RiskMeasureSpec.certainty_equivalent(exponential_loss(1.0))]:
         a, b = spec.evaluate(x), spec.evaluate(x[perm])
-        assert abs(a - b) <= 1e-12, f"{spec.label}: {a} vs {b}"
+        _require(abs(a - b) <= 1e-12, f"{spec.label}: {a} vs {b}")
     return "9 functionals, random permutation, tol 1e-12"
 
 
@@ -87,7 +93,7 @@ def check_cash_invariance() -> str:
         for spec in _monetary_specs():
             a = spec.evaluate(x + c)
             b = spec.evaluate(x) + c
-            assert abs(a - b) <= 1e-9, f"{spec.label}: |{a} - {b}|"
+            _require(abs(a - b) <= 1e-9, f"{spec.label}: |{a} - {b}|")
     return "7 monetary measures, 20 random (x, c), tol 1e-9"
 
 
@@ -99,10 +105,10 @@ def check_positive_homogeneity() -> str:
         lam = float(rng.random() * 3 + 0.1)
         # selecting an order statistic scales bit-for-bit; the summed measures
         # carry one rounding step per term
-        assert var.evaluate(lam * x) == lam * var.evaluate(x)
+        _require(var.evaluate(lam * x) == lam * var.evaluate(x))
         for spec in (RiskMeasureSpec.es(0.7), RiskMeasureSpec.distortion(es_distortion(0.7))):
             a, b = spec.evaluate(lam * x), lam * spec.evaluate(x)
-            assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1e-300), spec.label
+            _require(abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1e-300), spec.label)
     return "VaR scales exactly; ES/distortion within rel 1e-12"
 
 
@@ -118,7 +124,7 @@ def check_monotonicity() -> str:
         x = rng.standard_normal(9)
         y = x + rng.random(9)  # y >= x entrywise
         for spec in specs:
-            assert spec.evaluate(x) <= spec.evaluate(y) + 1e-9, spec.label
+            _require(spec.evaluate(x) <= spec.evaluate(y) + 1e-9, spec.label)
     return "entrywise dominance, monotone measures, tol 1e-9"
 
 
@@ -127,7 +133,7 @@ def check_es_dominates_var() -> str:
     for _ in range(50):
         x = rng.standard_normal(14)
         p = float(rng.random() * 0.98 + 0.01)
-        assert es_historical(x, p) >= var_historical(x, p) - 1e-15
+        _require(es_historical(x, p) >= var_historical(x, p) - 1e-15)
     return "ES >= VaR at 50 random levels"
 
 
@@ -140,7 +146,7 @@ def check_comonotone_additivity() -> str:
         y = np.sort(rng.standard_normal(12))[order]  # same ranking as x
         lhs = distortion_rho(x + y, phi)
         rhs = distortion_rho(x, phi) + distortion_rho(y, phi)
-        assert abs(lhs - rhs) <= 1e-12
+        _require(abs(lhs - rhs) <= 1e-12)
     return "distortion additive on commonly-sorted pairs, tol 1e-12"
 
 
@@ -151,7 +157,7 @@ def check_expected_loss_modular() -> str:
         x, y = rng.standard_normal((2, 10))
         meet, join = pointwise_meet_join(x, y)
         gap = expected_loss(x, ell) + expected_loss(y, ell) - expected_loss(meet, ell) - expected_loss(join, ell)
-        assert abs(gap) <= 1e-12
+        _require(abs(gap) <= 1e-12)
     return "valuation identity on 50 random pairs, tol 1e-12"
 
 
@@ -162,7 +168,7 @@ def check_shortfall_matches_ce() -> str:
             x = rng.standard_normal(8)
             a = shortfall_rho(x, exponential_loss(gamma))
             b = certainty_equivalent(x, exponential_loss(gamma))
-            assert abs(a - b) <= 1e-8, f"gamma={gamma}: {a} vs {b}"
+            _require(abs(a - b) <= 1e-8, f"gamma={gamma}: {a} vs {b}")
     return "exponential shortfall == exponential CE, tol 1e-8"
 
 
@@ -177,7 +183,7 @@ def check_degenerate_single_atom() -> str:
         certainty_equivalent([c], exponential_loss(1.0)),
         mmd_rho([c], square_weight(), es_distortion(0.9)),
     ]
-    assert all(abs(v - c) <= 1e-10 for v in vals), vals
+    _require(all(abs(v - c) <= 1e-10 for v in vals), vals)
     return "n=1 sample: monetary measures return the loss"
 
 
@@ -189,7 +195,7 @@ def check_lattice_identity() -> str:
     for _ in range(50):
         x, y = rng.standard_normal((2, 16))
         meet, join = pointwise_meet_join(x, y)
-        assert np.array_equal(meet + join, x + y)
+        _require(np.array_equal(meet + join, x + y))
     return "meet + join == x + y exactly, 50 pairs"
 
 
@@ -198,7 +204,7 @@ def check_gap_symmetry() -> str:
     spec = RiskMeasureSpec.es(0.8)
     for _ in range(20):
         x, y = rng.standard_normal((2, 10))
-        assert submodularity_gap(spec, x, y).gap == submodularity_gap(spec, y, x).gap
+        _require(submodularity_gap(spec, x, y).gap == submodularity_gap(spec, y, x).gap)
     return "gap(x, y) == gap(y, x) exactly"
 
 
@@ -208,7 +214,7 @@ def check_dominated_pairs_gap_zero() -> str:
         x = rng.standard_normal(10)
         y = x + rng.random(10)  # x <= y entrywise: meet = x, join = y
         for spec in _monetary_specs():
-            assert submodularity_gap(spec, x, y).gap == 0.0, spec.label
+            _require(submodularity_gap(spec, x, y).gap == 0.0, spec.label)
     return "entrywise-dominated pairs have exactly zero gap"
 
 
@@ -217,20 +223,20 @@ def check_sweep_determinism() -> str:
     a = random_pair_sweep(spec, n_atoms=10, trials=500, seed=42, generator="heavy_tail")
     _forget_pairs()  # b draws its pairs too
     b = random_pair_sweep(spec, n_atoms=10, trials=500, seed=42, generator="heavy_tail")
-    assert a.worst_gap == b.worst_gap
-    assert a.violations == b.violations
-    assert np.array_equal(a.worst_pair[0], b.worst_pair[0])
+    _require(a.worst_gap == b.worst_gap)
+    _require(a.violations == b.violations)
+    _require(np.array_equal(a.worst_pair[0], b.worst_pair[0]))
     # a chunk border changes no trial's pair
     whole = _draw_pairs(10, 0, 500, 42, "heavy_tail")
     halves = [_draw_pairs(10, lo, hi, 42, "heavy_tail") for lo, hi in ((0, 250), (250, 500))]
-    assert np.array_equal(whole, np.concatenate(halves, axis=1))
+    _require(np.array_equal(whole, np.concatenate(halves, axis=1)))
     return "same seed: two sweeps agree bit for bit; trials [0, 500) drawn at once == [0, 250) + [250, 500)"
 
 
 def check_es_sweeps_clean() -> str:
     for n_atoms in (10, 50):
         rep = random_pair_sweep(RiskMeasureSpec.es(0.95), n_atoms, trials=10_000, seed=7)
-        assert rep.violations == 0, f"n={n_atoms}: {rep.violations} violations"
+        _require(rep.violations == 0, f"n={n_atoms}: {rep.violations} violations")
     return "ES(0.95), n in {10, 50}, 10k trials each, zero violations"
 
 
@@ -241,9 +247,9 @@ def check_feasible_losses_sweep_clean() -> str:
     for ell in (exponential_loss(1.0), poly2exp_loss()):
         prof = curvature_profile(ell, -20.0, 20.0, 1e-2)
         verdict = linear_dominance_check(prof, ell)
-        assert verdict.feasible, ell.name
+        _require(verdict.feasible, ell.name)
         rep = random_pair_sweep(RiskMeasureSpec.shortfall(ell), 10, trials=5_000, seed=11)
-        assert rep.violations == 0, f"{ell.name}: {rep.violations}"
+        _require(rep.violations == 0, f"{ell.name}: {rep.violations}")
     return "exp:1 and poly2exp: dominance feasible and 5k-trial sweeps clean"
 
 
@@ -259,7 +265,7 @@ def check_expectile_violation_found() -> str:
         RiskMeasureSpec.shortfall(expectile_loss(1.0)), 4, trials=50_000, seed=3,
         generator="gaussian",
     )
-    assert rep.violations >= 1, "no violation found"
+    _require(rep.violations >= 1, "no violation found")
     return f"expectile:1, gaussian pairs, n=4: {rep.violations} violations in 50k trials"
 
 
@@ -267,15 +273,15 @@ def check_aes_counterexample_deficit() -> str:
     x, y, predicted = ctrex.aes_counterexample(1.0, 0.0, 0.5, 0.25, 10_000)
     spec = RiskMeasureSpec.aes(ctrex.aes_matched_grid(1.0, 0.0, 0.5, 0.25))
     res = submodularity_gap(spec, x, y)
-    assert res.gap < 0 and abs(-res.gap - predicted) <= 1e-3, (res.gap, predicted)
+    _require(res.gap < 0 and abs(-res.gap - predicted) <= 1e-3, (res.gap, predicted))
     return f"matched two-level AES: deficit {-res.gap:.6f} ~ predicted {predicted:.6f}"
 
 
 def check_jump_deficit_monotone() -> str:
     ratios = [ctrex.shortfall_jump_deficit(1.0, 2.0, h)[0] for h in (0.1, 0.01, 0.001)]
     limit = ctrex.shortfall_jump_deficit(1.0, 2.0, 0.01)[1]
-    assert all(r2 <= r1 + 1e-6 for r1, r2 in zip(ratios, ratios[1:])), ratios
-    assert abs(ratios[-1] - limit) <= 5e-3, (ratios[-1], limit)
+    _require(all(r2 <= r1 + 1e-6 for r1, r2 in zip(ratios, ratios[1:])), ratios)
+    _require(abs(ratios[-1] - limit) <= 5e-3, (ratios[-1], limit))
     return f"ratios {['%.6f' % r for r in ratios]} -> limit {limit:g}"
 
 
@@ -283,7 +289,7 @@ def check_mmd_counterexample() -> str:
     x, y = ctrex.mmd_counterexample(es_distortion(0.5), square_weight(), 10)
     spec = RiskMeasureSpec.mmd(square_weight(), es_distortion(0.5))
     res = submodularity_gap(spec, x, y)
-    assert res.violated, res.gap
+    _require(res.violated, res.gap)
     return f"nested-indicator pair violates: gap {res.gap:.6f}"
 
 
@@ -292,11 +298,11 @@ def check_ce_two_point_search() -> str:
 
     x, y, gap = ctrex.ce_counterexample(arctan_bend_loss())
     spec = RiskMeasureSpec.certainty_equivalent(arctan_bend_loss())
-    assert submodularity_gap(spec, x, y).violated
+    _require(submodularity_gap(spec, x, y).violated)
     rep = random_pair_sweep(
         RiskMeasureSpec.certainty_equivalent(exponential_loss(1.0)), 10, trials=2_000, seed=5
     )
-    assert rep.violations == 0
+    _require(rep.violations == 0)
     return f"non-convex loss violates (gap {gap:.4f}); convex CE sweep clean"
 
 
@@ -329,7 +335,7 @@ def check_pipeline_determinism() -> str:
         paths_a, _ = _small_run(Path(tmp) / "a")
         paths_b, _ = _small_run(Path(tmp) / "b")
         for key in paths_a:
-            assert paths_a[key].read_bytes() == paths_b[key].read_bytes(), key
+            _require(paths_a[key].read_bytes() == paths_b[key].read_bytes(), key)
     return "two identical runs produce byte-identical reports"
 
 
@@ -339,7 +345,7 @@ def check_pipeline_es_clean() -> str:
     with tempfile.TemporaryDirectory() as tmp:
         _, table = _small_run(tmp)
     es = [k for k, (measure, _) in enumerate(table.checks) if measure == "ES(0.9)"]
-    assert es and not table.violated[es].any()
+    _require(es and not table.violated[es].any())
     return f"{table.gaps[es].size} ES records on a jumpy synthetic panel, zero violations"
 
 
@@ -351,9 +357,9 @@ def check_correlation_bounds() -> str:
     a = pl.DatedSeries(days, rng.standard_normal(60), "a")
     b = pl.DatedSeries(days, rng.standard_normal(60), "b")
     c = pl.correlations(a, b)
-    assert -1 <= c.pearson <= 1 and -1 <= c.spearman <= 1 and 0 <= c.dcor <= 1
+    _require(-1 <= c.pearson <= 1 and -1 <= c.spearman <= 1 and 0 <= c.dcor <= 1)
     self_c = pl.correlations(a, a)
-    assert abs(self_c.dcor - 1.0) <= 1e-12 and self_c.pearson == 1.0
+    _require(abs(self_c.dcor - 1.0) <= 1e-12 and self_c.pearson == 1.0)
     return "pearson/spearman in [-1,1], dcor in [0,1], dcor(a,a) = 1"
 
 

@@ -252,6 +252,21 @@ def test_selftest_filtered(capsys):
     assert "ok" in out and "lattice.identity" in out
 
 
+def test_selftest_checks_fail_under_python_O():
+    # a check must fail when the library breaks, also with assert statements
+    # stripped: here ES reads -1e9, below every VaR
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys\n"
+            "from risklattice import selftest\n"
+            "selftest.es_historical = lambda x, p: -1e9\n"
+            "[r] = selftest.run_selftest(only='measures.es_dominates_var')\n"
+            "print(sys.flags.optimize, r.passed)")
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "1 False"
+
+
 def test_pipeline_end_to_end(tmp_path, capsys):
     import risklattice.pipeline as pl
 

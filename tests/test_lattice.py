@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from risklattice import (
+    DimensionError,
     DomainError,
     GapResult,
     RiskMeasureSpec,
@@ -71,6 +72,24 @@ def test_violated_flag_follows_epsilon():
     y = np.array([0.0, 1.0, 0.0, 0.0])
     loose = subadditivity_gap(spec, x, y, epsilon=2.0)
     assert loose.gap == -1.0 and not loose.violated
+
+
+@pytest.mark.parametrize("gap", [submodularity_gap, subadditivity_gap])
+def test_gaps_refuse_a_mismatched_pair(gap):
+    with pytest.raises(DimensionError, match="different atom spaces: 3 vs 4"):
+        gap(RiskMeasureSpec.es(0.8), [0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("gap", [submodularity_gap, subadditivity_gap])
+def test_gap_bits_do_not_depend_on_the_input_type(gap):
+    # float32 values, so the list, float32 and float64 forms hold the same
+    # numbers
+    x, y = np.random.default_rng(8).standard_normal((2, 12)).astype(np.float32)
+    for spec in (RiskMeasureSpec.var(0.7), RiskMeasureSpec.es(0.8),
+                 RiskMeasureSpec.shortfall(exponential_loss(1.0))):
+        forms = [(x.tolist(), y.tolist()), (x, y), (x.astype(np.float64), y.astype(np.float64))]
+        bits = {gap(spec, a, b).gap.hex() for a, b in forms}
+        assert len(bits) == 1, (spec.label, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +305,11 @@ def _recorded_spans(monkeypatch):
     return spans
 
 
-def test_sweep_deterministic_and_thread_invariant(monkeypatch):
+def test_sweep_deterministic_and_chunk_invariant(monkeypatch):
     spec = RiskMeasureSpec.var(0.8)
     # a byte bound of 134 trials of 10 atoms splits c's 400 trials into
-    # chunks at 134 and 268, and c's threads=3 is accepted and ignored; with
-    # seed 38 the gaussian trials 133 and 134, either side of a border, are
-    # nudged
+    # chunks at 134 and 268; with seed 38 the gaussian trials 133 and 134,
+    # either side of a border, are nudged
     whole, split = lattice._CHUNK_BYTES, 134 * 32 * 10
     _, _, nudged = _oracle_pairs(38, 133, 135, "gaussian", 10)
     assert nudged.all()
@@ -304,7 +322,7 @@ def test_sweep_deterministic_and_thread_invariant(monkeypatch):
         b = random_pair_sweep(spec, 10, 400, seed=seed, generator=generator)
         lattice._forget_pairs()
         monkeypatch.setattr(lattice, "_CHUNK_BYTES", split)
-        c = random_pair_sweep(spec, 10, 400, seed=seed, generator=generator, threads=3)
+        c = random_pair_sweep(spec, 10, 400, seed=seed, generator=generator)
         assert spans == [(0, 400), (0, 400), (0, 134), (134, 268), (268, 400)]
         assert a.worst_gap == b.worst_gap == c.worst_gap
         assert a.violations == b.violations == c.violations
@@ -502,7 +520,7 @@ def test_warm_sweep_neither_validates_nor_sorts_kept_rows(monkeypatch):
     assert calls == ["as_batch"]
 
 
-def test_threaded_sweep_equals_serial_on_kept_batches(monkeypatch):
+def test_chunked_sweep_equals_one_chunk_on_kept_batches(monkeypatch):
     # chunks at 134 and 268 replace the one-chunk sweep's entry, one after
     # another, and the one chunk replaces them again
     spec = RiskMeasureSpec.var(0.8)
@@ -565,11 +583,6 @@ def test_sweep_argument_validation():
     for n_atoms, trials in ((10.5, 10), (10.0, 10), ("10", 10), (5, 10.5), (5, 10.0), (5, None)):
         with pytest.raises(DomainError, match="integer"):
             random_pair_sweep(spec, n_atoms, trials, seed=0)
-    for threads in ("x", None, 2.5, 0, -3):
-        with pytest.raises(DomainError, match="threads must be an integer of at least 1"):
-            random_pair_sweep(spec, 5, 10, seed=0, threads=threads)
-    random_pair_sweep(spec, 5, 10, seed=0, threads=100_000)  # accepted, and runs serially
-    random_pair_sweep(spec, 5, 10, seed=0, threads=np.int64(2))
 
 
 @pytest.mark.parametrize("epsilon", [-1.0, -1e-300, float("nan"), float("inf")])

@@ -274,17 +274,6 @@ def test_loss_panel_rejects_non_finite(bad):
         make_loss_panel({"AAA": [0.01, bad, 0.02]})
 
 
-def test_pairwise_thread_invariance():
-    panel = pl.build_loss_panel(pl.synth_prices(seed=6, n_days=40, n_assets=3, vol=0.02, jump_prob=0.1))
-    config = pl.RollingConfig(window=12, measures=(RiskMeasureSpec.var(0.8),))
-    serial = pl.pairwise_day_tests(panel, config)
-    threaded = pl.pairwise_day_tests(panel, config, threads=4)
-    assert serial == threaded
-    for bad in (0, -3, "x", None):
-        with pytest.raises(DomainError, match="threads must be an integer of at least 1"):
-            pl.pairwise_day_tests(panel, config, threads=bad)
-
-
 def test_pairwise_needs_two_tickers():
     panel = make_loss_panel({"AAA": [0.1, 0.2, 0.3, 0.4]})
     config = pl.RollingConfig(window=2, measures=(RiskMeasureSpec.var(0.5),))
