@@ -162,20 +162,22 @@ def _cmd_sweep(args) -> int:
         "worst_gap": report.worst_gap,
         "promises_zero": promised,
     }
-    lines = [
-        f"measure {report.label}  atoms {report.n_atoms}  trials {report.trials}"
-        f"  seed {report.seed}  generator {report.generator}",
-        f"violations: {report.violations} / {report.trials}   worst gap: {report.worst_gap:.6e}",
-    ]
-    if report.violations:
-        wx, wy = report.worst_pair
-        lines.append("worst pair x: " + np.array2string(wx, precision=6, separator=", "))
-        lines.append("worst pair y: " + np.array2string(wy, precision=6, separator=", "))
-    if promised:
-        lines.append(
-            "expectation: zero violations for this measure class -- "
-            + ("OK" if report.violations == 0 else "BROKEN")
-        )
+    lines = []
+    if args.format == "text":  # the worst pair is redrawn only to be printed
+        lines = [
+            f"measure {report.label}  atoms {report.n_atoms}  trials {report.trials}"
+            f"  seed {report.seed}  generator {report.generator}",
+            f"violations: {report.violations} / {report.trials}   worst gap: {report.worst_gap:.6e}",
+        ]
+        if report.violations:
+            wx, wy = report.worst_pair
+            lines.append("worst pair x: " + np.array2string(wx, precision=6, separator=", "))
+            lines.append("worst pair y: " + np.array2string(wy, precision=6, separator=", "))
+        if promised:
+            lines.append(
+                "expectation: zero violations for this measure class -- "
+                + ("OK" if report.violations == 0 else "BROKEN")
+            )
     _emit(args, payload, lines)
     return 1 if (promised and report.violations > 0) else 0
 

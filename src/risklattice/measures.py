@@ -144,6 +144,15 @@ def _var_weights(n: int, p: float) -> np.ndarray:
     return w
 
 
+def _var_kernel(n: int, p: float):
+    """VaR's kernel for ascending ``(m, n)`` batches: column ``n - k`` read
+    directly, bit for bit ``_order_stat_kernel(_var_weights(n, p))``.  That
+    sum adds from +0.0 and every other product is +-0, so it gives the
+    column's value, or +0.0 where that is -0.0, as ``+ 0.0`` does."""
+    c = n - _top_k(n, p)
+    return lambda Xs: Xs[:, c] + 0.0
+
+
 def _es_weights(n: int, p: float) -> np.ndarray:
     # accepts levels in [0, 1): level 0 averages the whole sample
     k = n if p == 0.0 else _top_k(n, p)
@@ -175,7 +184,7 @@ def var_historical(sample, p: float) -> float:
     statistic).  Conservative in finite samples when ``n (1-p)`` is an integer.
     """
     xs = _sorted_row(sample)
-    return float(_order_stat_kernel(_var_weights(xs.shape[1], _check_level(p)))(xs)[0])
+    return float(_var_kernel(xs.shape[1], _check_level(p))(xs)[0])
 
 
 def es_historical(sample, p: float) -> float:

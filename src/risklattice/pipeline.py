@@ -15,6 +15,7 @@ prices, UTF-8.  Config files are flat ``key = value`` text with keys
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 import functools
@@ -232,57 +233,128 @@ def _read_text(path: Path) -> str:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
+def _blank(row) -> bool:
+    return not any(map(str.strip, row))
+
+
+def _check_row(path, lineno: int, row, days: dict) -> bool:
+    """False for a blank row, True for a good data row; a bad row raises
+    ``DataError`` naming ``path:lineno``.  ``days`` keeps each parsed date
+    text."""
+    if _blank(row):
+        return False
+    if len(row) != 3:
+        raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+    try:
+        if row[0] not in days:
+            days[row[0]] = dt.date.fromisoformat(row[0].strip())
+        price = float(row[2].strip())
+    except ValueError as exc:
+        raise DataError(f"{path}:{lineno}: {exc}") from exc
+    if not math.isfinite(price) or price <= 0:
+        raise DataError(f"{path}:{lineno}: nonpositive or non-finite price {row[2]!r}")
+    if not row[1].strip():
+        raise DataError(f"{path}:{lineno}: empty ticker")
+    return True
+
+
+def _data_rows(path, texts: tuple, skipped: list, stop) -> tuple:
+    """The columns ``texts`` without their blank rows, each row checked in
+    file order so that the first bad one raises; then ``stop``, the row or
+    ``csv.Error`` that ended the read, raises if it is not None.
+    ``skipped[i]`` is the number of 3-column rows read before the ``i``-th
+    blank row of another length, so that line numbers count every row."""
+    days: dict = {}
+    kept = ([], [], [])
+    for k, row in enumerate(zip(*texts)):
+        if _check_row(path, k + 2 + bisect.bisect_right(skipped, k), row, days):
+            for column, text in zip(kept, row):
+                column.append(text)
+    if isinstance(stop, csv.Error):
+        raise stop
+    if stop is not None:
+        _check_row(path, len(texts[0]) + len(skipped) + 2, stop, days)
+    return kept
+
+
+def _price_panel(path, date_texts: list, ticker_texts: list, price_texts: list):
+    """The panel of the rows whose column texts these are, the last price of
+    a cell winning, or None when a text fails its check (a blank row fails
+    too).  Each distinct date and ticker text is parsed once, and the prices
+    in one ``fromiter``."""
+    try:
+        day_of = {text: dt.date.fromisoformat(text.strip()) for text in set(date_texts)}
+        prices = np.fromiter(map(float, map(str.strip, price_texts)), np.float64,
+                             len(price_texts))
+    except ValueError:
+        return None
+    name_of = {text: text.strip() for text in set(ticker_texts)}
+    if "" in name_of.values() or not np.all((prices > 0) & (prices < np.inf)):
+        return None
+    if not prices.size:
+        raise DataError(f"{path}: no data rows")
+    dates = tuple(sorted(set(day_of.values())))
+    tickers = tuple(sorted(set(name_of.values())))
+    row = {day: i for i, day in enumerate(dates)}
+    column = {name: j for j, name in enumerate(tickers)}
+    row_of = {text: row[day] for text, day in day_of.items()}
+    column_of = {text: column[name] for text, name in name_of.items()}
+    cell = np.fromiter(map(row_of.__getitem__, date_texts), np.intp, prices.size) * len(tickers)
+    cell += np.fromiter(map(column_of.__getitem__, ticker_texts), np.intp, prices.size)
+    # the first of each cell in reverse file order is its last row
+    cells, last = np.unique(cell[::-1], return_index=True)
+    duplicates = prices.size - cells.size
+    if duplicates:
+        warnings.warn(f"{path}: {duplicates} duplicate (date,ticker) rows; last value wins")
+    closes = np.full((len(dates), len(tickers)), np.nan)
+    closes.ravel()[cells] = prices[::-1][last]
+    return PricePanel(dates=dates, tickers=tickers, closes=closes, duplicates=duplicates)
+
+
 def load_prices_csv(path) -> PricePanel:
     """Read a ``date,ticker,adj_close`` CSV into a price panel.
 
     Rows are sorted by date; duplicate (date, ticker) cells keep the last
-    value and are counted on the panel (with a warning).  Unparseable rows,
-    empty tickers and nonpositive prices raise with their line number; a file
-    with no data rows raises a "no data" error.
+    value and are counted on the panel (with a warning).  Blank rows are
+    skipped.  Unparseable rows, empty tickers and nonpositive prices raise
+    with their line number (the first bad row's); a file with no data rows
+    raises a "no data" error.
+
+    One ``csv.reader`` pass keeps the three texts of each 3-column row, and
+    the panel is built from whole columns (``_price_panel``).  Only when a
+    column holds a bad text (a blank 3-column row such as ``,,`` counts as
+    one), or a row has another column count and is not blank, are the rows
+    checked one at a time in file order (``_data_rows``), to name the first
+    bad one or drop the blank ones.
     """
     path = Path(path)
-    cells: dict[tuple[dt.date, str], float] = {}
-    days: dict[str, dt.date] = {}  # each distinct date text is parsed once
-    duplicates = 0
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     header = next(reader, None)
     if header is None:
         raise DataError(f"{path}: no data (empty file)")
     if [c.strip().lower() for c in header] != ["date", "ticker", "adj_close"]:
         raise DataError(f"{path}: expected header 'date,ticker,adj_close', got {header}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-        try:
-            day = days.get(row[0])
-            if day is None:
-                day = days[row[0]] = dt.date.fromisoformat(row[0].strip())
-            price = float(row[2].strip())
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        if not math.isfinite(price) or price <= 0:
-            raise DataError(f"{path}:{lineno}: nonpositive or non-finite price {row[2]!r}")
-        ticker = row[1].strip()
-        if not ticker:
-            raise DataError(f"{path}:{lineno}: empty ticker")
-        key = (day, ticker)
-        if key in cells:
-            duplicates += 1
-        cells[key] = price
-    if not cells:
-        raise DataError(f"{path}: no data rows")
-    if duplicates:
-        warnings.warn(f"{path}: {duplicates} duplicate (date,ticker) rows; last value wins")
-    dates = tuple(sorted({k[0] for k in cells}))
-    tickers = tuple(sorted({k[1] for k in cells}))
-    closes = np.full((len(dates), len(tickers)), np.nan)
-    d_index = {d: i for i, d in enumerate(dates)}
-    t_index = {t: j for j, t in enumerate(tickers)}
-    for (day, ticker), price in cells.items():
-        closes[d_index[day], t_index[ticker]] = price
-    return PricePanel(dates=dates, tickers=tickers, closes=closes, duplicates=duplicates)
+    texts = ([], [], [])
+    add_date, add_ticker, add_price = (column.append for column in texts)
+    skipped = []
+    stop = None  # a row of another column count, or a csv.Error, ends the read
+    try:
+        for row in reader:
+            if len(row) == 3:
+                add_date(row[0])
+                add_ticker(row[1])
+                add_price(row[2])
+            elif _blank(row):
+                skipped.append(len(texts[0]))
+            else:
+                stop = row
+                break
+    except csv.Error as exc:
+        stop = exc
+    panel = None if stop is not None else _price_panel(path, *texts)
+    if panel is None:
+        panel = _price_panel(path, *_data_rows(path, texts, skipped, stop))
+    return panel
 
 
 def build_loss_panel(panel: PricePanel, tickers=None) -> LossPanel:
@@ -531,11 +603,14 @@ def _pearson(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _dcor(u: np.ndarray, v: np.ndarray) -> float:
+    # three n x n arrays: the two centred distance matrices, and one that
+    # holds each product in turn
     A = _centered_distances(u)
     B = _centered_distances(v)
-    dcov2 = float((A * B).mean())
-    dvar_u = float((A * A).mean())
-    dvar_v = float((B * B).mean())
+    work = np.multiply(A, B)
+    dcov2 = float(work.mean())
+    dvar_u = float(np.multiply(A, A, out=work).mean())
+    dvar_v = float(np.multiply(B, B, out=work).mean())
     denom = np.sqrt(dvar_u * dvar_v)
     if denom <= 0.0:
         return 0.0
@@ -543,8 +618,18 @@ def _dcor(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _centered_distances(u: np.ndarray) -> np.ndarray:
-    D = np.abs(u[:, None] - u[None, :])
-    return D - D.mean(axis=0, keepdims=True) - D.mean(axis=1, keepdims=True) + D.mean()
+    """``D - D.mean(axis=0) - D.mean(axis=1) + D.mean()`` for ``D = |u_i -
+    u_j|``, evaluated left to right in place: the means all come from ``D``
+    first, so the bits are those of the expression."""
+    D = np.subtract.outer(u, u)
+    np.abs(D, out=D)
+    m0 = D.mean(axis=0, keepdims=True)
+    m1 = D.mean(axis=1, keepdims=True)
+    mm = D.mean()
+    D -= m0
+    D -= m1
+    D += mm
+    return D
 
 
 # ---------------------------------------------------------------------------
@@ -777,6 +862,21 @@ def _write_block(fh, slots: list, days, gaps: np.ndarray, flags: np.ndarray) -> 
         fh.write("".join(slots))
 
 
+def _write_rates(fh, series) -> None:
+    # Each label is CSV-encoded once (after an empty field, so that an empty
+    # label stays an empty field) and each date's text is built once; a
+    # series is joined and written whole.
+    day_text: dict = {}
+    for s in series:
+        label = _csv_fields("", s.label)
+        days = [day_text.get(day) or day_text.setdefault(day, day.isoformat())
+                for day in s.dates]
+        rates = np.asarray(s.rate, dtype=np.float64).tolist()
+        tests = np.asarray(s.tests).tolist()
+        fh.write("".join(f"{day}{label},{rate:.17g},{int(n)}\n"
+                         for day, rate, n in zip(days, rates, tests)))
+
+
 def export_report(
     records: ViolationTable,
     series,
@@ -812,16 +912,12 @@ def export_report(
         fh.write(_VIOLATIONS_HEADER + "\n")
         _write_violations(fh, records)
     with paths["daily_rates"].open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["date", "measure", "rate", "tests"])
-        for s in series:
-            for day, rate, n in zip(s.dates, s.rate, s.tests):
-                w.writerow([day.isoformat(), s.label, _fmt(rate), int(n)])
+        fh.write("date,measure,rate,tests\n")
+        _write_rates(fh, series)
     with paths["correlations"].open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["series_a", "series_b", "pearson", "spearman", "dcor"])
-        for la, lb, c in correlation_rows:
-            w.writerow([la, lb, _fmt(c.pearson), _fmt(c.spearman), _fmt(c.dcor)])
+        fh.write("series_a,series_b,pearson,spearman,dcor\n")
+        fh.write("".join(f"{_csv_fields(la, lb)},{_fmt(c.pearson)},{_fmt(c.spearman)},"
+                         f"{_fmt(c.dcor)}\n" for la, lb, c in correlation_rows))
     summary = {
         "n_records": len(records),
         "n_violations": int(np.count_nonzero(records.violated)),

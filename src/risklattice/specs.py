@@ -32,7 +32,7 @@ __all__ = ["RiskMeasureSpec", "parse_measure_spec"]
 # kind -> its kernel for rows of width n: a function of validated,
 # ascending-sorted (m, n) batches, with any weights built once
 _KERNELS = {
-    "var": lambda s, n: _m._order_stat_kernel(_m._var_weights(n, s.level)),
+    "var": lambda s, n: _m._var_kernel(n, s.level),
     "es": lambda s, n: _m._order_stat_kernel(_m._es_weights(n, s.level)),
     "aes": lambda s, n: _m._order_stat_kernel(*_m._aes_weights(n, s.grid)),
     "distortion": lambda s, n: _m._order_stat_kernel(_m._distortion_weights(n, s.phi)),

@@ -85,6 +85,25 @@ def test_sweep_text_output_golden(capsys, measure, generator):
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_GOLDEN[measure, generator]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_machine_sweep_does_not_redraw_the_worst_pair(capsys, monkeypatch, fmt):
+    # only the text output prints the worst pair; var:0.95 at 50 atoms violates
+    from risklattice import lattice
+
+    def unread(report):
+        raise AssertionError("worst_pair read")
+
+    monkeypatch.setattr(lattice.SweepReport, "worst_pair", property(unread))
+    code, out, _ = run(capsys, "--format", fmt, "sweep", "--measure", "var:0.95", "--atoms",
+                       "50", "--trials", "1000", "--seed", "3")
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out)["violations"] > 0
+    with pytest.raises(AssertionError, match="worst_pair read"):
+        main(["--format", "text", "sweep", "--measure", "var:0.95", "--atoms", "50",
+              "--trials", "1000", "--seed", "3"])
+
+
 def test_sweep_negative_seed_exits_2(capsys):
     code, out, err = run(capsys, "sweep", "--measure", "es:0.95", "--atoms", "10", "--trials",
                          "10", "--seed", "-1")

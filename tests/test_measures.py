@@ -80,6 +80,23 @@ def test_band_kernel_is_bit_equal_to_full_rows(n):
         assert np.array_equal(_bits(kernel(batch[1:46])[2:43]), _bits(full))
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 60, 500])
+def test_var_kernel_reads_the_einsum_order_statistic_bits(n):
+    # the column read gives what the one-hot band sum gives: the order
+    # statistic, with -0.0 turned into +0.0; rows full of -0.0, of +-0.0
+    # and of negatives
+    rng = np.random.default_rng(n)
+    X = -np.abs(rng.standard_normal((30, n)))
+    X[:10] = np.where(rng.random((10, n)) < 0.5, -0.0, 0.0)
+    X[10:13] = -0.0
+    X[13:20] *= rng.random((7, n)) < 0.5  # -0.0 among negatives
+    Xs = np.sort(X, axis=1)
+    for p in (0.01, 0.5, 0.8, 0.95, 0.99):
+        reference = rm._order_stat_kernel(rm._var_weights(n, p))(Xs)
+        assert np.array_equal(_bits(rm._var_kernel(n, p)(Xs)), _bits(reference))
+        assert np.array_equal(_bits(RiskMeasureSpec.var(p).kernel(n)(Xs)), _bits(reference))
+
+
 def test_var_top_order_statistics():
     assert var_historical(SAMPLE, 0.8) == 0.05  # k = 1
     assert var_historical(SAMPLE, 0.6) == 0.03  # k = 2

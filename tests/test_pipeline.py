@@ -134,6 +134,139 @@ def test_load_skips_utf8_byte_order_mark(tmp_path):
     assert a.closes.tobytes() == b.closes.tobytes()
 
 
+def loop_load_prices_csv(path) -> pl.PricePanel:
+    """``load_prices_csv`` as one loop over the rows, each checked and stored
+    as it is read: the reference for the columnar loader."""
+    import csv
+    import io
+    import warnings
+
+    path = Path(path)
+    cells, days, duplicates = {}, {}, 0
+    reader = csv.reader(io.StringIO(pl._read_text(path), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: no data (empty file)")
+    if [c.strip().lower() for c in header] != ["date", "ticker", "adj_close"]:
+        raise DataError(f"{path}: expected header 'date,ticker,adj_close', got {header}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+        try:
+            day = days.get(row[0])
+            if day is None:
+                day = days[row[0]] = dt.date.fromisoformat(row[0].strip())
+            price = float(row[2].strip())
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        if not math.isfinite(price) or price <= 0:
+            raise DataError(f"{path}:{lineno}: nonpositive or non-finite price {row[2]!r}")
+        ticker = row[1].strip()
+        if not ticker:
+            raise DataError(f"{path}:{lineno}: empty ticker")
+        duplicates += (day, ticker) in cells
+        cells[day, ticker] = price
+    if not cells:
+        raise DataError(f"{path}: no data rows")
+    if duplicates:
+        warnings.warn(f"{path}: {duplicates} duplicate (date,ticker) rows; last value wins")
+    dates = tuple(sorted({k[0] for k in cells}))
+    tickers = tuple(sorted({k[1] for k in cells}))
+    closes = np.full((len(dates), len(tickers)), np.nan)
+    for (day, ticker), price in cells.items():
+        closes[dates.index(day), tickers.index(ticker)] = price
+    return pl.PricePanel(dates=dates, tickers=tickers, closes=closes, duplicates=duplicates)
+
+
+def load_outcome(load, path):
+    """What ``load`` does with the file: its panel and warnings, or its error."""
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            panel = load(path)
+        except Exception as exc:  # the loaders must fail alike, whatever the error
+            return type(exc), str(exc)
+    return (panel.dates, panel.tickers, panel.closes.tobytes(), panel.duplicates,
+            [str(w.message) for w in caught])
+
+
+def csv_field(text: str) -> str:
+    # quoted, '"' doubled, when it needs to be, and now and then when not
+    if any(c in text for c in ',"\r\n') or text.startswith("q"):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+GOOD_CELLS = (["2024-01-02", "2024-01-03", " 2024-01-02 ", "2024-01-04\t"],
+              ["AAA", "BBB", " AAA ", "q,1", 'Q"2', "C\rD"],
+              ["1.5", " 2 ", "1e3", "3.25", "0.1", "1_000", "\x1c4.5", "\u20035.5", "6.5\x85"])
+BAD_CELLS = (["2024-02-30", "not-a-date", "", " ", "2024-1-2"],
+             ["", "  "],
+             ["0", "-1", "nan", "inf", "1e999", "abc", ""])
+
+
+def price_row(cells):
+    return st.tuples(*map(st.sampled_from, cells)).map(lambda row: ",".join(map(csv_field, row)))
+
+
+# mostly good rows, so that files often parse; then rows with one bad cell
+# or any cells, blank rows, and rows of other column counts
+ODD_ROWS = [
+    st.integers(0, 2).flatmap(lambda bad: price_row(
+        [BAD_CELLS[c] if c == bad else GOOD_CELLS[c] for c in range(3)])),
+    price_row([good + bad for good, bad in zip(GOOD_CELLS, BAD_CELLS)]),
+    st.sampled_from(["", ",,", "  ", " , , "]),
+    st.sampled_from(["2024-01-02,AAA", "2024-01-02,AAA,1.0,x", '"a,b"']),
+]
+PRICE_ROWS = st.integers(0, 19).flatmap(
+    lambda k: ODD_ROWS[k % 4] if k < 5 else price_row(GOOD_CELLS))
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=st.lists(st.tuples(PRICE_ROWS, st.sampled_from(["\n", "\r\n", "\r"])),
+                     max_size=12),
+       bom=st.booleans(),
+       header=st.sampled_from(["date,ticker,adj_close"] * 4 + [" Date,TICKER ,adj_close",
+                                                              "date,ticker"]),
+       last_end=st.booleans())
+def test_load_matches_the_row_loop(rows, bom, header, last_end):
+    # quoted tickers holding ',' or '"', CRLF and bare-CR line ends, a BOM,
+    # blank, ',,' and whitespace-only rows, duplicate cells, dates with
+    # spaces, and bad dates, prices, tickers and column counts
+    import tempfile
+
+    text = header + "\n" + "".join(row + end for row, end in rows)
+    if rows and not last_end:
+        text = text[: -len(rows[-1][1])]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode())
+        assert load_outcome(pl.load_prices_csv, path) == load_outcome(loop_load_prices_csv, path)
+
+
+@pytest.mark.parametrize("shape", [(40, 7), (3, 250)])
+def test_load_matches_the_row_loop_on_a_panel(tmp_path, shape):
+    # many rows, shuffled, with duplicates and missing cells: the columnar
+    # path, and then the row path for a bad last row
+    rng = np.random.default_rng(shape[0])
+    days, names = shape
+    rows = [f"{dt.date(2024, 1, 1) + dt.timedelta(days=int(d))},T{t},{price!r}"
+            for d, t, price in zip(rng.integers(0, days, 4 * days * names),
+                                   rng.integers(0, names, 4 * days * names),
+                                   rng.lognormal(size=4 * days * names).tolist())]
+    path = write_csv(tmp_path / "p.csv", rows)
+    outcome = load_outcome(pl.load_prices_csv, path)
+    assert outcome == load_outcome(loop_load_prices_csv, path)
+    assert outcome[3] > 0 and "duplicate" in outcome[4][0]
+    path = write_csv(tmp_path / "p.csv", rows + ["2024-01-01,T0,0"])
+    assert load_outcome(pl.load_prices_csv, path) == (
+        DataError, f"{path}:{len(rows) + 2}: nonpositive or non-finite price '0'")
+
+
 # ---------------------------------------------------------------------------
 # loss panel
 
@@ -354,6 +487,28 @@ def test_correlations_degenerate_constant():
     assert (c.pearson, c.spearman, c.dcor) == (0.0, 0.0, 0.0)
 
 
+def expression_dcor(u, v) -> float:
+    """The distance correlation as one expression per matrix and product."""
+    def centered(x):
+        D = np.abs(x[:, None] - x[None, :])
+        return D - D.mean(axis=0, keepdims=True) - D.mean(axis=1, keepdims=True) + D.mean()
+
+    A, B = centered(u), centered(v)
+    denom = np.sqrt(float((A * A).mean()) * float((B * B).mean()))
+    if denom <= 0.0:
+        return 0.0
+    return float(np.sqrt(max(float((A * B).mean()), 0.0) / denom))
+
+
+@pytest.mark.parametrize("n", [3, 4, 17, 500])
+def test_dcor_in_place_is_bit_equal_to_the_expression(n):
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal(n)
+    tied = np.round(rng.standard_normal(n), 1)  # many tied values
+    for a, b in ((u, tied), (tied, tied), (u, u ** 3), (tied, np.zeros(n))):
+        assert pl._dcor(a, b).hex() == expression_dcor(a, b).hex()
+
+
 def test_correlations_need_three_common_dates():
     with pytest.raises(DomainError, match="common dates"):
         pl.correlations(dated([1.0, 2.0]), dated([3.0, 4.0]))
@@ -504,6 +659,62 @@ def test_carriage_return_label_is_quoted_and_reads_back(tmp_path):
     back = pl.read_violations_csv(path)
     assert back == table
     assert np.array_equal(back.gaps.view(np.int64), table.gaps.view(np.int64))
+
+
+def csv_writer_rows(rows) -> str:
+    """``rows`` written one ``csv.writer`` row each, with "\\n" line ends;
+    a field holding "\\r" is quoted, as a field holding "\\n" is."""
+    import csv
+    import io
+
+    out = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        out.append(buf.getvalue()[:-2] + "\n")
+    return "".join(out)
+
+
+def test_rate_and_correlation_bytes_match_csv_writer(tmp_path):
+    # labels holding ',', '"', "\r", "\n" and spaces, and an empty one; rates
+    # of any size, -0.0 and a float32 series; series of their own dates
+    days = [dt.date(2024, 1, 1) + dt.timedelta(days=k) for k in range(6)]
+    rates = [0.0, -0.0, 1.0 / 3.0, 1.0, 1e-300, 12.5]
+    labels = ["VaR(0.9)/submodularity", "AES(0.6:0,0.9:0.01)/submodularity", 'odd "q"', "a\rb",
+              "c\nd", " spaced ", ""]
+    series = [pl.DailyViolationSeries(
+        dates=tuple(days[k % 2:]), rate=np.roll(rates, k)[k % 2:].astype(
+            np.float32 if k == 3 else np.float64),
+        label=label, violations=np.zeros(6 - k % 2, dtype=np.int64),
+        tests=np.arange(6 - k % 2, dtype=np.int64) * 7) for k, label in enumerate(labels)]
+    c = pl.CorrelationResult(pearson=0.1 + 0.2, spearman=-1.0, dcor=0.0)
+    corr_rows = [(a, b, c) for a, b in zip(labels, labels[::-1])]
+    paths = pl.export_report(empty_table(), series, corr_rows, tmp_path)
+    assert paths["daily_rates"].read_bytes() == csv_writer_rows(
+        [["date", "measure", "rate", "tests"]]
+        + [[day.isoformat(), s.label, "%.17g" % rate, int(n)]
+           for s in series for day, rate, n in zip(s.dates, s.rate, s.tests)]).encode()
+    assert paths["correlations"].read_bytes() == csv_writer_rows(
+        [["series_a", "series_b", "pearson", "spearman", "dcor"]]
+        + [[a, b, "%.17g" % c.pearson, "%.17g" % c.spearman, "%.17g" % c.dcor]
+           for a, b, c in corr_rows]).encode()
+
+
+def test_carriage_return_labels_read_back_from_rates_and_correlations(tmp_path):
+    # a bare "\r" would end the row for a CSV reader, so the label is quoted
+    import csv
+
+    day = dt.date(2024, 1, 2)
+    series = [pl.DailyViolationSeries(dates=(day,), rate=np.array([0.5]), label="a\rb",
+                                      violations=np.array([1]), tests=np.array([2]))]
+    corr = pl.CorrelationResult(pearson=0.5, spearman=0.25, dcor=0.125)
+    paths = pl.export_report(empty_table(), series, [("a\rb", "c", corr)], tmp_path)
+    with paths["daily_rates"].open(newline="") as fh:
+        assert list(csv.reader(fh)) == [["date", "measure", "rate", "tests"],
+                                        ["2024-01-02", "a\rb", "0.5", "2"]]
+    with paths["correlations"].open(newline="") as fh:
+        assert list(csv.reader(fh)) == [["series_a", "series_b", "pearson", "spearman", "dcor"],
+                                        ["a\rb", "c", "0.5", "0.25", "0.125"]]
 
 
 def test_export_summary_echoes_config(tmp_path):
