@@ -26,15 +26,18 @@ raw words of numpy's ``choice``, which the chunk redoes in Floyd's step loop
 over all its nudged trials at once; above 1,024 atoms it calls ``choice``.
 
 A sweep runs in chunks of at most ``_CHUNK_BYTES // (32 n_atoms)`` trials,
-so a chunk's x, y, meet and join rows fit ``_CHUNK_BYTES`` (64 MB), the one
-memory bound of a sweep, unless a single trial is larger.  A chunk's pairs
-depend only on ``(n_atoms, lo, hi, seed, generator)``, not on the measure or
-``epsilon``.  So the module keeps the last chunk it drew under that key, as
-one read-only array: its rows validated once and sorted once along the atoms
-axis, the form every measure's kernel reads.  A later sweep with the same key
-evaluates the kept rows and neither draws, validates nor sorts again:
-sweeping several measures on one seed in one process draws the pairs once and
-sorts them once.  A report keeps only its worst trial's index and redraws
+so a chunk's x, y, meet and join rows fit ``_CHUNK_BYTES`` (64 MB) unless a
+single trial is larger.  The measure's kernel reads them a block at a time
+where it builds work arrays as large as its batch (``measures._in_blocks``:
+blocks of ``measures._BLOCK_BYTES``, 256 KB, or of 16 rows where that is
+more), so a sweep's memory is its kept rows plus one block's work arrays.
+A chunk's pairs depend only on ``(n_atoms, lo, hi, seed, generator)``, not
+on the measure or ``epsilon``.  So the module keeps the last chunk it drew
+under that key, as one read-only array: its rows validated once and sorted
+once along the atoms axis, the form every measure's kernel reads.  A later
+sweep with the same key evaluates the kept rows and neither draws, validates
+nor sorts again: sweeping several measures on one seed in one process draws
+the pairs once and sorts them once.  A report keeps only its worst trial's index and redraws
 that trial's pair when read.  Results are bit for bit those of a fresh draw.
 A single CLI ``sweep`` runs in a fresh process, draws and sorts once as it
 would anyway, and so gains nothing.
@@ -325,7 +328,8 @@ def _nudge(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray, picks: np.ndarray) 
 
 
 # the most bytes a chunk's sorted rows take, at 32 per trial and atom, unless
-# a single trial takes more
+# a single trial takes more; the kernel's work arrays take a few blocks of
+# measures._BLOCK_BYTES beside them
 _CHUNK_BYTES = 64 << 20
 # (key, rows) of the last chunk drawn by ``_pair_batch``, or None
 _pair_cache: tuple[tuple, np.ndarray] | None = None

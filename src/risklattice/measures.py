@@ -17,15 +17,16 @@ and is evaluated exactly on the empirical distribution:
 * ``mmd_rho``          -- ``g(distortion - mean) + mean`` for a concave
   distortion and an increasing convex deviation weight.
 
-Scalar functions wrap batched kernels (module-private ``_*_batch``) that
-evaluate many samples at once.  Kernels take ascending-sorted rows and sort
-nothing: the scalar functions sort their sample and
-``RiskMeasureSpec.evaluate_batch`` sorts its batch once, so law invariance
-under permutation of the atoms is exact, not just within tolerance.  VaR, ES,
-adjusted ES, distortion and the distortion term of ``mmd_rho`` are one
-order-statistic kernel, ``max_r (x_sorted . w_r - c_r)`` over a few weight
-rows (one-hot, ``1/k`` on the top ``k``, one ES row per AES level, Choquet
-weights), reduced only over the tail band where the weights are nonzero.
+Scalar functions wrap batched kernels (module-private ``_*_batch`` and
+``_*_kernel``) that evaluate many samples at once.  Kernels take
+ascending-sorted rows and sort nothing: the scalar functions sort their
+sample and ``RiskMeasureSpec.evaluate_batch`` sorts its batch once, so law
+invariance under permutation of the atoms is exact, not just within
+tolerance.  VaR, ES, adjusted ES, distortion and the distortion term of
+``mmd_rho`` are one order-statistic kernel, ``max_r (x_sorted . w_r - c_r)``
+over a few weight rows (one-hot, ``1/k`` on the top ``k``, one ES row per
+AES level, Choquet weights), reduced only over the tail band where the
+weights are nonzero.
 
 The certainty equivalent, shortfall and OCE have closed forms for the losses
 whose ``LossFunction`` declares its structure.  For ``exp:g``
@@ -46,6 +47,15 @@ solver that bisects each row, for the CE and shortfall roots and the OCE
 minimum alike, and stops it at a few ulps of that row's own scale, so a value
 does not depend on the rest of its batch and keeps its relative precision at
 any sample scale.
+
+Expected loss, CE, shortfall and OCE build work arrays as large as their
+batch, so ``RiskMeasureSpec.kernel`` runs them on blocks of rows
+(``_in_blocks``) of ``_BLOCK_BYTES``, 256 KB, or of ``_BLOCK_MIN_ROWS``
+rows where that is more: a row's value does not depend on its batch, so the
+values are bit for bit those of one call, and the work arrays take a few
+blocks.  An error that names a batch row names its row of the whole batch.
+The order-statistic kernels, MMD's included, build no such array and take
+the whole batch in one call.
 """
 
 from __future__ import annotations
@@ -54,7 +64,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, RiskLatticeError
 from .functions import AdjustmentGrid, DeviationWeight, DistortionFunction, LossFunction
 from .sample import as_sample
 
@@ -85,6 +95,60 @@ def _top_k(n: int, p: float) -> int:
     round up one order statistic under floating-point error."""
     t = n * (1.0 - p)
     return max(1, min(n, math.ceil(t - 1e-9)))
+
+
+def _row_error(cls, text: str, row) -> Exception:
+    """``cls(text)`` naming batch row ``row`` where ``text`` says ``{row}``.
+
+    The error keeps ``text`` and ``row``, so that ``_in_blocks`` can name the
+    row of the whole batch when the kernel ran on a block of it.
+    """
+    exc = cls(text.replace("{row}", str(int(row))))
+    exc.row_text, exc.row = text, int(row)
+    return exc
+
+
+# A kernel that builds batch-sized work arrays runs on blocks of rows of at
+# most this many bytes (``_in_blocks``), so that its few work arrays of a
+# block's size (five for shortfall:quadlin) stay in a core's L2 cache.  (On
+# 50-atom rows, blocks of 1 MB ran slower than one whole-batch call, as
+# glibc gave their freed work arrays back and faulted them in again.)  Where
+# a row is wider than 1/16 of that, a block is _BLOCK_MIN_ROWS rows, so that
+# each call's fixed overheads are paid on enough rows.
+_BLOCK_BYTES = 1 << 18
+_BLOCK_MIN_ROWS = 16
+
+
+def _block_rows(n: int) -> int:
+    """Rows of width ``n`` in one block."""
+    return max(_BLOCK_MIN_ROWS, _BLOCK_BYTES // (8 * n))
+
+
+def _in_blocks(kernel, n: int):
+    """``kernel`` run on ``_block_rows(n)`` rows of a batch at a time, each
+    block's values written into one output array.
+
+    A kernel's row value does not depend on the rest of its batch, so the
+    values are bit for bit those of one call, and its work arrays take a few
+    blocks, not a few batches.  An error names its row of the whole batch.
+    """
+    rows = _block_rows(n)
+
+    def blocked(Xs: np.ndarray) -> np.ndarray:
+        if len(Xs) <= rows:
+            return kernel(Xs)
+        out = np.empty(len(Xs))
+        for lo in range(0, len(Xs), rows):
+            try:
+                out[lo : lo + rows] = kernel(Xs[lo : lo + rows])
+            except RiskLatticeError as exc:
+                if hasattr(exc, "row_text"):  # from _row_error: renumber its row
+                    exc.row += lo
+                    exc.args = (exc.row_text.replace("{row}", str(exc.row)),)
+                raise
+        return out
+
+    return blocked
 
 
 def _check_level(p: float) -> float:
@@ -255,7 +319,8 @@ def _bracketed(fn, Xs, what: str, pad: float = 0.0, spread: float = 0.0) -> np.n
         v = fn(m + d, sel) - fn(m - d, sel) if spread else fn(m, sel)
         nan = np.isnan(v)
         if nan.any():
-            raise NumericError(f"{what}: overflow at batch row {rows[nan.argmax()]}")
+            raise _row_error(NumericError, f"{what}: overflow at batch row {{row}}",
+                             rows[nan.argmax()])
         return v
 
     # A bracketed row's ends no longer change, so only the rows still
@@ -275,10 +340,10 @@ def _bracketed(fn, Xs, what: str, pad: float = 0.0, spread: float = 0.0) -> np.n
         hi[act] += np.where(high, step[act], 0.0)
         step *= 2.0
     else:
-        raise (DomainError if spread else NumericError)(
+        raise _row_error(
+            DomainError if spread else NumericError,
             f"{what}: no bracket after {_MAX_EXPAND} doublings at batch row "
-            f"{act[0]} (objective unbounded below, or no sign change)"
-        )
+            "{row} (objective unbounded below, or no sign change)", act[0])
 
     res = np.empty_like(lo)
     act = np.arange(lo.size)
@@ -432,7 +497,7 @@ def _log_root(u, v):
 def _finite(vals: np.ndarray, what: str) -> np.ndarray:
     bad = ~np.isfinite(vals)
     if bad.any():
-        raise NumericError(f"{what}: overflow at batch row {int(bad.argmax())}")
+        raise _row_error(NumericError, f"{what}: overflow at batch row {{row}}", bad.argmax())
     return vals
 
 
@@ -447,10 +512,34 @@ def _shift_rows(Xs: np.ndarray, m: np.ndarray, rows, work: np.ndarray) -> np.nda
     return w
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _ce_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
+def _ce_kernel(n: int, ell: LossFunction):
+    """The certainty equivalent as a function of ascending ``(m, n)`` batches.
+
+    A closed form runs in blocks (``_in_blocks``).  Without one, the mean loss
+    is the only batch-sized work: it is taken in blocks, and then every row is
+    bisected at once, because a step of this bisection costs per row, not per
+    atom, and blocks would pay each step's call overheads once per block.
+    """
     if not ell.strictly_increasing:
         raise DomainError("certainty equivalent requires a strictly increasing loss")
+    if ell.entropic is not None or ell.slopes is not None:
+        return _in_blocks(lambda Xs: _ce_closed_form(Xs, ell), n)
+    mean_loss = _in_blocks(lambda Xs: _expected_loss_batch(Xs, ell), n)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def solve(Xs: np.ndarray) -> np.ndarray:
+        target = mean_loss(Xs)  # in [l(min x), l(max x)]
+        return _bracketed(lambda m, rows: ell.fn(m) - target[rows], Xs, "certainty equivalent")
+
+    return solve
+
+
+def _ce_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
+    return _ce_kernel(Xs.shape[1], ell)(Xs)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _ce_closed_form(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
     g, q = ell.entropic, ell.quad
     if g is not None and q:
         # e^{g m} + q e^{2 g m} = mean(e^{g x} + q e^{2 g x}) is a quadratic in
@@ -463,17 +552,14 @@ def _ce_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
         return c + _log_root(u, v) / g
     if g is not None:
         return _log_mean_exp(Xs, g)
-    if ell.slopes is not None:
-        sm, sp = ell.slopes
-        pos = np.maximum(Xs, 0.0)
-        t = sm * Xs.sum(axis=1) + (sp - sm) * pos.sum(axis=1)
-        if q:
-            t += q * np.einsum("ij,ij->i", pos, pos)
-        t /= Xs.shape[1]
-        # l^{-1}: t / sm below 0, the root of sp m + q m^2 = t above
-        return _finite(np.where(t > 0.0, _root(q, sp, -t), t / sm), "certainty equivalent")
-    target = ell.fn(Xs).mean(axis=1)  # in [l(min x), l(max x)]
-    return _bracketed(lambda m, rows: ell.fn(m) - target[rows], Xs, "certainty equivalent")
+    sm, sp = ell.slopes
+    pos = np.maximum(Xs, 0.0)
+    t = sm * Xs.sum(axis=1) + (sp - sm) * pos.sum(axis=1)
+    if q:
+        t += q * np.einsum("ij,ij->i", pos, pos)
+    t /= Xs.shape[1]
+    # l^{-1}: t / sm below 0, the root of sp m + q m^2 = t above
+    return _finite(np.where(t > 0.0, _root(q, sp, -t), t / sm), "certainty equivalent")
 
 
 def certainty_equivalent(sample, ell: LossFunction) -> float:
@@ -577,8 +663,9 @@ def _shortfall_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
         bad = ~(np.abs(r) <= tol)
     if bad.any():
         i = int(bad.argmax())
-        raise NumericError(f"shortfall: residual {r[i]:.3g} exceeds its tolerance "
-                           f"{tol[i]:.3g} at batch row {i}; is the loss continuous?")
+        raise _row_error(NumericError, f"shortfall: residual {r[i]:.3g} exceeds its "
+                         f"tolerance {tol[i]:.3g} at batch row {{row}}; is the loss "
+                         "continuous?", i)
     return m
 
 
@@ -720,22 +807,28 @@ def oce(sample, ell: LossFunction) -> float:
 # monotone mean-deviation measure
 
 
-def _mmd_batch(Xs: np.ndarray, weight: DeviationWeight, phi: DistortionFunction) -> np.ndarray:
+def _mmd_kernel(n: int, weight: DeviationWeight, phi: DistortionFunction):
+    """The mean-deviation measure as a function of ascending ``(m, n)``
+    batches, with its distortion kernel built once."""
     if not phi.concave:
         raise DomainError("mean-deviation measure requires a concave distortion")
-    n = Xs.shape[1]
-    mean = Xs.mean(axis=1)
-    dev = _order_stat_kernel(_distortion_weights(n, phi))(Xs) - mean
+    distortion = _order_stat_kernel(_distortion_weights(n, phi))
     # dev is a difference of two weighted sums whose weights add to 1; rounding
     # moves each by a few n ulps of the row's largest magnitude, so only a
     # larger negative dev means a non-concave weight grid.
-    tol = 8.0 * n * np.finfo(np.float64).eps * np.maximum(-Xs[:, 0], Xs[:, -1])
-    if np.any(dev < -tol):
-        raise NumericError(
-            "negative deviation encountered; the supplied distortion "
-            "is not concave on the sample's weight grid"
-        )
-    return weight.fn(np.maximum(dev, 0.0)) + mean
+    ulps = 8.0 * n * np.finfo(np.float64).eps
+
+    def kernel(Xs: np.ndarray) -> np.ndarray:
+        mean = Xs.mean(axis=1)
+        dev = distortion(Xs) - mean
+        if np.any(dev < -ulps * np.maximum(-Xs[:, 0], Xs[:, -1])):
+            raise NumericError(
+                "negative deviation encountered; the supplied distortion "
+                "is not concave on the sample's weight grid"
+            )
+        return weight.fn(np.maximum(dev, 0.0)) + mean
+
+    return kernel
 
 
 def mmd_rho(sample, g: DeviationWeight, phi: DistortionFunction) -> float:
@@ -746,4 +839,5 @@ def mmd_rho(sample, g: DeviationWeight, phi: DistortionFunction) -> float:
     rounding tolerance scaled to ``n max|x|``).  Cash-invariant; reduces to ``distortion_rho`` for ``g(t) = t``
     and to the mean for the identity distortion.
     """
-    return float(_mmd_batch(_sorted_row(sample), g, phi)[0])
+    xs = _sorted_row(sample)
+    return float(_mmd_kernel(xs.shape[1], g, phi)(xs)[0])

@@ -261,7 +261,8 @@ def _check_row(path, lineno: int, row, days: dict) -> bool:
 def _data_rows(path, texts: tuple, skipped: list, stop) -> tuple:
     """The columns ``texts`` without their blank rows, each row checked in
     file order so that the first bad one raises; then ``stop``, the row or
-    ``csv.Error`` that ended the read, raises if it is not None.
+    ``csv.Error`` that ended the read, raises ``DataError`` with its line
+    number if it is not None.
     ``skipped[i]`` is the number of 3-column rows read before the ``i``-th
     blank row of another length, so that line numbers count every row."""
     days: dict = {}
@@ -270,10 +271,11 @@ def _data_rows(path, texts: tuple, skipped: list, stop) -> tuple:
         if _check_row(path, k + 2 + bisect.bisect_right(skipped, k), row, days):
             for column, text in zip(kept, row):
                 column.append(text)
+    lineno = len(texts[0]) + len(skipped) + 2  # the row that ended the read
     if isinstance(stop, csv.Error):
-        raise stop
+        raise DataError(f"{path}:{lineno}: {stop}") from stop
     if stop is not None:
-        _check_row(path, len(texts[0]) + len(skipped) + 2, stop, days)
+        _check_row(path, lineno, stop, days)
     return kept
 
 
@@ -317,8 +319,9 @@ def load_prices_csv(path) -> PricePanel:
     Rows are sorted by date; duplicate (date, ticker) cells keep the last
     value and are counted on the panel (with a warning).  Blank rows are
     skipped.  Unparseable rows, empty tickers and nonpositive prices raise
-    with their line number (the first bad row's); a file with no data rows
-    raises a "no data" error.
+    with their line number (the first bad row's), as does a row the CSV
+    reader refuses (a field over ``csv.field_size_limit()`` characters); a
+    file with no data rows raises a "no data" error.
 
     One ``csv.reader`` pass keeps the three texts of each 3-column row, and
     the panel is built from whole columns (``_price_panel``).  Only when a
@@ -329,7 +332,10 @@ def load_prices_csv(path) -> PricePanel:
     """
     path = Path(path)
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise DataError(f"{path}:1: {exc}") from exc
     if header is None:
         raise DataError(f"{path}: no data (empty file)")
     if [c.strip().lower() for c in header] != ["date", "ticker", "adj_close"]:

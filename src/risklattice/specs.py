@@ -30,17 +30,20 @@ from .sample import as_batch, as_sample
 __all__ = ["RiskMeasureSpec", "parse_measure_spec"]
 
 # kind -> its kernel for rows of width n: a function of validated,
-# ascending-sorted (m, n) batches, with any weights built once
+# ascending-sorted (m, n) batches, with any weights built once.  The order
+# statistics and MMD read a band of each row and build no batch-sized work
+# array; the other kinds do, and run in blocks (``measures._in_blocks``).
 _KERNELS = {
     "var": lambda s, n: _m._var_kernel(n, s.level),
     "es": lambda s, n: _m._order_stat_kernel(_m._es_weights(n, s.level)),
     "aes": lambda s, n: _m._order_stat_kernel(*_m._aes_weights(n, s.grid)),
     "distortion": lambda s, n: _m._order_stat_kernel(_m._distortion_weights(n, s.phi)),
-    "expected_loss": lambda s, n: lambda Xs: _m._expected_loss_batch(Xs, s.ell),
-    "ce": lambda s, n: lambda Xs: _m._ce_batch(Xs, s.ell),
-    "shortfall": lambda s, n: lambda Xs: _m._shortfall_batch(Xs, s.ell),
-    "oce": lambda s, n: lambda Xs: _m._oce_batch(Xs, s.ell),
-    "mmd": lambda s, n: lambda Xs: _m._mmd_batch(Xs, s.weight, s.phi),
+    "expected_loss": lambda s, n: _m._in_blocks(
+        lambda Xs: _m._expected_loss_batch(Xs, s.ell), n),
+    "ce": lambda s, n: _m._ce_kernel(n, s.ell),
+    "shortfall": lambda s, n: _m._in_blocks(lambda Xs: _m._shortfall_batch(Xs, s.ell), n),
+    "oce": lambda s, n: _m._in_blocks(lambda Xs: _m._oce_batch(Xs, s.ell), n),
+    "mmd": lambda s, n: _m._mmd_kernel(n, s.weight, s.phi),
 }
 
 
@@ -122,7 +125,10 @@ class RiskMeasureSpec:
 
         Weight rows and penalties are built here, once, so a caller that
         evaluates many batches of one width (the pipeline, one per ticker and
-        pair) builds them once per run.
+        pair) builds them once per run.  Expected loss, CE, shortfall and
+        OCE evaluate a batch in blocks of rows (``measures._in_blocks``), so
+        their work arrays take a few blocks of about 256 KB, not a few copies
+        of the batch; values are bit for bit those of one call.
         """
         return _KERNELS[self.kind](self, n)
 

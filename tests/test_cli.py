@@ -315,3 +315,20 @@ def test_pipeline_bad_config_value_exits_2(capsys, tmp_path):
                          str(cfg), "--out", str(tmp_path / "report"))
     assert code == 2
     assert err.startswith("error: ") and "run.cfg:2: bad value for 'window'" in err
+
+
+@pytest.mark.parametrize("line", [1, 3])
+def test_pipeline_oversized_field_exits_2(capsys, tmp_path, line):
+    # a field over csv.field_size_limit() makes csv.reader raise csv.Error,
+    # which the loader reports as a DataError naming the file and its line
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("levels = 0.9\n")
+    rows = ["date,ticker,adj_close", "2024-01-02,A,1.0", "2024-01-03,A,1.1"]
+    rows[line - 1] = f"2024-01-03,{'T' * 140_000},1.0"
+    prices = tmp_path / "prices.csv"
+    prices.write_text("\n".join(rows) + "\n")
+    code, out, err = run(capsys, "pipeline", "--prices", str(prices), "--config", str(cfg),
+                         "--out", str(tmp_path / "report"))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {prices}:{line}: field larger than field limit (131072)\n"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from risklattice import (
     submodularity_gap,
     violation_rate,
 )
-from risklattice import lattice
+from risklattice import lattice, measures
 from risklattice import specs as specs_module
 from risklattice.lattice import GENERATORS, _Pooled, _seed_states
 
@@ -461,6 +463,23 @@ def test_wide_sweep_chunks_hold_the_bound_in_trials(monkeypatch):
     m = lattice._CHUNK_BYTES // (32 * 10_001)
     assert m == 209 and 32 * m * 10_001 <= lattice._CHUNK_BYTES
     assert spans == [(lo, min(lo + m, 20_000)) for lo in range(0, 20_000, m)]
+
+
+def test_sweep_kernel_allocates_a_few_blocks():
+    # shortfall:quadlin builds the most batch-sized work arrays of any
+    # kernel.  At 2,000 atoms x 1,000 trials (one chunk: 64 MB of kept
+    # sorted rows) a sweep on the kept rows allocates at most 8 blocks of
+    # rows (256 KB each) on top of them, where one call on the whole chunk
+    # allocated about 5 chunks
+    random_pair_sweep(RiskMeasureSpec.es(0.95), 2_000, 1_000, seed=0)  # keeps the rows
+    tracemalloc.start()
+    try:
+        random_pair_sweep(parse_measure_spec("shortfall:quadlin"), 2_000, 1_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lattice._pair_cache[1].nbytes == 4_000 * 2_000 * 8
+    assert peak <= 8 * 8 * 2_000 * measures._block_rows(2_000)
 
 
 # the measures of the sweep-mix benchmark: order statistics, MMD, and the CE,

@@ -460,6 +460,69 @@ def test_solver_row_does_not_depend_on_its_batch(text):
     assert spec.evaluate_batch(np.stack([big, X50]))[1] == alone
 
 
+# every kind whose kernel runs in row blocks (measures._in_blocks): expected
+# loss, and the CE, shortfall and OCE of each named loss and of one custom
+# loss, where the measure admits the loss (the shortfall asks for a strictly
+# increasing convex loss, CE for a strictly increasing one, OCE for a convex
+# one)
+BLOCKED_LOSSES = [parse_loss_spec(text) for text in (
+    "exp:1", "expectile:1", "poly2exp", "quadlin", "piecewise:0.5,2", "cvar:0.75",
+    "arctan-bend")] + [
+    dataclasses.replace(_unstructured(quadlin_loss()), name="custom-quadlin")]
+BLOCKED_SPECS = [RiskMeasureSpec.expected_loss(exponential_loss(1.0))] + [
+    make(ell) for make in (RiskMeasureSpec.certainty_equivalent, RiskMeasureSpec.shortfall,
+                           RiskMeasureSpec.oce)
+    for ell in BLOCKED_LOSSES
+    if (ell.strictly_increasing or make is RiskMeasureSpec.oce)
+    and (ell.convex or make is RiskMeasureSpec.certainty_equivalent)]
+
+
+@pytest.mark.parametrize("n", [3, 50, 1001])
+@pytest.mark.parametrize("spec", BLOCKED_SPECS, ids=lambda s: s.label)
+def test_blocked_values_equal_one_call_bit_for_bit(monkeypatch, spec, n):
+    # a kernel's values in blocks are those of one call on the whole batch,
+    # on batches that end just before, at and just after a block's end
+    block = rm._block_rows(n)
+    X = np.sort(np.random.default_rng(n).standard_normal((3 * block + 1, n)), axis=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(rm, "_BLOCK_BYTES", X.nbytes)  # one block holds the batch
+        whole = _bits(spec.kernel(n)(X))
+    blocked = spec.kernel(n)
+    for rows in (1, block - 1, block, block + 1, 3 * block + 1):
+        assert np.array_equal(_bits(blocked(X[:rows])), whole[:rows]), rows
+
+
+# a loss whose jump at 0 the shortfall guard refuses where the root sits on it
+JUMP = LossFunction(fn=lambda v: v + (v > 0), convex=True, normalized=True, name="jump")
+# slope 1/2 up to 1e30, 2 above: the OCE's minimizer is about 1e30 below the
+# row, which 60 doublings of a row's span reach from a span of 1e15, not of 2
+FAR = LossFunction(fn=lambda v: np.where(v < 1e30, 0.5 * v, 2.0 * v - 1.5e30), name="far")
+
+
+@pytest.mark.parametrize("make,ell,bad,error,match", [
+    (RiskMeasureSpec.shortfall, quadlin_loss(), EDGE, NumericError, "overflow"),
+    (RiskMeasureSpec.oce, quadlin_loss(), EDGE, NumericError, "overflow"),
+    (RiskMeasureSpec.oce, CUSTOM_POLY2EXP, [0.0, 800.0, 1600.0], NumericError, "overflow"),
+    (RiskMeasureSpec.certainty_equivalent, CUSTOM_POLY2EXP, [0.0, 800.0, 1600.0],
+     NumericError, "overflow"),
+    (RiskMeasureSpec.shortfall, JUMP, [0.0, 0.2, 0.5], NumericError, "residual"),
+    (RiskMeasureSpec.oce, FAR, [0.0, 1.0, 2.0], DomainError, "no bracket"),
+], ids=["shortfall-quadlin", "oce-quadlin", "oce-custom-poly2exp", "ce-custom-poly2exp",
+        "shortfall-jump", "oce-far"])
+def test_blocked_error_names_its_row_of_the_batch(monkeypatch, make, ell, bad, error, match):
+    # the bad row sits in the third block; the error names its row of the
+    # whole batch, not of its block
+    monkeypatch.setattr(rm, "_BLOCK_BYTES", 1)  # blocks of _BLOCK_MIN_ROWS rows
+    block = rm._block_rows(3)
+    X = np.tile(1e15 if ell is FAR else 1.0, (3 * block + 1, 1)) * [0.0, 1.0, 2.0]
+    row = 2 * block + 5
+    X[row] = np.sort(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=rf"{match}.* at batch row {row}\b"):
+            make(ell).kernel(3)(X)
+
+
 def test_shortfall_poly2exp_at_small_scale():
     x = 1e-6 * X50
     # poly2exp's residual is a quadratic in u = exp(-m); with u = 1 + v it is
@@ -862,6 +925,24 @@ def test_mmd_deviation_guard_scales_with_data(phi, scale):
     assert mmd_rho(x, identity_weight(), phi) == pytest.approx(
         distortion_rho(x, phi), rel=1e-12, abs=1e-12 * scale
     )
+
+
+def test_mmd_kernel_builds_its_distortion_weights_once(monkeypatch):
+    # the distortion kernel is built with the MMD kernel, not on every batch
+    calls = []
+    weights = rm._distortion_weights
+
+    def counted(n, phi):
+        calls.append(n)
+        return weights(n, phi)
+
+    monkeypatch.setattr(rm, "_distortion_weights", counted)
+    spec = parse_measure_spec("mmd:square:es:0.5")
+    kernel = spec.kernel(50)
+    X = np.sort(np.random.default_rng(3).standard_normal((3, 50)), axis=1)
+    got = [kernel(X[i:]) for i in range(3)]
+    assert calls == [50]
+    assert [v[-1] for v in got] == [mmd_rho(X[2], square_weight(), es_distortion(0.5))] * 3
 
 
 def test_mmd_rejects_nonconcave_distortion():
