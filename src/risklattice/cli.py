@@ -13,11 +13,24 @@ sweep that promises zero violations but finds one, a counterexample that
 fails to violate), 2 usage errors (bad arguments, unreadable or malformed
 input files), each with an ``error:`` line on stderr.  Output is
 deterministic for identical argv.
+
+Importing this module registers ``gc.freeze`` to run at interpreter exit.
+Nothing is frozen while the process runs; at exit the interpreter's final
+collection then skips the objects of the import graph (numpy's and this
+package's modules, about 22,000 tracked objects) instead of tearing down
+their cycles one by one, and the operating system reclaims that memory with
+the process.  That ends every CLI command about 20 ms sooner.  Every report
+is written and closed before ``main`` returns, and the standard streams are
+flushed after the exit handlers run, so no output waits on the collection.
+``import risklattice`` does not import this module; a process that embeds
+``main`` is unaffected until it exits.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 
@@ -33,6 +46,11 @@ from .selftest import run_selftest
 from .specs import RiskMeasureSpec, parse_measure_spec
 
 __all__ = ["main", "build_parser"]
+
+# At exit, skip the final collection's walk of the import heap: a sweep
+# process takes 27 ms to exit, 6 ms frozen (Python 3.11, numpy 2.4).  Exit
+# handlers registered after this import run before it (last in, first out).
+atexit.register(gc.freeze)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,7 +15,6 @@ prices, UTF-8.  Config files are flat ``key = value`` text with keys
 
 from __future__ import annotations
 
-import bisect
 import csv
 import datetime as dt
 import functools
@@ -258,24 +257,26 @@ def _check_row(path, lineno: int, row, days: dict) -> bool:
     return True
 
 
-def _data_rows(path, texts: tuple, skipped: list, stop) -> tuple:
-    """The columns ``texts`` without their blank rows, each row checked in
-    file order so that the first bad one raises; then ``stop``, the row or
-    ``csv.Error`` that ended the read, raises ``DataError`` with its line
-    number if it is not None.
-    ``skipped[i]`` is the number of 3-column rows read before the ``i``-th
-    blank row of another length, so that line numbers count every row."""
+def _data_rows(path, lines: io.StringIO) -> tuple:
+    """The date, ticker and price columns of the non-blank data rows of
+    ``lines``, the file's text, read again from its start one row at a time
+    so that the first bad row raises ``DataError`` naming ``path:line``, the
+    file line the row starts on; a row the CSV reader refuses names the line
+    where the reader stopped."""
+    lines.seek(0)
+    reader = csv.reader(lines)
     days: dict = {}
     kept = ([], [], [])
-    for k, row in enumerate(zip(*texts)):
-        if _check_row(path, k + 2 + bisect.bisect_right(skipped, k), row, days):
-            for column, text in zip(kept, row):
-                column.append(text)
-    lineno = len(texts[0]) + len(skipped) + 2  # the row that ended the read
-    if isinstance(stop, csv.Error):
-        raise DataError(f"{path}:{lineno}: {stop}") from stop
-    if stop is not None:
-        _check_row(path, lineno, stop, days)
+    try:
+        next(reader)  # the header, checked already
+        lineno = reader.line_num + 1
+        for row in reader:
+            if _check_row(path, lineno, row, days):
+                for column, text in zip(kept, row):
+                    column.append(text)
+            lineno = reader.line_num + 1
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     return kept
 
 
@@ -319,48 +320,46 @@ def load_prices_csv(path) -> PricePanel:
     Rows are sorted by date; duplicate (date, ticker) cells keep the last
     value and are counted on the panel (with a warning).  Blank rows are
     skipped.  Unparseable rows, empty tickers and nonpositive prices raise
-    with their line number (the first bad row's), as does a row the CSV
-    reader refuses (a field over ``csv.field_size_limit()`` characters); a
-    file with no data rows raises a "no data" error.
+    naming the file line the first bad row starts on, and a row the CSV
+    reader refuses (a field over ``csv.field_size_limit()`` characters)
+    names the line where the reader stopped; a file with no data rows raises
+    a "no data" error.
 
     One ``csv.reader`` pass keeps the three texts of each 3-column row, and
     the panel is built from whole columns (``_price_panel``).  Only when a
     column holds a bad text (a blank 3-column row such as ``,,`` counts as
-    one), or a row has another column count and is not blank, are the rows
-    checked one at a time in file order (``_data_rows``), to name the first
-    bad one or drop the blank ones.
+    one), a row has another column count and is not blank, or the reader
+    refuses a row, is the text read again one row at a time (``_data_rows``),
+    to name the first bad one or drop the blank ones.
     """
     path = Path(path)
-    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    lines = io.StringIO(_read_text(path), newline="")
+    reader = csv.reader(lines)
     try:
         header = next(reader, None)
     except csv.Error as exc:
-        raise DataError(f"{path}:1: {exc}") from exc
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     if header is None:
         raise DataError(f"{path}: no data (empty file)")
     if [c.strip().lower() for c in header] != ["date", "ticker", "adj_close"]:
         raise DataError(f"{path}: expected header 'date,ticker,adj_close', got {header}")
     texts = ([], [], [])
     add_date, add_ticker, add_price = (column.append for column in texts)
-    skipped = []
-    stop = None  # a row of another column count, or a csv.Error, ends the read
     try:
         for row in reader:
             if len(row) == 3:
                 add_date(row[0])
                 add_ticker(row[1])
                 add_price(row[2])
-            elif _blank(row):
-                skipped.append(len(texts[0]))
-            else:
-                stop = row
-                break
-    except csv.Error as exc:
-        stop = exc
-    panel = None if stop is not None else _price_panel(path, *texts)
-    if panel is None:
-        panel = _price_panel(path, *_data_rows(path, texts, skipped, stop))
-    return panel
+            elif not _blank(row):
+                break  # a row of another column count
+        else:
+            panel = _price_panel(path, *texts)
+            if panel is not None:
+                return panel
+    except csv.Error:
+        pass  # the row-by-row read names its line, after any bad row before it
+    return _price_panel(path, *_data_rows(path, lines))
 
 
 def build_loss_panel(panel: PricePanel, tickers=None) -> LossPanel:

@@ -16,6 +16,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def python(*args, cwd=None, check=True):
+    """Run a fresh interpreter on this checkout's ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
+                          text=True, check=check, timeout=60)
+
+
 def test_check_exponential_feasible(capsys):
     code, out, _ = run(capsys, "check", "--loss", "exp:1")
     assert code == 0
@@ -189,15 +197,11 @@ def test_pipeline_bad_epsilon_exits_2(capsys, tmp_path):
 def _modules_cli_import_adds(prefix):
     # the modules named prefix* that importing risklattice.cli loads in a
     # fresh interpreter, beyond those that importing numpy loads
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, numpy\n"
             "before = set(sys.modules)\n"
             "import risklattice.cli\n"
             f"print(sorted(m for m in set(sys.modules) - before if m.startswith({prefix!r})))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60)
-    return out.stdout.strip()
+    return python("-c", code).stdout.strip()
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
@@ -274,16 +278,12 @@ def test_selftest_filtered(capsys):
 def test_selftest_checks_fail_under_python_O():
     # a check must fail when the library breaks, also with assert statements
     # stripped: here ES reads -1e9, below every VaR
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys\n"
             "from risklattice import selftest\n"
             "selftest.es_historical = lambda x, p: -1e9\n"
             "[r] = selftest.run_selftest(only='measures.es_dominates_var')\n"
             "print(sys.flags.optimize, r.passed)")
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "1 False"
+    assert python("-O", "-c", code).stdout.strip() == "1 False"
 
 
 def test_pipeline_end_to_end(tmp_path, capsys):
@@ -332,3 +332,57 @@ def test_pipeline_oversized_field_exits_2(capsys, tmp_path, line):
     assert code == 2
     assert out == ""
     assert err == f"error: {prices}:{line}: field larger than field limit (131072)\n"
+
+
+# ---------------------------------------------------------------------------
+# the exit path: importing the CLI registers gc.freeze with atexit
+
+
+def test_cli_freezes_nothing_while_the_process_runs(capsys):
+    import gc
+
+    code, _, _ = run(capsys, "sweep", "--measure", "es:0.9", "--atoms", "5", "--trials", "50",
+                     "--seed", "0")
+    assert code == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_cli_freezes_the_heap_at_exit():
+    # exit handlers run last in, first out: a probe registered before the
+    # import runs after the CLI's freeze
+    code = ("import atexit, gc\n"
+            "atexit.register(lambda: print('at exit', gc.get_freeze_count() > 0))\n"
+            "import risklattice.cli\n"
+            "print('running', gc.get_freeze_count())\n")
+    assert python("-c", code).stdout == "running 0\nat exit True\n"
+
+
+def test_sweep_of_a_cli_process_matches_in_process(capsys):
+    # -X dev -W error: an unclosed file or a warning at exit fails the run
+    argv = ["--format", "json", "sweep", "--measure", "ce:arctan-bend", "--atoms", "20",
+            "--trials", "200", "--seed", "3"]
+    child = python("-X", "dev", "-W", "error", "-m", "risklattice.cli", *argv, check=False)
+    assert (child.returncode, child.stdout, child.stderr) == (*run(capsys, *argv)[:2], "")
+
+
+def test_pipeline_of_a_cli_process_writes_the_same_reports(tmp_path, capsys, monkeypatch):
+    import risklattice.pipeline as pl
+
+    panel = pl.synth_prices(seed=7, n_days=60, n_assets=4, vol=0.01, jump_prob=0.05)
+    prices = tmp_path / "prices.csv"
+    prices.write_text("date,ticker,adj_close\n" + "".join(
+        f"{d.isoformat()},{t},{float(panel.closes[i, j])!r}\n"
+        for i, d in enumerate(panel.dates) for j, t in enumerate(panel.tickers)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window = 20\nlevels = 0.9, 0.95\naes_levels = 0.6, 0.9\n"
+                   "aes_penalties = 0, 0.01\n")
+    argv = ["pipeline", "--prices", str(prices), "--config", str(cfg), "--out", "out"]
+    for name in ("child", "here"):
+        (tmp_path / name).mkdir()
+    child = python("-X", "dev", "-W", "error", "-m", "risklattice.cli", *argv,
+                   cwd=tmp_path / "child", check=False)
+    monkeypatch.chdir(tmp_path / "here")
+    assert (child.returncode, child.stdout, child.stderr) == (*run(capsys, *argv)[:2], "")
+    for report in ("violations.csv", "daily_rates.csv", "correlations.csv", "summary.json"):
+        written = (tmp_path / "child" / "out" / report).read_bytes()
+        assert written == (tmp_path / "here" / "out" / report).read_bytes(), report

@@ -295,6 +295,17 @@ def test_pooled_seed_state_serves_only_pcg64_request():
             _Pooled(state).generate_state(n_words, dtype)
 
 
+def test_trials_seed_from_a_seed_sequence_subclass():
+    # a subclass, not a class registered with the ABC; streams are numpy's
+    from numpy.random.bit_generator import ISeedSequence
+
+    assert ISeedSequence in lattice._pooled_seed_sequence().__mro__
+    assert not issubclass(_Pooled, ISeedSequence)
+    for t, rng in enumerate(lattice._generators(3, 0, 3)):
+        want = np.random.Generator(np.random.PCG64(np.random.SeedSequence((3, t))))
+        assert rng.bit_generator.random_raw(4).tolist() == want.bit_generator.random_raw(4).tolist()
+
+
 def _recorded_spans(monkeypatch):
     # the (lo, hi) of every chunk that sweeps evaluate from here on, in order
     sweep_chunk, spans = lattice._sweep_chunk, []

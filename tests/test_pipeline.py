@@ -78,6 +78,20 @@ def test_load_error_after_a_parsed_date_names_its_own_line(tmp_path, row):
         pl.load_prices_csv(p)
 
 
+@pytest.mark.parametrize("rows, line", [
+    # a quoted line break before the bad row moves it down one file line
+    (['2024-01-02,"A\nB",1.0', "2024-01-03,C,x"], 4),
+    # a bad row that holds a quoted line break names the line it starts on
+    (["2024-01-02,A,1.0", '2024-01-03,"C\r\nD",x'], 3),
+    # a refused row names the line where the reader stopped
+    (['2024-01-02,"A\nB",1.0', f"2024-01-03,{'T' * 140_000},1.0"], 4),
+])
+def test_load_error_names_the_file_line(tmp_path, rows, line):
+    p = write_csv(tmp_path / "p.csv", rows)
+    with pytest.raises(DataError, match=f"p.csv:{line}: "):
+        pl.load_prices_csv(p)
+
+
 @pytest.mark.parametrize("ticker", ["", "  "])
 def test_load_empty_ticker_reports_line(tmp_path, ticker):
     p = write_csv(tmp_path / "p.csv", ["2024-01-02,AAA,100.0", f"2024-01-02,{ticker},1.0"])
@@ -149,7 +163,9 @@ def loop_load_prices_csv(path) -> pl.PricePanel:
         raise DataError(f"{path}: no data (empty file)")
     if [c.strip().lower() for c in header] != ["date", "ticker", "adj_close"]:
         raise DataError(f"{path}: expected header 'date,ticker,adj_close', got {header}")
-    for lineno, row in enumerate(reader, start=2):
+    start = reader.line_num + 1  # the file line the next row starts on
+    for row in reader:
+        lineno, start = start, reader.line_num + 1
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != 3:
