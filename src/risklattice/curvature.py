@@ -22,6 +22,7 @@ grid bounds are recorded and callers may widen them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,10 @@ __all__ = ["CurvatureProfile", "DominanceVerdict", "curvature_profile", "linear_
 _FD_STEP = 1e-5
 _R_INFINITE = 1e6
 _FEAS_TOL = 1e-9
+# the most points a stepped grid may have: [-20, 20] at step 1e-5.  A profile
+# holds about ten arrays of the grid's size, 32 MB each at the cap, where the
+# default grid (step 1e-3) has 40,001 points
+_MAX_GRID_POINTS = 4_000_001
 
 
 @dataclass(frozen=True)
@@ -98,8 +103,13 @@ class DominanceVerdict:
 
 
 def _build_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    count = int(np.floor((hi - lo) / step + 1e-9))
-    grid = lo + step * np.arange(count + 1)
+    steps = (hi - lo) / step + 1e-9  # inf where hi - lo overflows
+    if not steps < _MAX_GRID_POINTS:  # floor(steps) + 1 points, refused before arange
+        raise DomainError(
+            f"curvature grid [{lo:g}, {hi:g}] at step {step:g} has more than "
+            f"{_MAX_GRID_POINTS:,} points; widen the step or narrow the range"
+        )
+    grid = lo + step * np.arange(math.floor(steps) + 1)
     if grid[-1] < hi - step * 1e-6:
         grid = np.append(grid, hi)
     else:
@@ -118,7 +128,16 @@ def curvature_profile(
     finite differences with step 1e-5 (second differences for ``l''``), which
     deliberately lets kinks show up as curvature spikes.  Raises if ``l'``
     fails to be positive anywhere on the grid (strict increase violated).
+
+    Raises ``DomainError`` before allocating anything when ``lo``, ``hi`` or
+    ``step`` is not finite, or when the stepped grid would have more than
+    ``_MAX_GRID_POINTS`` (4,000,001) points, the default range at step 1e-5:
+    at the cap each of the profile's arrays takes 32 MB.
     """
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise DomainError(
+            f"curvature grid needs finite lo, hi and step, got {lo!r}, {hi!r}, {step!r}"
+        )
     if not lo < hi:
         raise DomainError("curvature grid needs lo < hi")
     if step <= 0:

@@ -20,8 +20,11 @@ in many chunks and one in a single chunk agree bit for bit: trial ``t``
 draws from ``PCG64(SeedSequence((seed, t)))``.  ``SeedSequence``'s hash is a
 fixed function of the entropy words, so a chunk hashes all its trials' seeds
 in one pass of ``uint32`` numpy arithmetic (``_seed_states``) and hands each
-trial's ``PCG64`` its precomputed words.  A trial draws its pair into the
-batch and tosses the nudge's coin on one raw word.  A nudged trial takes the
+trial's ``PCG64`` its precomputed words.  A chunk's batch is trial-major,
+``(trials, 4, n_atoms)``: each trial's x, y, meet and join rows lie
+together.  A trial draws its pair into its x and y rows (a gaussian pair in
+one call over both, which reads the stream as one call for x and one for y
+do) and tosses the nudge's coin on one raw word.  A nudged trial takes the
 raw words of numpy's ``choice``, which the chunk redoes in Floyd's step loop
 over all its nudged trials at once; above 1,024 atoms it calls ``choice``.
 
@@ -107,7 +110,7 @@ class SweepReport:
         """The x and y of trial ``worst_trial``, bit for bit as the sweep drew
         them; the kept chunk (``_pair_batch``) is left as it is."""
         t = self.worst_trial
-        return tuple(_draw_pairs(self.n_atoms, t, t + 1, self.seed, self.generator)[:2, 0])
+        return tuple(_draw_pairs(self.n_atoms, t, t + 1, self.seed, self.generator)[0, :2])
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -256,7 +259,8 @@ class _Pooled:
         self.state = state
 
     def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        # PCG64 passes np.uint64 itself: the identity test skips building a dtype
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise RuntimeError(
                 f"precomputed seed state holds generate_state(4, uint64), "
                 f"not ({n_words}, {np.dtype(dtype)})"
@@ -284,19 +288,29 @@ def _generators(seed: int, lo: int, hi: int):
         yield Generator(PCG64(pooled(state)))
 
 
-def _draw(rng: np.random.Generator, generator: str, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Fill the row ``out`` with one draw; ``scratch`` is a work row of the same size."""
-    if generator == "two_point":
-        # indicator-like vectors with entries in {0, 1}
-        out[...] = rng.integers(0, 2, size=out.size)
+def _draw_pair(rng: np.random.Generator, generator: str, pair: np.ndarray,
+               scratch: np.ndarray) -> None:
+    """Fill the contiguous ``(2, n)`` block ``pair`` with a trial's x and y;
+    ``scratch`` is a work row of size ``n``.
+
+    A gaussian pair is one ``standard_normal`` call over both rows, which
+    reads the stream as one call for x and one for y do.  The other
+    generators draw x, then y, with the same calls.
+    """
+    if generator == "gaussian":
+        rng.standard_normal(out=pair)
         return
-    rng.standard_normal(out=out)
-    if generator == "heavy_tail":
-        # normal over sqrt(uniform); the uniform is taken on (0, 1] so the
-        # ratio stays finite
-        rng.random(out=scratch)
-        np.subtract(1.0, scratch, out=scratch)
-        out /= np.sqrt(scratch, out=scratch)
+    for out in pair:
+        if generator == "two_point":
+            # indicator-like vectors with entries in {0, 1}
+            out[...] = rng.integers(0, 2, size=out.size)
+        else:
+            # heavy_tail: normal over sqrt(uniform); the uniform is taken on
+            # (0, 1] so the ratio stays finite
+            rng.standard_normal(out=out)
+            rng.random(out=scratch)
+            np.subtract(1.0, scratch, out=scratch)
+            out /= np.sqrt(scratch, out=scratch)
 
 
 _NUDGE_BELOW = np.uint64(1 << 62)  # random() < 0.25 exactly when its raw word is below
@@ -353,11 +367,12 @@ def _forget_pairs() -> None:
 
 
 def _draw_pairs(n_atoms: int, lo: int, hi: int, seed: int, generator: str) -> np.ndarray:
-    """The ``(4, hi - lo, n_atoms)`` batch of trials ``[lo, hi)``: x, y, meet
-    and join rows.
+    """The trial-major ``(hi - lo, 4, n_atoms)`` batch of trials ``[lo, hi)``:
+    ``batch[i]`` holds trial ``lo + i``'s x, y, meet and join rows.
 
-    Each trial draws x and y into its rows of the batch and tosses the
-    nudge's coin on one raw word (``_NUDGE_BELOW``).  A nudged trial takes
+    Each trial draws x and y into its contiguous ``(2, n_atoms)`` block
+    (``_draw_pair``: one call for a gaussian pair) and tosses the nudge's
+    coin on one raw word (``_NUDGE_BELOW``).  A nudged trial takes
     the raw words that numpy's ``choice`` would read, or above
     ``_FLOYD_MAX_ATOMS``, 1,024 atoms, calls ``choice`` itself.
     ``_floyd_picks`` makes the choice for all nudged trials in Floyd's step
@@ -365,13 +380,12 @@ def _draw_pairs(n_atoms: int, lo: int, hi: int, seed: int, generator: str) -> np
     runs once: it uses no randomness.
     """
     m, k, floyd = hi - lo, n_atoms // 2, n_atoms <= _FLOYD_MAX_ATOMS
-    batch = np.empty((4, m, n_atoms))
-    xs, ys, meets, joins = batch
+    batch = np.empty((m, 4, n_atoms))
+    xs, ys = batch[:, 0], batch[:, 1]
     scratch = np.empty(n_atoms)
     rows, picks = [], []
     for i, rng in enumerate(_generators(seed, lo, hi)):
-        _draw(rng, generator, xs[i], scratch)
-        _draw(rng, generator, ys[i], scratch)
+        _draw_pair(rng, generator, batch[i, :2], scratch)
         if rng.bit_generator.random_raw() < _NUDGE_BELOW:
             rows.append(i)
             picks.append(rng.bit_generator.random_raw((k + 1) // 2) if floyd
@@ -382,23 +396,24 @@ def _draw_pairs(n_atoms: int, lo: int, hi: int, seed: int, generator: str) -> np
             picks, replay = _floyd_picks(picks, n_atoms)
             for r in np.flatnonzero(replay):
                 rng = next(_generators(seed, lo + rows[r], lo + rows[r] + 1))
-                _draw(rng, generator, meets[0], scratch)  # the pair again, into a free row
-                _draw(rng, generator, meets[0], scratch)
+                # the pair again, into the trial's meet and join rows, free until the end
+                _draw_pair(rng, generator, batch[rows[r], 2:], scratch)
                 rng.random()
                 picks[r] = rng.choice(n_atoms, size=k, replace=False)
         _nudge(xs, ys, np.array(rows), picks)
-    np.minimum(xs, ys, out=meets)
-    np.maximum(xs, ys, out=joins)
+    np.minimum(xs, ys, out=batch[:, 2])
+    np.maximum(xs, ys, out=batch[:, 3])
     return batch
 
 
 def _pair_batch(n_atoms: int, lo: int, hi: int, seed: int, generator: str) -> np.ndarray:
     """The read-only sorted rows of trials ``[lo, hi)``.
 
-    ``rows`` is ``(4 (hi - lo), n_atoms)``: the x, y, meet and join rows of
-    ``_draw_pairs``, validated by ``as_batch`` and sorted ascending in place
-    along the atoms axis, which is what ``evaluate_batch`` would hand each
-    measure's kernel.
+    ``rows`` is ``(4 (hi - lo), n_atoms)``: the trial-major batch of
+    ``_draw_pairs`` with its first two axes merged, so that rows ``4 i`` to
+    ``4 i + 3`` are trial ``lo + i``'s x, y, meet and join, validated by
+    ``as_batch`` and sorted ascending in place along the atoms axis, which
+    is what ``evaluate_batch`` would hand each measure's kernel.
 
     They depend only on the key ``(n_atoms, lo, hi, seed, generator)``, so
     the last chunk drawn is kept and handed to the next call with the same
@@ -426,10 +441,9 @@ def _sweep_chunk(
     epsilon: float,
 ) -> tuple[int, float, int]:
     """Gap count, worst gap and worst trial over trials ``[lo, hi)``: the
-    measure's kernel reads the kept sorted rows."""
-    m = hi - lo
-    vals = spec.kernel(n_atoms)(_pair_batch(n_atoms, lo, hi, seed, generator))
-    gaps = (vals[:m] + vals[m : 2 * m]) - (vals[2 * m : 3 * m] + vals[3 * m :])
+    measure's kernel reads the kept sorted rows, four to a trial."""
+    v = spec.kernel(n_atoms)(_pair_batch(n_atoms, lo, hi, seed, generator)).reshape(hi - lo, 4)
+    gaps = (v[:, 0] + v[:, 1]) - (v[:, 2] + v[:, 3])
     i_min = int(np.argmin(gaps))
     return int(np.count_nonzero(gaps < -epsilon)), float(gaps[i_min]), lo + i_min
 

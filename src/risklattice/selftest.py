@@ -229,7 +229,7 @@ def check_sweep_determinism() -> str:
     # a chunk border changes no trial's pair
     whole = _draw_pairs(10, 0, 500, 42, "heavy_tail")
     halves = [_draw_pairs(10, lo, hi, 42, "heavy_tail") for lo, hi in ((0, 250), (250, 500))]
-    _require(np.array_equal(whole, np.concatenate(halves, axis=1)))
+    _require(np.array_equal(whole, np.concatenate(halves)))  # trial-major: trials on axis 0
     return "same seed: two sweeps agree bit for bit; trials [0, 500) drawn at once == [0, 250) + [250, 500)"
 
 

@@ -44,6 +44,16 @@ def test_check_json_format(capsys):
     assert payload["feasible"] and payload["sufficient_condition_holds"]
 
 
+# a non-finite bound escaped main as an OverflowError, a tiny step as numpy's
+# "Maximum allowed size exceeded", and an infinite step built a NaN grid and
+# exited 0 with a verdict
+@pytest.mark.parametrize("flags", [("--hi", "inf"), ("--step", "1e-300"), ("--step", "inf")])
+def test_check_bad_grid_exits_2(capsys, flags):
+    code, out, err = run(capsys, "check", "--loss", "exp:1", *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: curvature grid") and err.count("\n") == 1
+
+
 def test_sweep_es_clean_exit_zero(capsys):
     code, out, _ = run(capsys, "sweep", "--measure", "es:0.95", "--atoms", "20",
                        "--trials", "500", "--seed", "7")
@@ -263,6 +273,36 @@ def test_usage_error_exit_two(capsys):
     # an argument after an argument-free loss is refused, not dropped
     assert main(["sweep", "--measure", "ce:poly2exp:3", "--atoms", "10", "--trials", "10",
                  "--seed", "0"]) == 2
+
+
+def test_one_parser_serves_many_commands(capsys):
+    # main reuses one parser in a process: each command on it exits and
+    # prints as the same argv does on a parser built for it alone
+    from risklattice import cli
+
+    sweep = ["sweep", "--measure", "var:0.95", "--atoms", "50", "--trials", "300", "--seed", "3"]
+    commands = [
+        sweep,
+        ["--format", "json", *sweep],
+        ["--format", "csv", *sweep],
+        ["check", "--loss", "exp:1", "--step", "0.01"],
+        ["counterexample", "--family", "mmd"],
+        ["sweep", "--measure", "es:0.95"],  # usage error: required flags missing
+        ["--threads", "0", *sweep],
+        sweep,  # the first command again, after the refusals
+    ]
+    cli._parser.cache_clear()
+    parser = cli._parser()
+    shared = [run(capsys, *argv) for argv in commands]
+    assert cli._parser() is parser
+    fresh = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 2, 2, 0]
+    assert "worst pair x" in shared[0][1] and "usage:" in shared[5][2]
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_unknown_flag_rejected(capsys):

@@ -62,6 +62,36 @@ def test_bad_grid_arguments():
         curvature_profile(exponential_loss(1.0), 2, -2, 0.1)
     with pytest.raises(DomainError):
         curvature_profile(exponential_loss(1.0), -2, 2, 0.0)
+    for lo, hi, step in ((-2, np.inf, 0.1), (-np.inf, 2, 0.1), (np.nan, 2, 0.1),
+                         (-2, 2, np.inf), (-2, 2, np.nan)):
+        with pytest.raises(DomainError, match="finite lo, hi and step"):
+            curvature_profile(exponential_loss(1.0), lo, hi, step)
+    # hi - lo overflows to inf: refused as too many points, not passed to arange
+    with pytest.raises(DomainError, match="more than"):
+        curvature_profile(exponential_loss(1.0), -1e308, 1e308, 1e300)
+
+
+def test_grid_point_cap(monkeypatch):
+    # the cap admits the default range at step 1e-5 and refuses step 1e-7
+    # (400M points, 3.2 GB an array) before allocating anything
+    import tracemalloc
+
+    from risklattice import curvature
+
+    assert curvature._MAX_GRID_POINTS == 4_000_001 == round(40 / 1e-5) + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="more than 4,000,001 points"):
+            curvature_profile(exponential_loss(1.0), -20, 20, 1e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    # the boundary, on a small cap: 41 stepped points pass, 42 do not
+    monkeypatch.setattr(curvature, "_MAX_GRID_POINTS", 41)
+    assert len(curvature_profile(exponential_loss(1.0), -2, 2, 0.1).grid) == 41
+    with pytest.raises(DomainError, match="more than 41 points"):
+        curvature_profile(exponential_loss(1.0), -2, 2.1, 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -162,10 +162,11 @@ def _assert_chunk_matches_oracle(seed, lo, hi, generator, n):
     batch = lattice._draw_pairs(n, lo, hi, seed, generator)
     rows = lattice._pair_batch(n, lo, hi, seed, generator)
     xs, ys, nudged = _oracle_pairs(seed, lo, hi, generator, n)
-    expected = np.concatenate([xs, ys, np.minimum(xs, ys), np.maximum(xs, ys)])
-    assert batch.shape == (4, hi - lo, n)
-    assert batch[:2].tobytes() == expected[: 2 * (hi - lo)].tobytes()  # bit for bit, -0.0 included
-    assert rows.tobytes() == np.sort(expected, axis=1).tobytes()
+    # trial-major: each trial's x, y, meet and join rows together
+    expected = np.stack([xs, ys, np.minimum(xs, ys), np.maximum(xs, ys)], axis=1)
+    assert batch.shape == (hi - lo, 4, n)
+    assert batch.tobytes() == expected.tobytes()  # bit for bit, -0.0 included
+    assert rows.tobytes() == np.sort(expected.reshape(-1, n), axis=1).tobytes()
     return nudged
 
 
@@ -289,7 +290,9 @@ def test_seed_states_match_seed_sequence(seed, lo, hi):
 
 def test_pooled_seed_state_serves_only_pcg64_request():
     state = _seed_states(3, 0, 1)[0]
-    assert _Pooled(state).generate_state(4, np.uint64) is state
+    # PCG64 passes np.uint64 itself; any other spelling of the dtype works too
+    for dtype in (np.uint64, np.dtype(np.uint64), "uint64"):
+        assert _Pooled(state).generate_state(4, dtype) is state
     for n_words, dtype in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
         with pytest.raises(RuntimeError, match="generate_state"):
             _Pooled(state).generate_state(n_words, dtype)
@@ -509,9 +512,11 @@ def test_warm_sweeps_equal_cold_and_evaluate_batch_for_every_kind(monkeypatch):
     for spec in specs:
         lattice._forget_pairs()
         cold.append(random_pair_sweep(spec, 50, 300, seed=3))
-    # each measure's own evaluate_batch on the unsorted pairs
-    xs, ys = lattice._draw_pairs(50, 0, 300, 3, "gaussian")[:2]
+    # each measure's own evaluate_batch on the unsorted pairs, x rows first
+    pairs = lattice._draw_pairs(50, 0, 300, 3, "gaussian")
+    xs, ys = pairs[:, 0], pairs[:, 1]
     batch = np.concatenate([xs, ys, np.minimum(xs, ys), np.maximum(xs, ys)])
+    assert batch.tobytes() == pairs.transpose(1, 0, 2).tobytes()
     for spec, rep in zip(specs, cold):
         v = spec.evaluate_batch(batch).reshape(4, 300)
         gaps = (v[0] + v[1]) - (v[2] + v[3])
