@@ -30,7 +30,7 @@ config = pl.RollingConfig(
     epsilon=1e-8,
 )
 
-table = pl.pairwise_day_tests(losses, config, debug=True)
+table = pl.pairwise_day_tests(losses, config)
 print(f"{len(table)} (date, pair, measure) cells tested: gaps[check, pair, date] "
       f"of shape {table.gaps.shape}, {int(table.violated.sum())} violations")
 

@@ -293,20 +293,19 @@ def _draw_pair(rng: np.random.Generator, generator: str, pair: np.ndarray,
     """Fill the contiguous ``(2, n)`` block ``pair`` with a trial's x and y;
     ``scratch`` is a work row of size ``n``.
 
-    A gaussian pair is one ``standard_normal`` call over both rows, which
-    reads the stream as one call for x and one for y do.  The other
-    generators draw x, then y, with the same calls.
+    A gaussian pair is one ``standard_normal`` call over both rows, and a
+    two_point pair (indicator-like vectors with entries in {0, 1}) one
+    ``integers`` call; each reads the stream as one call for x and one for
+    y do.  A heavy_tail pair draws x, then y.
     """
     if generator == "gaussian":
         rng.standard_normal(out=pair)
-        return
-    for out in pair:
-        if generator == "two_point":
-            # indicator-like vectors with entries in {0, 1}
-            out[...] = rng.integers(0, 2, size=out.size)
-        else:
-            # heavy_tail: normal over sqrt(uniform); the uniform is taken on
-            # (0, 1] so the ratio stays finite
+    elif generator == "two_point":
+        pair[...] = rng.integers(0, 2, size=pair.shape)
+    else:
+        for out in pair:
+            # normal over sqrt(uniform); the uniform is taken on (0, 1] so
+            # the ratio stays finite
             rng.standard_normal(out=out)
             rng.random(out=scratch)
             np.subtract(1.0, scratch, out=scratch)

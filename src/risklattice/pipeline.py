@@ -23,6 +23,7 @@ import json
 import math
 import re
 import warnings
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -465,9 +466,7 @@ def _checks(config: RollingConfig) -> list[tuple[str, str]]:
     return out
 
 
-def pairwise_day_tests(
-    losses: LossPanel, config: RollingConfig, debug: bool = False
-) -> ViolationTable:
+def pairwise_day_tests(losses: LossPanel, config: RollingConfig) -> ViolationTable:
     """Lattice-test every unordered ticker pair on every full-window date.
 
     For each pair and date the configured measures are evaluated on the two
@@ -486,10 +485,7 @@ def pairwise_day_tests(
     evaluating each pair's windows on their own.  The gap rows go straight
     into one ``ViolationTable`` array ``gaps[check, pair, date]``: checks in
     (measure label, test) order, config order breaking label ties; pairs in
-    sorted-ticker order; dates the window end dates.  ``debug`` is accepted
-    and ignored: ``meet + join == x + y``, which it asserted, holds bitwise
-    for finite losses (``min + max`` is ``x + y`` or ``y + x``).  Pairs run
-    serially.
+    sorted-ticker order; dates the window end dates.  Pairs run serially.
     """
     if len(losses.tickers) < 2:
         raise DomainError("pairwise tests need at least 2 tickers")
@@ -689,10 +685,12 @@ def _csv_fields(*fields: str) -> str:
 _VIOLATIONS_HEADER = "date,pair,measure,params,gap,violated"
 
 # violations.csv is formatted in blocks of dates holding about this many
-# cells.  A block keeps one text per formatted cell and a few 8-byte indices
-# per cell, and formatting needs about 90 bytes per formatted cell for a
-# moment, so the writer's memory peaks at about 12 MB when every cell is
-# formatted (traced with tracemalloc).
+# cells.  A block keeps one piece (labels and text) per formatted cell and a
+# few bytes per cell, and formatting needs about 90 bytes per formatted cell
+# for a moment.  The writer also keeps one piece per row: 3,045 rows on the
+# pipeline-wide benchmark panel, 34,650 at 100 tickers and 7 checks.  Its
+# memory peaks at about 14 MB when every cell is formatted, at either row
+# count (traced with tracemalloc).
 _EXPORT_BLOCK_CELLS = 1 << 16
 
 
@@ -784,8 +782,8 @@ def _digits17(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return digits, exp10
 
 
-def _cell_text(negative, digits, exp10, violated) -> str:
-    """The ``"%.17g,flag\\n"`` cells of ``_digits17``'s digits, joined."""
+def _cell_text(negative, digits, exp10, violated) -> bytes:
+    """The ``b"%.17g,flag\\n"`` cells of ``_digits17``'s digits, joined."""
     group_text, group_zeros, shape_chars, shape_keep = _cell_tables()
     lead, tail = np.divmod(digits, 10**16)  # d0, and d1..d16 as 4 groups
     high, low = np.divmod(tail.astype(np.uint64), np.uint64(10**8))
@@ -800,11 +798,11 @@ def _cell_text(negative, digits, exp10, violated) -> str:
     chars[:, 6] = lead + 48
     chars[:, 8:24] = group_text[groups].view(np.uint8)
     del lead, tail, high, low, groups, zeros  # the text's arrays need the memory
-    return str(chars[np.take(shape_keep, shape, axis=0)], "ascii")
+    return chars[np.take(shape_keep, shape, axis=0)].tobytes()
 
 
-def _format17g(values: np.ndarray, violated: np.ndarray) -> list[str]:
-    """``"%.17g,true\\n"`` or ``"%.17g,false\\n"`` of each value and flag,
+def _format17g(values: np.ndarray, violated: np.ndarray) -> list[bytes]:
+    """``b"%.17g,true\\n"`` or ``b"%.17g,false\\n"`` of each value and flag,
     as Python's ``%`` writes it.  Zeros and 1e-8 <= |v| < 10 are formatted
     in numpy, exactly (``_digits17``); every other value (subnormal, tiny,
     >= 10, infinite) is formatted by ``%``."""
@@ -818,7 +816,7 @@ def _format17g(values: np.ndarray, violated: np.ndarray) -> list[str]:
         return texts
     out = np.empty(values.size, dtype=object)
     out[fast] = texts
-    out[~fast] = ["%.17g,%s\n" % (v, "true" if f else "false")
+    out[~fast] = [b"%.17g,%s\n" % (v, b"true" if f else b"false")
                   for v, f in zip(values[~fast].tolist(), violated[~fast].tolist())]
     return out.tolist()
 
@@ -831,40 +829,37 @@ def _row_labels(pairs, checks) -> list[str]:
 
 
 def _write_violations(fh, table: ViolationTable) -> None:
-    # Each pair and check label is CSV-encoded once.  A row is three slots of
-    # one list per date: "date,", the labels and "gap,flag\n", and the list
-    # is joined.  Rows are formatted a block of dates at a time, so the file
-    # is never held in memory as strings.
-    labels = _row_labels(["-".join(pair) for pair in table.pairs], table.checks)
+    # pieces[1 + row] holds the bytes "pair,measure,params,gap,flag\n" that
+    # the row (a pair and a check) last wrote, so a date is its
+    # "YYYY-MM-DD," joined with them (pieces[0] is b"": a table with no rows
+    # writes nothing).  A cell whose gap bits (so -0.0 and 0.0 keep their own
+    # text) and flag (so a table read back keeps its own flags) equal its
+    # row's on the previous date, in this block or the one before, keeps its
+    # piece; the other cells of a block of dates are formatted in one
+    # _format17g call.  The file is never held in memory.
+    labels = [label.encode() for label in
+              _row_labels(["-".join(pair) for pair in table.pairs], table.checks)]
     rows = len(labels)
-    slots = [None] * (3 * rows)
-    slots[1::3] = labels
+    labels = np.array([b"", *labels], dtype=object)
+    pieces = np.full(rows + 1, b"", dtype=object)
     step = max(1, _EXPORT_BLOCK_CELLS // max(rows, 1))
     for start in range(0, len(table.dates), step):
-        days = table.dates[start : start + step]
+        lo = max(start - 1, 0)  # the block, after its previous date if any
+        n = len(table.dates[lo : start + step])
         # (date, pair, check) order, the order of the rows
-        gaps = np.ascontiguousarray(table.gaps[:, :, start : start + step].T, dtype=np.float64)
-        flags = table.violated[:, :, start : start + step].T
-        _write_block(fh, slots, days, gaps.reshape(len(days), rows),
-                     flags.reshape(len(days), rows))
-
-
-def _write_block(fh, slots: list, days, gaps: np.ndarray, flags: np.ndarray) -> None:
-    # A gap often repeats from one date to the next: a cell whose gap bits
-    # (so -0.0 and 0.0 keep their own text) and flag (so a table read back
-    # keeps its own flags) equal those of its row on the previous date of the
-    # block reuses that text, and the other cells are formatted in one
-    # _format17g call.
-    new = np.ones(gaps.shape, dtype=bool)
-    new[1:] = (gaps[1:].view(np.int64) != gaps[:-1].view(np.int64)) | (flags[1:] != flags[:-1])
-    # the date of the cell whose text each cell takes, then that text's index
-    source = np.maximum.accumulate(np.where(new, np.arange(len(days))[:, None], 0), axis=0)
-    index = (np.cumsum(new) - 1).reshape(gaps.shape)[source, np.arange(gaps.shape[1])]
-    texts = np.array(_format17g(gaps[new], flags[new]), dtype=object)
-    for day, cells in zip(days, index):
-        slots[0::3] = [day.isoformat() + ","] * len(cells)
-        slots[2::3] = texts[cells].tolist()
-        fh.write("".join(slots))
+        gaps = np.ascontiguousarray(table.gaps[:, :, lo : start + step].T,
+                                    dtype=np.float64).reshape(n, rows)
+        flags = table.violated[:, :, lo : start + step].T.reshape(n, rows)
+        new = np.ones((n, rows), dtype=bool)
+        new[1:] = (gaps[1:].view(np.int64) != gaps[:-1].view(np.int64)) | (flags[1:] != flags[:-1])
+        new, gaps, flags = new[start - lo :], gaps[start - lo :], flags[start - lo :]
+        row = np.nonzero(new)[1] + 1  # pieces[0] is the join's b""
+        changed = labels[row] + np.array(_format17g(gaps[new], flags[new]), dtype=object)
+        ends = np.count_nonzero(new, axis=1).cumsum().tolist()
+        for date, begin, end in zip(table.dates[start : start + step], [0, *ends], ends):
+            pieces[row[begin:end]] = changed[begin:end]
+            fh.write(f"{date.isoformat()},".encode().join(pieces))
+        del changed  # before the next block's: pieces hold what the rows still use
 
 
 def _write_rates(fh, series) -> None:
@@ -893,13 +888,15 @@ def export_report(
     """Write ``violations.csv``, ``daily_rates.csv``, ``correlations.csv`` and
     ``summary.json`` into ``outdir``; column orders are fixed.
 
-    ``violations.csv`` is written from the arrays of the table ``records``,
-    one row per cell in (date, pair, check) order, a block of dates of
-    about ``_EXPORT_BLOCK_CELLS`` cells at a time, so memory does not grow
-    with the number of dates.  Each pair and check label is CSV-encoded
-    once; a cell that repeats the gap bits and flag of its (pair, check) on
-    the block's previous date reuses that text, and the other cells of a
-    block are formatted in one ``_format17g`` call.
+    ``violations.csv`` is written as UTF-8 bytes from the arrays of the
+    table ``records``, one row per cell in (date, pair, check) order, a
+    block of dates of about ``_EXPORT_BLOCK_CELLS`` cells at a time, so
+    memory does not grow with the number of dates.  Each pair and check
+    label is CSV-encoded and UTF-8-encoded once, and each (pair, check) row
+    keeps the bytes it last wrote from one date to the next.  A cell that
+    repeats the gap bits and flag of its row on the previous date, in the
+    same block or not, writes those bytes again; the other cells of a block
+    are formatted in one ``_format17g`` call.
     ``correlation_rows`` is an iterable of ``(label_a, label_b,
     CorrelationResult)``.  Output is byte-stable for a fixed input: floats
     are written with 17 significant digits, and the JSON summary has sorted
@@ -913,8 +910,8 @@ def export_report(
         "correlations": outdir / "correlations.csv",
         "summary": outdir / "summary.json",
     }
-    with paths["violations"].open("w", newline="", encoding="utf-8") as fh:
-        fh.write(_VIOLATIONS_HEADER + "\n")
+    with paths["violations"].open("wb") as fh:
+        fh.write(_VIOLATIONS_HEADER.encode() + b"\n")
         _write_violations(fh, records)
     with paths["daily_rates"].open("w", newline="", encoding="utf-8") as fh:
         fh.write("date,measure,rate,tests\n")
@@ -940,6 +937,21 @@ def export_report(
     return paths
 
 
+def _split_pairs(texts: list[str]) -> list:
+    """Each pair text's two tickers, or None where the split is ambiguous.
+    A text with one ``-`` splits there; a text with more splits where both
+    sides are named by another text (as a side of any of its splits), if
+    exactly one split is."""
+    splits = [[(t[:i], t[i + 1 :]) for i, c in enumerate(t) if c == "-"] for t in texts]
+    # a text counts each side it names once, so a count above 1 is another text
+    named = Counter(side for s in splits for side in {side for split in s for side in split})
+    out = []
+    for s in splits:
+        fits = [split for split in s if len(s) == 1 or min(named[side] for side in split) > 1]
+        out.append(fits[0] if len(fits) == 1 else None)
+    return out
+
+
 def read_violations_csv(path) -> ViolationTable:
     """Read ``violations.csv`` back into a ``ViolationTable`` with ``epsilon``
     None, equal to the table ``export_report`` wrote, its gaps bit for bit.
@@ -950,9 +962,13 @@ def read_violations_csv(path) -> ViolationTable:
     ``export_report`` encodes them), a gap and the flag ``true`` or
     ``false``.  A malformed row, a row off the grid (a cell missing, added or
     repeated), a NaN gap or any other flag raises ``DataError`` with
-    ``path:line``.  A pair is read back only when its text has exactly one
-    ``-``: ``("BRK-B", "C")`` is written ``BRK-B-C``, which also reads as
-    ``("BRK", "B-C")``, so it raises rather than be misread."""
+    ``path:line``.  A pair text splits at its ``-``.  ``("BRK-B", "C")`` is
+    written ``BRK-B-C``, which also reads as ``("BRK", "B-C")``, so a text
+    with more than one ``-`` splits where both sides are tickers that the
+    other pair texts name (``A-BRK-B`` and ``A-C`` name ``BRK-B`` and
+    ``C``, not ``BRK`` and ``B-C``).  Where no split or more than one split
+    does, as in a file whose only pair is ``BRK-B-C``, it raises rather than
+    be misread."""
     text = _read_text(Path(path))
     if not text.endswith("\n"):
         text += "\n"
@@ -964,21 +980,27 @@ def read_violations_csv(path) -> ViolationTable:
     reader = csv.reader(line[0] for line in re.finditer(".*\n", text))
     next(reader)
     first = []  # the first date's rows, CSV-decoded
+    lines = {}  # the line of each pair text's first row
     try:
         for row in reader:
             if first and row[:1] != first[0][:1]:
                 break
             if len(row) != 6:
                 raise DataError(f"{path}:{reader.line_num}: expected 6 columns, got {len(row)}")
-            # a ticker holding '-' makes the pair split more than one way
-            if row[1].count("-") != 1:
+            if "-" not in row[1]:
                 raise DataError(
                     f"{path}:{reader.line_num}: pair {row[1]!r} is not 'TICKER-TICKER'")
             first.append(row)
+            lines.setdefault(row[1], reader.line_num)
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     # a pair that comes back later on the first date breaks the grid these fix
-    pairs = list(dict.fromkeys(row[1] for row in first))
+    pairs = list(lines)
+    tickers = _split_pairs(pairs)
+    for pair, split in zip(pairs, tickers):
+        if split is None:
+            raise DataError(f"{path}:{lines[pair]}: pair {pair!r} splits into two of the "
+                            f"file's tickers more than one way")
     checks = [(row[2], row[3]) for row in first if row[1] == first[0][1]]
     labels = _row_labels(pairs, checks)
 
@@ -1015,7 +1037,7 @@ def read_violations_csv(path) -> ViolationTable:
     shape = (len(dates), len(pairs), len(checks))
     return ViolationTable(
         dates=tuple(dates),
-        pairs=tuple(tuple(pair.split("-")) for pair in pairs),
+        pairs=tuple(tickers),
         checks=tuple(checks),
         gaps=np.array(gaps, dtype=float).reshape(shape).T,
         violated=np.array(violated, dtype=bool).reshape(shape).T,

@@ -315,7 +315,7 @@ def _small_run(outdir):
     config = pl.RollingConfig(
         window=15, measures=(RiskMeasureSpec.var(0.9), RiskMeasureSpec.es(0.9)), epsilon=1e-8
     )
-    table = pl.pairwise_day_tests(losses, config, debug=True)
+    table = pl.pairwise_day_tests(losses, config)
     series = [
         pl.daily_violation_rate(table, "VaR(0.9)"),
         pl.daily_violation_rate(table, "ES(0.9)"),

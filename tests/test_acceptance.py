@@ -175,7 +175,7 @@ def _pipeline_run(outdir: Path):
         measures=(RiskMeasureSpec.var(0.9), RiskMeasureSpec.es(0.9), RiskMeasureSpec.es(0.95)),
         epsilon=EPS,
     )
-    records = pl.pairwise_day_tests(losses, config, debug=True)
+    records = pl.pairwise_day_tests(losses, config)
     series = [
         pl.daily_violation_rate(records, "VaR(0.9)"),
         pl.daily_violation_rate(records, "VaR(0.9)", test=pl.SUBADDITIVITY),

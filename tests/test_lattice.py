@@ -179,6 +179,19 @@ def test_chunk_draws_bit_equal_to_per_trial_loop(seed, n, generator):
     assert nudged.any() and not nudged.all()
 
 
+@pytest.mark.parametrize("n", [3, 4, 11, 50, 1100])
+def test_two_point_pair_is_one_draw_of_two_vectors(n):
+    # one integers call into the (2, n) block gives the values of one call
+    # per vector and leaves the stream at the same word, odd n included
+    pair, scratch = np.empty((2, n)), np.empty(n)
+    for seed in range(40):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        lattice._draw_pair(rng, "two_point", pair, scratch)
+        x, y = oracle.integers(0, 2, size=n), oracle.integers(0, 2, size=n)
+        assert pair.tobytes() == np.stack([x, y]).astype(np.float64).tobytes()
+        assert rng.bit_generator.random_raw() == oracle.bit_generator.random_raw()
+
+
 def test_chunk_draws_with_many_nudged_trials():
     # hundreds of nudged rows share one pass of the copied choice
     for generator in GENERATORS:

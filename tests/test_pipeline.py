@@ -378,7 +378,7 @@ def test_var_subadditivity_fixture_recorded():
     # are 0 but the summed window has second-largest loss 1
     panel = make_loss_panel({"AAA": [1.0, 0.0, 0.0, 0.0], "BBB": [0.0, 1.0, 0.0, 0.0]})
     config = pl.RollingConfig(window=4, measures=(RiskMeasureSpec.var(0.5),))
-    records = pl.pairwise_day_tests(panel, config, debug=True)
+    records = pl.pairwise_day_tests(panel, config)
     subadd = [r for r in records if r.test == pl.SUBADDITIVITY]
     assert len(subadd) == 1
     assert subadd[0].gap == -1.0 and subadd[0].violated
@@ -388,7 +388,7 @@ def test_var_subadditivity_fixture_recorded():
 def test_es_records_never_violate():
     panel = pl.build_loss_panel(pl.synth_prices(seed=5, n_days=50, n_assets=4, vol=0.03, jump_prob=0.15))
     config = pl.RollingConfig(window=15, measures=(RiskMeasureSpec.es(0.9), RiskMeasureSpec.var(0.9)))
-    records = pl.pairwise_day_tests(panel, config, debug=True)
+    records = pl.pairwise_day_tests(panel, config)
     es_records = [r for r in records if r.measure == "ES(0.9)"]
     assert es_records
     assert not any(r.violated for r in es_records)
@@ -407,7 +407,7 @@ def test_dominated_pair_gaps_exactly_zero():
         RiskMeasureSpec.distortion(power_distortion(0.5)),
     )
     config = pl.RollingConfig(window=18, measures=measures)
-    table = pl.pairwise_day_tests(panel, config, debug=True)
+    table = pl.pairwise_day_tests(panel, config)
     sub = [r for r in table if r.test == pl.SUBMODULARITY]
     assert len({r.date for r in sub}) % 2 == 1
     assert len(sub) == 23 * len(measures)
@@ -640,6 +640,18 @@ def test_export_headers_only_when_empty(tmp_path):
     assert back == empty_table() and len(back) == 0 and back.gaps.shape == (0, 0, 0)
 
 
+@pytest.mark.parametrize("pairs, checks", [((), (("VaR(0.9)", pl.SUBMODULARITY),)),
+                                            ((("A", "B"),), ())])
+def test_export_table_with_no_rows_writes_only_the_header(tmp_path, pairs, checks):
+    # dates, but no pair or no check: no row on any date
+    days = (dt.date(2024, 1, 2), dt.date(2024, 1, 3))
+    gaps = np.zeros((len(checks), len(pairs), len(days)))
+    table = pl.ViolationTable(dates=days, pairs=pairs, checks=checks, gaps=gaps,
+                              violated=gaps < 0)
+    path = pl.export_report(table, [], [], tmp_path)["violations"]
+    assert path.read_bytes() == b"date,pair,measure,params,gap,violated\n"
+
+
 def test_export_round_trip(tmp_path):
     _, _, table = golden_table()
     back = pl.read_violations_csv(pl.export_report(table, [], [], tmp_path)["violations"])
@@ -647,18 +659,35 @@ def test_export_round_trip(tmp_path):
     assert np.array_equal(back.gaps.view(np.int64), table.gaps.view(np.int64))
 
 
-def test_hyphenated_ticker_pair_is_not_misread(tmp_path):
-    # BRK-B-C splits as ("BRK-B", "C") and as ("BRK", "B-C"); the bytes
-    # written stay as they were, and reading them back refuses to guess
-    table = pl.ViolationTable(
-        dates=(dt.date(2024, 3, 1),), pairs=(("BRK-B", "C"),),
-        checks=(("VaR(0.5)", pl.SUBMODULARITY),), gaps=np.full((1, 1, 1), -0.5),
-        violated=np.ones((1, 1, 1), dtype=bool),
+def hyphen_table(tickers) -> pl.ViolationTable:
+    pairs = tuple((a, b) for i, a in enumerate(tickers) for b in tickers[i + 1 :])
+    gaps = -0.5 * np.arange(1, 2 * len(pairs) + 1).reshape(1, len(pairs), 2)
+    return pl.ViolationTable(
+        dates=(dt.date(2024, 3, 1), dt.date(2024, 3, 4)), pairs=pairs,
+        checks=(("VaR(0.5)", pl.SUBMODULARITY),), gaps=gaps, violated=gaps < -1,
     )
+
+
+@pytest.mark.parametrize("tickers", [("A", "BRK-B", "C"), ("A-B", "C-D", "E-F"),
+                                     ("A", "A-B", "B"), ("-", "X", "Y")])
+def test_hyphenated_tickers_read_back(tmp_path, tickers):
+    # BRK-B-C splits as ("BRK-B", "C") and as ("BRK", "B-C"); the other
+    # pairs name BRK-B and C, so it reads back as written
+    table = hyphen_table(tickers)
     paths = pl.export_report(table, [], [], tmp_path)
+    if tickers[1] == "BRK-B":
+        assert paths["violations"].read_text().splitlines()[3] == (
+            "2024-03-01,BRK-B-C,VaR(0.5),submodularity,-2.5,true")
+    assert pl.read_violations_csv(paths["violations"]) == table
+
+
+def test_hyphenated_ticker_pair_is_not_misread(tmp_path):
+    # with no other pair, BRK-B-C splits two ways and reading it refuses to guess
+    paths = pl.export_report(hyphen_table(("BRK-B", "C")), [], [], tmp_path)
     assert paths["violations"].read_text().splitlines()[1] == (
-        "2024-03-01,BRK-B-C,VaR(0.5),submodularity,-0.5,true")
-    with pytest.raises(DataError, match="violations.csv:2: pair 'BRK-B-C' is not 'TICKER-TICKER'"):
+        "2024-03-01,BRK-B-C,VaR(0.5),submodularity,-0.5,false")
+    with pytest.raises(DataError, match="violations.csv:2: pair 'BRK-B-C' splits into two of "
+                                        "the file's tickers more than one way"):
         pl.read_violations_csv(paths["violations"])
 
 
@@ -833,7 +862,7 @@ def test_aes_counterexample_through_pipeline():
     panel = make_loss_panel({"RAMP": list(x), "FOLD": list(y)})
     spec = RiskMeasureSpec.aes(aes_matched_grid(1.0, 0.0, 0.5, 0.25))
     config = pl.RollingConfig(window=200, measures=(spec,))
-    records = pl.pairwise_day_tests(panel, config, debug=True)
+    records = pl.pairwise_day_tests(panel, config)
     assert len(records) == 1
     assert records[0].violated
     assert -records[0].gap == pytest.approx(predicted, abs=5e-3)
@@ -908,7 +937,7 @@ def golden_table():
     panel = pl.build_loss_panel(pl.synth_prices(**GOLDEN_PANEL), GOLDEN_TICKERS)
     config = pl.config_to_rolling({"window": 12, "levels": (0.9, 0.9),
                                    "aes_levels": (0.6, 0.9), "aes_penalties": (0.0, 0.01)})
-    return panel, config, pl.pairwise_day_tests(panel, config, debug=True)
+    return panel, config, pl.pairwise_day_tests(panel, config)
 
 
 # ---------------------------------------------------------------------------
@@ -1070,7 +1099,7 @@ def test_pairwise_gaps_bit_equal_to_per_pair_loop(measures, pairs_per_chunk, mon
     panel = flat_stretch_panel()
     assert np.any((panel.losses == 0.0) & np.signbit(panel.losses))
     config = pl.RollingConfig(window=40, measures=measures)
-    table = pl.pairwise_day_tests(panel, config, debug=True)
+    table = pl.pairwise_day_tests(panel, config)
     assert table.gaps.shape[1:] == (3, 80)
     reference = reference_table(panel, config)
     assert (table.dates, table.pairs, table.checks) == (
@@ -1100,11 +1129,12 @@ def test_export_bytes_match_plain_writer(tmp_path, monkeypatch, block_cells):
     # a full grid whose gaps repeat, with -0.0 and 0.0 apart, +-inf, values
     # in and out of _format17g's integer range (a tie, both sides of the
     # switch to an exponent), a check configured twice, tickers and labels
-    # holding '%', ',' and '"' (quoted, '"' doubled), and flags that disagree
-    # with the gap's sign, one gap carrying both flags on one date; one cell
-    # keeps its gap and flag on every date, so its run crosses each border
-    # of blocks of 1, 2 and 3 dates; written in blocks of 1, 2 and 3 dates,
-    # and all of them
+    # holding '%', ',' and '"' (quoted, '"' doubled), a non-ASCII letter
+    # (UTF-8) and "\n" and "\r" (quoted), and flags that disagree with the
+    # gap's sign, one gap carrying both flags on one date; one cell keeps
+    # its gap and flag on every date, so its run crosses each border of
+    # blocks of 1, 2 and 3 dates; written in blocks of 1, 2 and 3 dates, and
+    # all of them
     monkeypatch.setattr(pl, "_EXPORT_BLOCK_CELLS", block_cells)
     formatted = []  # the number of cells each _format17g call formats
     format17g = pl._format17g
@@ -1115,7 +1145,8 @@ def test_export_bytes_match_plain_writer(tmp_path, monkeypatch, block_cells):
 
     monkeypatch.setattr(pl, "_format17g", counted)
     days = [dt.date(2024, 1, 1) + dt.timedelta(days=k) for k in range(7)]
-    pairs = [("10%", 'Q"1'), ("10%", "a,b"), ('Q"1', "a,b")]
+    pairs = [("10%", 'Q"1'), ("10%", "a,b"), ('Q"1', "a,b"), ("10%", "Zürich"),
+             ('Q"1', "two\nlines\r")]
     checks = [("VaR(0.9)", pl.SUBMODULARITY), ("VaR(0.9)", pl.SUBADDITIVITY),
               ("AES(0.6:0,0.9:0.01)", pl.SUBMODULARITY), ('odd 50% "label"', pl.SUBMODULARITY),
               ('odd 50% "label"', pl.SUBMODULARITY)]
@@ -1130,7 +1161,7 @@ def test_export_bytes_match_plain_writer(tmp_path, monkeypatch, block_cells):
     gaps[2, 1], violated[2, 1] = 0.1, False
     table = pl.ViolationTable(dates=tuple(days), pairs=tuple(pairs), checks=tuple(checks),
                               gaps=gaps, violated=violated)
-    assert table.gaps.shape == (5, 3, 7) and table.checks.count(checks[-1]) == 2
+    assert table.gaps.shape == (5, 5, 7) and table.checks.count(checks[-1]) == 2
     assert {"%.17g" % v for v in values} <= {"%.17g" % r.gap for r in table}
     flags = {}
     for r in table:
@@ -1143,15 +1174,20 @@ def test_export_bytes_match_plain_writer(tmp_path, monkeypatch, block_cells):
     back = pl.read_violations_csv(path)
     assert back == table
     assert np.array_equal(back.gaps.view(np.int64), table.gaps.view(np.int64))
-    # a cell whose gap and flag equal its row's on the block's previous date
-    # is not formatted again
-    step = max(1, block_cells // 15)
-    assert len(formatted) == -(-len(days) // step)
-    assert sum(formatted) < table.gaps.size if step > 1 else sum(formatted) == table.gaps.size
+    # one _format17g call per block of dates formats the block's cells whose
+    # gap bits or flag differ from their row's on the previous date, in the
+    # block or the one before it, and every cell of the first date
+    step = max(1, block_cells // 25)
+    bits = table.gaps.view(np.int64)
+    changed = np.ones(gaps.shape, dtype=bool)
+    changed[..., 1:] = (bits[..., 1:] != bits[..., :-1]) | (violated[..., 1:] != violated[..., :-1])
+    assert formatted == [np.count_nonzero(changed[..., start : start + step])
+                         for start in range(0, len(days), step)]
+    assert np.count_nonzero(changed) < table.gaps.size
 
 
-def percent_texts(values, flags) -> list[str]:
-    return ["%.17g,%s\n" % (v, "true" if f else "false")
+def percent_texts(values, flags) -> list[bytes]:
+    return [("%.17g,%s\n" % (v, "true" if f else "false")).encode()
             for v, f in zip(values.tolist(), flags.tolist())]
 
 
@@ -1183,14 +1219,14 @@ def test_format17g_at_powers_of_ten_and_range_edges():
     assert_format17g(np.concatenate([values, -values]))
     # the last double below 1e-4 needs an exponent, 1e-4 does not
     assert pl._format17g(np.array([9.9999999999999995e-05, 1e-4]), np.array([False, True])) == [
-        "9.9999999999999991e-05,false\n", "0.0001,true\n"]
+        b"9.9999999999999991e-05,false\n", b"0.0001,true\n"]
 
 
 def test_format17g_rounds_ties_to_even():
     # n * 2**(X - 17) for odd n, in [10**X, 10**(X + 1)), has 18 significant
     # digits, the last a 5: the 17th digit rounds to even
     assert pl._format17g(np.array([1 + 2.0**-17, 1 + 3 * 2.0**-17]), np.array([False, False])) == [
-        "1.0000076293945312,false\n", "1.0000228881835938,false\n"]
+        b"1.0000076293945312,false\n", b"1.0000228881835938,false\n"]
     ties = []
     for x in range(-8, 1):
         lo, hi = -(-(2 ** (17 - x)) // 10**-x), 10 * 2 ** (17 - x) // 10**-x
