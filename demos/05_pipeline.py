@@ -1,9 +1,10 @@
 """Synthetic panel through the full rolling-window violation pipeline.
 
-Generates a jumpy 4-asset price panel, tests every pair each day for
-submodularity (and VaR subadditivity) violations on rolling windows, and
-writes the standard report files to demos/output/, then reads violations.csv
-back and checks that it equals the table.
+Generates a jumpy 4-asset price panel and runs ``run_reports`` on it: every
+pair is tested each day for submodularity (and VaR subadditivity) violations
+on rolling windows, and the standard report files go to demos/output/.  The
+demo prints the daily rates and correlations the run returns, then reads
+violations.csv back and checks that it equals the table.
 
 Run: python3 demos/05_pipeline.py
 """
@@ -30,33 +31,15 @@ config = pl.RollingConfig(
     epsilon=1e-8,
 )
 
-table = pl.pairwise_day_tests(losses, config)
+out = Path(__file__).parent / "output"
+table, series, corr_rows, paths = pl.run_reports(losses, config, out)
 print(f"{len(table)} (date, pair, measure) cells tested: gaps[check, pair, date] "
       f"of shape {table.gaps.shape}, {int(table.violated.sum())} violations")
-
-series = []
-var_pairs = []  # (submodularity, subadditivity) series of each VaR measure
-for spec in config.measures:
-    s = pl.daily_violation_rate(table, spec.label)
-    series.append(s)
-    line = f"  {s.label:<34} mean rate {s.rate.mean():.4f}  max {s.rate.max():.4f}"
-    if spec.kind == "var":
-        add = pl.daily_violation_rate(table, spec.label, test=pl.SUBADDITIVITY)
-        series.append(add)
-        var_pairs.append((spec, s, add))
-        line += f"   | subadditivity mean {add.rate.mean():.4f}"
-    print(line)
-
-corr_rows = []
-for spec, sub, add in var_pairs:
-    c = pl.correlations(sub.series(), add.series())
-    corr_rows.append((sub.label, add.label, c))
-    print(f"  {spec.label}: submodularity vs subadditivity rates: "
-          f"pearson {c.pearson:.3f}, spearman {c.spearman:.3f}, dcor {c.dcor:.3f}"
-          + ("  [degenerate]" if c.degenerate else ""))
-
-out = Path(__file__).parent / "output"
-paths = pl.export_report(table, series, corr_rows, out, config=config)
+for s in series:
+    print(f"  {s.label:<34} mean rate {s.rate.mean():.4f}  max {s.rate.max():.4f}")
+for sub, other, c in corr_rows:
+    print(f"  {sub} vs {other}: pearson {c.pearson:.3f}, spearman {c.spearman:.3f}, "
+          f"dcor {c.dcor:.3f}" + ("  [degenerate]" if c.degenerate else ""))
 for key, path in paths.items():
     print(f"wrote {path}")
 

@@ -266,23 +266,8 @@ def _cmd_pipeline(args) -> int:
     config = pl.config_to_rolling(cfg)
     panel = pl.load_prices_csv(args.prices)
     losses = pl.build_loss_panel(panel, cfg.get("tickers") or None)
-    table = pl.pairwise_day_tests(losses, config)
-
-    series = []
-    corr_rows = []
-    for spec in config.measures:
-        sub = pl.daily_violation_rate(table, spec.label)
-        series.append(sub)
-        if spec.kind != "var":
-            continue
-        add = pl.daily_violation_rate(table, spec.label, test=pl.SUBADDITIVITY)
-        series.append(add)
-        try:
-            corr_rows.append((sub.label, add.label, pl.correlations(sub.series(), add.series())))
-        except RiskLatticeError:
-            pass  # too few common dates; skip the diagnostic row
-    paths = pl.export_report(
-        table, series, corr_rows, args.out, config=config,
+    table, series, _, paths = pl.run_reports(
+        losses, config, args.out,
         extra_summary={"tickers": list(losses.tickers), "seed": cfg.get("seed", 0),
                        "prices": str(args.prices)},
     )

@@ -313,7 +313,10 @@ def _draw_pair(rng: np.random.Generator, generator: str, pair: np.ndarray,
 
 
 _NUDGE_BELOW = np.uint64(1 << 62)  # random() < 0.25 exactly when its raw word is below
-_FLOYD_MAX_ATOMS = 1_024  # the step loop's cost grows with n; above, numpy's calls run
+# The copy is exact only while numpy's choice runs Floyd's algorithm (up to
+# 10,000 atoms; above, it shuffles a tail of arange(n)), and its step loop's
+# cost grows with n: above this cap numpy's own calls run.
+_FLOYD_MAX_ATOMS = 1_024
 
 
 def _floyd_picks(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -501,17 +501,6 @@ def _finite(vals: np.ndarray, what: str) -> np.ndarray:
     return vals
 
 
-def _shift_rows(Xs: np.ndarray, m: np.ndarray, rows, work: np.ndarray) -> np.ndarray:
-    """``Xs[rows] - m[:, None]``, written into the leading rows of ``work``,
-    the one work array a solve reuses at every step."""
-    w = work[: m.size]
-    if isinstance(rows, slice):
-        return np.subtract(Xs, m[:, None], out=w)
-    np.take(Xs, rows, axis=0, out=w)
-    w -= m[:, None]
-    return w
-
-
 def _ce_kernel(n: int, ell: LossFunction):
     """The certainty equivalent as a function of ascending ``(m, n)`` batches.
 
@@ -623,10 +612,9 @@ def _shortfall_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
         return _finite(anchor - t, "shortfall")
     # silent normalization: subtracting l(0) leaves the root unchanged
     ell0 = float(ell.fn(np.array(0.0)))
-    work = np.empty_like(Xs)  # one work array for the whole solve
 
     def resid(m, rows=slice(None)):
-        return n * ell0 - ell.fn(_shift_rows(Xs, m, rows, work)).sum(axis=1)
+        return n * ell0 - ell.fn(Xs[rows] - m[:, None]).sum(axis=1)
 
     m = _bracketed(resid, Xs, "shortfall")
     # Residual guard, on the solver path only (custom losses without a closed
@@ -639,7 +627,7 @@ def _shortfall_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
     d = 2.0**-20 * np.maximum(np.abs(m), np.maximum(-Xs[:, 0], Xs[:, -1]))
     rise = np.abs(resid(m + d) - resid(m - d))
     tol = 2.0**-24 * rise + np.finfo(np.float64).tiny
-    terms = ell.fn(_shift_rows(Xs, m, slice(None), work))
+    terms = ell.fn(Xs - m[:, None])
     r = n * ell0 - terms.sum(axis=1)
     tol += n * np.finfo(np.float64).eps * (np.abs(terms).sum(axis=1) + n * abs(ell0))
     bad = ~(np.abs(r) <= tol)
@@ -757,14 +745,13 @@ def _oce_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
         y *= 1.0 - slope
         y += B
         return unit * (top + y.min(axis=1))
-    work = np.empty_like(Xs)  # one work array for the whole solve
 
     def f(m, rows=slice(None)):
-        return m + ell.fn(_shift_rows(Xs, m, rows, work)).mean(axis=1)
+        return m + ell.fn(Xs[rows] - m[:, None]).mean(axis=1)
 
     # the minimizer also depends on the loss's own unit: start one unit out
     m = _bracketed(f, Xs, "optimized certainty equivalent", pad=1.0, spread=2.0**-6)
-    terms = ell.fn(_shift_rows(Xs, m, slice(None), work))
+    terms = ell.fn(Xs - m[:, None])
     value = m + terms.mean(axis=1)
     # On a flat side of the objective every point has the same value, and
     # bisection may stop far out on it, where m + mean l(x - m) keeps only

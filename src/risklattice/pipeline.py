@@ -1,11 +1,12 @@
 """Rolling-window violation analysis on daily price panels.
 
 End-to-end flow: ingest adjusted closing prices from CSV (or generate a
-synthetic panel), convert to log-loss series aligned on common dates with
-complete-case deletion, evaluate configured risk measures on rolling windows,
-test every unordered ticker pair each day for submodularity (and, for VaR,
-subadditivity) violations, aggregate daily violation rates, and export
-deterministic CSV/JSON reports.
+synthetic panel) and convert them to log-loss series aligned on common dates
+with complete-case deletion; ``run_reports`` then evaluates the configured
+measures on rolling windows, tests every unordered ticker pair each day for
+submodularity violations (VaR measures also get the subadditivity test, as
+``_tests`` says), and writes the daily violation rates, their correlations
+and the other deterministic CSV/JSON reports.
 
 Input CSV format: header ``date,ticker,adj_close``, ISO-8601 dates, decimal
 prices, UTF-8.  Config files are flat ``key = value`` text with keys
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, RiskLatticeError
 from .functions import AdjustmentGrid
 from .lattice import DEFAULT_EPSILON, _check_epsilon
 from .specs import RiskMeasureSpec
@@ -53,6 +54,7 @@ __all__ = [
     "correlations",
     "synth_prices",
     "export_report",
+    "run_reports",
     "read_violations_csv",
     "load_config",
     "config_to_rolling",
@@ -428,24 +430,24 @@ def _pair_gaps(
     """
     w = config.window
     m, d = i.size, series.shape[1] - w + 1
-    # Only VaR's subadditivity test reads the summed-loss block; the other
+    # Only the subadditivity test reads the summed-loss block; the other
     # measures evaluate meet and join alone.
-    has_var = any(spec.kind == "var" for spec in config.measures)
+    summed = [SUBADDITIVITY in _tests(spec) for spec in config.measures]
     x, y = series[i], series[j]
-    lanes = np.empty((3 if has_var else 2, m, series.shape[1]))  # meet, join[, x + y]
+    lanes = np.empty((3 if any(summed) else 2, m, series.shape[1]))  # meet, join[, x + y]
     np.minimum(x, y, out=lanes[0])
     np.maximum(x, y, out=lanes[1])
-    if has_var:
+    if any(summed):
         np.add(x, y, out=lanes[2])
     batch = batch[: len(lanes) * m * d]
     batch.reshape(len(lanes), m, d, w)[...] = sliding_window_view(lanes, w, axis=2)
     batch.sort(axis=1)
     rows = []
-    for spec, kernel, v in zip(config.measures, kernels, values):
-        vals = kernel(batch if spec.kind == "var" else batch[: 2 * m * d]).reshape(-1, m, d)
+    for add, kernel, v in zip(summed, kernels, values):
+        vals = kernel(batch[: (2 + add) * m * d]).reshape(-1, m, d)
         pair_sum = v[i] + v[j]
         rows.append(pair_sum - (vals[0] + vals[1]))
-        if spec.kind == "var":
+        if add:
             rows.append(pair_sum - vals[2])
     return rows
 
@@ -456,14 +458,16 @@ def _pair_gaps(
 _PAIR_CHUNK_CELLS = 1 << 18
 
 
+def _tests(spec: RiskMeasureSpec) -> tuple[str, ...]:
+    """The lattice tests a measure gets: submodularity, and for VaR also
+    subadditivity on the summed-loss window.  Every part of the pipeline
+    that depends on it reads it here."""
+    return (SUBMODULARITY, SUBADDITIVITY) if spec.kind == "var" else (SUBMODULARITY,)
+
+
 def _checks(config: RollingConfig) -> list[tuple[str, str]]:
     """The (measure label, test) checks in config order, as ``_pair_gaps`` rows."""
-    out = []
-    for spec in config.measures:
-        out.append((spec.label, SUBMODULARITY))
-        if spec.kind == "var":
-            out.append((spec.label, SUBADDITIVITY))
-    return out
+    return [(spec.label, test) for spec in config.measures for test in _tests(spec)]
 
 
 def pairwise_day_tests(losses: LossPanel, config: RollingConfig) -> ViolationTable:
@@ -935,6 +939,31 @@ def export_report(
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return paths
+
+
+def run_reports(losses: LossPanel, config: RollingConfig, outdir,
+                extra_summary: dict | None = None) -> tuple:
+    """``pairwise_day_tests``, then the ``daily_violation_rate`` of each check
+    in config order (a VaR measure's subadditivity series right after its
+    submodularity series), the ``correlations`` of each measure's
+    submodularity series with its other series (a row that raises
+    ``RiskLatticeError``, too few dates, is left out) and ``export_report``
+    into ``outdir``.  Returns ``(table, series, correlation_rows, paths)``.
+    """
+    table = pairwise_day_tests(losses, config)
+    series, correlation_rows = [], []
+    for spec in config.measures:
+        sub, *others = [daily_violation_rate(table, spec.label, test) for test in _tests(spec)]
+        series += [sub, *others]
+        for other in others:
+            try:
+                correlation_rows.append(
+                    (sub.label, other.label, correlations(sub.series(), other.series())))
+            except RiskLatticeError:
+                pass  # too few common dates; the row is left out
+    paths = export_report(table, series, correlation_rows, outdir, config=config,
+                          extra_summary=extra_summary)
+    return table, series, correlation_rows, paths
 
 
 def _split_pairs(texts: list[str]) -> list:

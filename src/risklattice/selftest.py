@@ -315,16 +315,8 @@ def _small_run(outdir):
     config = pl.RollingConfig(
         window=15, measures=(RiskMeasureSpec.var(0.9), RiskMeasureSpec.es(0.9)), epsilon=1e-8
     )
-    table = pl.pairwise_day_tests(losses, config)
-    series = [
-        pl.daily_violation_rate(table, "VaR(0.9)"),
-        pl.daily_violation_rate(table, "ES(0.9)"),
-        pl.daily_violation_rate(table, "VaR(0.9)", test=pl.SUBADDITIVITY),
-    ]
-    rows = [
-        (series[0].label, series[2].label, pl.correlations(series[0].series(), series[2].series()))
-    ]
-    return pl.export_report(table, series, rows, outdir, config=config), table
+    table, _, _, paths = pl.run_reports(losses, config, outdir)
+    return paths, table
 
 
 def check_pipeline_determinism() -> str:

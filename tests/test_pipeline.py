@@ -605,12 +605,8 @@ def test_synth_zero_vol_constant():
 def run_small(outdir):
     panel = pl.build_loss_panel(pl.synth_prices(seed=9, n_days=30, n_assets=3, vol=0.02, jump_prob=0.2))
     config = pl.RollingConfig(window=10, measures=(RiskMeasureSpec.var(0.8), RiskMeasureSpec.es(0.8)))
-    records = pl.pairwise_day_tests(panel, config)
-    series = [pl.daily_violation_rate(records, "VaR(0.8)"),
-              pl.daily_violation_rate(records, "VaR(0.8)", test=pl.SUBADDITIVITY)]
-    rows = [(series[0].label, series[1].label,
-             pl.correlations(series[0].series(), series[1].series()))]
-    return pl.export_report(records, series, rows, outdir, config=config), records
+    records, _, _, paths = pl.run_reports(panel, config, outdir)
+    return paths, records
 
 
 def empty_table():
@@ -776,6 +772,47 @@ def test_export_byte_identical(tmp_path):
     paths_b, _ = run_small(tmp_path / "b")
     for key in paths_a:
         assert paths_a[key].read_bytes() == paths_b[key].read_bytes()
+
+
+def test_run_reports_series_and_correlations_in_config_order(tmp_path):
+    panel = pl.build_loss_panel(pl.synth_prices(seed=9, n_days=30, n_assets=3, vol=0.02, jump_prob=0.2))
+    config = pl.RollingConfig(window=10, measures=(RiskMeasureSpec.es(0.8), RiskMeasureSpec.var(0.8)))
+    table, series, rows, paths = pl.run_reports(panel, config, tmp_path)
+    assert table == pl.pairwise_day_tests(panel, config)
+    assert [s.label for s in series] == [
+        "ES(0.8)/submodularity", "VaR(0.8)/submodularity", "VaR(0.8)/subadditivity"]
+    for s in series:
+        label, test = s.label.split("/")
+        assert np.array_equal(s.rate, pl.daily_violation_rate(table, label, test).rate)
+    (sub, add, corr), = rows
+    assert (sub, add) == ("VaR(0.8)/submodularity", "VaR(0.8)/subadditivity")
+    assert corr == pl.correlations(series[1].series(), series[2].series())
+    assert set(paths) == {"violations", "daily_rates", "correlations", "summary"}
+
+
+def test_run_reports_leaves_out_correlations_of_too_few_dates(tmp_path):
+    # 12 days give 11 losses and, at window 10, a table of 2 dates: too few
+    # for a correlation, so the run writes only the header of correlations.csv
+    import json
+
+    from risklattice.cli import main
+
+    prices = pl.synth_prices(seed=4, n_days=12, n_assets=3, vol=0.02, jump_prob=0.1)
+    config = pl.RollingConfig(window=10, measures=(RiskMeasureSpec.var(0.9), RiskMeasureSpec.es(0.9)))
+    table, series, rows, paths = pl.run_reports(pl.build_loss_panel(prices), config,
+                                                tmp_path / "lib", extra_summary={"seed": 4})
+    assert len(table.dates) == 2 and len(series) == 3 and rows == []
+    assert paths["correlations"].read_text() == "series_a,series_b,pearson,spearman,dcor\n"
+    assert json.loads(paths["summary"].read_text())["seed"] == 4
+
+    write_csv(tmp_path / "prices.csv", [f"{d.isoformat()},{t},{float(prices.closes[i, j])!r}"
+                                        for i, d in enumerate(prices.dates)
+                                        for j, t in enumerate(prices.tickers)])
+    (tmp_path / "run.cfg").write_text("window = 10\nlevels = 0.9\n")
+    assert main(["pipeline", "--prices", str(tmp_path / "prices.csv"),
+                 "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "cli")]) == 0
+    for name in ("violations.csv", "daily_rates.csv", "correlations.csv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------
