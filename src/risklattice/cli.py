@@ -14,6 +14,21 @@ fails to violate), 2 usage errors (bad arguments, unreadable or malformed
 input files), each with an ``error:`` line on stderr.  Output is
 deterministic for identical argv.
 
+Importing this module loads the core modules (``errors``, ``functions``,
+``sample``, ``measures``, ``specs``, ``lattice``), which are all that
+``sweep`` runs.  Each other command imports its own module when it runs::
+
+    check           curvature
+    counterexample  counterexamples
+    pipeline        pipeline
+    selftest        selftest, and with it the three above
+
+A process started with no bytecode cache compiles every module it imports,
+and ``pipeline.py`` alone takes about 8 ms to compile, so a sweep does not
+pay for modules it never calls.  ``random_pair_sweep`` and
+``parse_measure_spec`` stay names of this module, where a caller may replace
+them to wrap a sweep.
+
 ``main`` builds its parser at its first call and reuses it for every later
 call in the process: a parser keeps no state between ``parse_args`` calls,
 and a build costs about 1 ms (3 ms for the first), which a process running
@@ -24,13 +39,13 @@ fresh parser on each call.
 Importing this module registers ``gc.freeze`` to run at interpreter exit.
 Nothing is frozen while the process runs; at exit the interpreter's final
 collection then skips the objects of the import graph (numpy's and this
-package's modules, about 22,000 tracked objects) instead of tearing down
-their cycles one by one, and the operating system reclaims that memory with
-the process.  That ends every CLI command about 20 ms sooner.  Every report
-is written and closed before ``main`` returns, and the standard streams are
-flushed after the exit handlers run, so no output waits on the collection.
-``import risklattice`` does not import this module; a process that embeds
-``main`` is unaffected until it exits.
+package's modules, 22,000 to 23,500 tracked objects by command) instead of
+tearing down their cycles one by one, and the operating system reclaims that
+memory with the process.  That ends every CLI command about 20 ms sooner.
+Every report is written and closed before ``main`` returns, and the standard
+streams are flushed after the exit handlers run, so no output waits on the
+collection.  ``import risklattice`` does not import this module; a process
+that embeds ``main`` is unaffected until it exits.
 """
 
 from __future__ import annotations
@@ -44,13 +59,9 @@ import sys
 
 import numpy as np
 
-from . import counterexamples as ctrex
-from . import pipeline as pl
-from .curvature import curvature_profile, linear_dominance_check
 from .errors import DomainError, RiskLatticeError
 from .functions import parse_distortion_spec, parse_loss_spec, parse_weight_spec
 from .lattice import DEFAULT_EPSILON, GENERATORS, random_pair_sweep, submodularity_gap
-from .selftest import run_selftest
 from .specs import RiskMeasureSpec, parse_measure_spec
 
 __all__ = ["main", "build_parser"]
@@ -139,6 +150,8 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _cmd_check(args) -> int:
+    from .curvature import curvature_profile, linear_dominance_check
+
     ell = parse_loss_spec(args.loss)
     profile = curvature_profile(ell, args.lo, args.hi, args.step)
     verdict = linear_dominance_check(profile, ell)
@@ -215,6 +228,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    from . import counterexamples as ctrex
+
     if args.atoms is None:
         args.atoms = 10 if args.family == "mmd" else 10_000
     if args.family == "shortfall-jump":
@@ -262,6 +277,8 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    from . import pipeline as pl
+
     cfg = pl.load_config(args.config)
     config = pl.config_to_rolling(cfg)
     panel = pl.load_prices_csv(args.prices)
@@ -270,6 +287,8 @@ def _cmd_pipeline(args) -> int:
         losses, config, args.out,
         extra_summary={"tickers": list(losses.tickers), "seed": cfg.get("seed", 0),
                        "prices": str(args.prices)},
+        on_skip=lambda a, b, exc: print(f"note: correlation of {a} and {b} left out: {exc}",
+                                        file=sys.stderr),
     )
     n_viol = int(np.count_nonzero(table.violated))
     print(f"tested {len(table)} (date, pair, measure) cells; {n_viol} violations")
@@ -282,6 +301,8 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     results = run_selftest(only=args.only)
     if not results:
         print(f"no checks match --only {args.only!r}")

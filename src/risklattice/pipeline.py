@@ -942,13 +942,15 @@ def export_report(
 
 
 def run_reports(losses: LossPanel, config: RollingConfig, outdir,
-                extra_summary: dict | None = None) -> tuple:
+                extra_summary: dict | None = None, on_skip=None) -> tuple:
     """``pairwise_day_tests``, then the ``daily_violation_rate`` of each check
     in config order (a VaR measure's subadditivity series right after its
     submodularity series), the ``correlations`` of each measure's
     submodularity series with its other series (a row that raises
-    ``RiskLatticeError``, too few dates, is left out) and ``export_report``
-    into ``outdir``.  Returns ``(table, series, correlation_rows, paths)``.
+    ``RiskLatticeError``, too few dates, is left out, and
+    ``on_skip(label_a, label_b, error)`` is called for it when given) and
+    ``export_report`` into ``outdir``.  Returns
+    ``(table, series, correlation_rows, paths)``.
     """
     table = pairwise_day_tests(losses, config)
     series, correlation_rows = [], []
@@ -959,8 +961,9 @@ def run_reports(losses: LossPanel, config: RollingConfig, outdir,
             try:
                 correlation_rows.append(
                     (sub.label, other.label, correlations(sub.series(), other.series())))
-            except RiskLatticeError:
-                pass  # too few common dates; the row is left out
+            except RiskLatticeError as exc:  # too few common dates
+                if on_skip is not None:
+                    on_skip(sub.label, other.label, exc)
     paths = export_report(table, series, correlation_rows, outdir, config=config,
                           extra_summary=extra_summary)
     return table, series, correlation_rows, paths

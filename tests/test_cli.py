@@ -204,25 +204,151 @@ def test_pipeline_bad_epsilon_exits_2(capsys, tmp_path):
         assert err.startswith(f"error: {message}")
 
 
-def _modules_cli_import_adds(prefix):
-    # the modules named prefix* that importing risklattice.cli loads in a
-    # fresh interpreter, beyond those that importing numpy loads
-    code = ("import sys, numpy\n"
+def _modules_cli_import_adds(prefix, *argv, module="risklattice.cli", cwd=None):
+    # the modules named prefix* that importing module, then running argv
+    # through cli.main if given, loads in a fresh interpreter, beyond those
+    # that importing numpy loads
+    code = ("import json, sys, numpy\n"
             "before = set(sys.modules)\n"
-            "import risklattice.cli\n"
-            f"print(sorted(m for m in set(sys.modules) - before if m.startswith({prefix!r})))")
-    return python("-c", code).stdout.strip()
+            f"import {module}\n"
+            + (f"import risklattice.cli\nassert risklattice.cli.main({list(argv)!r}) == 0\n"
+               if argv else "")
+            + "print(json.dumps(sorted(m for m in set(sys.modules) - before"
+            f" if m.startswith({prefix!r}))))")
+    return json.loads(python("-c", code, cwd=cwd).stdout.splitlines()[-1])
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
     # numpy.random loads on a sweep's first chunk; numpy 1.x imports it with
     # numpy itself, so count only what importing risklattice.cli adds
-    assert _modules_cli_import_adds("numpy.random") == "[]"
+    assert _modules_cli_import_adds("numpy.random") == []
 
 
 def test_cli_import_leaves_thread_pools_unloaded():
     # sweeps and the pipeline run serially and import no executor
-    assert _modules_cli_import_adds("concurrent") == "[]"
+    assert _modules_cli_import_adds("concurrent") == []
+
+
+# ---------------------------------------------------------------------------
+# the import graph: each command imports only the modules it runs
+
+_COMMAND_MODULES = ["risklattice.counterexamples", "risklattice.curvature",
+                    "risklattice.pipeline", "risklattice.selftest"]
+
+
+def _command_modules_loaded(*argv, module="risklattice.cli", cwd=None):
+    loaded = _modules_cli_import_adds("risklattice.", *argv, module=module, cwd=cwd)
+    return [m for m in _COMMAND_MODULES if m in loaded]
+
+
+@pytest.mark.parametrize("module", ["risklattice", "risklattice.cli"])
+def test_package_import_loads_no_command_module(module):
+    assert _command_modules_loaded(module=module) == []
+
+
+def test_sweep_loads_no_command_module():
+    argv = ["sweep", "--measure", "es:0.9", "--atoms", "5", "--trials", "50", "--seed", "0"]
+    assert _command_modules_loaded(*argv) == []
+
+
+def test_check_loads_curvature_only():
+    argv = ["check", "--loss", "poly2exp", "--step", "0.01"]
+    assert _command_modules_loaded(*argv) == ["risklattice.curvature"]
+
+
+def test_pipeline_loads_pipeline_only(tmp_path):
+    import risklattice.pipeline as pl
+
+    panel = pl.synth_prices(seed=3, n_days=30, n_assets=3, vol=0.02, jump_prob=0.1)
+    (tmp_path / "prices.csv").write_text("date,ticker,adj_close\n" + "".join(
+        f"{d.isoformat()},{t},{float(panel.closes[i, j])!r}\n"
+        for i, d in enumerate(panel.dates) for j, t in enumerate(panel.tickers)))
+    (tmp_path / "run.cfg").write_text("window = 10\nlevels = 0.9\n")
+    argv = ["pipeline", "--prices", "prices.csv", "--config", "run.cfg", "--out", "out"]
+    assert _command_modules_loaded(*argv, cwd=tmp_path) == ["risklattice.pipeline"]
+    assert (tmp_path / "out" / "summary.json").is_file()
+
+
+# every name that importing the package bound when it imported each of its
+# modules eagerly, by defining module; the module names are bound too
+_PACKAGE_NAMES = {
+    "counterexamples": ["aes_counterexample", "aes_matched_grid", "ce_counterexample",
+                        "mmd_counterexample", "mmd_pair_from_triple", "shortfall_jump_deficit"],
+    "curvature": ["CurvatureProfile", "DominanceVerdict", "curvature_profile",
+                  "linear_dominance_check"],
+    "errors": ["CounterexampleSearchError", "DataError", "DimensionError", "DomainError",
+               "NumericError", "RiskLatticeError"],
+    "functions": ["AdjustmentGrid", "DeviationWeight", "DistortionFunction", "LossFunction",
+                  "arctan_bend_loss", "cvar_loss", "es_distortion", "exponential_loss",
+                  "expectile_loss", "identity_distortion", "identity_weight", "linear_loss",
+                  "parse_distortion_spec", "parse_loss_spec", "parse_weight_spec",
+                  "piecewise_linear_loss", "poly2exp_loss", "power_distortion", "power_weight",
+                  "quadlin_loss", "square_weight", "var_distortion"],
+    "lattice": ["GapResult", "SweepReport", "random_pair_sweep", "subadditivity_gap",
+                "submodularity_gap", "violation_rate"],
+    "measures": ["aes", "certainty_equivalent", "distortion_rho", "es_historical",
+                 "expected_loss", "mmd_rho", "oce", "shortfall_rho", "var_historical"],
+    "sample": ["as_sample", "pointwise_meet_join"],
+    "specs": ["RiskMeasureSpec", "parse_measure_spec"],
+}
+
+_PACKAGE_API_CHECK = """
+import importlib, json, sys
+mode, table = sys.argv[1], json.loads(sys.argv[2])
+import risklattice
+got = {}
+for mod, names in table.items():
+    # by attribute, each module before its names; by import, after them
+    for name in ([mod, *names] if mode == "attr" else [*names, mod]):
+        if mode == "attr":
+            got[name] = getattr(risklattice, name)
+        else:
+            ns = {}
+            exec(f"from risklattice import {name} as value", ns)
+            got[name] = ns["value"]
+for mod, names in table.items():
+    module = importlib.import_module("risklattice." + mod)
+    assert got[mod] is module, mod
+    for name in names:
+        assert got[name] is getattr(module, name), name
+assert set(got) <= set(dir(risklattice)), set(got) - set(dir(risklattice))
+ns = {}
+exec("from risklattice import *", ns)
+assert sorted(n for n in ns if n != "__builtins__") == sorted(got)
+try:
+    risklattice.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("an unknown name resolved")
+print(len(got))
+"""
+
+
+@pytest.mark.parametrize("mode", ["attr", "from"])
+def test_package_names_resolve_to_their_modules(mode):
+    # in a fresh interpreter, where the lazy names are not yet loaded
+    expected = sum(1 + len(names) for names in _PACKAGE_NAMES.values())
+    out = python("-c", _PACKAGE_API_CHECK, mode, json.dumps(_PACKAGE_NAMES)).stdout
+    assert out == f"{expected}\n"
+
+
+def test_sweep_calls_through_the_cli_names(capsys, monkeypatch):
+    # a benchmark's tracer wraps these two names of cli; a command that
+    # imported them inside its function would bypass the wrappers
+    from risklattice import cli
+
+    called = []
+    for name in ("random_pair_sweep", "parse_measure_spec"):
+        def record(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+            called.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, record)
+    code, _, _ = run(capsys, "sweep", "--measure", "es:0.9", "--atoms", "5", "--trials", "20",
+                     "--seed", "0")
+    assert code == 0
+    assert called == ["parse_measure_spec", "random_pair_sweep"]
 
 
 def test_counterexample_shortfall_jump(capsys):
@@ -355,6 +481,29 @@ def test_pipeline_bad_config_value_exits_2(capsys, tmp_path):
                          str(cfg), "--out", str(tmp_path / "report"))
     assert code == 2
     assert err.startswith("error: ") and "run.cfg:2: bad value for 'window'" in err
+
+
+def test_pipeline_notes_each_correlation_it_leaves_out(tmp_path, capsys):
+    # 12 days give 11 losses and, at window 10, a table of 2 dates: too few
+    # to correlate VaR(0.9)'s two series, so correlations.csv holds only its
+    # header and stderr says why, while the exit code stays 0
+    import risklattice.pipeline as pl
+
+    panel = pl.synth_prices(seed=4, n_days=12, n_assets=3, vol=0.02, jump_prob=0.1)
+    prices = tmp_path / "prices.csv"
+    prices.write_text("date,ticker,adj_close\n" + "".join(
+        f"{d.isoformat()},{t},{float(panel.closes[i, j])!r}\n"
+        for i, d in enumerate(panel.dates) for j, t in enumerate(panel.tickers)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window = 10\nlevels = 0.9\n")
+    code, out, err = run(capsys, "pipeline", "--prices", str(prices), "--config", str(cfg),
+                         "--out", str(tmp_path / "report"))
+    assert code == 0
+    assert out.startswith("tested 18 (date, pair, measure) cells; 0 violations\n")
+    assert err == ("note: correlation of VaR(0.9)/submodularity and VaR(0.9)/subadditivity"
+                   " left out: need >= 3 common dates, got 2\n")
+    assert (tmp_path / "report" / "correlations.csv").read_text() == \
+        "series_a,series_b,pearson,spearman,dcor\n"
 
 
 @pytest.mark.parametrize("line", [1, 3])
