@@ -194,12 +194,18 @@ def _order_stat_kernel(W, penalties=None):
 
     The band starts at the first column where any row of ``W`` is nonzero,
     rounded down to a multiple of ``_BAND_ALIGN``: VaR and ES rows read only
-    their top ``k`` columns, distortion rows are dense (``lo = 0``).
+    their top ``k`` columns, distortion rows are dense (``lo = 0``).  The
+    kernel's ``lo`` attribute is that band start: it reads no column before.
     """
     W = np.atleast_2d(W)
     nonzero = np.flatnonzero(W.any(axis=0))
     lo = int(nonzero[0]) // _BAND_ALIGN * _BAND_ALIGN if nonzero.size else 0
-    return lambda Xs: _order_stat_batch(Xs, W, penalties, lo)
+
+    def kernel(Xs: np.ndarray) -> np.ndarray:
+        return _order_stat_batch(Xs, W, penalties, lo)
+
+    kernel.lo = lo
+    return kernel
 
 
 def _var_weights(n: int, p: float) -> np.ndarray:
@@ -212,9 +218,15 @@ def _var_kernel(n: int, p: float):
     """VaR's kernel for ascending ``(m, n)`` batches: column ``n - k`` read
     directly, bit for bit ``_order_stat_kernel(_var_weights(n, p))``.  That
     sum adds from +0.0 and every other product is +-0, so it gives the
-    column's value, or +0.0 where that is -0.0, as ``+ 0.0`` does."""
+    column's value, or +0.0 where that is -0.0, as ``+ 0.0`` does.  The
+    kernel's ``lo`` attribute is that column."""
     c = n - _top_k(n, p)
-    return lambda Xs: Xs[:, c] + 0.0
+
+    def kernel(Xs: np.ndarray) -> np.ndarray:
+        return Xs[:, c] + 0.0
+
+    kernel.lo = c
+    return kernel
 
 
 def _es_weights(n: int, p: float) -> np.ndarray:

@@ -412,9 +412,64 @@ def rolling_eval(
             f"ticker {ticker!r}: {series.size} losses < window {w}; empty rolling series"
         )
         return DatedSeries(dates=(), values=np.empty(0), label=f"{spec.label}@{ticker}")
-    windows = sliding_window_view(series, w)
-    values = spec.evaluate_batch(windows)
+    kernel = spec.kernel(w)
+    windows = np.empty((series.size - w + 1, w))
+    _sorted_windows(series[None], w, _band([kernel], w), windows)
+    values = kernel(windows)
     return DatedSeries(dates=losses.dates[w - 1 :], values=values, label=f"{spec.label}@{ticker}")
+
+
+def _band(kernels, w: int) -> int:
+    """The columns at the end of a sorted window of width ``w`` that
+    ``kernels`` read: all of them unless each kernel has a ``lo``, the first
+    column it reads (``RiskMeasureSpec.kernel``)."""
+    return w - min(getattr(kernel, "lo", 0) for kernel in kernels)
+
+
+def _sorted_windows(lanes: np.ndarray, w: int, band: int, out: np.ndarray) -> None:
+    """Fill row ``r * d + t`` of ``out`` with window ``t`` of lane ``r``,
+    ``lanes[r, t : t + w]``, sorted in its last ``band`` columns: they hold
+    the window's ``band`` largest values in ascending order, and the columns
+    before them hold anything.
+
+    ``lanes`` is ``(m, n)`` and ``out`` has at least ``m * d`` rows of width
+    ``w``, for the ``d = n - w + 1`` windows of a lane.  A lane's windows go
+    in blocks of ``s = _block_windows(w, band)``, and the last block takes
+    the ``d % s`` windows left.  The ``s`` windows of a block from ``t0``
+    share the core ``lane[t0 + s - 1 : t0 + w]``: it is written into the
+    block's last row and sorted once there.  Window ``t0 + k`` is the core
+    plus the ``s - 1`` values of window ``k`` over ``lane[t0 : t0 + s - 1] ++
+    lane[t0 + w : t0 + w + s - 1]``, so its ``band`` largest values are among
+    the core's ``band`` largest and those ``s - 1``: the row gets these
+    ``band + s - 1`` candidates in its last columns and sorts only them.
+    With ``s = 1`` the core is the whole window and this is a plain sort.
+    The values are those of a full sort, and a kernel that reads only the
+    band gives bit for bit the same result on either.
+    """
+    m, n = lanes.shape
+    d = n - w + 1
+    size = _block_windows(w, band)
+    rows = out[: m * d].reshape(m, d, w)
+    full = d - d % size
+    for t0, s, nb in ((0, size, d // size), (full, d - full, 1)):
+        if not s * nb:
+            continue
+        blocks = rows[:, t0 : t0 + nb * s].reshape(m, nb, s, w)
+        core = blocks[:, :, s - 1, : w - s + 1]
+        core[...] = sliding_window_view(lanes[:, t0 + s - 1 :], w - s + 1, axis=1)[:, : nb * s : s]
+        core.sort(axis=2)
+        if s == 1:
+            continue
+        cut = w - s + 1  # the first column of the s - 1 values
+        # copied first: numpy would copy the broadcast of a source that
+        # overlaps its target, s - 1 times the size
+        top = core[:, :, cut - band :].copy()
+        blocks[:, :, : s - 1, cut - band : cut] = top[:, :, None]
+        ends = np.concatenate(
+            [sliding_window_view(lanes[:, start:], s - 1, axis=1)[:, : nb * s : s]
+             for start in (t0, t0 + w)], axis=2)
+        blocks[:, :, :, cut:] = sliding_window_view(ends, s - 1, axis=2)
+        blocks[:, :, :, cut - band :].sort(axis=3)
 
 
 def _pair_gaps(
@@ -426,7 +481,9 @@ def _pair_gaps(
     ``series`` holds one loss series per ticker, ``values[k][t]`` measure
     ``k``'s values on ticker ``t``'s windows, ``kernels`` the measures'
     kernels for the window width, and ``batch`` is a work array with room for
-    3 windows per pair and date.
+    3 windows per pair and date.  The meet and join windows are sorted in
+    the band that all kernels read, the summed-loss windows in the band that
+    the subadditivity kernels read.
     """
     w = config.window
     m, d = i.size, series.shape[1] - w + 1
@@ -437,11 +494,11 @@ def _pair_gaps(
     lanes = np.empty((3 if any(summed) else 2, m, series.shape[1]))  # meet, join[, x + y]
     np.minimum(x, y, out=lanes[0])
     np.maximum(x, y, out=lanes[1])
+    _sorted_windows(lanes[:2].reshape(2 * m, -1), w, _band(kernels, w), batch)
     if any(summed):
         np.add(x, y, out=lanes[2])
-    batch = batch[: len(lanes) * m * d]
-    batch.reshape(len(lanes), m, d, w)[...] = sliding_window_view(lanes, w, axis=2)
-    batch.sort(axis=1)
+        _sorted_windows(lanes[2], w, _band([k for k, add in zip(kernels, summed) if add], w),
+                        batch[2 * m * d :])
     rows = []
     for add, kernel, v in zip(summed, kernels, values):
         vals = kernel(batch[: (2 + add) * m * d]).reshape(-1, m, d)
@@ -456,6 +513,20 @@ def _pair_gaps(
 # window cells (2 MB), or one pair when a pair needs more.  Many short
 # windows then share one sort call and one call per kernel.
 _PAIR_CHUNK_CELLS = 1 << 18
+
+
+# Consecutive windows share one sorted core in blocks of 32 where the band
+# and a block's 31 other values fill at most half a window, and are sorted
+# one by one elsewhere.  Measured per lane on 2 lanes of 500 windows (2-core
+# Xeon, numpy 2.4.6) for blocks of 1 to 128: 32 was the fastest, or within
+# the noise of it, wherever the rule takes it (w = 500: 0.95 -> 0.48 ms for
+# AES(0.6)'s 212 columns, 0.94 -> 0.16 ms for VaR(0.95)'s 25; w = 1000: 2.19
+# -> 1.00 ms for AES(0.6)'s 424), while every block size lost at w = 60 and
+# 32 lost at w = 250 for AES(0.6)'s 122 columns (0.28 -> 0.38 ms).
+def _block_windows(w: int, band: int) -> int:
+    """How many consecutive windows of width ``w`` share one sorted core in
+    ``_sorted_windows`` when only their top ``band`` columns are read."""
+    return 32 if 2 * (band + 32) <= w else 1
 
 
 def _tests(spec: RiskMeasureSpec) -> tuple[str, ...]:
@@ -481,9 +552,14 @@ def pairwise_day_tests(losses: LossPanel, config: RollingConfig) -> ViolationTab
     reduced over their tail band; see ``measures._order_stat_batch``) is
     built once for the window width.  Each ticker's windows are sorted and
     evaluated once.  Pairs then go in chunks of about ``_PAIR_CHUNK_CELLS``
-    window cells, with one sort and one call per kernel each, and a pair adds
-    only its meet and join windows, plus its summed-loss windows when a VaR
-    measure is configured.  A gap is ``(v(x) + v(y)) - (v(meet) +
+    window cells, with one call per kernel each, and a pair adds only its
+    meet and join windows, plus its summed-loss windows when a VaR measure
+    is configured.  Windows are sorted only in the band their kernels read
+    (``_sorted_windows``): the ticker, meet and join windows in the band of
+    every kernel, the summed-loss windows in the VaR kernels' band.  Where
+    that band is narrow against the window, consecutive windows share one
+    sorted core; where a kernel reads whole rows (a dense distortion, MMD, the solvers), the
+    band is the whole window and each window is sorted in full.  A gap is ``(v(x) + v(y)) - (v(meet) +
     v(join))``, and a kernel gives a row the same value wherever the row
     sits, so dominated-pair gaps are exactly 0 and every gap is bit-equal to
     evaluating each pair's windows on their own.  The gap rows go straight
@@ -511,10 +587,10 @@ def pairwise_day_tests(losses: LossPanel, config: RollingConfig) -> ViolationTab
     chunk = max(1, _PAIR_CHUNK_CELLS // (3 * d * w))
     batch = np.empty((3 * chunk * d, w))
     values = [np.empty((len(series), d)) for _ in kernels]
+    band = _band(kernels, w)
     for t, x in enumerate(series):
         Xs = batch[:d]
-        Xs[...] = sliding_window_view(x, w)
-        Xs.sort(axis=1)
+        _sorted_windows(x[None], w, band, Xs)
         for v, kernel in zip(values, kernels):
             v[t] = kernel(Xs)
     first, second = np.array(pairs, dtype=np.intp).T

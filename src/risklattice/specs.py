@@ -129,6 +129,12 @@ class RiskMeasureSpec:
         OCE evaluate a batch in blocks of rows (``measures._in_blocks``), so
         their work arrays take a few blocks of about 256 KB, not a few copies
         of the batch; values are bit for bit those of one call.
+
+        A kernel with a ``lo`` attribute (VaR, ES, adjusted ES and distortion)
+        reads only the columns ``lo:`` of each row, so a caller may leave the
+        columns before ``lo`` unsorted or unset: the pipeline sorts only that
+        tail band of its rolling windows.  A kernel without ``lo`` (MMD and
+        the solvers) reads whole rows.
         """
         return _KERNELS[self.kind](self, n)
 

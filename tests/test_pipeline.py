@@ -9,11 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import risklattice.pipeline as pl
-from risklattice import AdjustmentGrid, DataError, DomainError, RiskMeasureSpec, power_distortion
+from risklattice import (AdjustmentGrid, DataError, DomainError, RiskMeasureSpec, parse_measure_spec,
+                         power_distortion)
 
 
 def write_csv(path, rows):
@@ -1145,6 +1146,144 @@ def test_pairwise_gaps_bit_equal_to_per_pair_loop(measures, pairs_per_chunk, mon
     assert np.array_equal(table.violated, reference.violated)
     has_var = any(spec.kind == "var" for spec in measures)
     assert any(test == pl.SUBADDITIVITY for _, test in table.checks) == has_var
+
+
+def long_flat_panel():
+    # 4 tickers x 400 days: every price flat for 280 days (losses of -0.0
+    # filling most of a 300-day window) and one ticker flat for 20 more
+    panel = pl.synth_prices(seed=5, n_days=400, n_assets=4, vol=0.02, jump_prob=0.1)
+    closes = panel.closes.copy()
+    closes[60:341] = closes[60]
+    closes[340:361, 1] = closes[340, 1]
+    return pl.build_loss_panel(dataclasses.replace(panel, closes=closes))
+
+
+AES_HIGH = RiskMeasureSpec.aes(AdjustmentGrid((0.8, 0.95), (0.0, 0.01)))
+
+
+@pytest.mark.parametrize("measures, blocks", [
+    ((RiskMeasureSpec.var(0.95), RiskMeasureSpec.var(0.99)), [True, True]),
+    ((RiskMeasureSpec.es(0.9), AES_HIGH), [True]),
+    ((RiskMeasureSpec.var(0.95), RiskMeasureSpec.es(0.9), AES_HIGH,
+      RiskMeasureSpec.distortion(power_distortion(0.5))), [False, True]),
+], ids=["var", "es-aes", "with-whole-rows"])
+@pytest.mark.parametrize("pairs_per_chunk", [0, 4])
+def test_long_window_gaps_bit_equal_to_per_pair_loop(measures, blocks, pairs_per_chunk,
+                                                     monkeypatch):
+    # At window 300 the banded lanes share one sorted core per block of
+    # windows (100 dates: three blocks of 32 and one of 4); dist:pow:0.5
+    # reads whole rows, so it puts the meet and join lanes back on the plain
+    # sort while the summed-loss lane keeps VaR's band.  `blocks` says which
+    # of the meet/join and summed-loss lanes take blocks.  One pair per
+    # chunk, and 4 of the 6 pairs in one chunk.
+    monkeypatch.setattr(pl, "_PAIR_CHUNK_CELLS", max(1, pairs_per_chunk * 3 * 100 * 300))
+    panel = long_flat_panel()
+    assert np.any((panel.losses == 0.0) & np.signbit(panel.losses))
+    config = pl.RollingConfig(window=300, measures=measures)
+    kernels = [spec.kernel(300) for spec in measures]
+    var_kernels = [k for k, spec in zip(kernels, measures) if spec.kind == "var"]
+    assert [pl._block_windows(300, pl._band(ks, 300)) > 1
+            for ks in (kernels, var_kernels) if ks] == blocks
+    table = pl.pairwise_day_tests(panel, config)
+    assert table.gaps.shape[1:] == (6, 100)
+    reference = reference_table(panel, config)
+    assert (table.dates, table.pairs, table.checks) == (
+        reference.dates, reference.pairs, reference.checks)
+    assert np.array_equal(table.gaps.view(np.int64), reference.gaps.view(np.int64))
+    assert np.array_equal(table.violated, reference.violated)
+
+
+SORT_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                        st.floats(-4, 4, allow_nan=False))
+
+
+def window_lanes(m, w, d, pool, seed):
+    """``m`` lanes for ``d`` windows of width ``w``, drawn from ``pool``, so
+    that a small pool gives many ties."""
+    rng = np.random.default_rng(seed)
+    return np.array(pool)[rng.integers(0, len(pool), (m, d + w - 1))]
+
+
+def sorted_band(lanes, w, band):
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    return np.sort(sliding_window_view(lanes, w, axis=1), axis=2).reshape(-1, w)[:, w - band:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(w=st.sampled_from([2, 7, 40, 66, 100, 130]), band=st.integers(1, 130),
+       d=st.integers(1, 80), m=st.integers(1, 3),
+       pool=st.lists(SORT_VALUES, min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1))
+@example(w=100, band=1, d=5, m=2, pool=[0.0, -0.0, 1.0], seed=0)  # fewer windows than a block
+@example(w=100, band=1, d=70, m=1, pool=[-0.0, 0.0], seed=1)  # 70 = 2 blocks of 32 and 6
+@example(w=130, band=33, d=64, m=3, pool=[0.0, -0.0, -1.0, 2.0], seed=2)  # blocks only
+@example(w=66, band=66, d=40, m=2, pool=[0.0, -0.0, 0.5], seed=3)  # the whole row
+def test_sorted_windows_fill_the_band_of_a_full_sort(w, band, d, m, pool, seed):
+    # The last `band` columns of each row equal those of the fully sorted
+    # window, on the block path and the plain one; no row past the lanes'
+    # windows is written.
+    band = min(band, w)
+    lanes = window_lanes(m, w, d, pool, seed)
+    out = np.full((m * d + 1, w), np.nan)
+    pl._sorted_windows(lanes, w, band, out)
+    assert np.array_equal(out[:-1, w - band:], sorted_band(lanes, w, band))
+    assert np.isnan(out[-1]).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(w=st.sampled_from([40, 100, 200, 300]), d=st.integers(1, 80),
+       text=st.sampled_from(["var:0.95", "var:0.99", "es:0.9", "es:0.975", "aes:0.8:0,0.95:0.01"]),
+       pool=st.lists(SORT_VALUES, min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1))
+@example(w=100, d=70, text="var:0.95", pool=[0.0, -0.0], seed=0)
+@example(w=300, d=33, text="es:0.975", pool=[0.0, -0.0, 1.0], seed=1)
+@example(w=300, d=20, text="aes:0.8:0,0.95:0.01", pool=[-0.0, 0.0, -1.0], seed=2)
+def test_sorted_windows_give_kernels_the_bits_of_a_full_sort(w, d, text, pool, seed):
+    # A banded kernel on rows sorted only in its band gives bit for bit its
+    # value on the fully sorted rows, signed zeros included.
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    kernel = parse_measure_spec(text).kernel(w)
+    lanes = window_lanes(2, w, d, pool, seed)
+    out = np.empty((2 * d, w))
+    pl._sorted_windows(lanes, w, pl._band([kernel], w), out)
+    full = np.sort(sliding_window_view(lanes, w, axis=1), axis=2).reshape(-1, w)
+    assert np.array_equal(kernel(out).view(np.int64), kernel(full).view(np.int64))
+
+
+@pytest.mark.parametrize("w", [40, 300])
+@pytest.mark.parametrize("text", ["var:0.95", "es:0.95", "aes:0.6:0,0.9:0.01", "dist:pow:0.5",
+                                  "mmd:square:es:0.5"])
+def test_rolling_eval_bit_equal_to_evaluate_batch(w, text):
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    panel = long_flat_panel()
+    spec = parse_measure_spec(text)
+    config = pl.RollingConfig(window=w, measures=(spec,))
+    for ticker in panel.tickers:
+        series = pl.rolling_eval(panel, ticker, config, spec)
+        expected = spec.evaluate_batch(sliding_window_view(panel.column(ticker), w))
+        assert series.dates == panel.dates[w - 1:]
+        assert np.array_equal(series.values.view(np.int64), expected.view(np.int64))
+
+
+def test_pair_stage_memory_stays_at_its_work_array():
+    # On the pipeline-deep benchmark panel (seed 3: 8 tickers x 1000 days,
+    # window 500) the pair stage's traced peak is its 6 MB work array and
+    # its results: 7.34 MB with a full sort of every window.  Sorting only
+    # the tail band in place adds the blocks' small core arrays; candidates
+    # written out of place reached 9.25 MB.
+    import tracemalloc
+
+    panel = pl.build_loss_panel(pl.synth_prices(3, 1000, 8, 0.01, 0.02))
+    config = pl.config_to_rolling({"window": 500, "levels": (0.95, 0.99),
+                                   "aes_levels": (0.6, 0.9), "aes_penalties": (0.0, 0.01)})
+    tracemalloc.start()
+    try:
+        pl.pairwise_day_tests(panel, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.6e6
 
 
 def plain_violations_csv(table) -> bytes:
