@@ -30,7 +30,7 @@ from .functions import (
     LossFunction,
     piecewise_linear_loss,
 )
-from .lattice import submodularity_gap
+from .lattice import _check_atom_bound, submodularity_gap
 from .specs import RiskMeasureSpec
 
 __all__ = [
@@ -67,6 +67,7 @@ def aes_counterexample(
         raise DomainError("test level p1 must lie in [0, q)")
     if q * n_atoms < 2 or p1 * n_atoms < 2:
         raise DomainError("n_atoms too small: need q*n_atoms >= 2 and p1*n_atoms >= 2")
+    _check_atom_bound(n_atoms)
     u = (np.arange(1, n_atoms + 1) - 0.5) / n_atoms
     v = np.where(u >= q, u, q - u)
     x = 2.0 * a * u + b - a
@@ -164,6 +165,7 @@ def mmd_counterexample(
     """
     if n_atoms < 2:
         raise DomainError(f"the MMD search needs at least 2 atoms, got {n_atoms}")
+    _check_atom_bound(n_atoms)
     if not phi.concave:
         raise DomainError("construction requires a concave distortion")
     levels = np.arange(1, n_atoms) / n_atoms

@@ -29,8 +29,9 @@ raw words of numpy's ``choice``, which the chunk redoes in Floyd's step loop
 over all its nudged trials at once; above 1,024 atoms it calls ``choice``.
 
 A sweep runs in chunks of at most ``_CHUNK_BYTES // (32 n_atoms)`` trials,
-so a chunk's x, y, meet and join rows fit ``_CHUNK_BYTES`` (64 MB) unless a
-single trial is larger.  The measure's kernel reads them a block at a time
+so a chunk's x, y, meet and join rows fit ``_CHUNK_BYTES`` (64 MB): sweeps
+and counterexamples refuse more than ``_MAX_ATOMS``, 2,097,152 atoms, before
+building any array.  The measure's kernel reads them a block at a time
 where it builds work arrays as large as its batch (``measures._in_blocks``:
 blocks of ``measures._BLOCK_BYTES``, 256 KB, or of 16 rows where that is
 more), so a sweep's memory is its kept rows plus one block's work arrays.
@@ -354,12 +355,19 @@ def _nudge(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray, picks: np.ndarray) 
     ys[rows, np.take_along_axis(idx, order, axis=1)] = np.sort(ys[rows, idx], axis=1)
 
 
-# the most bytes a chunk's sorted rows take, at 32 per trial and atom, unless
-# a single trial takes more; the kernel's work arrays take a few blocks of
-# measures._BLOCK_BYTES beside them
+# the most bytes a chunk's sorted rows take, at 32 per trial and atom; the
+# kernel's work arrays take a few blocks of measures._BLOCK_BYTES beside them
 _CHUNK_BYTES = 64 << 20
+# the most atoms a sweep or counterexample takes: one trial's four rows fill
+# a chunk
+_MAX_ATOMS = _CHUNK_BYTES // 32
 # (key, rows) of the last chunk drawn by ``_pair_batch``, or None
 _pair_cache: tuple[tuple, np.ndarray] | None = None
+
+
+def _check_atom_bound(n_atoms: int) -> None:
+    if n_atoms > _MAX_ATOMS:
+        raise DomainError(f"n_atoms must be at most {_MAX_ATOMS}, got {n_atoms}")
 
 
 def _forget_pairs() -> None:
@@ -469,13 +477,14 @@ def random_pair_sweep(
         raise DomainError("seed must be a nonnegative integer")
     if not isinstance(n_atoms, (int, np.integer)) or n_atoms < 3:
         raise DomainError("sweeps need an integer n_atoms >= 3")
+    _check_atom_bound(n_atoms)
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise DomainError("sweeps need an integer count of at least one trial")
     if generator not in GENERATORS:
         raise DomainError(f"unknown generator {generator!r}; expected one of {GENERATORS}")
     _check_epsilon(epsilon)
 
-    chunk = max(1, _CHUNK_BYTES // (32 * n_atoms))
+    chunk = _CHUNK_BYTES // (32 * n_atoms)
     parts = [_sweep_chunk(spec, n_atoms, lo, min(trials, lo + chunk), seed, generator, epsilon)
              for lo in range(0, trials, chunk)]
 

@@ -23,10 +23,11 @@ ascending-sorted rows and sort nothing: the scalar functions sort their
 sample and ``RiskMeasureSpec.evaluate_batch`` sorts its batch once, so law
 invariance under permutation of the atoms is exact, not just within
 tolerance.  VaR, ES, adjusted ES, distortion and the distortion term of
-``mmd_rho`` are one order-statistic kernel, ``max_r (x_sorted . w_r - c_r)``
-over a few weight rows (one-hot, ``1/k`` on the top ``k``, one ES row per
-AES level, Choquet weights), reduced only over the tail band where the
-weights are nonzero.
+``mmd_rho`` are one order-statistic kernel (``_order_stat_kernel``),
+``max_r (x_sorted . w_r - c_r)`` over a few weight rows (one-hot, ``1/k`` on
+the top ``k``, one ES row per AES level, Choquet weights), reduced only over
+the tail band where the weights are nonzero; a lone one-hot row is read as
+its column.
 
 The certainty equivalent, shortfall and OCE have closed forms for the losses
 whose ``LossFunction`` declares its structure.  For ``exp:g``
@@ -192,17 +193,25 @@ def _order_stat_kernel(W, penalties=None):
     """The order-statistic kernel of weight rows ``W`` (width ``n``) as a
     function of ascending ``(m, n)`` batches, with its band built once.
 
-    The band starts at the first column where any row of ``W`` is nonzero,
-    rounded down to a multiple of ``_BAND_ALIGN``: VaR and ES rows read only
-    their top ``k`` columns, distortion rows are dense (``lo = 0``).  The
-    kernel's ``lo`` attribute is that band start: it reads no column before.
+    The kernel's ``lo`` attribute is its band start: it reads no column
+    before.  One row with no penalty whose only nonzero weight is exactly 1.0
+    (VaR, ES with ``k = 1``, a step distortion) is read as ``Xs[:, lo] +
+    0.0``, the band sum in any lane order: that sum adds from +0.0 and every
+    other product is +-0, so -0.0 becomes +0.0.  Other bands start at the
+    first nonzero column rounded down to a multiple of ``_BAND_ALIGN``.
     """
     W = np.atleast_2d(W)
     nonzero = np.flatnonzero(W.any(axis=0))
-    lo = int(nonzero[0]) // _BAND_ALIGN * _BAND_ALIGN if nonzero.size else 0
+    if penalties is None and len(W) == 1 and nonzero.size == 1 and W[0, nonzero[0]] == 1.0:
+        lo = int(nonzero[0])
 
-    def kernel(Xs: np.ndarray) -> np.ndarray:
-        return _order_stat_batch(Xs, W, penalties, lo)
+        def kernel(Xs: np.ndarray) -> np.ndarray:
+            return Xs[:, lo] + 0.0
+    else:
+        lo = int(nonzero[0]) // _BAND_ALIGN * _BAND_ALIGN if nonzero.size else 0
+
+        def kernel(Xs: np.ndarray) -> np.ndarray:
+            return _order_stat_batch(Xs, W, penalties, lo)
 
     kernel.lo = lo
     return kernel
@@ -212,21 +221,6 @@ def _var_weights(n: int, p: float) -> np.ndarray:
     w = np.zeros(n)
     w[n - _top_k(n, p)] = 1.0
     return w
-
-
-def _var_kernel(n: int, p: float):
-    """VaR's kernel for ascending ``(m, n)`` batches: column ``n - k`` read
-    directly, bit for bit ``_order_stat_kernel(_var_weights(n, p))``.  That
-    sum adds from +0.0 and every other product is +-0, so it gives the
-    column's value, or +0.0 where that is -0.0, as ``+ 0.0`` does.  The
-    kernel's ``lo`` attribute is that column."""
-    c = n - _top_k(n, p)
-
-    def kernel(Xs: np.ndarray) -> np.ndarray:
-        return Xs[:, c] + 0.0
-
-    kernel.lo = c
-    return kernel
 
 
 def _es_weights(n: int, p: float) -> np.ndarray:
@@ -260,7 +254,7 @@ def var_historical(sample, p: float) -> float:
     statistic).  Conservative in finite samples when ``n (1-p)`` is an integer.
     """
     xs = _sorted_row(sample)
-    return float(_var_kernel(xs.shape[1], _check_level(p))(xs)[0])
+    return float(_order_stat_kernel(_var_weights(xs.shape[1], _check_level(p)))(xs)[0])
 
 
 def es_historical(sample, p: float) -> float:

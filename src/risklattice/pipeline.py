@@ -240,13 +240,11 @@ def _blank(row) -> bool:
 
 
 def _check_row(path, lineno: int, row, days: dict) -> bool:
-    """False for a blank row, True for a good data row; a bad row raises
+    """False for a blank 3-column row, True for a good one; a bad row raises
     ``DataError`` naming ``path:lineno``.  ``days`` keeps each parsed date
     text."""
     if _blank(row):
         return False
-    if len(row) != 3:
-        raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
     try:
         if row[0] not in days:
             days[row[0]] = dt.date.fromisoformat(row[0].strip())
@@ -258,29 +256,6 @@ def _check_row(path, lineno: int, row, days: dict) -> bool:
     if not row[1].strip():
         raise DataError(f"{path}:{lineno}: empty ticker")
     return True
-
-
-def _data_rows(path, lines: io.StringIO) -> tuple:
-    """The date, ticker and price columns of the non-blank data rows of
-    ``lines``, the file's text, read again from its start one row at a time
-    so that the first bad row raises ``DataError`` naming ``path:line``, the
-    file line the row starts on; a row the CSV reader refuses names the line
-    where the reader stopped."""
-    lines.seek(0)
-    reader = csv.reader(lines)
-    days: dict = {}
-    kept = ([], [], [])
-    try:
-        next(reader)  # the header, checked already
-        lineno = reader.line_num + 1
-        for row in reader:
-            if _check_row(path, lineno, row, days):
-                for column, text in zip(kept, row):
-                    column.append(text)
-            lineno = reader.line_num + 1
-    except csv.Error as exc:
-        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
-    return kept
 
 
 def _price_panel(path, date_texts: list, ticker_texts: list, price_texts: list):
@@ -328,16 +303,17 @@ def load_prices_csv(path) -> PricePanel:
     names the line where the reader stopped; a file with no data rows raises
     a "no data" error.
 
-    One ``csv.reader`` pass keeps the three texts of each 3-column row, and
-    the panel is built from whole columns (``_price_panel``).  Only when a
-    column holds a bad text (a blank 3-column row such as ``,,`` counts as
-    one), a row has another column count and is not blank, or the reader
-    refuses a row, is the text read again one row at a time (``_data_rows``),
-    to name the first bad one or drop the blank ones.
+    One ``csv.reader`` pass keeps the three texts of each 3-column row and
+    the line it starts on, and the panel is built from whole columns
+    (``_price_panel``).  Only when a column holds a bad text (a blank
+    3-column row such as ``,,`` counts as one), or the pass stops at a
+    non-blank row of another column count or at a row the reader refuses,
+    are the kept rows checked one at a time in file order (``_check_row``),
+    to name the first bad one or drop the blank ones; then the row that
+    stopped the pass raises.
     """
     path = Path(path)
-    lines = io.StringIO(_read_text(path), newline="")
-    reader = csv.reader(lines)
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     try:
         header = next(reader, None)
     except csv.Error as exc:
@@ -346,23 +322,32 @@ def load_prices_csv(path) -> PricePanel:
         raise DataError(f"{path}: no data (empty file)")
     if [c.strip().lower() for c in header] != ["date", "ticker", "adj_close"]:
         raise DataError(f"{path}: expected header 'date,ticker,adj_close', got {header}")
-    texts = ([], [], [])
-    add_date, add_ticker, add_price = (column.append for column in texts)
+    texts, starts = ([], [], []), []
+    add_date, add_ticker, add_price, add_start = (column.append for column in (*texts, starts))
+    start, stop = reader.line_num + 1, None  # stop: the error that ended the pass
     try:
         for row in reader:
             if len(row) == 3:
                 add_date(row[0])
                 add_ticker(row[1])
                 add_price(row[2])
+                add_start(start)
             elif not _blank(row):
-                break  # a row of another column count
+                stop = DataError(f"{path}:{start}: expected 3 columns, got {len(row)}")
+                break
+            start = reader.line_num + 1
         else:
             panel = _price_panel(path, *texts)
             if panel is not None:
                 return panel
-    except csv.Error:
-        pass  # the row-by-row read names its line, after any bad row before it
-    return _price_panel(path, *_data_rows(path, lines))
+    except csv.Error as exc:
+        stop = DataError(f"{path}:{reader.line_num}: {exc}")
+        stop.__cause__ = exc
+    days: dict = {}
+    good = [i for i, row in enumerate(zip(*texts)) if _check_row(path, starts[i], row, days)]
+    if stop is not None:
+        raise stop
+    return _price_panel(path, *([column[i] for i in good] for column in texts))
 
 
 def build_loss_panel(panel: PricePanel, tickers=None) -> LossPanel:

@@ -34,7 +34,7 @@ __all__ = ["RiskMeasureSpec", "parse_measure_spec"]
 # statistics and MMD read a band of each row and build no batch-sized work
 # array; the other kinds do, and run in blocks (``measures._in_blocks``).
 _KERNELS = {
-    "var": lambda s, n: _m._var_kernel(n, s.level),
+    "var": lambda s, n: _m._order_stat_kernel(_m._var_weights(n, s.level)),
     "es": lambda s, n: _m._order_stat_kernel(_m._es_weights(n, s.level)),
     "aes": lambda s, n: _m._order_stat_kernel(*_m._aes_weights(n, s.grid)),
     "distortion": lambda s, n: _m._order_stat_kernel(_m._distortion_weights(n, s.phi)),
@@ -77,6 +77,8 @@ class RiskMeasureSpec:
 
     @classmethod
     def aes(cls, grid: AdjustmentGrid) -> "RiskMeasureSpec":
+        if not isinstance(grid, AdjustmentGrid):
+            grid = AdjustmentGrid(*grid)
         pairs = ",".join(f"{l:g}:{c:g}" for l, c in zip(grid.levels, grid.penalties))
         return cls(kind="aes", grid=grid, label=f"AES({pairs})")
 
@@ -130,11 +132,13 @@ class RiskMeasureSpec:
         their work arrays take a few blocks of about 256 KB, not a few copies
         of the batch; values are bit for bit those of one call.
 
-        A kernel with a ``lo`` attribute (VaR, ES, adjusted ES and distortion)
-        reads only the columns ``lo:`` of each row, so a caller may leave the
-        columns before ``lo`` unsorted or unset: the pipeline sorts only that
-        tail band of its rolling windows.  A kernel without ``lo`` (MMD and
-        the solvers) reads whole rows.
+        A kernel with a ``lo`` attribute (VaR, ES, adjusted ES and
+        distortion, all from ``measures._order_stat_kernel``: a one-hot row's
+        column, else the aligned start of the nonzero weights) reads only the
+        columns ``lo:`` of each row, so a caller may leave the columns before
+        ``lo`` unsorted or unset: the pipeline sorts only that tail band of
+        its rolling windows.  A kernel without ``lo`` (MMD and the solvers)
+        reads whole rows.
         """
         return _KERNELS[self.kind](self, n)
 

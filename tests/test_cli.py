@@ -391,6 +391,29 @@ def test_counterexample_mmd_triple_ending_on_last_level(capsys):
     assert "(violated)" in out
 
 
+@pytest.mark.parametrize("atoms", [2**62, 2**21 + 1])
+@pytest.mark.parametrize("command", [
+    ["sweep", "--measure", "es:0.9", "--trials", "1", "--seed", "0"],
+    ["counterexample", "--family", "aes"],
+    ["counterexample", "--family", "mmd"],
+], ids=["sweep", "aes", "mmd"])
+def test_too_many_atoms_is_usage_error(capsys, command, atoms):
+    # refused before any array is built: numpy would raise "array is too big"
+    # or MemoryError, and the MMD search is quadratic in the atom count
+    code, out, err = run(capsys, *command, "--atoms", str(atoms))
+    assert code == 2 and out == ""
+    assert err == f"error: n_atoms must be at most 2097152, got {atoms}\n"
+
+
+def test_atom_bound_admits_one_chunk_per_trial():
+    from risklattice import DomainError, lattice
+
+    assert lattice._MAX_ATOMS == 2**21 == lattice._CHUNK_BYTES // 32
+    lattice._check_atom_bound(lattice._MAX_ATOMS)
+    with pytest.raises(DomainError, match="at most 2097152"):
+        lattice._check_atom_bound(lattice._MAX_ATOMS + 1)
+
+
 def test_usage_error_exit_two(capsys):
     assert main(["sweep", "--measure", "es:0.95"]) == 2  # missing required flags
     assert main(["no-such-command"]) == 2

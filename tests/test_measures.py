@@ -80,21 +80,34 @@ def test_band_kernel_is_bit_equal_to_full_rows(n):
         assert np.array_equal(_bits(kernel(batch[1:46])[2:43]), _bits(full))
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 60, 500])
+@pytest.mark.parametrize("n", [1, 2, 5, 60, 100, 500])
 def test_var_kernel_reads_the_einsum_order_statistic_bits(n):
-    # the column read gives what the one-hot band sum gives: the order
-    # statistic, with -0.0 turned into +0.0; rows full of -0.0, of +-0.0
-    # and of negatives
+    # a single one-hot weight row is read as its column, and that read gives
+    # what the full-row einsum gives: the order statistic, with -0.0 turned
+    # into +0.0; rows full of -0.0, of +-0.0 and of negatives.  VaR, ES with
+    # k = 1 (es:0.99 at n <= 100) and the step distortion all take it
     rng = np.random.default_rng(n)
     X = -np.abs(rng.standard_normal((30, n)))
     X[:10] = np.where(rng.random((10, n)) < 0.5, -0.0, 0.0)
     X[10:13] = -0.0
     X[13:20] *= rng.random((7, n)) < 0.5  # -0.0 among negatives
     Xs = np.sort(X, axis=1)
-    for p in (0.01, 0.5, 0.8, 0.95, 0.99):
-        reference = rm._order_stat_kernel(rm._var_weights(n, p))(Xs)
-        assert np.array_equal(_bits(rm._var_kernel(n, p)(Xs)), _bits(reference))
-        assert np.array_equal(_bits(RiskMeasureSpec.var(p).kernel(n)(Xs)), _bits(reference))
+    cases = [(RiskMeasureSpec.var(p), rm._var_weights(n, p)) for p in (0.01, 0.5, 0.8, 0.95, 0.99)]
+    cases += [(parse_measure_spec(text), W) for text, W in (
+        ("es:0.99", rm._es_weights(n, 0.99)),
+        ("dist:var:0.9", rm._distortion_weights(n, var_distortion(0.9))))]
+    for spec, W in cases:
+        reference = np.einsum("ij,rj->ri", Xs, np.atleast_2d(W))[0]
+        kernel = rm._order_stat_kernel(W)
+        if np.count_nonzero(W) == 1:
+            assert kernel.lo == np.flatnonzero(W)[0], spec.label
+        assert np.array_equal(_bits(kernel(Xs)), _bits(reference)), spec.label
+        assert np.array_equal(_bits(spec.kernel(n)(Xs)), _bits(reference)), spec.label
+        assert np.array_equal(_bits(spec.evaluate_batch(X)), _bits(reference)), spec.label
+        # any other weight is no column read: it takes the aligned band sum
+        half = rm._order_stat_kernel(0.5 * W)
+        assert half.lo % rm._BAND_ALIGN == 0
+        assert np.array_equal(_bits(half(Xs)), _bits(0.5 * reference)), spec.label
 
 
 def test_var_top_order_statistics():

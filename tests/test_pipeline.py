@@ -93,6 +93,58 @@ def test_load_error_names_the_file_line(tmp_path, rows, line):
         pl.load_prices_csv(p)
 
 
+def count_readers(monkeypatch) -> list:
+    """The ``csv.reader`` calls made from now on, one entry each."""
+    calls, reader = [], pl.csv.reader
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reader(*args, **kwargs)
+
+    monkeypatch.setattr(pl.csv, "reader", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rows", [
+    ["2024-01-02,A,1.0"],
+    ["2024-01-02,A,1.0", ",,", "2024-01-03,A,1.5"],  # a blank 3-column row is dropped
+    ["2024-01-02,A,1.0", "2024-01-03,A,0"],
+    ["2024-01-02,A,1.0", "2024-01-03,A"],
+    ["2024-01-02,A,1.0", f"2024-01-03,{'T' * 140_000},1.0"],
+])
+def test_load_parses_the_file_with_one_reader(tmp_path, monkeypatch, rows):
+    # the rows the first pass keeps are checked where they are: the text is
+    # not parsed a second time, whatever the file holds
+    p = write_csv(tmp_path / "p.csv", rows)
+    readers = count_readers(monkeypatch)
+    try:
+        pl.load_prices_csv(p)
+    except DataError:
+        pass
+    assert len(readers) == 1
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    # a bad 3-column row, then a row of another column count
+    (["2024-01-02,A,1.0", "2024-01-03,A,0", "2024-01-04,A", "2024-01-05,A,1.0"], 3,
+     "nonpositive or non-finite price '0'"),
+    # a bad 3-column row after a quoted line break, then an over-long field
+    (['2024-01-02,"A\nB",1.0', "2024-01-03, ,1.0", f"2024-01-04,{'T' * 140_000},1.0"], 4,
+     "empty ticker"),
+    # a blank 3-column row is dropped; the row of another column count raises
+    (["2024-01-02,A,1.0", ",,", '2024-01-03,"A\nB",1.0,x'], 4, "expected 3 columns, got 4"),
+    (["2024-01-02,A,1.0", " , , ", f"2024-01-03,{'T' * 140_000},1.0"], 4,
+     r"field larger than field limit \(131072\)"),
+])
+def test_load_names_a_bad_row_before_the_row_that_stops_the_pass(tmp_path, monkeypatch, rows,
+                                                                 line, message):
+    p = write_csv(tmp_path / "p.csv", rows)
+    readers = count_readers(monkeypatch)
+    with pytest.raises(DataError, match=f"p.csv:{line}: {message}$"):
+        pl.load_prices_csv(p)
+    assert len(readers) == 1
+
+
 @pytest.mark.parametrize("ticker", ["", "  "])
 def test_load_empty_ticker_reports_line(tmp_path, ticker):
     p = write_csv(tmp_path / "p.csv", ["2024-01-02,AAA,100.0", f"2024-01-02,{ticker},1.0"])

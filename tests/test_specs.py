@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from risklattice import (
+    AdjustmentGrid,
     DomainError,
     RiskMeasureSpec,
     aes,
@@ -102,6 +103,16 @@ def test_spec_evaluate_matches_direct_calls():
         assert spec.evaluate(SAMPLE) == pytest.approx(expected, abs=1e-12), spec.label
     grid_spec = parse_measure_spec("aes:0.6:0,0.8:0.005")
     assert grid_spec.evaluate(SAMPLE) == pytest.approx(aes(SAMPLE, grid_spec.grid), abs=1e-15)
+
+
+def test_aes_spec_takes_the_levels_and_penalties_pair_aes_takes():
+    # measures.aes coerces a (levels, penalties) pair to an AdjustmentGrid;
+    # the spec constructor takes the same pair
+    pair = ((0.6, 0.9), (0.0, 0.01))
+    spec = RiskMeasureSpec.aes(pair)
+    assert spec.grid == AdjustmentGrid(*pair)
+    assert spec.label == parse_measure_spec("aes:0.6:0,0.9:0.01").label == "AES(0.6:0,0.9:0.01)"
+    assert spec.evaluate(SAMPLE) == aes(SAMPLE, pair) == aes(SAMPLE, AdjustmentGrid(*pair))
 
 
 def test_evaluate_batch_matches_scalar_loop():
