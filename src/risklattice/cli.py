@@ -305,8 +305,7 @@ def _cmd_selftest(args) -> int:
 
     results = run_selftest(only=args.only)
     if not results:
-        print(f"no checks match --only {args.only!r}")
-        return 2
+        raise DomainError(f"no checks match --only {args.only!r}")
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:

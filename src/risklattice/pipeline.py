@@ -110,8 +110,8 @@ class RollingConfig:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if self.window < 2:
-            raise DomainError("rolling window must be at least 2")
+        if not isinstance(self.window, (int, np.integer)) or self.window < 2:
+            raise DomainError("rolling window must be an integer of at least 2")
         _check_epsilon(self.epsilon)
         object.__setattr__(self, "measures", tuple(self.measures))
 
@@ -388,20 +388,36 @@ def rolling_eval(
 
     The window ending at date t includes the loss observed at t; the first
     ``window - 1`` dates carry no value.  Insufficient history yields an
-    empty series with a warning.
+    empty series with a warning.  The ticker is one ``_window_values`` lane.
     """
     series = losses.column(ticker)
     w = config.window
+    label = f"{spec.label}@{ticker}"
     if series.size < w:
         warnings.warn(
             f"ticker {ticker!r}: {series.size} losses < window {w}; empty rolling series"
         )
-        return DatedSeries(dates=(), values=np.empty(0), label=f"{spec.label}@{ticker}")
-    kernel = spec.kernel(w)
-    windows = np.empty((series.size - w + 1, w))
-    _sorted_windows(series[None], w, _band([kernel], w), windows)
-    values = kernel(windows)
-    return DatedSeries(dates=losses.dates[w - 1 :], values=values, label=f"{spec.label}@{ticker}")
+        return DatedSeries(dates=(), values=np.empty(0), label=label)
+    values = _window_values(series[None], w, [spec.kernel(w)])[0, 0]
+    return DatedSeries(dates=losses.dates[w - 1 :], values=values, label=label)
+
+
+def _window_values(lanes: np.ndarray, w: int, kernels: list, work=None) -> np.ndarray:
+    """Every kernel on every window of width ``w`` of every lane: entry
+    ``[k, r, t]`` is ``kernels[k]`` on ``lanes[r, t : t + w]``.
+
+    The ``d = n - w + 1`` windows of each of the ``(m, n)`` lanes are sorted
+    into the first ``m * d`` rows of ``work`` (a new array when None) in the
+    band that all the kernels read (``_sorted_windows``), and each kernel
+    runs once on those rows.  A kernel gives a row the same bits wherever it
+    sits in its batch, so lanes may be split over calls at will.  The values
+    are a new array: ``work`` may take the next call's windows at once.
+    """
+    m, n = lanes.shape
+    d = n - w + 1
+    rows = np.empty((m * d, w)) if work is None else work[: m * d]
+    _sorted_windows(lanes, w, _band(kernels, w), rows)
+    return np.stack([kernel(rows) for kernel in kernels]).reshape(len(kernels), m, d)
 
 
 def _band(kernels, w: int) -> int:
@@ -457,46 +473,10 @@ def _sorted_windows(lanes: np.ndarray, w: int, band: int, out: np.ndarray) -> No
         blocks[:, :, :, cut - band :].sort(axis=3)
 
 
-def _pair_gaps(
-    config: RollingConfig, kernels: list, series, values: list, i, j, batch
-) -> list[np.ndarray]:
-    """Gap rows ``[pair, date]``, one per (measure, test) check in config
-    order, for the pairs ``(i[p], j[p])``.
-
-    ``series`` holds one loss series per ticker, ``values[k][t]`` measure
-    ``k``'s values on ticker ``t``'s windows, ``kernels`` the measures'
-    kernels for the window width, and ``batch`` is a work array with room for
-    3 windows per pair and date.  The meet and join windows are sorted in
-    the band that all kernels read, the summed-loss windows in the band that
-    the subadditivity kernels read.
-    """
-    w = config.window
-    m, d = i.size, series.shape[1] - w + 1
-    # Only the subadditivity test reads the summed-loss block; the other
-    # measures evaluate meet and join alone.
-    summed = [SUBADDITIVITY in _tests(spec) for spec in config.measures]
-    x, y = series[i], series[j]
-    lanes = np.empty((3 if any(summed) else 2, m, series.shape[1]))  # meet, join[, x + y]
-    np.minimum(x, y, out=lanes[0])
-    np.maximum(x, y, out=lanes[1])
-    _sorted_windows(lanes[:2].reshape(2 * m, -1), w, _band(kernels, w), batch)
-    if any(summed):
-        np.add(x, y, out=lanes[2])
-        _sorted_windows(lanes[2], w, _band([k for k, add in zip(kernels, summed) if add], w),
-                        batch[2 * m * d :])
-    rows = []
-    for add, kernel, v in zip(summed, kernels, values):
-        vals = kernel(batch[: (2 + add) * m * d]).reshape(-1, m, d)
-        pair_sum = v[i] + v[j]
-        rows.append(pair_sum - (vals[0] + vals[1]))
-        if add:
-            rows.append(pair_sum - vals[2])
-    return rows
-
-
 # Ticker pairs are tested in chunks whose work array holds about this many
-# window cells (2 MB), or one pair when a pair needs more.  Many short
-# windows then share one sort call and one call per kernel.
+# window cells (2 MB), two windows per pair and date, or one pair when a pair
+# needs more.  Many short windows then share one sort call and one call per
+# kernel.
 _PAIR_CHUNK_CELLS = 1 << 18
 
 
@@ -521,11 +501,6 @@ def _tests(spec: RiskMeasureSpec) -> tuple[str, ...]:
     return (SUBMODULARITY, SUBADDITIVITY) if spec.kind == "var" else (SUBMODULARITY,)
 
 
-def _checks(config: RollingConfig) -> list[tuple[str, str]]:
-    """The (measure label, test) checks in config order, as ``_pair_gaps`` rows."""
-    return [(spec.label, test) for spec in config.measures for test in _tests(spec)]
-
-
 def pairwise_day_tests(losses: LossPanel, config: RollingConfig) -> ViolationTable:
     """Lattice-test every unordered ticker pair on every full-window date.
 
@@ -535,22 +510,20 @@ def pairwise_day_tests(losses: LossPanel, config: RollingConfig) -> ViolationTab
 
     Work is shared across pairs.  Each measure's kernel (its weight rows,
     reduced over their tail band; see ``measures._order_stat_batch``) is
-    built once for the window width.  Each ticker's windows are sorted and
-    evaluated once.  Pairs then go in chunks of about ``_PAIR_CHUNK_CELLS``
-    window cells, with one call per kernel each, and a pair adds only its
-    meet and join windows, plus its summed-loss windows when a VaR measure
-    is configured.  Windows are sorted only in the band their kernels read
-    (``_sorted_windows``): the ticker, meet and join windows in the band of
-    every kernel, the summed-loss windows in the VaR kernels' band.  Where
-    that band is narrow against the window, consecutive windows share one
-    sorted core; where a kernel reads whole rows (a dense distortion, MMD, the solvers), the
-    band is the whole window and each window is sorted in full.  A gap is ``(v(x) + v(y)) - (v(meet) +
-    v(join))``, and a kernel gives a row the same value wherever the row
-    sits, so dominated-pair gaps are exactly 0 and every gap is bit-equal to
-    evaluating each pair's windows on their own.  The gap rows go straight
-    into one ``ViolationTable`` array ``gaps[check, pair, date]``: checks in
-    (measure label, test) order, config order breaking label ties; pairs in
-    sorted-ticker order; dates the window end dates.  Pairs run serially.
+    built once for the window width, and every window goes through
+    ``_window_values``, which sorts the windows of a batch of lanes in the
+    band their kernels read and runs each kernel once on them.  Pairs go in
+    chunks of ``c`` pairs, about ``_PAIR_CHUNK_CELLS`` window cells with two
+    windows per pair and date: one call for the chunk's ``2c`` meet and join
+    lanes with every kernel, and one for its ``c`` summed-loss lanes with
+    the VaR kernels.  The tickers go first, ``2c`` lanes to a call.  A gap
+    is ``(v(x) + v(y)) - (v(meet) + v(join))``, and a kernel gives a row the
+    same value wherever the row sits, so dominated-pair gaps are exactly 0
+    and every gap is bit-equal to evaluating each pair's windows on their
+    own.  The gap rows go straight into one ``ViolationTable`` array
+    ``gaps[check, pair, date]``: checks in (measure label, test) order,
+    config order breaking label ties; pairs in sorted-ticker order; dates
+    the window end dates.  Pairs run serially.
     """
     if len(losses.tickers) < 2:
         raise DomainError("pairwise tests need at least 2 tickers")
@@ -560,29 +533,35 @@ def pairwise_day_tests(losses: LossPanel, config: RollingConfig) -> ViolationTab
         )
     order = sorted(range(len(losses.tickers)), key=lambda k: losses.tickers[k])
     pairs = [(i, j) for a, i in enumerate(order) for j in order[a + 1 :]]
-    checks = _checks(config)
+    # A chunk's gap rows: every measure's submodularity check, then the
+    # subadditivity checks, each in config order.
+    checks = [(spec.label, test) for test in (SUBMODULARITY, SUBADDITIVITY)
+              for spec in config.measures if test in _tests(spec)]
     rank = sorted(range(len(checks)), key=checks.__getitem__)  # stable: config order on ties
-    slot = np.argsort(rank)  # config-order row -> check index
+    slot = np.argsort(rank)  # gap row -> check index
     dates = losses.dates[config.window - 1 :]
     w, d = config.window, len(dates)
     kernels = [spec.kernel(w) for spec in config.measures]
+    summed = [k for k, spec in enumerate(config.measures) if SUBADDITIVITY in _tests(spec)]
     series = np.ascontiguousarray(losses.losses.T)  # one row per ticker
-    # One work array serves every sort: a fresh one per chunk would fault in
+    # One work array serves every sort: a fresh one per call would fault in
     # its pages again each time.
-    chunk = max(1, _PAIR_CHUNK_CELLS // (3 * d * w))
-    batch = np.empty((3 * chunk * d, w))
-    values = [np.empty((len(series), d)) for _ in kernels]
-    band = _band(kernels, w)
-    for t, x in enumerate(series):
-        Xs = batch[:d]
-        _sorted_windows(x[None], w, band, Xs)
-        for v, kernel in zip(values, kernels):
-            v[t] = kernel(Xs)
+    chunk = max(1, _PAIR_CHUNK_CELLS // (2 * d * w))
+    work = np.empty((2 * chunk * d, w))
+    values = np.concatenate([_window_values(series[t : t + 2 * chunk], w, kernels, work)
+                             for t in range(0, len(series), 2 * chunk)], axis=1)
     first, second = np.array(pairs, dtype=np.intp).T
     gaps = np.empty((len(checks), len(pairs), d))
     for start in range(0, len(pairs), chunk):
         at = slice(start, start + chunk)
-        gaps[slot, at] = _pair_gaps(config, kernels, series, values, first[at], second[at], batch)
+        x, y = series[first[at]], series[second[at]]
+        meet, join = np.split(_window_values(
+            np.concatenate([np.minimum(x, y), np.maximum(x, y)]), w, kernels, work), 2, axis=1)
+        pair_sum = values[:, first[at]] + values[:, second[at]]
+        gaps[slot[: len(kernels)], at] = pair_sum - (meet + join)
+        if summed:
+            gaps[slot[len(kernels) :], at] = pair_sum[summed] - _window_values(
+                x + y, w, [kernels[k] for k in summed], work)
     return ViolationTable(
         dates=dates,
         pairs=tuple((losses.tickers[i], losses.tickers[j]) for i, j in pairs),

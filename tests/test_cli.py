@@ -464,6 +464,19 @@ def test_selftest_filtered(capsys):
     assert "ok" in out and "lattice.identity" in out
 
 
+def test_law_invariance_detail_counts_its_functionals():
+    from risklattice.selftest import run_selftest
+
+    [result] = run_selftest(only="measures.law_invariance")
+    assert result.passed and result.detail.startswith("8 functionals,")
+
+
+def test_selftest_filter_matching_nothing_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "selftest", "--only", "zzz")
+    assert (code, out) == (2, "")
+    assert err == "error: no checks match --only 'zzz'\n"
+
+
 def test_selftest_checks_fail_under_python_O():
     # a check must fail when the library breaks, also with assert statements
     # stripped: here ES reads -1e9, below every VaR

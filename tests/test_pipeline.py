@@ -911,6 +911,20 @@ def test_config_epsilon_must_be_finite_and_nonnegative(tmp_path, epsilon):
         pl.RollingConfig(window=5, measures=(RiskMeasureSpec.es(0.9),), epsilon=float(epsilon))
 
 
+@pytest.mark.parametrize("window", [10.0, 10.5, "10", 1, np.int64(1)])
+def test_rolling_window_must_be_an_integer_of_at_least_2(window):
+    with pytest.raises(DomainError, match="rolling window must be an integer of at least 2"):
+        pl.RollingConfig(window=window, measures=(RiskMeasureSpec.var(0.9),))
+
+
+def test_numpy_integer_window_accepted():
+    panel = pl.build_loss_panel(pl.synth_prices(seed=2, n_days=60, n_assets=3, vol=0.01,
+                                                jump_prob=0.02))
+    measures = (RiskMeasureSpec.var(0.9),)
+    table = pl.pairwise_day_tests(panel, pl.RollingConfig(window=np.int64(40), measures=measures))
+    assert table == pl.pairwise_day_tests(panel, pl.RollingConfig(window=40, measures=measures))
+
+
 @pytest.mark.parametrize("row", [
     "2024-01-02,AAABBB,VaR(0.9),submodularity,0.5,false",
     "2024-01-02,AAA-BBB-C,VaR(0.9),submodularity,0.5,false",
@@ -1166,7 +1180,7 @@ def test_read_back_check_configured_twice(tmp_path):
 def flat_stretch_panel():
     # every price flat for 45 days (losses of -0.0 filling whole windows) and
     # one ticker flat for 6 more
-    panel = pl.synth_prices(seed=11, n_days=120, n_assets=3, vol=0.02, jump_prob=0.1)
+    panel = pl.synth_prices(seed=11, n_days=120, n_assets=5, vol=0.02, jump_prob=0.1)
     closes = panel.closes.copy()
     closes[30:76] = closes[30]
     closes[90:97, 1] = closes[90, 1]
@@ -1181,16 +1195,17 @@ def flat_stretch_panel():
 ], ids=["with-var", "without-var"])
 @pytest.mark.parametrize("pairs_per_chunk", [1, 2, 3])
 def test_pairwise_gaps_bit_equal_to_per_pair_loop(measures, pairs_per_chunk, monkeypatch):
-    # Per-ticker values, meet/join batches over chunks of pairs and banded
-    # kernels (window 40 puts VaR's and ES's band at column 32) give every gap
-    # bit for bit as evaluating each pair's windows on their own, signed
-    # zeros included.
-    monkeypatch.setattr(pl, "_PAIR_CHUNK_CELLS", pairs_per_chunk * 3 * 80 * 40)
+    # Ticker values in chunks of 2 * pairs_per_chunk lanes (the 5 tickers
+    # leave a remainder at 1 and 2 pairs per chunk), meet/join batches over
+    # chunks of the 10 pairs and banded kernels (window 40 puts VaR's and
+    # ES's band at column 32) give every gap bit for bit as evaluating each
+    # pair's windows on their own, signed zeros included.
+    monkeypatch.setattr(pl, "_PAIR_CHUNK_CELLS", pairs_per_chunk * 2 * 80 * 40)
     panel = flat_stretch_panel()
     assert np.any((panel.losses == 0.0) & np.signbit(panel.losses))
     config = pl.RollingConfig(window=40, measures=measures)
     table = pl.pairwise_day_tests(panel, config)
-    assert table.gaps.shape[1:] == (3, 80)
+    assert table.gaps.shape[1:] == (10, 80)
     reference = reference_table(panel, config)
     assert (table.dates, table.pairs, table.checks) == (
         reference.dates, reference.pairs, reference.checks)
@@ -1228,7 +1243,7 @@ def test_long_window_gaps_bit_equal_to_per_pair_loop(measures, blocks, pairs_per
     # sort while the summed-loss lane keeps VaR's band.  `blocks` says which
     # of the meet/join and summed-loss lanes take blocks.  One pair per
     # chunk, and 4 of the 6 pairs in one chunk.
-    monkeypatch.setattr(pl, "_PAIR_CHUNK_CELLS", max(1, pairs_per_chunk * 3 * 100 * 300))
+    monkeypatch.setattr(pl, "_PAIR_CHUNK_CELLS", max(1, pairs_per_chunk * 2 * 100 * 300))
     panel = long_flat_panel()
     assert np.any((panel.losses == 0.0) & np.signbit(panel.losses))
     config = pl.RollingConfig(window=300, measures=measures)
@@ -1320,10 +1335,10 @@ def test_rolling_eval_bit_equal_to_evaluate_batch(w, text):
 
 def test_pair_stage_memory_stays_at_its_work_array():
     # On the pipeline-deep benchmark panel (seed 3: 8 tickers x 1000 days,
-    # window 500) the pair stage's traced peak is its 6 MB work array and
-    # its results: 7.34 MB with a full sort of every window.  Sorting only
-    # the tail band in place adds the blocks' small core arrays; candidates
-    # written out of place reached 9.25 MB.
+    # window 500) the pair stage's traced peak is its 4 MB work array (two
+    # windows per pair and date) and its results, 5.48 MB.  A third window
+    # per pair and date reads 7.39 MB, and candidates written out of place
+    # reached 9.25 MB.
     import tracemalloc
 
     panel = pl.build_loss_panel(pl.synth_prices(3, 1000, 8, 0.01, 0.02))
@@ -1335,7 +1350,7 @@ def test_pair_stage_memory_stays_at_its_work_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7.6e6
+    assert peak < 6e6
 
 
 def plain_violations_csv(table) -> bytes:
