@@ -59,6 +59,8 @@ def aes_counterexample(
     ``a (q - p1)^2 / (2 (1 - p1))`` is the limit of
     ``ES_p1(x v y) - ES_p1(x)`` as ``n_atoms`` grows.
     """
+    if not np.isfinite([a, b]).all():
+        raise DomainError(f"ramp slope a and offset b must be finite, got a={a}, b={b}")
     if a <= 0:
         raise DomainError("ramp slope a must be positive")
     if not 0.0 < q < 1.0:

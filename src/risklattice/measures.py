@@ -36,8 +36,10 @@ whose ``LossFunction`` declares its structure.  For ``exp:g``
 max with ``expm1``/``log1p``.  For the piecewise-linear losses ``linear``,
 ``expectile:a``, ``piecewise:sm,sp`` and ``cvar:p`` (``slopes``, one kink at
 0) the shortfall residual and the OCE objective are linear between order
-statistics, so suffix sums over the sorted row give the exact root or
-minimum in O(n); ``OCE(cvar:p)`` is ES (Rockafellar and Uryasev).  A
+statistics: suffix sums give the root's piece, and the OCE minimizer is the
+order statistic with ``floor(n (1 - sm) / (sp - sm))`` atoms above it, one
+pass away (``_kinked_mean``); one rule re-evaluates a row that overflows
+(``_homogeneous``), and ``OCE(cvar:p)`` is ES (Rockafellar and Uryasev).  A
 ``quad`` term on top makes each of the three a quadratic root per row:
 ``poly2exp`` (``exp(2x) + exp(x) - 2``) is one in ``exp(+-m)`` from the
 row's sums of ``exp(x)`` and ``exp(2x)``, and ``quadlin`` (``x/2 +
@@ -416,22 +418,12 @@ def _kinked_sums(Xs: np.ndarray, s_minus: float, s_plus: float, quad: float = 0.
     are the only batch-sized work arrays kept; callers update ``y`` in place.
     With ``quad``, ``l`` has ``quad max(v, 0)^2`` on top, and ``B[:, j]`` also
     holds ``quad mean_{i > j} (y_i - y_j)^2``, from suffix sums of ``y^2``.
-
-    Without ``quad`` the loss is positively homogeneous: a row whose sums
-    here or in the caller could overflow is taken times ``2**-e`` (exactly),
-    and the last value returned, ``unit``, is ``2**e`` on it and 1 elsewhere:
-    callers multiply their result by it.
+    Only the shortfall reads them: the OCE's minimizer has a fixed rank
+    (``_oce_batch``).  A row whose sums overflow is left to ``_homogeneous``.
     """
     n = Xs.shape[1]
     top = Xs[:, -1]
     y = np.subtract(Xs, top[:, None])
-    unit = np.ones(len(Xs))
-    reach = 4.0 * n * max(1.0, s_minus, s_plus)
-    big = np.flatnonzero(~np.isfinite(y[:, 0] * reach))
-    if big.size and not quad:
-        unit[big] = 2.0 ** (2 + math.ceil(math.log2(reach)))
-        top = top / unit
-        y[big] = Xs[big] / unit[big, None] - top[big, None]
     B = _suffix_sums(y)  # B[:, j] = sum_{i > j} y_i
     total = B[:, 0] + y[:, 0]
     if quad:
@@ -447,7 +439,7 @@ def _kinked_sums(Xs: np.ndarray, s_minus: float, s_plus: float, quad: float = 0.
     if quad:
         B += sq
     slope = s_minus + (s_plus - s_minus) / n * np.arange(n - 1, -1, -1.0)
-    return top, y, B, slope, unit
+    return top, y, B, slope
 
 
 def _kinked_mean(Xs: np.ndarray, m: np.ndarray):
@@ -505,6 +497,19 @@ def _finite(vals: np.ndarray, what: str) -> np.ndarray:
     if bad.any():
         raise _row_error(NumericError, f"{what}: overflow at batch row {{row}}", bad.argmax())
     return vals
+
+
+def _homogeneous(form, Xs: np.ndarray, ell: LossFunction, what: str) -> np.ndarray:
+    """``form(Xs)`` for a loss with ``slopes``.  Without ``quad`` the form is
+    positively homogeneous: a row whose value overflows is evaluated again at
+    ``2**-e`` times the row, ``2**e >= 16 n max(1, s_minus, s_plus)``, and its
+    value multiplied back, both exactly.  A row left non-finite raises NumericError."""
+    vals = form(Xs)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size and not ell.quad:
+        unit = 2.0 ** (2 + math.ceil(math.log2(4.0 * Xs.shape[1] * max(1.0, *ell.slopes))))
+        vals[bad] = unit * form(Xs[bad] / unit)
+    return _finite(vals, what)
 
 
 def _ce_kernel(n: int, ell: LossFunction):
@@ -593,29 +598,30 @@ def _shortfall_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
         return _log_mean_exp(Xs, g)
     n = Xs.shape[1]
     if ell.slopes is not None:
-        # The residual mean l(y - m) is decreasing in m, and linear (quadratic
+        # The residual mean l(x - m) is decreasing in m, and linear (quadratic
         # with quad) between order statistics: count the order statistics
-        # where it is negative (the top c), then solve the piece with those c
-        # atoms above the root.
+        # where it is negative (the top c), then solve the piece below them.
         sm, sp = ell.slopes
-        top, y, B, slope, unit = _kinked_sums(Xs, sm, sp, q)
-        y *= slope
-        np.subtract(B, y, out=y)
-        c = np.count_nonzero(y < 0.0, axis=1)
-        if not q:
-            j = np.maximum(n - 1 - c, 0)
-            return unit * (top + B[np.arange(j.size), j] / slope[j])
-        # Anchored at the lowest of those order statistics, x_a, the residual
-        # at m = x_a - t is mean l(x - x_a) + b t + (q k / n) t^2 with
-        # b = slope + 2 q mean max(x - x_a, 0): every term but the first is
-        # nonnegative, so the root does not cancel.
-        a = np.clip(n - c, 0, n - 1)
-        anchor = Xs[np.arange(a.size), a]
-        k = n - a
-        total, pos, sq = _kinked_mean(Xs, anchor)
-        t = _root(q * k / n, sm + (sp - sm) * k / n + 2.0 * q * pos,
-                  sm * total + (sp - sm) * pos + q * sq)
-        return _finite(anchor - t, "shortfall")
+
+        def root(Xs):
+            top, y, B, slope = _kinked_sums(Xs, sm, sp, q)
+            y *= slope
+            np.subtract(B, y, out=y)
+            c = np.count_nonzero(y < 0.0, axis=1)
+            if not q:
+                j = np.maximum(n - 1 - c, 0)
+                return top + B[np.arange(j.size), j] / slope[j]
+            # Anchored at the lowest of them, x_a, the residual at m = x_a - t
+            # is mean l(x - x_a) + b t + (q k / n) t^2, b = slope + 2 q mean
+            # max(x - x_a, 0): no term cancels.
+            a = np.clip(n - c, 0, n - 1)
+            anchor = Xs[np.arange(a.size), a]
+            k = n - a
+            total, pos, sq = _kinked_mean(Xs, anchor)
+            return anchor - _root(q * k / n, sm + (sp - sm) * k / n + 2.0 * q * pos,
+                                  sm * total + (sp - sm) * pos + q * sq)
+
+        return _homogeneous(root, Xs, ell, "shortfall")
     # silent normalization: subtracting l(0) leaves the root unchanged
     ell0 = float(ell.fn(np.array(0.0)))
 
@@ -707,50 +713,41 @@ def _oce_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
         return c + np.where(near, near_value, far_value)
     if g is not None:
         return _log_mean_exp(Xs, g) + (1.0 + math.log(g) - g) / g
-    if ell.slopes is not None and q:
-        sm, sp = ell.slopes
-        if sm > 1.0:
-            raise DomainError(f"optimized certainty equivalent: objective unbounded below "
-                              f"(loss slope {sm:g} > 1 below 0)")
-        # The minimizer solves mean l'(x - m) = 1, where mean l'(x - m) is
-        # decreasing and linear between order statistics.  At x_j it is
-        # slope[j] + (2 q / n) sum_{i > j} (x_i - x_j): count where that is
-        # below 1 (the top c), then solve the piece below the lowest of them.
-        n = Xs.shape[1]
-        top = Xs[:, -1]
-        y = np.subtract(Xs, top[:, None])
-        above = _suffix_sums(y)
-        y *= np.arange(n - 1, -1, -1.0)
-        above -= y  # sum_{i > j} (y_i - y_j)
-        above *= 2.0 * q / n
-        above += (sm + (sp - sm) / n * np.arange(n - 1, -1, -1.0)) - 1.0
-        a = np.clip(n - np.count_nonzero(above < 0.0, axis=1), 0, n - 1)
-        anchor = Xs[np.arange(a.size), a]
-        k = n - a
-        total, pos, sq = _kinked_mean(Xs, anchor)
-        # At m = anchor - t the condition is linear in t, and the objective is
-        # f(anchor) + t (slope_k - 1 + 2 q pos + q t k / n): only that last
-        # term is large when the minimizer is far from the sample.  t >= 0
-        # keeps the minimizer nearest the sample on a flat side (slope 1
-        # below 0).
-        slope_k = sm + (sp - sm) * k / n
-        t = np.maximum(((1.0 - slope_k) / (2.0 * q) - pos) * n / k, 0.0)
-        value = anchor + (sm * total + (sp - sm) * pos + q * sq)
-        value += t * (slope_k - 1.0 + 2.0 * q * pos + q * k / n * t)
-        return _finite(value, "optimized certainty equivalent")
     if ell.slopes is not None:
         sm, sp = ell.slopes
-        if not sm <= 1.0 <= sp:
-            raise DomainError(
-                f"optimized certainty equivalent: objective unbounded below "
-                f"(loss slopes {sm:g} and {sp:g} do not straddle 1)"
-            )
-        # the objective is convex and piecewise linear with kinks at the
-        # order statistics: its minimum is the least value there
-        top, y, B, slope, unit = _kinked_sums(Xs, sm, sp)
-        y *= 1.0 - slope
-        y += B
-        return unit * (top + y.min(axis=1))
+        if sm > 1.0 or (sp < 1.0 and not q):
+            raise DomainError(f"optimized certainty equivalent: objective unbounded below "
+                              f"(loss slopes {sm:g} and {sp:g} do not straddle 1)")
+        # mean l'(x - m) is decreasing; just above x_j it is slope[j] + (2 q /
+        # n) sum_{i > j} (x_i - x_j), and the minimizer lies below the lowest
+        # x_a where that is under 1.  Without quad, x_a is the minimizer, the
+        # same in every row: fewer than n (1 - sm) / (sp - sm) atoms lie above.
+        n = Xs.shape[1]
+        above = (sm + (sp - sm) / n * np.arange(n - 1, -1, -1.0)) - 1.0
+        if q:
+            y = np.subtract(Xs, Xs[:, -1:])
+            s = _suffix_sums(y)
+            y *= np.arange(n - 1, -1, -1.0)
+            s -= y  # sum_{i > j} (y_i - y_j)
+            s *= 2.0 * q / n
+            above = np.add(s, above, out=s)
+        a = np.clip(n - np.count_nonzero(above < 0.0, axis=-1), 0, n - 1)
+
+        def value(Xs):
+            anchor = Xs[np.arange(len(Xs)), a]
+            total, pos, sq = _kinked_mean(Xs, anchor)
+            f = sm * total + (sp - sm) * pos
+            if not q:
+                return anchor + f
+            # At m = anchor - t the condition is linear in t, and the objective
+            # is f(anchor) + t (slope_k - 1 + 2 q pos + q t k / n).  t >= 0
+            # keeps the minimizer nearest the sample on a flat side.
+            k = n - a
+            slope_k = sm + (sp - sm) * k / n
+            t = np.maximum(((1.0 - slope_k) / (2.0 * q) - pos) * n / k, 0.0)
+            return anchor + (f + q * sq) + t * (slope_k - 1.0 + 2.0 * q * pos + q * k / n * t)
+
+        return _homogeneous(value, Xs, ell, "optimized certainty equivalent")
 
     def f(m, rows=slice(None)):
         return m + ell.fn(Xs[rows] - m[:, None]).mean(axis=1)
@@ -777,10 +774,13 @@ def oce(sample, ell: LossFunction) -> float:
     and the value is the entropic risk measure plus a constant:
     ``log(mean exp(g x_i)) / g + (1 + log g - g) / g`` (the constant is 0
     only at ``g = 1``).  For a piecewise-linear loss with slopes
-    ``s_minus <= 1 <= s_plus`` the convex objective is piecewise linear with
-    kinks at the order statistics, so the minimum is the least of its ``n``
-    values there; with other slopes it is unbounded below and raises
-    ``DomainError``.  ``OCE(cvar:p)`` is ES at level ``p`` (Rockafellar and
+    ``s_minus <= 1 <= s_plus`` the objective's slope at ``m`` depends only
+    on how many atoms lie above ``m``, so the minimum is at the order
+    statistic with ``floor(n (1 - s_minus) / (s_plus - s_minus))`` atoms
+    above it in every sample (within 4 ulps, tested to 3,000 atoms); with
+    other slopes it is unbounded below and raises ``DomainError``.  A sample
+    whose value overflows is evaluated again scaled by a power of two.
+    ``OCE(cvar:p)`` is ES at level ``p`` (Rockafellar and
     Uryasev).  For ``poly2exp`` and ``quadlin`` the first-order condition
     ``mean l'(x_i - m) = 1`` is a quadratic in ``exp(-m)``, or linear on the
     piece between order statistics where it holds.  Other losses are

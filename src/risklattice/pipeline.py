@@ -114,6 +114,8 @@ class RollingConfig:
             raise DomainError("rolling window must be an integer of at least 2")
         _check_epsilon(self.epsilon)
         object.__setattr__(self, "measures", tuple(self.measures))
+        if not self.measures or not all(isinstance(m, RiskMeasureSpec) for m in self.measures):
+            raise DomainError("rolling measures must be one or more RiskMeasureSpec")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -403,6 +404,17 @@ def test_too_many_atoms_is_usage_error(capsys, command, atoms):
     code, out, err = run(capsys, *command, "--atoms", str(atoms))
     assert code == 2 and out == ""
     assert err == f"error: n_atoms must be at most 2097152, got {atoms}\n"
+
+
+@pytest.mark.parametrize("flag", ["--a=inf", "--a=nan", "--b=-inf"])
+def test_aes_counterexample_refuses_a_non_finite_ramp(capsys, flag):
+    # refused before any arithmetic: inf - inf warned twice and then failed
+    # on the penalties, and ended in a traceback under -W error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "counterexample", "--family", "aes", flag, "--atoms", "100")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ramp slope a and offset b must be finite") and err.count("\n") == 1
 
 
 def test_atom_bound_admits_one_chunk_per_trial():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -404,7 +405,11 @@ def test_piecewise_linear_forms_survive_a_span_that_overflows(solver, loss):
         got = solver(EDGE, loss())
         half = solver(EDGE / 2, loss())
     assert math.isfinite(got) and got == 2 * half
-    if solver is oce or loss is linear_loss:  # both are the mean here
+    # both are the exact mean 0.5e308 / 3 here: the OCE's anchored form comes
+    # within 1.33 ulps of it, the shortfall's suffix sums within 2.67
+    if solver is oce:
+        assert got == 1.6666666666666664e307
+    elif loss is linear_loss:
         assert got == 1.6666666666666674e307
     # in a batch, each row keeps its own value
     Xs = np.sort(np.stack([EDGE, EDGE / 1e300]), axis=1)
@@ -902,6 +907,41 @@ def test_quadratic_forms_match_long_double(loss, kind, scale, atoms):
     expected = _ld_oracle(kind, loss, Xs)
     ulps = np.spacing(np.maximum(np.abs(got), np.abs(Xs).max(axis=1)))
     assert np.all(np.abs(got - expected) <= 4 * ulps)
+
+
+def _exact_piecewise_oce(row, slopes):
+    """The exact OCE of ascending ``row`` under a loss of ``slopes``.
+
+    The objective is linear between order statistics, so its minimum is the
+    least of its values there.  Every double times ``2**1100`` is an integer,
+    and so is ``n D 2**1100`` times each value, with ``D`` the slopes' common
+    denominator: one pass of suffix sums in integers gives them all.
+    """
+    (a, da), (b, db) = (float(s).as_integer_ratio() for s in slopes)
+    sm, sp, D = a * db, b * da, da * db
+    X = [num * ((1 << 1100) // den) for num, den in map(float.as_integer_ratio, row)]
+    n, total, above = len(X), sum(X), 0
+    best = None
+    for j in range(n - 1, -1, -1):
+        v = n * D * X[j] + sm * (total - n * X[j]) + (sp - sm) * (above - (n - 1 - j) * X[j])
+        best = v if best is None else min(best, v)
+        above += X[j]
+    return Fraction(best, n * D << 1100)
+
+
+@pytest.mark.parametrize("n", [7, 50, 251, 1000, 3000])
+@pytest.mark.parametrize("loss", ["linear", "expectile:1", "piecewise:0.5,2", "cvar:0.75"])
+def test_piecewise_linear_oce_is_exact_to_4_ulps(loss, n):
+    # rows shifted by up to 3 of their scale either way, so that many hold
+    # atoms of one sign only and a value far from 0 against their spread
+    rng = np.random.default_rng(n)
+    ell = parse_loss_spec(loss)
+    for scale in (1e-9, 1.0, 1e9):
+        Xs = np.sort(rng.standard_normal((4, n)) + rng.uniform(-3, 3, (4, 1)), axis=1) * scale
+        got = RiskMeasureSpec.oce(ell).evaluate_batch(Xs)
+        for row, value in zip(Xs, got):
+            ulp = math.ulp(max(abs(value), np.abs(row).max()))
+            assert abs(Fraction(value) - _exact_piecewise_oce(row.tolist(), ell.slopes)) <= 4 * Fraction(ulp)
 
 
 # ---------------------------------------------------------------------------

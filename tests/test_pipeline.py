@@ -917,6 +917,14 @@ def test_rolling_window_must_be_an_integer_of_at_least_2(window):
         pl.RollingConfig(window=window, measures=(RiskMeasureSpec.var(0.9),))
 
 
+@pytest.mark.parametrize("measures", [(), ("var:0.9",)], ids=["empty", "text"])
+def test_rolling_measures_must_be_specs(measures):
+    # refused up front: the pair stage raised ValueError on an empty tuple
+    # and AttributeError on a measure's text
+    with pytest.raises(DomainError, match="rolling measures must be one or more RiskMeasureSpec"):
+        pl.RollingConfig(window=10, measures=measures)
+
+
 def test_numpy_integer_window_accepted():
     panel = pl.build_loss_panel(pl.synth_prices(seed=2, n_days=60, n_assets=3, vol=0.01,
                                                 jump_prob=0.02))
