@@ -39,7 +39,8 @@ max with ``expm1``/``log1p``.  For the piecewise-linear losses ``linear``,
 statistics: suffix sums give the root's piece, and the OCE minimizer is the
 order statistic with ``floor(n (1 - sm) / (sp - sm))`` atoms above it, one
 pass away (``_kinked_mean``); one rule re-evaluates a row that overflows
-(``_homogeneous``), and ``OCE(cvar:p)`` is ES (Rockafellar and Uryasev).  A
+(``_homogeneous``), for these two and for the CE and expected loss of these
+losses, and ``OCE(cvar:p)`` is ES (Rockafellar and Uryasev).  A
 ``quad`` term on top makes each of the three a quadratic root per row:
 ``poly2exp`` (``exp(2x) + exp(x) - 2``) is one in ``exp(+-m)`` from the
 row's sums of ``exp(x)`` and ``exp(2x)``, and ``quadlin`` (``x/2 +
@@ -50,6 +51,10 @@ solver that bisects each row, for the CE and shortfall roots and the OCE
 minimum alike, and stops it at a few ulps of that row's own scale, so a value
 does not depend on the rest of its batch and keeps its relative precision at
 any sample scale.
+
+Every kind returns finite values or raises ``NumericError`` naming the batch
+row (``_finite``); a row mean whose sum overflows is summed again scaled
+(``_mean``).
 
 Expected loss, CE, shortfall and OCE build work arrays as large as their
 batch, so ``RiskMeasureSpec.kernel`` runs them on blocks of rows
@@ -315,7 +320,8 @@ def _bracketed(fn, Xs, what: str, pad: float = 0.0, spread: float = 0.0) -> np.n
     ``max(|lo|, |hi|, max |x|)`` (``pad * eps`` for a row of zeros), leaves the
     active set and returns its bracket's midpoint, so its result depends on
     that row alone, at any scale.  An overflowed ``+-inf`` still has the right
-    sign; a NaN raises ``NumericError`` naming the row.
+    sign; a NaN, or a root or minimizer that is not finite, raises
+    ``NumericError`` naming the row.
     """
     lo, hi = Xs[:, 0] - pad, Xs[:, -1] + pad
     scale = np.maximum(-Xs[:, 0], Xs[:, -1])
@@ -353,34 +359,49 @@ def _bracketed(fn, Xs, what: str, pad: float = 0.0, spread: float = 0.0) -> np.n
             f"{what}: no bracket after {_MAX_EXPAND} doublings at batch row "
             "{row} (objective unbounded below, or no sign change)", act[0])
 
+    # midpoints are lo/2 + hi/2, which cannot overflow
     res = np.empty_like(lo)
     act = np.arange(lo.size)
     for _ in range(_MAX_STEPS):
         # max(-lo, hi) is max(|lo|, |hi|) because lo <= hi
         wide = hi - lo > 4.0 * np.spacing(np.maximum(np.maximum(-lo, hi), scale[act]))
         if not wide.all():
-            res[act[~wide]] = 0.5 * (lo[~wide] + hi[~wide])
+            res[act[~wide]] = 0.5 * lo[~wide] + 0.5 * hi[~wide]
             act, lo, hi = act[wide], lo[wide], hi[wide]
             if not act.size:
-                return res
-        t = 0.5 * (lo + hi)
+                return _finite(res, what)
+        t = 0.5 * lo + 0.5 * hi
         d = spread * (hi - lo)
         left = g(t, d, act) > 0.0
         lo, hi = np.where(left, lo, t - d), np.where(left, t + d, hi)
-    res[act] = 0.5 * (lo + hi)
-    return res
+    res[act] = 0.5 * lo + 0.5 * hi
+    return _finite(res, what)
 
 
 # ---------------------------------------------------------------------------
 # expected loss, certainty equivalent, shortfall risk and OCE
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _mean(v: np.ndarray) -> np.ndarray:
+    """Row means of ``v``.  A row whose sum overflows is summed again at
+    ``2**-e`` with ``2**e >= n``, and its mean multiplied back by ``2**e``."""
+    mean = v.mean(axis=1)
+    bad = np.flatnonzero(~np.isfinite(mean))
+    if bad.size:
+        unit = 2.0 ** math.ceil(math.log2(v.shape[1]))
+        mean[bad] = (v[bad] / unit).mean(axis=1) * unit
+    return mean
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _expected_loss_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
-    return ell.fn(Xs).mean(axis=1)
+    return _homogeneous(lambda Xs: _mean(ell.fn(Xs)), Xs, ell, "expected loss")
 
 
 def expected_loss(sample, ell: LossFunction) -> float:
-    """``mean(l(x_i))``; exactly modular (both submodular and supermodular)."""
+    """``mean(l(x_i))``; exactly modular (both submodular and supermodular).
+    A value that is not finite raises ``NumericError``."""
     return float(_expected_loss_batch(_sorted_row(sample), ell)[0])
 
 
@@ -389,13 +410,28 @@ def _log_mean_exp(Xs: np.ndarray, g: float) -> np.ndarray:
     ``top + log1p(mean(expm1(g (x - top)))) / g`` with ``top = max x``.
 
     Every exponent is at most 0, so nothing overflows, and ``expm1``/``log1p``
-    keep the relative precision of a row spread over a tiny range.
+    keep the relative precision of a row spread over a tiny range.  A row
+    with ``g (top - min x) < 2**-53`` takes ``top + mean(x - top)``: its
+    entropic term is under 1/8 ulp of its spread, and a tiny ``g`` would put
+    ``g (x - top)`` among the subnormals.  A row whose ``x - top`` overflows
+    is taken at half scale, ``2 (top/2 + log1p(...) / (2 g))``.  Both kinds
+    of row are rare, and only they take the extra steps.
     """
     top = Xs[:, -1]
     w = np.subtract(Xs, top[:, None])
     w *= g
+    far = np.flatnonzero(np.isinf(w[:, 0]))
+    if far.size:
+        w[far] = (0.5 * Xs[far] - 0.5 * top[far, None]) * g * 2.0
+    tiny = np.flatnonzero(w[:, 0] > -(2.0**-53))
     np.expm1(w, out=w)
-    return top + np.log1p(w.mean(axis=1)) / g
+    log_mean = np.log1p(w.mean(axis=1))
+    vals = top + log_mean / g
+    if far.size:
+        vals[far] = 2.0 * (0.5 * top[far] + 0.5 * log_mean[far] / g)
+    if tiny.size:
+        vals[tiny] = top[tiny] + _mean(Xs[tiny] - top[tiny, None])
+    return vals
 
 
 def _suffix_sums(v: np.ndarray) -> np.ndarray:
@@ -500,13 +536,14 @@ def _finite(vals: np.ndarray, what: str) -> np.ndarray:
 
 
 def _homogeneous(form, Xs: np.ndarray, ell: LossFunction, what: str) -> np.ndarray:
-    """``form(Xs)`` for a loss with ``slopes``.  Without ``quad`` the form is
-    positively homogeneous: a row whose value overflows is evaluated again at
-    ``2**-e`` times the row, ``2**e >= 16 n max(1, s_minus, s_plus)``, and its
-    value multiplied back, both exactly.  A row left non-finite raises NumericError."""
+    """``form(Xs)``, finite or raising NumericError.  For a loss with
+    ``slopes`` and no ``quad`` the form is positively homogeneous: a row whose
+    value overflows is evaluated again at ``2**-e`` times the row,
+    ``2**e >= 16 n max(1, s_minus, s_plus)``, and its value multiplied back,
+    both exactly."""
     vals = form(Xs)
     bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size and not ell.quad:
+    if bad.size and ell.slopes is not None and not ell.quad:
         unit = 2.0 ** (2 + math.ceil(math.log2(4.0 * Xs.shape[1] * max(1.0, *ell.slopes))))
         vals[bad] = unit * form(Xs[bad] / unit)
     return _finite(vals, what)
@@ -524,7 +561,7 @@ def _ce_kernel(n: int, ell: LossFunction):
         raise DomainError("certainty equivalent requires a strictly increasing loss")
     if ell.entropic is not None or ell.slopes is not None:
         return _in_blocks(lambda Xs: _ce_closed_form(Xs, ell), n)
-    mean_loss = _in_blocks(lambda Xs: _expected_loss_batch(Xs, ell), n)
+    mean_loss = _in_blocks(lambda Xs: _mean(ell.fn(Xs)), n)
 
     @np.errstate(over="ignore", invalid="ignore")
     def solve(Xs: np.ndarray) -> np.ndarray:
@@ -553,13 +590,17 @@ def _ce_closed_form(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
     if g is not None:
         return _log_mean_exp(Xs, g)
     sm, sp = ell.slopes
-    pos = np.maximum(Xs, 0.0)
-    t = sm * Xs.sum(axis=1) + (sp - sm) * pos.sum(axis=1)
-    if q:
-        t += q * np.einsum("ij,ij->i", pos, pos)
-    t /= Xs.shape[1]
-    # l^{-1}: t / sm below 0, the root of sp m + q m^2 = t above
-    return _finite(np.where(t > 0.0, _root(q, sp, -t), t / sm), "certainty equivalent")
+
+    def value(Xs):
+        pos = np.maximum(Xs, 0.0)
+        t = sm * Xs.sum(axis=1) + (sp - sm) * pos.sum(axis=1)
+        if q:
+            t += q * np.einsum("ij,ij->i", pos, pos)
+        t /= Xs.shape[1]
+        # l^{-1}: t / sm below 0, the root of sp m + q m^2 = t above
+        return np.where(t > 0.0, _root(q, sp, -t), t / sm)
+
+    return _homogeneous(value, Xs, ell, "certainty equivalent")
 
 
 def certainty_equivalent(sample, ell: LossFunction) -> float:
@@ -567,11 +608,13 @@ def certainty_equivalent(sample, ell: LossFunction) -> float:
 
     For ``exp:g`` this is the entropic risk measure
     ``log(mean exp(g x_i)) / g``, computed shifted by ``max x`` so that it
-    never overflows; for a piecewise-linear loss it is ``mean l(x_i)``
-    divided by the slope on its side of 0.  For ``poly2exp`` it is the root
-    of a quadratic in ``exp(m)``, shifted so that it never overflows, and for
-    ``quadlin`` the root of ``m/2 + m^2 = mean l(x_i)`` where that is
-    positive.  Other losses are solved in a
+    never overflows, and the mean where ``g`` times the sample's spread is
+    under ``2**-53``; for a piecewise-linear loss it is ``mean l(x_i)``
+    divided by the slope on its side of 0, and a sample whose value
+    overflows is evaluated again scaled by a power of two.  For ``poly2exp``
+    it is the root of a quadratic in ``exp(m)``, shifted so that it never
+    overflows, and for ``quadlin`` the root of ``m/2 + m^2 = mean l(x_i)``
+    where that is positive.  Other losses are solved in a
     bracket on the sample range, to a few ulps of the sample's scale, and an
     overflowing mean loss raises ``NumericError``.
     ``certainty_equivalent([c, ..., c]) == c``; the functional is submodular
@@ -712,7 +755,16 @@ def _oce_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
         far_value = -np.log(u) / g + u * a1 - 1.0 + q * (u * u * a2 - 1.0)
         return c + np.where(near, near_value, far_value)
     if g is not None:
-        return _log_mean_exp(Xs, g) + (1.0 + math.log(g) - g) / g
+        # the constant overflows alone for g below about 4e-306: add it in halves
+        vals = _log_mean_exp(Xs, g)
+        c = (1.0 + math.log(g) - g) / g
+        if math.isfinite(c):
+            vals += c
+        else:
+            half = (1.0 + math.log(g) - g) / (2.0 * g)
+            vals += half
+            vals += half
+        return _finite(vals, "optimized certainty equivalent")
     if ell.slopes is not None:
         sm, sp = ell.slopes
         if sm > 1.0 or (sp < 1.0 and not q):
@@ -811,15 +863,16 @@ def _mmd_kernel(n: int, weight: DeviationWeight, phi: DistortionFunction):
     # larger negative dev means a non-concave weight grid.
     ulps = 8.0 * n * np.finfo(np.float64).eps
 
+    @np.errstate(over="ignore", invalid="ignore")
     def kernel(Xs: np.ndarray) -> np.ndarray:
-        mean = Xs.mean(axis=1)
+        mean = _mean(Xs)  # finite: a row whose sum overflows is summed scaled
         dev = distortion(Xs) - mean
         if np.any(dev < -ulps * np.maximum(-Xs[:, 0], Xs[:, -1])):
             raise NumericError(
                 "negative deviation encountered; the supplied distortion "
                 "is not concave on the sample's weight grid"
             )
-        return weight.fn(np.maximum(dev, 0.0)) + mean
+        return _finite(weight.fn(np.maximum(dev, 0.0)) + mean, "mean-deviation measure")
 
     return kernel
 

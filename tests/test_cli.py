@@ -1,11 +1,14 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from risklattice.cli import main
@@ -17,12 +20,27 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+ROOT = Path(__file__).resolve().parents[1]
+# -X dev -W error: a warning, an unclosed file or an error at exit reaches stderr
+DEV = ["-X", "dev", "-W", "error"]
+
+
 def python(*args, cwd=None, check=True):
     """Run a fresh interpreter on this checkout's ``src``."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
                           text=True, check=check, timeout=60)
+
+
+@pytest.fixture(scope="module")
+def start():
+    """``start(commands)``: ``python(*argv, check=False)`` for each ``case:
+    argv``, as futures, so that the fresh processes of a parametrized test
+    run two at a time beside it."""
+    with ThreadPoolExecutor(2) as pool:
+        yield lambda commands: {case: pool.submit(python, *argv, check=False)
+                                for case, argv in commands.items()}
 
 
 def test_check_exponential_feasible(capsys):
@@ -168,6 +186,14 @@ def test_sweep_bad_epsilon_exits_2(capsys, epsilon):
     assert code == 2
     assert out == ""
     assert err.startswith("error: epsilon must be finite and nonnegative")
+
+
+def test_sweep_with_a_subnormal_gamma_finds_no_violation(capsys):
+    # g (x - max x) fell among the subnormals: 94 violations and BROKEN
+    code, out, _ = run(capsys, "sweep", "--measure", "ce:exp:1e-320", "--atoms", "10",
+                       "--trials", "200", "--seed", "0")
+    assert code == 0
+    assert "violations: 0 / 200" in out and "-- OK" in out
 
 
 def test_sweep_non_finite_loss_parameter_exits_2(capsys):
@@ -594,32 +620,157 @@ def test_cli_freezes_the_heap_at_exit():
     assert python("-c", code).stdout == "running 0\nat exit True\n"
 
 
-def test_sweep_of_a_cli_process_matches_in_process(capsys):
-    # -X dev -W error: an unclosed file or a warning at exit fails the run
-    argv = ["--format", "json", "sweep", "--measure", "ce:arctan-bend", "--atoms", "20",
-            "--trials", "200", "--seed", "3"]
-    child = python("-X", "dev", "-W", "error", "-m", "risklattice.cli", *argv, check=False)
+# json and text (which prints the worst pair): two ce:arctan-bend sweeps that
+# differ only in their seed, one of 500 trials, then a heavy_tail and a
+# two_point sweep at 11 atoms (their per-vector draws), and the sweep-mix
+# measures and ce:arctan-bend (no closed form: the bracketed solver) at 50
+# atoms.  Each fresh process draws and sorts its pairs; this one keeps the
+# last sorted rows and evaluates them for the next sweep on the same pairs
+SWEEPS = [("json", "ce:arctan-bend", 20, "gaussian", 200, seed) for seed in (0, 3)] + [
+    ("text", "ce:arctan-bend", 50, "gaussian", 500, 0)] + [
+    (fmt, measure, atoms, generator, 4000, 0) for fmt in ("json", "text")
+    for measure, atoms, generator in [
+        ("shortfall:expectile:1", 11, "heavy_tail"), ("mmd:square:es:0.5", 11, "two_point"),
+        *((m, 50, "gaussian") for m in ["es:0.95", "var:0.95", "aes:0.6:0,0.9:0.01",
+                                        "dist:pow:0.5", "mmd:square:es:0.5", "ce:exp:1",
+                                        "ce:arctan-bend", "shortfall:expectile:1",
+                                        "shortfall:poly2exp", "oce:exp:1"])]]
+
+
+def _sweep_argv(fmt, measure, atoms, generator, trials, seed):
+    return ["--format", fmt, "sweep", "--measure", measure, "--atoms", str(atoms), "--trials",
+            str(trials), "--seed", str(seed), "--generator", generator]
+
+
+@pytest.fixture(scope="module")
+def fresh_sweeps(start):
+    return start({case: [*DEV, "-m", "risklattice.cli", *_sweep_argv(*case)] for case in SWEEPS})
+
+
+@pytest.mark.parametrize("case", SWEEPS, ids=lambda case: "-".join(map(str, case)))
+def test_sweep_of_a_cli_process_matches_in_process(capsys, fresh_sweeps, case):
+    from risklattice import lattice
+
+    child, argv = fresh_sweeps[case].result(), _sweep_argv(*case)
     assert (child.returncode, child.stdout, child.stderr) == (*run(capsys, *argv)[:2], "")
+    # the kept rows: trial i's x, y, meet and join, sorted, are rows 4 i to 4 i + 3
+    _, measure, atoms, generator, trials, seed = case
+    xs, ys = lattice._draw_pairs(atoms, 0, trials, seed, generator)[:, :2].transpose(1, 0, 2)
+    batch = np.stack([xs, ys, np.minimum(xs, ys), np.maximum(xs, ys)], axis=1)
+    rows = lattice._pair_cache[1]
+    assert not rows.flags.writeable and np.array_equal(rows, np.sort(batch.reshape(-1, atoms), 1))
 
 
-def test_pipeline_of_a_cli_process_writes_the_same_reports(tmp_path, capsys, monkeypatch):
+def _prices_csv(panel, crlf):
+    """A panel's price file, two of its tickers holding a non-ASCII letter and
+    a '-'; with ``crlf``, CRLF line ends, a byte order mark and quoted tickers."""
+    names = {"A01": "BRK-B", "A03": "Çam"}
+    rows = [("date", "ticker", "adj_close")] + [
+        (d.isoformat(), names.get(t, t), repr(float(panel.closes[i, j])))
+        for i, d in enumerate(panel.dates) for j, t in enumerate(panel.tickers)]
+    if crlf:
+        return b"\xef\xbb\xbf" + "".join(f'{d},"{t}",{p}\r\n' for d, t, p in rows).encode()
+    return "".join(f"{d},{t},{p}\n" for d, t, p in rows).encode()
+
+
+# days, tickers, jump probability, window, levels, and whether the fresh
+# process reads its panel with CRLF line ends (this one always reads LF).  The
+# window-500 run sorts its windows in shared blocks, which window 60 never does
+PIPELINES = {"window-20": (60, 4, 0.05, 20, "0.9, 0.95", False),
+             "crlf": (120, 6, 0.02, 60, "0.95", True),
+             "window-500": (700, 4, 0.02, 500, "0.95", False)}
+
+
+@pytest.mark.parametrize("case", PIPELINES)
+def test_pipeline_of_a_cli_process_writes_the_same_reports(tmp_path, capsys, monkeypatch, case):
     import risklattice.pipeline as pl
 
-    panel = pl.synth_prices(seed=7, n_days=60, n_assets=4, vol=0.01, jump_prob=0.05)
-    prices = tmp_path / "prices.csv"
-    prices.write_text("date,ticker,adj_close\n" + "".join(
-        f"{d.isoformat()},{t},{float(panel.closes[i, j])!r}\n"
-        for i, d in enumerate(panel.dates) for j, t in enumerate(panel.tickers)))
+    days, tickers, jumps, window, levels, crlf = PIPELINES[case]
+    panel = pl.synth_prices(seed=7, n_days=days, n_assets=tickers, vol=0.01, jump_prob=jumps)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("window = 20\nlevels = 0.9, 0.95\naes_levels = 0.6, 0.9\n"
+    cfg.write_text(f"window = {window}\nlevels = {levels}\naes_levels = 0.6, 0.9\n"
                    "aes_penalties = 0, 0.01\n")
-    argv = ["pipeline", "--prices", str(prices), "--config", str(cfg), "--out", "out"]
-    for name in ("child", "here"):
+    argv = ["pipeline", "--prices", "prices.csv", "--config", str(cfg), "--out", "out"]
+    for name, ends in (("child", crlf), ("here", False)):
         (tmp_path / name).mkdir()
-    child = python("-X", "dev", "-W", "error", "-m", "risklattice.cli", *argv,
-                   cwd=tmp_path / "child", check=False)
+        (tmp_path / name / "prices.csv").write_bytes(_prices_csv(panel, ends))
+    child = python(*DEV, "-m", "risklattice.cli", *argv, cwd=tmp_path / "child", check=False)
     monkeypatch.chdir(tmp_path / "here")
     assert (child.returncode, child.stdout, child.stderr) == (*run(capsys, *argv)[:2], "")
     for report in ("violations.csv", "daily_rates.csv", "correlations.csv", "summary.json"):
         written = (tmp_path / "child" / "out" / report).read_bytes()
         assert written == (tmp_path / "here" / "out" / report).read_bytes(), report
+    # violations.csv reads back as the pair tests of its panel and config
+    losses = pl.build_loss_panel(pl.load_prices_csv(tmp_path / "child" / "prices.csv"))
+    assert {"BRK-B", "Çam"} <= set(losses.tickers)
+    table = pl.pairwise_day_tests(losses, pl.config_to_rolling(pl.load_config(cfg)))
+    assert pl.read_violations_csv(tmp_path / "child" / "out" / "violations.csv") == table
+
+
+# Each command imports its own modules as it runs, which in-process tests cannot
+# see once another test has loaded them.  An atom count no array can hold (numpy
+# refuses it without allocating), a self-test filter that matches no check and
+# a non-finite ramp are usage errors
+CLI = ["-m", "risklattice.cli"]
+CLEAN_EXITS = {"selftest": [*CLI, "selftest"], "demo": [str(ROOT / "demos" / "05_pipeline.py")],
+               "check": [*CLI, "check", "--loss", "poly2exp"],
+               "aes": [*CLI, "counterexample", "--family", "aes", "--atoms", "2000"],
+               "mmd": [*CLI, "counterexample", "--family", "mmd"],
+               "shortfall-jump": [*CLI, "counterexample", "--family", "shortfall-jump"]}
+ATOMS = ["--atoms", str(2**62)]
+USAGE_ERRORS = {"sweep-atoms": [*CLI, "sweep", "--measure", "es:0.9", "--trials", "1", "--seed",
+                                "0", *ATOMS],
+                "aes-atoms": [*CLI, "counterexample", "--family", "aes", *ATOMS],
+                "mmd-atoms": [*CLI, "counterexample", "--family", "mmd", *ATOMS],
+                "selftest-only": [*CLI, "selftest", "--only", "no-such-check"],
+                "aes-ramp": [*CLI, "counterexample", "--family", "aes", "--a", "inf",
+                             "--atoms", "100"]}
+
+
+@pytest.fixture(scope="module")
+def fresh_commands(start):
+    return start({case: [*DEV, *argv] for case, argv in {**CLEAN_EXITS, **USAGE_ERRORS}.items()})
+
+
+@pytest.mark.parametrize("case", [*CLEAN_EXITS, *USAGE_ERRORS])
+def test_cli_process_exits_cleanly(fresh_commands, case):
+    child = fresh_commands[case].result()
+    if case in CLEAN_EXITS:
+        assert (child.returncode, child.stderr) == (0, "")
+    else:  # exit code 2 and one error: line, with no traceback and no warning
+        assert child.returncode == 2 and re.fullmatch("error: .*\n", child.stderr), child.stderr
+
+
+# 10,001 atoms x 1,000 trials: chunks of 209 trials keep the sorted rows at 64
+# MB (one 1,000-trial chunk peaked at 533 MB), and kernels run in blocks of
+# about 5 MB (whole-chunk calls peaked at 175 MB to 430 MB)
+PEAK_BOUNDS_MB = {"es:0.95": 300, "shortfall:expectile:1": 160, "shortfall:quadlin": 160,
+                  "ce:exp:1": 160, "oce:exp:1": 160, "oce:expectile:1": 160,
+                  "mmd:square:es:0.5": 160, "ce:arctan-bend": 160}
+# a sweep that prints its own peak RSS last: a spawned child's ru_maxrss
+# starts at its parent's high-water mark, which here is the pytest process's
+_PEAK_RSS = """import atexit, sys
+def peak():
+    with open("/proc/self/status") as status:
+        print(*(line for line in status if line.startswith("VmHWM:")), end="", file=sys.stderr)
+atexit.register(peak)
+from risklattice.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.fixture(scope="module")
+def sweep_peaks(start):
+    return start({measure: ["-W", "error", "-c", _PEAK_RSS, "sweep", "--measure", measure,
+                            "--atoms", "10001", "--trials", "1000", "--seed", "0"]
+                  for measure in PEAK_BOUNDS_MB})
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no /proc/self/status")
+@pytest.mark.parametrize("measure", PEAK_BOUNDS_MB)
+def test_wide_sweep_stays_within_its_memory_bound(sweep_peaks, measure):
+    child = sweep_peaks[measure].result()
+    peak_kb = re.fullmatch(r"VmHWM:\s*(\d+) kB\n", child.stderr)
+    assert child.returncode == 0 and peak_kb, child.stderr
+    peak_mb = int(peak_kb[1]) / 1024
+    assert peak_mb < PEAK_BOUNDS_MB[measure], f"{measure} sweep peaked at {peak_mb:.1f} MB"

@@ -229,6 +229,23 @@ def test_ce_exponential_two_point():
     assert got == pytest.approx(LN15, abs=1e-10)
 
 
+@pytest.mark.parametrize("solver", [certainty_equivalent, shortfall_rho])
+def test_entropic_form_with_a_tiny_gamma_is_the_mean(solver):
+    # g (x - max x) is subnormal here, and kept about 10 bits: the value was
+    # 1.6e-8 off the mean.  g times the spread is under 2**-53, so the row's
+    # value is its mean to within rounding
+    x = 1e-15 * np.array([0.1, 0.5, -0.3])
+    mean = sum(map(Fraction, x)) / 3
+    got = solver(x, exponential_loss(1e-300))
+    assert abs(Fraction(got) - mean) <= 4 * Fraction(np.spacing(float(mean)))
+
+
+def test_piecewise_linear_ce_survives_a_sum_that_overflows():
+    # without quad the form is positively homogeneous, and takes the
+    # shortfall's and OCE's overflow rule: here the exact mean
+    assert certainty_equivalent([1e308, 1.5e308, 1.7e308], expectile_loss(1.0)) == 1.4e308
+
+
 def test_ce_requires_strict_increase():
     with pytest.raises(DomainError):
         certainty_equivalent(SAMPLE, cvar_loss(0.9))
@@ -295,6 +312,13 @@ def test_oce_constant_sample():
 
 def test_oce_exponential_zero_sample():
     assert oce([0.0, 0.0], exponential_loss(1.0)) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_oce_exponential_constant_that_overflows_alone():
+    # (1 + ln g - g) / g is -2.3e308 at g = 3e-306: added in halves, the value is finite
+    g = 3e-306
+    exact = Fraction(1.7e308) + (1 + Fraction(math.log(g)) - Fraction(g)) / Fraction(g)
+    assert oce([1.7e308] * 3, exponential_loss(g)) == pytest.approx(float(exact), rel=1e-14)
 
 
 def test_oce_detects_unbounded_objective():
@@ -417,7 +441,7 @@ def test_piecewise_linear_forms_survive_a_span_that_overflows(solver, loss):
     assert kernel(Xs, loss()).tolist() == [got, solver(EDGE / 1e300, loss())]
 
 
-@pytest.mark.parametrize("solver", [shortfall_rho, oce])
+@pytest.mark.parametrize("solver", [shortfall_rho, oce, certainty_equivalent])
 def test_quadlin_span_that_overflows_raises(solver):
     # quad max(x, 0)^2 is not homogeneous: no scaling, and the overflow raises
     with pytest.raises(NumericError, match="overflow at batch row 0"):

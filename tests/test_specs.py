@@ -4,6 +4,7 @@ import pytest
 from risklattice import (
     AdjustmentGrid,
     DomainError,
+    RiskLatticeError,
     RiskMeasureSpec,
     aes,
     certainty_equivalent,
@@ -155,3 +156,26 @@ def test_equal_rows_get_bit_equal_values_anywhere_in_batch(spec):
     X[4] = X[0]
     vals = spec.evaluate_batch(X)
     assert vals[4] == vals[0]
+
+
+# every CLI measure kind, each named loss under each loss kind, and exp:G with a G
+# whose constant (1 + ln G - G) / G or products G (x - max x) leave the normal range
+LOSSES = ["exp:1", "exp:1e-306", "exp:1e-320", "poly2exp", "linear", "expectile:1",
+          "piecewise:0.5,2", "cvar:0.9", "quadlin", "arctan-bend"]
+KINDS = ["var:0.5", "es:0.5", "aes:0.6:0,0.9:0.01", "dist:pow:0.5", "mmd:square:es:0.5",
+         "mmd:identity:es:0.5"] + [f"{kind}:{loss}" for kind in ("eloss", "ce", "shortfall", "oce")
+                                   for loss in LOSSES]
+# sums, products and spans that overflow, beside means that do not
+EXTREMES = [[0, 1e200, 2e200], [-1.7e308, 0, 1e308], [1e308, 1.5e308, 1.7e308],
+            [-1e308, -1.5e308, -1.7e308]]
+
+
+@pytest.mark.parametrize("sample", EXTREMES, ids=str)
+@pytest.mark.parametrize("text", KINDS)
+def test_every_kind_returns_a_finite_value_or_raises(text, sample):
+    # no inf, no NaN, and (under the suite's warnings-as-errors) no warning
+    try:
+        value = parse_measure_spec(text).evaluate(sample)
+    except RiskLatticeError:
+        return
+    assert np.isfinite(value)
