@@ -36,16 +36,18 @@ whose ``LossFunction`` declares its structure.  For ``exp:g``
 max with ``expm1``/``log1p``.  For the piecewise-linear losses ``linear``,
 ``expectile:a``, ``piecewise:sm,sp`` and ``cvar:p`` (``slopes``, one kink at
 0) the shortfall residual and the OCE objective are linear between order
-statistics: suffix sums give the root's piece, and the OCE minimizer is the
-order statistic with ``floor(n (1 - sm) / (sp - sm))`` atoms above it, one
-pass away (``_kinked_mean``); one rule re-evaluates a row that overflows
-(``_homogeneous``), for these two and for the CE and expected loss of these
-losses, and ``OCE(cvar:p)`` is ES (Rockafellar and Uryasev).  A
-``quad`` term on top makes each of the three a quadratic root per row:
-``poly2exp`` (``exp(2x) + exp(x) - 2``) is one in ``exp(+-m)`` from the
-row's sums of ``exp(x)`` and ``exp(2x)``, and ``quadlin`` (``x/2 +
-max(x, 0)^2``) one on the piece between order statistics where the
-shortfall residual, or the OCE's ``mean l'(x - m) - 1``, changes sign.
+statistics, and both are evaluated in one pass over ``x - x_a``
+(``_kinked_mean``) at one order statistic ``x_a``: for the shortfall the
+lowest where the residual, from suffix sums (``_kinked_sums``), is
+negative, for the OCE the one with ``floor(n (1 - sm) / (sp - sm))`` atoms
+above it.  One rule re-evaluates a row that overflows (``_homogeneous``),
+for these two and for the CE and expected loss of these losses, and
+``OCE(cvar:p)`` is ES (Rockafellar and Uryasev).  A ``quad`` term on top
+makes each of the three a quadratic root per row: ``poly2exp`` (``exp(2x) +
+exp(x) - 2``) is one in ``exp(+-m)`` from the row's sums of ``exp(x)`` and
+``exp(2x)``, and ``quadlin`` (``x/2 + max(x, 0)^2``) one on the piece
+between order statistics where the shortfall residual, or the OCE's ``mean
+l'(x - m) - 1``, changes sign.
 Every other loss (``arctan-bend``, custom losses) goes to one bracketed
 solver that bisects each row, for the CE and shortfall roots and the OCE
 minimum alike, and stops it at a few ulps of that row's own scale, so a value
@@ -319,9 +321,10 @@ def _bracketed(fn, Xs, what: str, pad: float = 0.0, spread: float = 0.0) -> np.n
     A row stops when ``hi - lo`` is at most 4 ulps of
     ``max(|lo|, |hi|, max |x|)`` (``pad * eps`` for a row of zeros), leaves the
     active set and returns its bracket's midpoint, so its result depends on
-    that row alone, at any scale.  An overflowed ``+-inf`` still has the right
-    sign; a NaN, or a root or minimizer that is not finite, raises
-    ``NumericError`` naming the row.
+    that row alone, at any scale.  An overflowed ``+-inf`` is taken at its
+    sign (the shortfall checks that its residual beside the root is finite);
+    a NaN, or a root or minimizer that is not finite, raises ``NumericError``
+    naming the row.
     """
     lo, hi = Xs[:, 0] - pad, Xs[:, -1] + pad
     scale = np.maximum(-Xs[:, 0], Xs[:, -1])
@@ -343,7 +346,7 @@ def _bracketed(fn, Xs, what: str, pad: float = 0.0, spread: float = 0.0) -> np.n
     act = np.arange(lo.size)
     step = np.maximum(hi - lo, 1.0)
     for _ in range(_MAX_EXPAND):
-        d = spread * (hi[act] - lo[act])
+        d = spread * (hi[act] - lo[act]) if spread else 0.0
         low = g(lo[act] + d, d, act) > 0.0
         high = g(hi[act] - d, d, act) < 0.0
         out = low | high
@@ -371,7 +374,7 @@ def _bracketed(fn, Xs, what: str, pad: float = 0.0, spread: float = 0.0) -> np.n
             if not act.size:
                 return _finite(res, what)
         t = 0.5 * lo + 0.5 * hi
-        d = spread * (hi - lo)
+        d = spread * (hi - lo) if spread else 0.0
         left = g(t, d, act) > 0.0
         lo, hi = np.where(left, lo, t - d), np.where(left, t + d, hi)
     res[act] = 0.5 * lo + 0.5 * hi
@@ -442,24 +445,17 @@ def _suffix_sums(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kinked_sums(Xs: np.ndarray, s_minus: float, s_plus: float, quad: float = 0.0):
-    """Mean loss at each order statistic for a loss kinked at 0.
+def _kinked_sums(Xs: np.ndarray, s_minus: float, s_plus: float, quad: float = 0.0) -> np.ndarray:
+    """``R[:, j] = mean_i l(x_i - x_j)`` on ascending rows, for ``l`` of slope
+    ``s_minus`` below 0 and ``s_plus`` above, plus ``quad max(v, 0)^2``.
 
-    With ``y = x - top`` (``top = max x``) on ascending rows and ``l`` of slope
-    ``s_minus`` below 0 and ``s_plus`` above, returns ``top``, ``y``, ``B`` and
-    ``slope`` with ``mean_i l(y_i - y_j) = B[:, j] - slope[j] y[:, j]``.
-    ``slope[j] = s_minus + (s_plus - s_minus) (n - 1 - j) / n`` is the mean
-    slope of ``l`` there (the ``n - 1 - j`` atoms above ``y_j`` at
-    ``s_plus``), and ``B`` is made of suffix sums of ``y``.  ``y`` and ``B``
-    are the only batch-sized work arrays kept; callers update ``y`` in place.
-    With ``quad``, ``l`` has ``quad max(v, 0)^2`` on top, and ``B[:, j]`` also
-    holds ``quad mean_{i > j} (y_i - y_j)^2``, from suffix sums of ``y^2``.
-    Only the shortfall reads them: the OCE's minimizer has a fixed rank
-    (``_oce_batch``).  A row whose sums overflow is left to ``_homogeneous``.
+    Callers read only its sign, for the rank where a kinked form is anchored
+    and evaluated again (``_kinked_mean``).  Suffix sums of ``x - max x``
+    give ``R``; their n-fold rounding can flip a sign only where ``R`` is
+    within rounding of 0, next to a kink where either piece gives the value.
     """
     n = Xs.shape[1]
-    top = Xs[:, -1]
-    y = np.subtract(Xs, top[:, None])
+    y = np.subtract(Xs, Xs[:, -1:])
     B = _suffix_sums(y)  # B[:, j] = sum_{i > j} y_i
     total = B[:, 0] + y[:, 0]
     if quad:
@@ -474,18 +470,21 @@ def _kinked_sums(Xs: np.ndarray, s_minus: float, s_plus: float, quad: float = 0.
     B += (s_minus / n) * total[:, None]
     if quad:
         B += sq
-    slope = s_minus + (s_plus - s_minus) / n * np.arange(n - 1, -1, -1.0)
-    return top, y, B, slope
+    y *= s_minus + (s_plus - s_minus) / n * np.arange(n - 1, -1, -1.0)
+    B -= y
+    return B
 
 
-def _kinked_mean(Xs: np.ndarray, m: np.ndarray):
-    """``mean(x - m)``, ``mean max(x - m, 0)`` and ``mean max(x - m, 0)^2``
-    per row, in one work array."""
+def _kinked_mean(Xs: np.ndarray, m: np.ndarray, square: bool = False):
+    """``mean(x - m)``, ``mean max(x - m, 0)`` and, with ``square``, ``mean
+    max(x - m, 0)^2`` (else 0.0: a form without ``quad`` rescales a row where
+    that sum alone overflows) per row, in one work array."""
     d = np.subtract(Xs, m[:, None])
     total = d.sum(axis=1)
     np.maximum(d, 0.0, out=d)
     n = Xs.shape[1]
-    return total / n, d.sum(axis=1) / n, np.einsum("ij,ij->i", d, d) / n
+    sq = np.einsum("ij,ij->i", d, d) / n if square else 0.0
+    return total / n, d.sum(axis=1) / n, sq
 
 
 def _root(a, b, c):
@@ -643,26 +642,22 @@ def _shortfall_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
     if ell.slopes is not None:
         # The residual mean l(x - m) is decreasing in m, and linear (quadratic
         # with quad) between order statistics: count the order statistics
-        # where it is negative (the top c), then solve the piece below them.
+        # where it is negative (the top k) and anchor at the lowest of them,
+        # x_a.  At m = x_a - t the residual is mean l(x - x_a) + b t +
+        # (q k / n) t^2, b = slope + 2 q mean max(x - x_a, 0): no term cancels.
         sm, sp = ell.slopes
 
         def root(Xs):
-            top, y, B, slope = _kinked_sums(Xs, sm, sp, q)
-            y *= slope
-            np.subtract(B, y, out=y)
-            c = np.count_nonzero(y < 0.0, axis=1)
-            if not q:
-                j = np.maximum(n - 1 - c, 0)
-                return top + B[np.arange(j.size), j] / slope[j]
-            # Anchored at the lowest of them, x_a, the residual at m = x_a - t
-            # is mean l(x - x_a) + b t + (q k / n) t^2, b = slope + 2 q mean
-            # max(x - x_a, 0): no term cancels.
-            a = np.clip(n - c, 0, n - 1)
+            R = _kinked_sums(Xs, sm, sp, q)
+            a = np.clip(n - np.count_nonzero(R < 0.0, axis=1), 0, n - 1)
             anchor = Xs[np.arange(a.size), a]
             k = n - a
-            total, pos, sq = _kinked_mean(Xs, anchor)
-            return anchor - _root(q * k / n, sm + (sp - sm) * k / n + 2.0 * q * pos,
-                                  sm * total + (sp - sm) * pos + q * sq)
+            total, pos, sq = _kinked_mean(Xs, anchor, bool(q))
+            m = anchor - _root(q * k / n, sm + (sp - sm) * k / n + 2.0 * q * pos,
+                               sm * total + (sp - sm) * pos + q * sq)
+            # without quad R[:, 0] holds the largest terms: where it overflows
+            # the piece is unknown, and NaN sends the row to _homogeneous
+            return m if q else np.where(np.isfinite(R[:, 0]), m, np.nan)
 
         return _homogeneous(root, Xs, ell, "shortfall")
     # silent normalization: subtracting l(0) leaves the root unchanged
@@ -681,6 +676,9 @@ def _shortfall_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
     # precision, hence the ``tiny`` floor.
     d = 2.0**-20 * np.maximum(np.abs(m), np.maximum(-Xs[:, 0], Xs[:, -1]))
     rise = np.abs(resid(m + d) - resid(m - d))
+    # one overflowed term of the sum can outweigh the rest and flip the
+    # residual's sign, so a residual that is not finite beside m raises
+    _finite(rise, "shortfall")
     tol = 2.0**-24 * rise + np.finfo(np.float64).tiny
     terms = ell.fn(Xs - m[:, None])
     r = n * ell0 - terms.sum(axis=1)
@@ -719,15 +717,16 @@ def shortfall_rho(sample, ell: LossFunction) -> float:
     internally so normalization is not required of the caller.  For
     ``exp:g`` the root is the entropic risk measure
     ``log(mean exp(g x_i)) / g``.  For a piecewise-linear loss the residual
-    is linear between order statistics, so the root is solved exactly on the
-    piece where it changes sign; for ``quadlin`` it is quadratic there.  For
-    ``poly2exp`` the root is that of a quadratic in ``exp(-m)``.  Other
-    losses are solved in a bracket on
-    the sample range, where the strictly decreasing residual changes sign,
-    to a few ulps of the sample's scale; a residual left far from 0 there,
-    beyond the rounding the residual shows near the root (a loss with a
-    jump), raises ``NumericError``.  Cash-invariant, and positively
-    homogeneous at any scale when ``l`` is.
+    is linear between order statistics, so the root is solved on the piece
+    where it changes sign, anchored at its upper end (within 4 ulps of
+    ``max(|value|, max |x|)``, tested to 3,000 atoms); for ``quadlin`` it is
+    quadratic there.  For ``poly2exp`` the root is that of a quadratic in
+    ``exp(-m)``.  Other losses are solved in a bracket on the sample range,
+    where the strictly decreasing residual changes sign, to a few ulps of the
+    sample's scale; a residual left far from 0 there, beyond the rounding the
+    residual shows near the root (a loss with a jump), raises
+    ``NumericError``.  Cash-invariant, and positively homogeneous at any
+    scale when ``l`` is.
     """
     return float(_shortfall_batch(_sorted_row(sample), ell)[0])
 
@@ -776,18 +775,13 @@ def _oce_batch(Xs: np.ndarray, ell: LossFunction) -> np.ndarray:
         # same in every row: fewer than n (1 - sm) / (sp - sm) atoms lie above.
         n = Xs.shape[1]
         above = (sm + (sp - sm) / n * np.arange(n - 1, -1, -1.0)) - 1.0
-        if q:
-            y = np.subtract(Xs, Xs[:, -1:])
-            s = _suffix_sums(y)
-            y *= np.arange(n - 1, -1, -1.0)
-            s -= y  # sum_{i > j} (y_i - y_j)
-            s *= 2.0 * q / n
-            above = np.add(s, above, out=s)
+        if q:  # plus mean 2 q max(x - x_j, 0), a kinked mean of slopes 0 and 2 q
+            above = _kinked_sums(Xs, 0.0, 2.0 * q) + above
         a = np.clip(n - np.count_nonzero(above < 0.0, axis=-1), 0, n - 1)
 
         def value(Xs):
             anchor = Xs[np.arange(len(Xs)), a]
-            total, pos, sq = _kinked_mean(Xs, anchor)
+            total, pos, sq = _kinked_mean(Xs, anchor, bool(q))
             f = sm * total + (sp - sm) * pos
             if not q:
                 return anchor + f

@@ -15,6 +15,7 @@ from risklattice import (
     NumericError,
     RiskMeasureSpec,
     aes,
+    arctan_bend_loss,
     certainty_equivalent,
     cvar_loss,
     distortion_rho,
@@ -430,11 +431,11 @@ def test_piecewise_linear_forms_survive_a_span_that_overflows(solver, loss):
         half = solver(EDGE / 2, loss())
     assert math.isfinite(got) and got == 2 * half
     # both are the exact mean 0.5e308 / 3 here: the OCE's anchored form comes
-    # within 1.33 ulps of it, the shortfall's suffix sums within 2.67
+    # within 1.33 ulps of it, the shortfall's anchored root within 0.67
     if solver is oce:
         assert got == 1.6666666666666664e307
     elif loss is linear_loss:
-        assert got == 1.6666666666666674e307
+        assert got == 1.6666666666666669e307
     # in a batch, each row keeps its own value
     Xs = np.sort(np.stack([EDGE, EDGE / 1e300]), axis=1)
     kernel = rm._shortfall_batch if solver is shortfall_rho else rm._oce_batch
@@ -446,6 +447,49 @@ def test_quadlin_span_that_overflows_raises(solver):
     # quad max(x, 0)^2 is not homogeneous: no scaling, and the overflow raises
     with pytest.raises(NumericError, match="overflow at batch row 0"):
         solver(EDGE, quadlin_loss())
+
+
+def test_bracketed_root_survives_a_span_that_overflows():
+    # hi - lo overflows to inf in a residual's bracket, whose step must not
+    # multiply it by a spread of 0.  The root is the mean plus -pi/2 - arctan(m),
+    # far under an ulp, so the exact mean stands in for it; the bracket stops
+    # at 4 ulps of max |x| and returns its midpoint.
+    xs = [-1.7e308, 0.0, 1e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = certainty_equivalent(xs, arctan_bend_loss())
+    assert math.isfinite(got)
+    assert abs(Fraction(got) - sum(map(Fraction, xs)) / 3) <= 2 * Fraction(math.ulp(1.7e308))
+
+
+def test_quadlin_shortfall_survives_squares_that_overflow():
+    # the squares' sums that rank the pieces overflow with the right sign, so
+    # the piece is known; the root is 2e200 minus about 1.2e100
+    assert shortfall_rho([0.0, 1e200, 2e200], quadlin_loss()) == 2e200
+
+
+SPAN = np.array([-1.7e308, 0.0, 1e308])  # x - max x overflows, and residuals from it rank wrongly
+
+
+@pytest.mark.parametrize("loss", ["expectile:1", "piecewise:0.5,1.5", "piecewise:0.5,2"])
+def test_piecewise_linear_shortfall_of_a_span_that_overflows_is_rescaled(loss):
+    # residuals from infinities must not pick the root's piece: the row is
+    # evaluated again scaled, and its value is exact to 4 ulps
+    ell = parse_loss_spec(loss)
+    got = shortfall_rho(SPAN, ell)
+    assert got == 2 * shortfall_rho(SPAN / 2, ell)
+    assert _root_within_4_ulps(SPAN.tolist(), ell.slopes, got)
+
+
+def test_bracketed_shortfall_raises_where_an_overflowed_term_flips_the_sum():
+    # l is v/2 + max(v, 0) at this scale, with its root at 2.6e307 here; past
+    # m = max float - 1.7e308 the term of -1.7e308 overflows to -inf and
+    # flips the sign of the sum, which must not pass as a root
+    ell = LossFunction(fn=lambda v: 0.5 * v + np.logaddexp(0.0, v) - math.log(2.0),
+                       convex=True, normalized=True, name="softplus")
+    assert shortfall_rho(SPAN / 1e8, ell) == pytest.approx(2.6e299, rel=1e-12)
+    with pytest.raises(NumericError, match="overflow at batch row 0"):
+        shortfall_rho(SPAN, ell)
 
 
 def test_shortfall_root_survives_overflow_elsewhere_in_its_bracket():
@@ -933,6 +977,17 @@ def test_quadratic_forms_match_long_double(loss, kind, scale, atoms):
     assert np.all(np.abs(got - expected) <= 4 * ulps)
 
 
+def _integer_slopes(slopes):
+    """``sm D``, ``sp D`` and their common denominator ``D``, all integers."""
+    (a, da), (b, db) = (float(s).as_integer_ratio() for s in slopes)
+    return a * db, b * da, da * db
+
+
+def _as_ints(values):
+    """Each double times ``2**1100``: an integer, exactly."""
+    return [num * ((1 << 1100) // den) for num, den in map(float.as_integer_ratio, values)]
+
+
 def _exact_piecewise_oce(row, slopes):
     """The exact OCE of ascending ``row`` under a loss of ``slopes``.
 
@@ -941,9 +996,8 @@ def _exact_piecewise_oce(row, slopes):
     and so is ``n D 2**1100`` times each value, with ``D`` the slopes' common
     denominator: one pass of suffix sums in integers gives them all.
     """
-    (a, da), (b, db) = (float(s).as_integer_ratio() for s in slopes)
-    sm, sp, D = a * db, b * da, da * db
-    X = [num * ((1 << 1100) // den) for num, den in map(float.as_integer_ratio, row)]
+    sm, sp, D = _integer_slopes(slopes)
+    X = _as_ints(row)
     n, total, above = len(X), sum(X), 0
     best = None
     for j in range(n - 1, -1, -1):
@@ -953,19 +1007,55 @@ def _exact_piecewise_oce(row, slopes):
     return Fraction(best, n * D << 1100)
 
 
-@pytest.mark.parametrize("n", [7, 50, 251, 1000, 3000])
+PIECEWISE_SIZES = [7, 50, 251, 1000, 3000]
+
+
+def _shifted_rows(n):
+    """Four ascending gaussian rows of ``n`` atoms at each of scales 1e-9, 1
+    and 1e9, shifted by up to 3 of their scale either way, so that many hold
+    atoms of one sign only and a value far from 0 against their spread."""
+    rng = np.random.default_rng(n)
+    for scale in (1e-9, 1.0, 1e9):
+        yield np.sort(rng.standard_normal((4, n)) + rng.uniform(-3, 3, (4, 1)), axis=1) * scale
+
+
+@pytest.mark.parametrize("n", PIECEWISE_SIZES)
 @pytest.mark.parametrize("loss", ["linear", "expectile:1", "piecewise:0.5,2", "cvar:0.75"])
 def test_piecewise_linear_oce_is_exact_to_4_ulps(loss, n):
-    # rows shifted by up to 3 of their scale either way, so that many hold
-    # atoms of one sign only and a value far from 0 against their spread
-    rng = np.random.default_rng(n)
     ell = parse_loss_spec(loss)
-    for scale in (1e-9, 1.0, 1e9):
-        Xs = np.sort(rng.standard_normal((4, n)) + rng.uniform(-3, 3, (4, 1)), axis=1) * scale
+    for Xs in _shifted_rows(n):
         got = RiskMeasureSpec.oce(ell).evaluate_batch(Xs)
         for row, value in zip(Xs, got):
             ulp = math.ulp(max(abs(value), np.abs(row).max()))
             assert abs(Fraction(value) - _exact_piecewise_oce(row.tolist(), ell.slopes)) <= 4 * Fraction(ulp)
+
+
+def _root_within_4_ulps(row, slopes, value):
+    """Whether the exact root of ``sum l(x_i - m)``, for a loss of ``slopes``,
+    lies within 4 ulps of ``max(|value|, max |x|)`` of ``value``.
+
+    The residual decreases in ``m``, so it must be >= 0 at the value minus 4
+    ulps and <= 0 at the value plus 4: a sign test in integers, no root.
+    """
+    sm, sp, _ = _integer_slopes(slopes)
+    X = _as_ints(row)
+    total = sum(X)
+    v, ulp = _as_ints([value, math.ulp(max(abs(value), *map(abs, row)))])
+
+    def residual(m):
+        return sm * (total - len(X) * m) + (sp - sm) * sum(x - m for x in X if x > m)
+
+    return residual(v - 4 * ulp) >= 0 >= residual(v + 4 * ulp)
+
+
+@pytest.mark.parametrize("n", PIECEWISE_SIZES)
+@pytest.mark.parametrize("loss", ["linear", "expectile:1", "piecewise:0.5,2"])
+def test_piecewise_linear_shortfall_is_exact_to_4_ulps(loss, n):
+    ell = parse_loss_spec(loss)
+    for Xs in _shifted_rows(n):
+        got = RiskMeasureSpec.shortfall(ell).evaluate_batch(Xs)
+        for row, value in zip(Xs, got):
+            assert _root_within_4_ulps(row.tolist(), ell.slopes, value)
 
 
 # ---------------------------------------------------------------------------
